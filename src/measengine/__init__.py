@@ -21,15 +21,11 @@ from .engine import (
     InvalidCycleError,
     StrokeRecord,
     UnrealizableChannelError,
-    analytic_five_stroke,
-    analytic_three_stroke,
     first_law_residual,
     gamma_bounds,
     numeric_realizable,
     run_analytic,
-    run_five_stroke_numeric,
     run_numeric,
-    run_three_stroke_numeric,
 )
 from .states import (
     DensityMatrix,
@@ -60,8 +56,6 @@ __all__ = [
     "SweepSpec",
     "UnrealizableChannelError",
     "VerifyReport",
-    "analytic_five_stroke",
-    "analytic_three_stroke",
     "apply_unselective",
     "first_channel",
     "first_law_residual",
@@ -73,10 +67,8 @@ __all__ = [
     "numeric_realizable",
     "povm_elements",
     "run_analytic",
-    "run_five_stroke_numeric",
     "run_numeric",
     "run_sweep",
-    "run_three_stroke_numeric",
     "run_verification",
     "second_channel",
     "trace_distance",

@@ -109,7 +109,7 @@ def validate_completeness(k: KrausSet) -> CompletenessReport:
     """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
     total = np.zeros((k.dim, k.dim), dtype=complex)
     for op in k.ops:
-        total += matmul(adjoint(op), op)
+        total += op.conj().T @ op
     dev = float(np.max(np.abs(total - np.eye(k.dim))))
     return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
@@ -130,7 +130,7 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"dimension mismatch: channel {k.dim} vs state {rho.dim}")
     out = np.zeros((k.dim, k.dim), dtype=complex)
     for op in k.ops:
-        out += matmul(matmul(op, rho.mat), adjoint(op))
+        out += op @ rho.mat @ op.conj().T
     return DensityMatrix(out)
 
 

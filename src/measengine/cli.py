@@ -115,16 +115,12 @@ def _render_ledger(ledger: EnergyLedger) -> str:
     lines.append(f"  {'stroke':<8}{'energy':>18}{'entropy':>18}")
     for rec in ledger.strokes:
         lines.append(f"  {rec.name:<8}{_fmt(rec.energy_after):>18}{_fmt(rec.entropy_after):>18}")
-    if ledger.params.mode is CycleMode.FIVE_STROKE:
-        residual = first_law_residual(ledger)
-    else:
-        residual = ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
     summary = (
         f"  q_in={_fmt(ledger.q_in)} q_out={_fmt(ledger.q_out)} "
         f"w_api={_fmt(ledger.w_api)} w_apii={_fmt(ledger.w_apii)} "
         f"delta={_fmt(ledger.delta)} w_ext={_fmt(ledger.w_ext)} "
         f"eta={_fmt(ledger.eta)} q_used={_fmt(ledger.q_used)} "
-        f"first_law_residual={_fmt(residual)} valid={1 if ledger.valid else 0}"
+        f"first_law_residual={_fmt(first_law_residual(ledger))} valid={1 if ledger.valid else 0}"
     )
     lines.append(summary)
     if ledger.flags:

@@ -7,11 +7,17 @@ Two cycle shapes:
 * five-stroke: TP, adiabatic gap stretch 1 -> r (API), QMI, QMII,
   adiabatic return r -> 1 (APII), back to TP.
 
-Each cycle is evaluated two independent ways.  The numeric path evolves
-the density matrix stroke by stroke through the Kraus channels and reads
-energies off the state.  The analytic path evaluates the closed-form
-bookkeeping for the same cycle.  They must agree to ~1e-10; the verify
-suite and tests enforce that.
+At r = 1 the adiabats relabel nothing, so the three-stroke cycle is the
+r = 1 five-stroke cycle viewed without its API and APII records.  Each
+path therefore has one runner for both shapes, selected by nothing but
+`CycleParams.mode` (which pins r = 1 for three-stroke).
+
+Each cycle is evaluated two independent ways.  The numeric path
+(`run_numeric`) evolves the density matrix stroke by stroke through the
+Kraus channels and reads energies off the state.  The analytic path
+(`run_analytic`) evaluates the closed-form bookkeeping for the same
+cycle.  They must agree to ~1e-10; the verify suite and tests enforce
+that.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -141,73 +147,46 @@ def _record(name: str, state: DensityMatrix, h: Hamiltonian) -> StrokeRecord:
     return StrokeRecord(name, state, h, mean_energy(state, h), von_neumann_entropy(state))
 
 
-def _eta(w_ext: float, q_in: float, flags: list[str]) -> float:
-    if q_in == 0.0:
-        flags.append(FLAG_ETA_ZERO_INPUT)
-        return 0.0
-    return w_ext / q_in
-
-
-def run_three_stroke_numeric(p: CycleParams) -> EnergyLedger:
-    """Evolve gibbs -> QMI -> QMII numerically and ledger the energies."""
-    if p.mode is not CycleMode.THREE_STROKE:
-        raise InvalidCycleError(f"three-stroke run got mode {p.mode.value!r}")
-    lo, hi = gamma_bounds(p.mode)
-    if not lo <= p.gamma <= hi:
-        raise InvalidCycleError(
-            f"gamma = {p.gamma:g} outside the three-stroke engine range [{lo:g}, {hi:g}]"
-        )
-    h = Hamiltonian.qubit(1.0)
-    rho_th = gibbs_state(h, p.b)
-    strength = p.strength
-    rho_m = apply_unselective(first_channel(strength), rho_th)
-    q = isentropic_strength(strength, p.b)
-    rho_n = apply_unselective(second_channel(q), rho_m)
-
-    tp = _record("TP", rho_th, h)
-    qmi = _record("QMI", rho_m, h)
-    qmii = _record("QMII", rho_n, h)
-
-    q_in = qmi.energy_after - tp.energy_after
-    q_out = tp.energy_after - qmii.energy_after
-    delta = qmi.energy_after - qmii.energy_after
-    w_ext = q_in + q_out
-    flags: list[str] = []
-    eta = _eta(w_ext, q_in, flags)
-    return EnergyLedger(
-        params=p, source="numeric", strokes=(tp, qmi, qmii),
-        q_in=q_in, q_out=q_out, w_api=0.0, w_apii=0.0, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=q, valid=True, flags=tuple(flags),
+def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
+                   rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
+    """Records of the full TP, API, QMI, QMII, APII sequence."""
+    h1 = Hamiltonian.qubit(1.0)
+    hr = Hamiltonian.qubit(p.r)
+    return (
+        _record("TP", thermal, h1),
+        _record("API", thermal, hr),   # gap stretch, populations untouched
+        _record("QMI", rho_m, hr),
+        _record("QMII", rho_n, hr),
+        _record("APII", rho_n, h1),    # gap restored before thermalization
     )
 
 
-def run_five_stroke_numeric(p: CycleParams) -> EnergyLedger:
-    """Evolve the five-stroke cycle numerically and ledger the energies."""
-    if p.mode is not CycleMode.FIVE_STROKE:
-        raise InvalidCycleError(f"five-stroke run got mode {p.mode.value!r}")
+def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeRecord, ...]:
+    """The strokes the mode shows: three-stroke drops the r = 1 adiabats."""
+    if p.mode is CycleMode.THREE_STROKE:
+        return tuple(rec for rec in strokes if rec.name not in ("API", "APII"))
+    return strokes
+
+
+def run_numeric(p: CycleParams) -> EnergyLedger:
+    """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
     lo, hi = gamma_bounds(p.mode, p.r)
     if not lo <= p.gamma <= hi:
         raise InvalidCycleError(
-            f"gamma = {p.gamma:g} outside the five-stroke engine range [{lo:g}, {hi:g}]"
+            f"gamma = {p.gamma:g} outside the {p.mode.value}-stroke engine range [{lo:g}, {hi:g}]"
         )
     if p.gamma < GAMMA_NUMERIC_MIN:
         raise UnrealizableChannelError(
             f"isentropic channel unrealizable: gamma = {p.gamma:g} < {GAMMA_NUMERIC_MIN} "
             "leaves no damping strength in [0, 1] that swaps the populations"
         )
-    h1 = Hamiltonian.qubit(1.0)
-    hr = Hamiltonian.qubit(p.r)
-    rho_th = gibbs_state(h1, p.b)
+    rho_th = gibbs_state(Hamiltonian.qubit(1.0), p.b)
     strength = p.strength
     rho_m = apply_unselective(first_channel(strength), rho_th)
     q = isentropic_strength(strength, p.b)
     rho_n = apply_unselective(second_channel(q), rho_m)
-
-    tp = _record("TP", rho_th, h1)
-    api = _record("API", rho_th, hr)    # gap stretch, populations untouched
-    qmi = _record("QMI", rho_m, hr)
-    qmii = _record("QMII", rho_n, hr)
-    apii = _record("APII", rho_n, h1)   # gap restored before thermalization
+    strokes = _cycle_strokes(p, rho_th, rho_m, rho_n)
+    tp, api, qmi, qmii, apii = strokes
 
     w_api = tp.energy_after - api.energy_after
     q_in = qmi.energy_after - api.energy_after
@@ -216,92 +195,42 @@ def run_five_stroke_numeric(p: CycleParams) -> EnergyLedger:
     q_out = tp.energy_after - apii.energy_after
     w_ext = q_in + q_out
     flags: list[str] = []
-    eta = _eta(w_ext, q_in, flags)
+    if q_in == 0.0:
+        flags.append(FLAG_ETA_ZERO_INPUT)
+        eta = 0.0
+    else:
+        eta = w_ext / q_in
     return EnergyLedger(
-        params=p, source="numeric", strokes=(tp, api, qmi, qmii, apii),
+        params=p, source="numeric", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=q, valid=True, flags=tuple(flags),
     )
 
 
-def _analytic_pieces(p: CycleParams):
-    """Shared closed-form ingredients, in overflow-safe form.
+def run_analytic(p: CycleParams) -> EnergyLedger:
+    """Closed-form ledger; defined for all gamma in [0, 1].
 
-    ground = e^(b/2)/Z = 1/(1 + e^-b) is the thermal ground population;
-    pumped = P * ground is the population moved up by QMI.
+    Outside the engine range the values are still the formula values
+    (useful for plotting the full efficiency curve) and the ledger is
+    flagged invalid.  At r = 1 the r-scaled blocks reduce to the
+    three-stroke values and the adiabatic works vanish.  eta is the one
+    mode-specific formula: 2 - 1/gamma three-stroke, and five-stroke
+    (gamma*(1+r) - 1)/(gamma*r), which is exactly zero at the lower bound
+    gamma = 1/(1+r).  The two agree at r = 1 only up to roundoff, so each
+    mode keeps its own and the three-stroke CSV keeps its digits.
     """
+    # ground = e^(b/2)/Z = 1/(1 + e^-b) is the thermal ground population,
+    # written overflow-safe; pumped = P * ground is the population QMI moves up.
     x = math.exp(-p.b)
     ground = 1.0 / (1.0 + x)
     excited = x / (1.0 + x)
     th = math.tanh(0.5 * p.b)
     strength = p.strength
     pumped = strength * ground
-    # Post-QMI populations and their QMII swap.
-    m_pops = ((1.0 - strength) * ground, excited + pumped)
-    n_pops = (m_pops[1], m_pops[0])
-    return th, strength, pumped, m_pops, n_pops
-
-
-def _partner_strength(strength: float, b: float, flags: list[str]) -> float:
-    try:
-        return isentropic_strength(strength, b)
-    except NoIsentropicStrengthError:
-        flags.append(FLAG_NO_PARTNER)
-        return math.nan
-
-
-def analytic_three_stroke(p: CycleParams) -> EnergyLedger:
-    """Closed-form three-stroke ledger; defined for all gamma in [0, 1].
-
-    Outside the engine range [1/2, 1] the values are still the formula
-    values (useful for plotting the full efficiency curve) and the ledger
-    is flagged invalid.
-    """
-    if p.mode is not CycleMode.THREE_STROKE:
-        raise InvalidCycleError(f"three-stroke evaluation got mode {p.mode.value!r}")
-    th, strength, pumped, m_pops, n_pops = _analytic_pieces(p)
-    q_in = pumped
-    q_out = pumped - th
-    delta = 2.0 * pumped - th  # equals w_ext up to roundoff
-    w_ext = q_in + q_out
-    flags: list[str] = []
-    if p.gamma == 0.0:
-        flags.append(FLAG_ETA_ZERO_INPUT)
-        eta = 0.0
-    else:
-        eta = 2.0 - 1.0 / p.gamma
-    q_used = _partner_strength(strength, p.b, flags)
-    lo, hi = gamma_bounds(p.mode)
-    valid = lo <= p.gamma <= hi
-    if not valid:
-        flags.append(FLAG_OUTSIDE_RANGE)
-    h = Hamiltonian.qubit(1.0)
-    strokes = (
-        _record("QMI", DensityMatrix.from_populations(m_pops), h),
-        _record("QMII", DensityMatrix.from_populations(n_pops), h),
-    )
-    return EnergyLedger(
-        params=p, source="analytic", strokes=strokes,
-        q_in=q_in, q_out=q_out, w_api=0.0, w_apii=0.0, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=q_used, valid=valid, flags=tuple(flags),
-    )
-
-
-def analytic_five_stroke(p: CycleParams) -> EnergyLedger:
-    """Closed-form five-stroke ledger; defined for all gamma in [0, 1].
-
-    eta is evaluated as (gamma*(1+r) - 1)/(gamma*r), which is exactly
-    zero at the lower bound gamma = 1/(1+r).
-    """
-    if p.mode is not CycleMode.FIVE_STROKE:
-        raise InvalidCycleError(f"five-stroke evaluation got mode {p.mode.value!r}")
-    th, strength, pumped, m_pops, n_pops = _analytic_pieces(p)
     r = p.r
-    # r-scaled three-stroke blocks: at r = 1 every entry degenerates to the
-    # three-stroke value bit for bit.
     w_api = 0.5 * (r - 1.0) * th
     q_in = r * pumped
-    delta = r * (2.0 * pumped - th)
+    delta = r * (2.0 * pumped - th)  # equals w_ext up to roundoff
     w_apii = (r - 1.0) * (0.5 * th - pumped)
     q_out = pumped - th
     w_ext = q_in + q_out
@@ -309,27 +238,30 @@ def analytic_five_stroke(p: CycleParams) -> EnergyLedger:
     if p.gamma == 0.0:
         flags.append(FLAG_ETA_ZERO_INPUT)
         eta = 0.0
+    elif p.mode is CycleMode.THREE_STROKE:
+        eta = 2.0 - 1.0 / p.gamma
     else:
         eta = (p.gamma * (1.0 + r) - 1.0) / (p.gamma * r)
-    q_used = _partner_strength(strength, p.b, flags)
+    try:
+        q_used = isentropic_strength(strength, p.b)
+    except NoIsentropicStrengthError:
+        flags.append(FLAG_NO_PARTNER)
+        q_used = math.nan
     lo, hi = gamma_bounds(p.mode, r)
     valid = lo <= p.gamma <= hi
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
-    h1 = Hamiltonian.qubit(1.0)
-    hr = Hamiltonian.qubit(r)
-    thermal = gibbs_state(h1, p.b)
-    rho_m = DensityMatrix.from_populations(m_pops)
-    rho_n = DensityMatrix.from_populations(n_pops)
-    strokes = (
-        _record("TP", thermal, h1),
-        _record("API", thermal, hr),
-        _record("QMI", rho_m, hr),
-        _record("QMII", rho_n, hr),
-        _record("APII", rho_n, h1),
+    # Post-QMI populations and their QMII swap.
+    m_pops = ((1.0 - strength) * ground, excited + pumped)
+    n_pops = (m_pops[1], m_pops[0])
+    strokes = _cycle_strokes(
+        p,
+        gibbs_state(Hamiltonian.qubit(1.0), p.b),
+        DensityMatrix.from_populations(m_pops),
+        DensityMatrix.from_populations(n_pops),
     )
     return EnergyLedger(
-        params=p, source="analytic", strokes=strokes,
+        params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=q_used, valid=valid, flags=tuple(flags),
     )
@@ -341,22 +273,9 @@ def numeric_realizable(p: CycleParams) -> bool:
     return max(lo, GAMMA_NUMERIC_MIN) <= p.gamma <= hi
 
 
-def run_numeric(p: CycleParams) -> EnergyLedger:
-    """Dispatch to the numeric runner for the mode in `p`."""
-    if p.mode is CycleMode.THREE_STROKE:
-        return run_three_stroke_numeric(p)
-    return run_five_stroke_numeric(p)
-
-
-def run_analytic(p: CycleParams) -> EnergyLedger:
-    """Dispatch to the closed-form evaluator for the mode in `p`."""
-    if p.mode is CycleMode.THREE_STROKE:
-        return analytic_three_stroke(p)
-    return analytic_five_stroke(p)
-
-
 def first_law_residual(ledger: EnergyLedger) -> float:
-    """Signed five-stroke energy-balance residual; zero for a closed cycle."""
-    if ledger.params.mode is not CycleMode.FIVE_STROKE:
-        raise InvalidCycleError("first-law residual is defined for five-stroke ledgers")
+    """Signed energy-balance residual of either mode; zero for a closed cycle.
+
+    Three-stroke ledgers carry zero adiabatic work, so one identity covers both.
+    """
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii

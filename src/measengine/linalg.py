@@ -5,6 +5,12 @@ The matrices here are tiny (qubits, the odd d = 3 or 4 in tests), so the
 code favors explicit loops and closed forms over library eigensolvers:
 the 2x2 eigenvalues come from the trace/determinant quadratic and larger
 Hermitian matrices go through a cyclic Jacobi sweep.
+
+The public functions are the validated boundary for callers outside the
+package: each coerces and checks its input with `as_square_matrix`.
+Inside the package, `DensityMatrix` and `KrausSet` validate once at
+construction and freeze their arrays, so math on those arrays uses numpy
+directly and the unchecked kernels `_hermiticity_defect` and `_eigvals`.
 """
 
 from __future__ import annotations
@@ -51,7 +57,10 @@ def trace(a: np.ndarray) -> complex:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max entrywise |A - A^dag|; zero for exactly Hermitian input."""
-    a = as_square_matrix(a)
+    return _hermiticity_defect(as_square_matrix(a))
+
+
+def _hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
@@ -72,11 +81,16 @@ def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
     residual of TOL_EIG.
     """
     a = as_square_matrix(a)
-    defect = hermiticity_defect(a)
+    defect = _hermiticity_defect(a)
     if defect > tol_herm:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol_herm:.1e}"
         )
+    return _eigvals(a)
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Unchecked kernel of eig_hermitian, for arrays already known Hermitian."""
     d = a.shape[0]
     if d == 1:
         return np.array([a[0, 0].real])

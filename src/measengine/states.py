@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    TOL_HERM,
-    as_square_matrix,
-    eig_hermitian,
-    hermiticity_defect,
-    matmul,
-    trace,
-)
+from .linalg import TOL_HERM, _eigvals, _hermiticity_defect, as_square_matrix
 
 TOL_TRACE = 1e-12        # |Tr(rho) - 1| accepted
 TOL_PSD = 1e-12          # eigenvalues >= -TOL_PSD accepted, clamped to 0 for entropy
@@ -70,13 +63,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_square_matrix(self.mat).copy()
-        defect = hermiticity_defect(m)
+        defect = _hermiticity_defect(m)
         if defect > TOL_HERM:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
-        tr = trace(m)
+        tr = complex(np.trace(m))
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"state trace {tr:.15g} is not 1")
-        lo = eig_hermitian(m)[0]
+        lo = _eigvals(m)[0]
         if lo < -TOL_PSD:
             raise ValueError(f"state has negative eigenvalue {lo:.3e}")
         m.flags.writeable = False
@@ -108,7 +101,7 @@ class DensityMatrix:
         return np.diag(self.mat).real.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        return eig_hermitian(self.mat)
+        return _eigvals(self.mat)
 
 
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
@@ -124,7 +117,7 @@ def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Tr(H rho); refuses if the imaginary part exceeds TOL_ENERGY_IMAG."""
     if rho.dim != h.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs Hamiltonian {h.dim}")
-    val = trace(matmul(h.matrix, rho.mat))
+    val = complex(np.trace(h.matrix @ rho.mat))
     if abs(val.imag) > TOL_ENERGY_IMAG:
         raise ValueError(f"mean energy has imaginary part {val.imag:.3e}")
     return val.real
@@ -145,5 +138,5 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b); lies in [0, 1]."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    eigs = eig_hermitian(a.mat - b.mat)
+    eigs = _eigvals(a.mat - b.mat)
     return 0.5 * float(np.sum(np.abs(eigs)))

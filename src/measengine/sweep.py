@@ -6,17 +6,22 @@ grid point; eta_numeric and first_law_residual come from the numeric run
 and are present only where the cycle is numerically realizable (the
 entropy-preserving stroke needs gamma >= 1/2).  Floats are rendered with
 12 significant digits, so repeated sweeps are byte-identical.
+
+A sweep either writes the whole CSV or leaves the destination untouched:
+every grid point is validated before any output is opened, and the rows
+go to a temporary file beside the destination that replaces it only once
+complete.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .engine import (
     CycleMode,
     CycleParams,
-    EnergyLedger,
     first_law_residual,
     numeric_realizable,
     run_analytic,
@@ -58,13 +63,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _residual(ledger: EnergyLedger) -> float:
-    if ledger.params.mode is CycleMode.FIVE_STROKE:
-        return first_law_residual(ledger)
-    # Same identity with zero adiabatic work; delta is measured independently.
-    return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
-
-
 def sweep_row(params: CycleParams) -> str:
     """One formatted CSV row for a single grid point."""
     analytic = run_analytic(params)
@@ -87,25 +85,34 @@ def sweep_row(params: CycleParams) -> str:
         _fmt(numeric.eta) if numeric is not None else "",
         _fmt(analytic.stroke("QMI").entropy_after),
         _fmt(analytic.stroke("QMII").entropy_after),
-        _fmt(_residual(authoritative)),
+        _fmt(first_law_residual(authoritative)),
         "1" if analytic.valid else "0",
     ]
     return ",".join(cells)
 
 
-def iter_rows(spec: SweepSpec):
-    for b in spec.b_values:
-        for gamma in spec.gamma_values:
-            for r in spec.r_values:
-                yield sweep_row(CycleParams(b=b, gamma=gamma, mode=spec.mode, r=r))
+def _grid_params(spec: SweepSpec) -> list[CycleParams]:
+    """Every grid point in row order; raises InvalidCycleError on the first bad one."""
+    return [
+        CycleParams(b=b, gamma=gamma, mode=spec.mode, r=r)
+        for b in spec.b_values
+        for gamma in spec.gamma_values
+        for r in spec.r_values
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> int:
     """Write the sweep CSV; returns the number of data rows."""
-    count = 0
-    with open(spec.output_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in iter_rows(spec):
-            fh.write(row + "\n")
-            count += 1
-    return count
+    grid = _grid_params(spec)
+    tmp = f"{spec.output_path}.{os.getpid()}.tmp"  # same directory: os.replace is atomic
+    fh = open(tmp, "x", encoding="ascii", newline="")
+    try:
+        with fh:
+            fh.write(CSV_HEADER + "\n")
+            for params in grid:
+                fh.write(sweep_row(params) + "\n")
+        os.replace(tmp, spec.output_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return len(grid)

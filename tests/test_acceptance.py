@@ -20,11 +20,10 @@ from measengine.cli import main
 from measengine.engine import (
     CycleMode,
     CycleParams,
-    analytic_five_stroke,
     first_law_residual,
     gamma_bounds,
-    run_five_stroke_numeric,
-    run_three_stroke_numeric,
+    run_analytic,
+    run_numeric,
 )
 from measengine.states import DensityMatrix, trace_distance
 from support import random_density_matrix, random_kraus_set
@@ -52,8 +51,8 @@ def report(num: int, desc: str, failures: list):
 def test_criterion_01_efficiency_endpoints():
     failures = []
     for b in B_GRID:
-        lo = run_three_stroke_numeric(three(b, 0.5)).eta
-        hi = run_three_stroke_numeric(three(b, 1.0)).eta
+        lo = run_numeric(three(b, 0.5)).eta
+        hi = run_numeric(three(b, 1.0)).eta
         if abs(lo) > 1e-10:
             failures.append(f"eta({b}, 0.5) = {lo}")
         if abs(hi - 1.0) > 1e-10:
@@ -65,14 +64,14 @@ def test_criterion_02_efficiency_law():
     failures = []
     for b in B_GRID:
         for gamma in GAMMA_GRID:
-            eta = run_three_stroke_numeric(three(b, gamma)).eta
+            eta = run_numeric(three(b, gamma)).eta
             if abs(eta - (2.0 - 1.0 / gamma)) > 1e-10:
                 failures.append(f"eta({b}, {gamma}) = {eta}")
     report(2, "three-stroke numeric eta equals 2 - 1/gamma (tol 1e-10)", failures)
 
 
 def test_criterion_03_worked_point():
-    led = run_three_stroke_numeric(three(math.log(2.0), 0.75))
+    led = run_numeric(three(math.log(2.0), 0.75))
     expected = {
         "q_in": 0.25,
         "w_ext": 1.0 / 6.0,
@@ -92,7 +91,7 @@ def test_criterion_04_entropy_equality_and_swap():
     failures = []
     for b in B_GRID:
         for gamma in GAMMA_GRID:
-            led = run_three_stroke_numeric(three(b, gamma))
+            led = run_numeric(three(b, gamma))
             qmi, qmii = led.stroke("QMI"), led.stroke("QMII")
             if abs(qmi.entropy_after - qmii.entropy_after) > 1e-12:
                 failures.append(f"entropy b={b} gamma={gamma}")
@@ -108,7 +107,7 @@ def test_criterion_05_maximal_mixing_point():
     failures = []
     mixed = DensityMatrix.maximally_mixed(2)
     for b in B_GRID:
-        led = run_three_stroke_numeric(three(b, 0.5))
+        led = run_numeric(three(b, 0.5))
         qmi = led.stroke("QMI")
         d = trace_distance(qmi.state_after, mixed)
         if d > 1e-12:
@@ -121,7 +120,7 @@ def test_criterion_05_maximal_mixing_point():
 def test_criterion_06_entropy_crossover_point():
     failures = []
     for b in B_GRID:
-        led = run_three_stroke_numeric(three(b, 1.0))  # P = 1 - e^-b
+        led = run_numeric(three(b, 1.0))  # P = 1 - e^-b
         tp, qmi = led.stroke("TP"), led.stroke("QMI")
         if abs(qmi.entropy_after - tp.entropy_after) > 1e-12:
             failures.append(f"entropy b={b}")
@@ -135,7 +134,7 @@ def test_criterion_07_five_stroke_first_law():
     for b in B_GRID:
         for gamma in GAMMA_GRID:
             for r in R_GRID:
-                residual = first_law_residual(run_five_stroke_numeric(five(b, gamma, r)))
+                residual = first_law_residual(run_numeric(five(b, gamma, r)))
                 if abs(residual) > 1e-12:
                     failures.append(f"b={b} gamma={gamma} r={r}: {residual}")
     report(7, "five-stroke first-law residual vanishes (tol 1e-12)", failures)
@@ -146,16 +145,16 @@ def test_criterion_08_five_stroke_efficiency():
     for b in B_GRID:
         for gamma in GAMMA_GRID:
             for r in R_GRID:
-                eta = run_five_stroke_numeric(five(b, gamma, r)).eta
+                eta = run_numeric(five(b, gamma, r)).eta
                 want = (gamma * (1.0 + r) - 1.0) / (gamma * r)
                 if abs(eta - want) > 1e-10:
                     failures.append(f"b={b} gamma={gamma} r={r}: {eta} vs {want}")
-    eta_half = run_five_stroke_numeric(five(math.log(2.0), 0.5, 2.0)).eta
+    eta_half = run_numeric(five(math.log(2.0), 0.5, 2.0)).eta
     if abs(eta_half - 0.5) > 1e-10:
         failures.append(f"gamma=1/2 r=2: {eta_half}")
     for r in R_GRID:
         lo, _ = gamma_bounds(CycleMode.FIVE_STROKE, r)
-        eta_lo = analytic_five_stroke(five(1.0, lo, r)).eta
+        eta_lo = run_analytic(five(1.0, lo, r)).eta
         if eta_lo != 0.0:
             failures.append(f"analytic eta at gamma_min r={r}: {eta_lo!r}")
     report(8, "five-stroke eta law (tol 1e-10); eta(1/2, r=2)=0.5; analytic 0 at gamma_min", failures)
@@ -165,8 +164,8 @@ def test_criterion_09_reduction_consistency():
     failures = []
     for b in B_GRID:
         for gamma in GAMMA_GRID:
-            led5 = run_five_stroke_numeric(five(b, gamma, 1.0))
-            led3 = run_three_stroke_numeric(three(b, gamma))
+            led5 = run_numeric(five(b, gamma, 1.0))
+            led3 = run_numeric(three(b, gamma))
             for field in LEDGER_FIELDS:
                 diff = abs(getattr(led5, field) - getattr(led3, field))
                 if diff > 1e-12:

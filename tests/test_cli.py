@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -141,6 +142,45 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "io error" in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--mode", "three", "--b-values", "1", "--gamma-values", "0.6,0.75", "--r-values", "1,2"],
+            ["--mode", "five", "--b-values", "1,-1", "--gamma-values", "0.75"],
+        ],
+        ids=["three-stroke-r2", "negative-b"],
+    )
+    def test_invalid_grid_point_leaves_no_file(self, capsys, tmp_path, grid):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", *grid, "--out", str(out_path))
+        assert code == 2
+        assert "invalid cycle" in err
+        assert list(tmp_path.iterdir()) == []
+
+    # sha256 of each CSV as first recorded: a change to the cycle core or to
+    # the validation layers must reproduce the sweep byte for byte.
+    @pytest.mark.parametrize(
+        ("grid", "digest"),
+        [
+            (
+                ["--mode", "three", "--b-values", "0.1,0.6931471805599453,1,5,50",
+                 "--gamma-values", "0,0.25,0.4,0.5,0.6,0.75,0.9,1"],
+                "40d3dfccd3a79c5a27713b14b9ce94b4601bb292458b45c199883ac5a16249ec",
+            ),
+            (
+                ["--mode", "five", "--b-values", "0.1,0.6931471805599453,1,5",
+                 "--gamma-values", "0,0.2,0.4,0.5,0.75,1", "--r-values", "1,2,5"],
+                "af509878da86ec15fbe8e73f0533403de8e85113fba5ee6563be4f15d7124f04",
+            ),
+        ],
+        ids=["three", "five"],
+    )
+    def test_csv_digest_is_pinned(self, capsys, tmp_path, grid, digest):
+        out_path = tmp_path / "pinned.csv"
+        code, _, _ = run_cli(capsys, "sweep", *grid, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_bad_gamma_list_value(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from measengine.engine import (
@@ -8,15 +9,14 @@ from measengine.engine import (
     CycleParams,
     InvalidCycleError,
     UnrealizableChannelError,
-    analytic_five_stroke,
-    analytic_three_stroke,
     first_law_residual,
     gamma_bounds,
     numeric_realizable,
-    run_five_stroke_numeric,
-    run_three_stroke_numeric,
+    run_analytic,
+    run_numeric,
 )
 from measengine.states import DensityMatrix, trace_distance
+from measengine.verify import TOL_EXACT
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -70,7 +70,7 @@ class TestGammaBounds:
 class TestThreeStrokeNumeric:
     def test_worked_point(self):
         # b = ln 2, gamma = 3/4: all entries verified by exact arithmetic.
-        led = run_three_stroke_numeric(three(math.log(2.0), 0.75))
+        led = run_numeric(three(math.log(2.0), 0.75))
         assert led.q_in == pytest.approx(0.25, abs=1e-10)
         assert led.w_ext == pytest.approx(1.0 / 6.0, abs=1e-10)
         assert led.q_out == pytest.approx(-1.0 / 12.0, abs=1e-10)
@@ -79,7 +79,7 @@ class TestThreeStrokeNumeric:
 
     def test_half_strength_fully_mixes(self):
         for b in B_GRID:
-            led = run_three_stroke_numeric(three(b, 0.5))
+            led = run_numeric(three(b, 0.5))
             qmi = led.stroke("QMI")
             assert trace_distance(qmi.state_after, DensityMatrix.maximally_mixed(2)) <= 1e-12
             assert abs(qmi.energy_after) <= 1e-12
@@ -88,20 +88,25 @@ class TestThreeStrokeNumeric:
 
     def test_full_strength_dissipates_nothing(self):
         for b in B_GRID:
-            led = run_three_stroke_numeric(three(b, 1.0))
+            led = run_numeric(three(b, 1.0))
             assert abs(led.q_out) <= 1e-12
             assert led.eta == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range_gamma_names_the_bound(self):
         with pytest.raises(InvalidCycleError, match=r"\[0.5, 1\]"):
-            run_three_stroke_numeric(three(1.0, 0.3))
+            run_numeric(three(1.0, 0.3))
 
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(InvalidCycleError, match="mode"):
-            run_three_stroke_numeric(five(1.0, 0.75, 2.0))
+    def test_is_the_r1_five_stroke_cycle_without_adiabats(self):
+        led3 = run_numeric(three(1.0, 0.75))
+        led5 = run_numeric(five(1.0, 0.75, 1.0))
+        assert [rec.name for rec in led3.strokes] == ["TP", "QMI", "QMII"]
+        for field in LEDGER_FIELDS:
+            assert getattr(led3, field) == getattr(led5, field)
+        for rec in led3.strokes:
+            assert rec.energy_after == led5.stroke(rec.name).energy_after
 
     def test_energy_bookkeeping_matches_records(self):
-        led = run_three_stroke_numeric(three(1.0, 0.75))
+        led = run_numeric(three(1.0, 0.75))
         tp, qmi, qmii = led.strokes
         assert (tp.name, qmi.name, qmii.name) == ("TP", "QMI", "QMII")
         assert led.q_in == qmi.energy_after - tp.energy_after
@@ -111,100 +116,105 @@ class TestThreeStrokeNumeric:
 
 class TestThreeStrokeAnalytic:
     def test_efficiency_is_gamma_law(self):
-        assert analytic_three_stroke(three(math.log(2.0), 0.75)).eta == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert analytic_three_stroke(three(1.0, 0.5)).eta == 0.0
-        assert analytic_three_stroke(three(1.0, 1.0)).eta == 1.0
+        assert run_analytic(three(math.log(2.0), 0.75)).eta == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert run_analytic(three(1.0, 0.5)).eta == 0.0
+        assert run_analytic(three(1.0, 1.0)).eta == 1.0
 
     def test_crossover_strength_imports_tanh(self):
         # P = 1 - e^-b (gamma = 1): q_in = tanh(b/2) and the entropy returns to thermal.
         for b in B_GRID:
-            led = analytic_three_stroke(three(b, 1.0))
+            led = run_analytic(three(b, 1.0))
             assert led.q_in == pytest.approx(math.tanh(0.5 * b), abs=1e-12)
 
     def test_below_range_is_flagged_not_refused(self):
-        led = analytic_three_stroke(three(1.0, 0.25))
+        led = run_analytic(three(1.0, 0.25))
         assert not led.valid
         assert "gamma-outside-engine-range" in led.flags
         assert "no-isentropic-partner" in led.flags
         assert math.isnan(led.q_used)
 
     def test_zero_gamma_eta_is_flagged_zero(self):
-        led = analytic_three_stroke(three(1.0, 0.0))
+        led = run_analytic(three(1.0, 0.0))
         assert led.eta == 0.0
         assert "eta-zero-input" in led.flags
 
-    def test_two_entry_stroke_list(self):
-        led = analytic_three_stroke(three(1.0, 0.75))
-        assert [rec.name for rec in led.strokes] == ["QMI", "QMII"]
+    def test_stroke_list_starts_with_the_numeric_tp_record(self):
+        led = run_analytic(three(1.0, 0.75))
+        assert [rec.name for rec in led.strokes] == ["TP", "QMI", "QMII"]
+        tp, numeric_tp = led.stroke("TP"), run_numeric(three(1.0, 0.75)).stroke("TP")
+        assert np.array_equal(tp.state_after.mat, numeric_tp.state_after.mat)
+        assert tp.hamiltonian_after == numeric_tp.hamiltonian_after
+        assert tp.energy_after == numeric_tp.energy_after
+        assert tp.entropy_after == numeric_tp.entropy_after
 
 
 class TestFiveStrokeNumeric:
     def test_worked_point(self):
-        led = run_five_stroke_numeric(five(math.log(2.0), 0.75, 2.0))
+        led = run_numeric(five(math.log(2.0), 0.75, 2.0))
         assert led.q_in == pytest.approx(0.5, abs=1e-10)
         assert led.w_ext == pytest.approx(5.0 / 12.0, abs=1e-10)
         assert led.eta == pytest.approx(5.0 / 6.0, abs=1e-10)
 
     def test_stroke_order(self):
-        led = run_five_stroke_numeric(five(1.0, 0.75, 2.0))
+        led = run_numeric(five(1.0, 0.75, 2.0))
         assert [rec.name for rec in led.strokes] == ["TP", "API", "QMI", "QMII", "APII"]
 
     def test_first_law_holds_on_grid(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
                 for r in R_GRID:
-                    led = run_five_stroke_numeric(five(b, gamma, r))
+                    led = run_numeric(five(b, gamma, r))
                     assert abs(first_law_residual(led)) <= 1e-12
 
     def test_r1_reduces_to_three_stroke(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
-                led5 = run_five_stroke_numeric(five(b, gamma, 1.0))
-                led3 = run_three_stroke_numeric(three(b, gamma))
+                led5 = run_numeric(five(b, gamma, 1.0))
+                led3 = run_numeric(three(b, gamma))
                 for field in LEDGER_FIELDS:
                     assert abs(getattr(led5, field) - getattr(led3, field)) <= 1e-12
                 assert led5.w_api == 0.0
                 assert led5.w_apii == 0.0
 
     def test_adiabats_preserve_entropy_exactly(self):
-        led = run_five_stroke_numeric(five(1.0, 0.75, 5.0))
+        led = run_numeric(five(1.0, 0.75, 5.0))
         assert led.stroke("API").entropy_after == led.stroke("TP").entropy_after
         assert led.stroke("APII").entropy_after == led.stroke("QMII").entropy_after
 
     def test_entropy_is_independent_of_r(self):
         entropies = []
         for r in R_GRID:
-            led = run_five_stroke_numeric(five(1.0, 0.75, r))
+            led = run_numeric(five(1.0, 0.75, r))
             entropies.append((led.stroke("QMI").entropy_after, led.stroke("QMII").entropy_after))
         assert all(e == entropies[0] for e in entropies)
 
     def test_work_window_without_channel_is_refused(self):
         # gamma in [1/(1+r), 1/2): the work bound passes but no channel swap exists.
         with pytest.raises(UnrealizableChannelError, match="unrealizable"):
-            run_five_stroke_numeric(five(1.0, 0.4, 2.0))
+            run_numeric(five(1.0, 0.4, 2.0))
 
     def test_outside_bounds_is_invalid(self):
         with pytest.raises(InvalidCycleError, match="engine range"):
-            run_five_stroke_numeric(five(1.0, 0.2, 2.0))
+            run_numeric(five(1.0, 0.2, 2.0))
 
 
 class TestFiveStrokeAnalytic:
     def test_half_gamma_matches_projective_engine(self):
         # gamma = 1/2: eta = 1 - 1/r.
-        assert analytic_five_stroke(five(math.log(2.0), 0.5, 2.0)).eta == pytest.approx(0.5, abs=1e-15)
+        assert run_analytic(five(math.log(2.0), 0.5, 2.0)).eta == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_gamma_is_perfect(self):
         for r in R_GRID:
-            assert analytic_five_stroke(five(1.0, 1.0, r)).eta == 1.0
+            assert run_analytic(five(1.0, 1.0, r)).eta == 1.0
 
     def test_eta_vanishes_exactly_at_lower_bound(self):
         for r in R_GRID:
             lo, _ = gamma_bounds(CycleMode.FIVE_STROKE, r)
-            assert analytic_five_stroke(five(1.0, lo, r)).eta == 0.0
+            assert run_analytic(five(1.0, lo, r)).eta == 0.0
 
     def test_first_law_is_an_identity(self):
         for gamma in (0.0, 0.3, 0.75, 1.0):
-            led = analytic_five_stroke(five(1.0, gamma, 3.0))
+            led = run_analytic(five(1.0, gamma, 3.0))
             assert abs(first_law_residual(led)) <= 1e-15
 
 
@@ -212,8 +222,8 @@ class TestOracleEquivalence:
     def test_three_stroke_grid(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
-                numeric = run_three_stroke_numeric(three(b, gamma))
-                analytic = analytic_three_stroke(three(b, gamma))
+                numeric = run_numeric(three(b, gamma))
+                analytic = run_analytic(three(b, gamma))
                 for field in LEDGER_FIELDS:
                     assert abs(getattr(numeric, field) - getattr(analytic, field)) <= 1e-10, (
                         f"{field} disagrees at b={b} gamma={gamma}"
@@ -223,8 +233,8 @@ class TestOracleEquivalence:
         for b in B_GRID:
             for gamma in GAMMA_GRID:
                 for r in R_GRID:
-                    numeric = run_five_stroke_numeric(five(b, gamma, r))
-                    analytic = analytic_five_stroke(five(b, gamma, r))
+                    numeric = run_numeric(five(b, gamma, r))
+                    analytic = run_analytic(five(b, gamma, r))
                     for field in LEDGER_FIELDS:
                         assert abs(getattr(numeric, field) - getattr(analytic, field)) <= 1e-10, (
                             f"{field} disagrees at b={b} gamma={gamma} r={r}"
@@ -233,10 +243,10 @@ class TestOracleEquivalence:
     def test_efficiency_identities(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
-                led3 = run_three_stroke_numeric(three(b, gamma))
+                led3 = run_numeric(three(b, gamma))
                 assert abs(led3.eta - (2.0 - 1.0 / gamma)) <= 1e-10
                 for r in R_GRID:
-                    led5 = run_five_stroke_numeric(five(b, gamma, r))
+                    led5 = run_numeric(five(b, gamma, r))
                     expected = (gamma * (1.0 + r) - 1.0) / (gamma * r)
                     assert abs(led5.eta - expected) <= 1e-10
 
@@ -245,46 +255,47 @@ class TestSignStructureAndMonotonicity:
     def test_q_in_nonnegative_q_out_nonpositive(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
-                led = run_three_stroke_numeric(three(b, gamma))
+                led = run_numeric(three(b, gamma))
                 assert led.q_in >= 0.0
                 assert led.q_out <= 1e-15
                 assert led.w_ext >= -1e-15
 
     def test_eta_monotone_and_bounded(self):
         for b in B_GRID:
-            etas3 = [run_three_stroke_numeric(three(b, g)).eta for g in GAMMA_GRID]
+            etas3 = [run_numeric(three(b, g)).eta for g in GAMMA_GRID]
             assert all(later >= earlier for earlier, later in zip(etas3, etas3[1:]))
             assert all(-1e-15 <= e <= 1.0 + 1e-15 for e in etas3)
             for r in R_GRID:
-                etas = [run_five_stroke_numeric(five(b, g, r)).eta for g in GAMMA_GRID]
+                etas = [run_numeric(five(b, g, r)).eta for g in GAMMA_GRID]
                 assert all(later >= earlier for earlier, later in zip(etas, etas[1:]))
                 assert all(-1e-15 <= e <= 1.0 + 1e-15 for e in etas)
 
     def test_w_ext_changes_sign_at_the_lower_bound(self):
         # Above gamma_min the engine extracts work; below it (analytic
         # evaluation only) the formula goes negative.
-        assert analytic_three_stroke(three(1.0, 0.3)).w_ext < 0.0
-        assert analytic_five_stroke(five(1.0, 0.2, 2.0)).w_ext < 0.0
+        assert run_analytic(three(1.0, 0.3)).w_ext < 0.0
+        assert run_analytic(five(1.0, 0.2, 2.0)).w_ext < 0.0
         for b in B_GRID:
             for gamma in GAMMA_GRID:
                 for r in R_GRID:
-                    assert run_five_stroke_numeric(five(b, gamma, r)).w_ext >= -1e-15
+                    assert run_numeric(five(b, gamma, r)).w_ext >= -1e-15
 
     def test_entropy_equal_across_measurement_strokes(self):
         for b in B_GRID:
             for gamma in GAMMA_GRID:
-                led = run_three_stroke_numeric(three(b, gamma))
+                led = run_numeric(three(b, gamma))
                 assert abs(led.stroke("QMI").entropy_after - led.stroke("QMII").entropy_after) <= 1e-12
 
 
 class TestFirstLawResidual:
-    def test_wrong_mode_rejected(self):
-        led = run_three_stroke_numeric(three(1.0, 0.75))
-        with pytest.raises(InvalidCycleError, match="five-stroke"):
-            first_law_residual(led)
+    def test_three_stroke_ledgers_close(self):
+        for b in B_GRID:
+            for gamma in GAMMA_GRID:
+                for led in (run_numeric(three(b, gamma)), run_analytic(three(b, gamma))):
+                    assert abs(first_law_residual(led)) <= TOL_EXACT
 
     def test_perturbed_ledger_shows_the_leak(self):
-        led = run_five_stroke_numeric(five(1.0, 0.75, 2.0))
+        led = run_numeric(five(1.0, 0.75, 2.0))
         perturbed = replace(led, q_out=led.q_out + 0.1)
         assert first_law_residual(perturbed) == pytest.approx(0.1, abs=1e-12)
 
