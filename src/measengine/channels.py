@@ -19,6 +19,9 @@ Two concrete qubit channels drive the engine:
 `isentropic_strength` picks the damping strength that exactly swaps the
 diagonal populations left by the excitation channel, so the second stroke
 conserves entropy.
+
+`KrausSet` accepts only 2x2 operators (via `linalg.as_square_matrix`), so
+a set and a `DensityMatrix` always agree on dimension.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class NoIsentropicStrengthError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered measurement operators sharing one dimension."""
+    """Ordered 2x2 measurement operators."""
 
     ops: tuple[np.ndarray, ...]
     label: str = ""
@@ -65,22 +68,11 @@ class KrausSet:
         if len(self.ops) == 0:
             raise ValueError("Kraus set needs at least one operator")
         frozen = []
-        dim = None
         for op in self.ops:
             m = as_square_matrix(op).copy()
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError(
-                    f"Kraus operators disagree on dimension: {m.shape[0]} vs {dim}"
-                )
             m.flags.writeable = False
             frozen.append(m)
         object.__setattr__(self, "ops", tuple(frozen))
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -107,10 +99,10 @@ class MeasurementOutcome:
 
 def validate_completeness(k: KrausSet) -> CompletenessReport:
     """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
-    total = np.zeros((k.dim, k.dim), dtype=complex)
+    total = np.zeros((2, 2), dtype=complex)
     for op in k.ops:
         total += op.conj().T @ op
-    dev = float(np.max(np.abs(total - np.eye(k.dim))))
+    dev = float(np.max(np.abs(total - np.eye(2))))
     return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
@@ -126,9 +118,7 @@ def _require_complete(k: KrausSet) -> None:
 def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
     _require_complete(k)
-    if k.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: channel {k.dim} vs state {rho.dim}")
-    out = np.zeros((k.dim, k.dim), dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
     for op in k.ops:
         out += op @ rho.mat @ op.conj().T
     return DensityMatrix(out)
@@ -137,8 +127,6 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcome]:
     """All outcomes in Kraus order, with Born probabilities and post-states."""
     _require_complete(k)
-    if k.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: channel {k.dim} vs state {rho.dim}")
     outcomes = []
     for op in k.ops:
         raw = matmul(matmul(op, rho.mat), adjoint(op))

@@ -4,6 +4,9 @@ Units are natural throughout: hbar = 1, the bare transition frequency is 1,
 so every energy is a pure number (multiples of the bare level spacing) and
 the only temperature parameter is the dimensionless product b = beta * gap.
 Entropy is reported in nats.
+
+The working substance is a qubit: `Hamiltonian` takes exactly two levels
+and `DensityMatrix` only 2x2 matrices (via `linalg.as_square_matrix`).
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ TOL_ENERGY_IMAG = 1e-10  # max |Im Tr(H rho)| before mean_energy refuses
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal Hamiltonian, stored as its real energy levels (ascending)."""
+    """Diagonal qubit Hamiltonian, stored as its two real energy levels (ascending)."""
 
-    levels: tuple[float, ...]
+    levels: tuple[float, float]
 
     def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValueError("Hamiltonian needs at least one level")
+        if len(self.levels) != 2:
+            raise ValueError(f"qubit Hamiltonian needs exactly two levels, got {len(self.levels)}")
         if not all(math.isfinite(e) for e in self.levels):
             raise ValueError("Hamiltonian levels must be finite")
-        if any(a > b for a, b in zip(self.levels, self.levels[1:])):
+        if self.levels[0] > self.levels[1]:
             raise ValueError("Hamiltonian levels must be sorted ascending")
 
     @classmethod
@@ -41,10 +44,6 @@ class Hamiltonian:
         if not math.isfinite(frequency) or frequency <= 0:
             raise ValueError(f"qubit frequency must be positive, got {frequency}")
         return cls((-0.5 * frequency, +0.5 * frequency))
-
-    @property
-    def dim(self) -> int:
-        return len(self.levels)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -81,19 +80,15 @@ class DensityMatrix:
         return cls(np.diag(np.asarray(populations, dtype=complex)))
 
     @classmethod
-    def pure(cls, level: int, dim: int = 2) -> DensityMatrix:
+    def pure(cls, level: int) -> DensityMatrix:
         """Projector |level><level| in the computational basis."""
-        p = np.zeros(dim)
+        p = np.zeros(2)
         p[level] = 1.0
         return cls.from_populations(p)
 
     @classmethod
-    def maximally_mixed(cls, dim: int = 2) -> DensityMatrix:
-        return cls.from_populations(np.full(dim, 1.0 / dim))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+    def maximally_mixed(cls) -> DensityMatrix:
+        return cls.from_populations(np.full(2, 0.5))
 
     @property
     def populations(self) -> np.ndarray:
@@ -115,8 +110,6 @@ def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """Tr(H rho); refuses if the imaginary part exceeds TOL_ENERGY_IMAG."""
-    if rho.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim} vs Hamiltonian {h.dim}")
     val = complex(np.trace(h.matrix @ rho.mat))
     if abs(val.imag) > TOL_ENERGY_IMAG:
         raise ValueError(f"mean energy has imaginary part {val.imag:.3e}")
@@ -136,7 +129,5 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b); lies in [0, 1]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigs = _eigvals(a.mat - b.mat)
     return 0.5 * float(np.sum(np.abs(eigs)))

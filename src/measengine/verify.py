@@ -119,12 +119,12 @@ def _maybe_perturb(ledger: EnergyLedger, field: str | None) -> EnergyLedger:
     return replace(ledger, **{field: getattr(ledger, field) + PERTURBATION})
 
 
-def _check_channels(c: _Checker, b: float, gamma: float):
-    p = CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)
+def _check_channels(c: _Checker, p: CycleParams):
+    b, gamma = p.b, p.gamma
     strength = p.strength
     rep = validate_completeness(first_channel(strength))
     c.below("channel-completeness", f"excite b={b:g} gamma={gamma:g}", rep.max_deviation, 0.0, 1e-12)
-    if gamma >= 0.5:
+    if numeric_realizable(p):
         q = isentropic_strength(strength, b)
         rep = validate_completeness(second_channel(q))
         c.below("channel-completeness", f"damp b={b:g} gamma={gamma:g}", rep.max_deviation, 0.0, 1e-12)
@@ -151,8 +151,8 @@ def _check_states(c: _Checker, where: str, ledger: EnergyLedger):
                 max_offdiag(rec.state_after.mat), 0.0, TOL_COHERENCE)
 
 
-def _check_three(c: _Checker, b: float, gamma: float, perturb: str | None):
-    p = CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)
+def _check_three(c: _Checker, p: CycleParams, perturb: str | None):
+    b, gamma = p.b, p.gamma
     where = f"three b={b:g} gamma={gamma:g}"
     numeric = _maybe_perturb(run_numeric(p), perturb)
     analytic = run_analytic(p)
@@ -163,7 +163,7 @@ def _check_three(c: _Checker, b: float, gamma: float, perturb: str | None):
     tp = numeric.stroke("TP")
     qmi = numeric.stroke("QMI")
     if gamma == 0.5:
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix.maximally_mixed()
         c.below("special-maximal-mixing", where,
                 trace_distance(qmi.state_after, mixed), 0.0, TOL_EXACT)
         c.close("special-zero-energy", where, qmi.energy_after, 0.0, TOL_EXACT)
@@ -217,9 +217,10 @@ def run_verification(
     c = _Checker()
     for b in b_grid:
         for gamma in gamma_grid:
-            _check_channels(c, b, gamma)
-            if 0.5 <= gamma <= 1.0:
-                _check_three(c, b, gamma, perturb)
+            three = CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)
+            _check_channels(c, three)
+            if numeric_realizable(three):
+                _check_three(c, three, perturb)
             for r in r_grid:
                 _check_five(c, b, gamma, r, perturb)
     elapsed = time.perf_counter() - start

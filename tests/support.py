@@ -1,4 +1,4 @@
-"""Shared test helpers: random states, channels, and unitaries.
+"""Shared test helpers: random qubit states, channels, and unitaries.
 
 numpy.linalg is used freely here as the independent oracle side; the
 package's own eigensolver is what these helpers help to check.
@@ -12,8 +12,8 @@ from measengine.channels import KrausSet
 from measengine.states import DensityMatrix
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
@@ -25,35 +25,26 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def random_kraus_set(rng: np.random.Generator, dim: int, n_ops: int) -> KrausSet:
+def random_kraus_set(rng: np.random.Generator, n_ops: int) -> KrausSet:
     """Random valid set: n_ops - 1 scaled contractions plus the completion."""
     assert n_ops >= 2
-    raw = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_ops - 1)]
+    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_ops - 1)]
     total = sum(g.conj().T @ g for g in raw)
     scale = np.sqrt(0.9 / np.linalg.eigvalsh(total)[-1])  # remainder stays PSD
     ops = [scale * g for g in raw]
-    remainder = np.eye(dim) - sum(g.conj().T @ g for g in ops)
+    remainder = np.eye(2) - sum(g.conj().T @ g for g in ops)
     ops.append(psd_sqrt(remainder))
-    return KrausSet(tuple(ops), label=f"random(dim={dim},n={n_ops})")
+    return KrausSet(tuple(ops), label=f"random(n={n_ops})")
 
 
-def random_givens_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Product of complex Givens rotations over all index pairs."""
-    u = np.eye(dim, dtype=complex)
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            g = np.eye(dim, dtype=complex)
-            c, s = np.cos(theta), np.sin(theta)
-            g[i, i] = c
-            g[i, j] = -s * np.exp(1j * phi)
-            g[j, i] = s * np.exp(-1j * phi)
-            g[j, j] = c
-            u = u @ g
-    return u
+def random_givens_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Complex Givens rotation of the qubit's two levels."""
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s * np.exp(1j * phi)], [s * np.exp(-1j * phi), c]])
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_hermitian(rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return 0.5 * (g + g.conj().T)

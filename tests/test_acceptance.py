@@ -105,7 +105,7 @@ def test_criterion_04_entropy_equality_and_swap():
 
 def test_criterion_05_maximal_mixing_point():
     failures = []
-    mixed = DensityMatrix.maximally_mixed(2)
+    mixed = DensityMatrix.maximally_mixed()
     for b in B_GRID:
         led = run_numeric(three(b, 0.5))
         qmi = led.stroke("QMI")
@@ -188,9 +188,8 @@ def test_criterion_10_channel_soundness():
 
     rng = np.random.default_rng(20250811)
     for trial in range(1000):
-        dim = 2 + trial % 2  # alternate dims 2 and 3
-        k = random_kraus_set(rng, dim, 2 + trial % 3)
-        rho = random_density_matrix(rng, dim)
+        k = random_kraus_set(rng, 2 + trial % 3)
+        rho = random_density_matrix(rng)
         out = apply_unselective(k, rho)
         if abs(out.mat.trace().real - 1.0) > 1e-13:
             failures.append(f"trace trial {trial}")

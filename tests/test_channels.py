@@ -45,18 +45,21 @@ class TestCompleteness:
         assert report.passed
 
     def test_mismatched_dims_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
+        # Kraus operators are qubit operators; a 3x3 one is refused at construction.
+        with pytest.raises(ValueError, match="2x2"):
             KrausSet((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+        with pytest.raises(ValueError, match="2x2"):
+            KrausSet((np.eye(3, dtype=complex),))
 
 
 class TestChannelConstruction:
     def test_first_channel_p0_is_identity_channel(self, rng):
-        rho = random_density_matrix(rng, 2)
+        rho = random_density_matrix(rng)
         out = apply_unselective(first_channel(0.0), rho)
         assert np.allclose(out.mat, rho.mat, atol=1e-15)
 
     def test_first_channel_p1_pumps_everything_up(self, rng):
-        rho = random_density_matrix(rng, 2)
+        rho = random_density_matrix(rng)
         out = apply_unselective(first_channel(1.0), rho)
         assert np.allclose(out.mat, np.diag([0.0, 1.0]), atol=1e-15)
 
@@ -66,7 +69,7 @@ class TestChannelConstruction:
         assert np.allclose(k.ops[1], [[0.0, 0.0], [math.sqrt(3.0 / 8.0), 0.0]], atol=1e-15)
 
     def test_second_channel_endpoints(self, rng):
-        rho = random_density_matrix(rng, 2)
+        rho = random_density_matrix(rng)
         assert np.allclose(apply_unselective(second_channel(0.0), rho).mat, rho.mat, atol=1e-15)
         out = apply_unselective(second_channel(1.0), rho)
         assert np.allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-15)
@@ -87,7 +90,7 @@ class TestChannelConstruction:
 class TestApplyUnselective:
     def test_identity_set_is_identity_channel(self, rng):
         identity = KrausSet((np.eye(2, dtype=complex),), label="identity")
-        rho = random_density_matrix(rng, 2)
+        rho = random_density_matrix(rng)
         assert np.array_equal(apply_unselective(identity, rho).mat, rho.mat)
 
     def test_pumped_thermal_populations(self):
@@ -99,13 +102,12 @@ class TestApplyUnselective:
     def test_incomplete_set_is_refused(self):
         bad = KrausSet((np.eye(2, dtype=complex) / math.sqrt(2.0),))
         with pytest.raises(IncompleteKrausSetError):
-            apply_unselective(bad, DensityMatrix.maximally_mixed(2))
+            apply_unselective(bad, DensityMatrix.maximally_mixed())
 
     def test_random_sets_preserve_trace_and_psd(self, rng):
         for _ in range(150):
-            dim = int(rng.integers(2, 4))
-            k = random_kraus_set(rng, dim, int(rng.integers(2, 5)))
-            rho = random_density_matrix(rng, dim)
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            rho = random_density_matrix(rng)
             out = apply_unselective(k, rho)
             assert abs(out.mat.trace().real - 1.0) <= 1e-13
             assert out.eigenvalues()[0] >= -1e-12
@@ -128,23 +130,21 @@ class TestMeasureSelective:
 
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(50):
-            dim = int(rng.integers(2, 4))
-            k = random_kraus_set(rng, dim, int(rng.integers(2, 5)))
-            rho = random_density_matrix(rng, dim)
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            rho = random_density_matrix(rng)
             total = sum(o.probability for o in measure_selective(k, rho))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_selective_outcomes_rebuild_unselective_state(self, rng):
         for _ in range(50):
-            dim = int(rng.integers(2, 4))
-            k = random_kraus_set(rng, dim, int(rng.integers(2, 5)))
-            rho = random_density_matrix(rng, dim)
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            rho = random_density_matrix(rng)
             unselective = apply_unselective(k, rho)
             rebuilt = sum(o.probability * o.post_state.mat for o in measure_selective(k, rho))
             assert np.max(np.abs(rebuilt - unselective.mat)) <= 1e-13
 
     def test_zero_probability_outcome_is_flagged(self):
-        outcomes = measure_selective(first_channel(0.0), DensityMatrix.maximally_mixed(2))
+        outcomes = measure_selective(first_channel(0.0), DensityMatrix.maximally_mixed())
         assert outcomes[1].negligible
         assert outcomes[1].post_state is None
         assert outcomes[1].probability == pytest.approx(0.0, abs=1e-15)
@@ -170,10 +170,9 @@ class TestPovmElements:
 
     def test_effects_sum_to_identity(self, rng):
         for _ in range(50):
-            dim = int(rng.integers(2, 4))
-            k = random_kraus_set(rng, dim, int(rng.integers(2, 5)))
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
             total = sum(povm_elements(k))
-            assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
+            assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
 
 class TestIsentropicStrength:

@@ -16,7 +16,7 @@ from measengine.engine import (
     run_numeric,
 )
 from measengine.states import DensityMatrix, trace_distance
-from measengine.verify import TOL_EXACT
+from measengine.verify import TOL_EXACT, TOL_ORACLE
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -81,7 +81,7 @@ class TestThreeStrokeNumeric:
         for b in B_GRID:
             led = run_numeric(three(b, 0.5))
             qmi = led.stroke("QMI")
-            assert trace_distance(qmi.state_after, DensityMatrix.maximally_mixed(2)) <= 1e-12
+            assert trace_distance(qmi.state_after, DensityMatrix.maximally_mixed()) <= 1e-12
             assert abs(qmi.energy_after) <= 1e-12
             assert abs(led.w_ext) <= 1e-12
             assert abs(led.eta) <= 1e-10
@@ -200,8 +200,12 @@ class TestFiveStrokeNumeric:
 
 class TestFiveStrokeAnalytic:
     def test_half_gamma_matches_projective_engine(self):
-        # gamma = 1/2: eta = 1 - 1/r.
-        assert run_analytic(five(math.log(2.0), 0.5, 2.0)).eta == pytest.approx(0.5, abs=1e-15)
+        # gamma = 1/2, the smallest realizable strength: eta = 1 - 1/r, which is
+        # the lower end of the five-stroke efficiency range (0 for three-stroke).
+        for r in R_GRID:
+            p = five(math.log(2.0), 0.5, r)
+            assert run_analytic(p).eta == pytest.approx(1.0 - 1.0 / r, abs=1e-15)
+            assert abs(run_numeric(p).eta - (1.0 - 1.0 / r)) <= TOL_ORACLE
 
     def test_unit_gamma_is_perfect(self):
         for r in R_GRID:

@@ -50,7 +50,7 @@ class TestDensityMatrixInvariants:
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
 
     def test_matrix_is_frozen(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix.maximally_mixed()
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.7
 
@@ -84,7 +84,7 @@ class TestGibbsState:
 
 class TestMeanEnergy:
     def test_maximally_mixed_is_zero(self):
-        assert mean_energy(DensityMatrix.maximally_mixed(2), QUBIT) == pytest.approx(0.0, abs=1e-15)
+        assert mean_energy(DensityMatrix.maximally_mixed(), QUBIT) == pytest.approx(0.0, abs=1e-15)
 
     def test_thermal_at_b_log2(self):
         # Tr(H rho_th) = -(1/2) tanh(ln2 / 2) = -1/6.
@@ -109,8 +109,12 @@ class TestMeanEnergy:
                 assert mean_energy(gibbs_state(h, b), h) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mean_energy(DensityMatrix.maximally_mixed(3), QUBIT)
+        # Only qubits pass the boundary: neither a 3x3 state nor a three-level
+        # Hamiltonian can be built, so mean_energy never sees a mismatch.
+        with pytest.raises(ValueError, match="2x2"):
+            DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+        with pytest.raises(ValueError, match="exactly two levels"):
+            Hamiltonian((-1.0, 0.0, 1.0))
 
 
 class TestVonNeumannEntropy:
@@ -119,7 +123,7 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(DensityMatrix.pure(1)) == 0.0
 
     def test_maximally_mixed_is_log2(self):
-        s = von_neumann_entropy(DensityMatrix.maximally_mixed(2))
+        s = von_neumann_entropy(DensityMatrix.maximally_mixed())
         assert s == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_frozen_oracle_value(self):
@@ -139,7 +143,7 @@ class TestVonNeumannEntropy:
 
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix.maximally_mixed()
         assert trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
@@ -148,11 +152,12 @@ class TestTraceDistance:
     def test_mixed_vs_thirds(self):
         # Difference has eigenvalues +-1/6.
         d = trace_distance(
-            DensityMatrix.maximally_mixed(2),
+            DensityMatrix.maximally_mixed(),
             DensityMatrix.from_populations([2.0 / 3.0, 1.0 / 3.0]),
         )
         assert d == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            trace_distance(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+        # A 3x3 state is refused at construction, before trace_distance.
+        with pytest.raises(ValueError, match="2x2"):
+            DensityMatrix.from_populations([0.5, 0.25, 0.25])
