@@ -22,6 +22,12 @@ conserves entropy.
 
 `KrausSet` accepts only 2x2 operators (via `linalg.as_square_matrix`), so
 a set and a `DensityMatrix` always agree on dimension.
+
+Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
+per grid point: `first_channel_stack` / `second_channel_stack` build them,
+`apply_unselective_stack` checks completeness (COMPLETENESS_TOL) on every
+set and applies each set to its state with one einsum, and
+`isentropic_strength_stack` is `isentropic_strength` per point.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_square_matrix, matmul, trace
-from .states import DensityMatrix
+from .linalg import adjoint, as_matrix_stack, as_square_matrix, matmul, trace
+from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
@@ -180,7 +186,7 @@ def isentropic_strength(p: float, b: float) -> float:
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
-    if not math.isfinite(p) or p > 1.0:
+    if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
     x = math.exp(-b)
     threshold = 0.5 * (1.0 - x)
@@ -190,3 +196,70 @@ def isentropic_strength(p: float, b: float) -> float:
     if q < -1e-12 or q > 1.0 + 1e-12:
         raise RuntimeError(f"isentropic strength {q!r} escaped [0, 1]")
     return min(max(q, 0.0), 1.0)
+
+
+def _strength_range(name: str, values: np.ndarray) -> None:
+    bad = ~(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(f"{name} strength must lie in [0, 1], got {values[np.argmax(bad)]}")
+
+
+def first_channel_stack(p: np.ndarray) -> np.ndarray:
+    """Excitation channels of strengths p, as a (N, 2, 2, 2) Kraus stack."""
+    _strength_range("excitation", p)
+    k = np.zeros(p.shape + (2, 2, 2), dtype=complex)
+    k[:, 0, 0, 0] = np.sqrt(1.0 - p)
+    k[:, 0, 1, 1] = 1.0
+    k[:, 1, 1, 0] = np.sqrt(p)
+    return k
+
+
+def second_channel_stack(q: np.ndarray) -> np.ndarray:
+    """Damping channels of strengths q, as a (N, 2, 2, 2) Kraus stack."""
+    _strength_range("damping", q)
+    k = np.zeros(q.shape + (2, 2, 2), dtype=complex)
+    k[:, 0, 0, 0] = 1.0
+    k[:, 0, 1, 1] = np.sqrt(1.0 - q)
+    k[:, 1, 0, 1] = np.sqrt(q)
+    return k
+
+
+def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
+    """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^dag.
+
+    Every set of the (N, K, 2, 2) stack must pass the completeness check of
+    `validate_completeness`, and every output state the `DensityMatrix`
+    checks, else the call raises.  On coherence-free states and the engine's
+    channels each output entry is the same IEEE result as `apply_unselective`:
+    every product is formed as (A rho) A^dag and at most two are non-zero.
+    """
+    k = as_matrix_stack(kraus)
+    if k.ndim != 4 or k.shape[0] != rho.shape[0]:
+        raise ValueError(f"expected a ({rho.shape[0]}, K, 2, 2) Kraus stack, got shape {k.shape}")
+    total = np.einsum("nkji,nkjl->nil", k.conj(), k)
+    dev = np.max(np.abs(total - np.eye(2)), axis=(-1, -2))
+    if (dev > COMPLETENESS_TOL).any():
+        i = int(np.argmax(dev))
+        raise IncompleteKrausSetError(
+            f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
+        )
+    return validate_state_stack(np.einsum("nkij,njl,nkml->nim", k, rho, k.conj()))
+
+
+def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`isentropic_strength` per point, with x = e^-b computed by the caller.
+
+    A point below the threshold (1 - x)/2 gets NaN where the scalar raises
+    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError
+    and an escaped q RuntimeError, as there.
+    """
+    _strength_range("excitation", p)
+    q = np.full(p.shape, math.nan)
+    above = ~(p < 0.5 * (1.0 - x) - 1e-12)
+    pa, xa = p[above], x[above]
+    qa = (2.0 * pa - 1.0 + xa) / (pa + xa)
+    escaped = (qa < -1e-12) | (qa > 1.0 + 1e-12)
+    if escaped.any():
+        raise RuntimeError(f"isentropic strength {qa[np.argmax(escaped)]!r} escaped [0, 1]")
+    q[above] = np.minimum(np.maximum(qa, 0.0), 1.0)
+    return q

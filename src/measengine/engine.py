@@ -30,26 +30,48 @@ Adiabatic strokes are population-preserving Hamiltonian relabelings
 (frequency 1 <-> r); the cycle never populates off-diagonal elements,
 so nothing more is needed.  Thermalization is a full reset to the Gibbs
 state.
+
+`CycleGrid` holds many parameter points as flat arrays, and
+`run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
+the numeric side evolves (N, 2, 2) state stacks through (N, 2, 2, 2) Kraus
+stacks, the analytic side evaluates the closed form on arrays.  Every state
+being diagonal, they perform the scalar runners' floating-point operations
+in the same order, and take each transcendental from the same function
+(`np.exp` for the Gibbs weights and `math.exp`/`math.tanh` for the closed
+form, once per distinct b; `math.log` for the entropy, once per distinct
+eigenvalue), so each column equals the scalar field bit for bit.  The
+scalar runners stay the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
     apply_unselective,
+    apply_unselective_stack,
     first_channel,
+    first_channel_stack,
     isentropic_strength,
+    isentropic_strength_stack,
     second_channel,
+    second_channel_stack,
 )
 from .states import (
     DensityMatrix,
     Hamiltonian,
+    _gibbs_populations,
+    entropy_stack,
     gibbs_state,
     mean_energy,
+    mean_energy_stack,
+    population_stack,
+    validate_state_stack,
     von_neumann_entropy,
 )
 
@@ -168,8 +190,7 @@ def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeReco
     return strokes
 
 
-def run_numeric(p: CycleParams) -> EnergyLedger:
-    """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
+def _require_realizable(p: CycleParams) -> None:
     lo, hi = gamma_bounds(p.mode, p.r)
     if not lo <= p.gamma <= hi:
         raise InvalidCycleError(
@@ -180,6 +201,11 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
             f"isentropic channel unrealizable: gamma = {p.gamma:g} < {GAMMA_NUMERIC_MIN} "
             "leaves no damping strength in [0, 1] that swaps the populations"
         )
+
+
+def run_numeric(p: CycleParams) -> EnergyLedger:
+    """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
+    _require_realizable(p)
     rho_th = gibbs_state(Hamiltonian.qubit(1.0), p.b)
     strength = p.strength
     rho_m = apply_unselective(first_channel(strength), rho_th)
@@ -273,9 +299,187 @@ def numeric_realizable(p: CycleParams) -> bool:
     return max(lo, GAMMA_NUMERIC_MIN) <= p.gamma <= hi
 
 
-def first_law_residual(ledger: EnergyLedger) -> float:
+def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
     """Signed energy-balance residual of either mode; zero for a closed cycle.
 
-    Three-stroke ledgers carry zero adiabatic work, so one identity covers both.
+    Three-stroke ledgers carry zero adiabatic work, so one identity covers
+    both.  On a `GridLedger` it is the same arithmetic per grid point.
     """
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
+
+
+@dataclass(frozen=True, eq=False)
+class CycleGrid:
+    """Many cycle points of one mode as flat (N,) arrays of b, gamma and r.
+
+    Construction applies the `CycleParams` checks to every point, raising
+    the error `CycleParams` raises for the first bad one, and freezes the
+    arrays.  `x` holds e^-b, from math.exp once per distinct b.
+    """
+
+    b: np.ndarray
+    gamma: np.ndarray
+    mode: CycleMode
+    r: np.ndarray
+    x: np.ndarray = field(init=False, repr=False)
+    _distinct_b: tuple[list[float], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", CycleMode(self.mode))
+        for name in ("b", "gamma", "r"):
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != np.shape(self.b):
+                raise ValueError(f"{name} has shape {column.shape}, b has {np.shape(self.b)}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        b, gamma, r = self.b, self.gamma, self.r
+        if b.ndim != 1:
+            raise ValueError(f"grid arrays must be flat, got shape {b.shape}")
+        ok = (np.isfinite(b) & (b > 0) & np.isfinite(gamma) & (gamma >= 0.0)
+              & (gamma <= 1.0) & np.isfinite(r) & (r >= 1.0))
+        if self.mode is CycleMode.THREE_STROKE:
+            ok &= r == 1.0
+        if not ok.all():
+            self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
+        values, index = np.unique(b, return_inverse=True)
+        object.__setattr__(self, "_distinct_b", (values.tolist(), index.reshape(-1)))
+        object.__setattr__(self, "x", self.per_b(lambda v: math.exp(-v)))
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def point(self, i: int) -> CycleParams:
+        """The `CycleParams` of point i."""
+        return CycleParams(b=float(self.b[i]), gamma=float(self.gamma[i]),
+                           mode=self.mode, r=float(self.r[i]))
+
+    def subset(self, index) -> CycleGrid:
+        """The points selected by a numpy index (mask, slice or positions), in order."""
+        return CycleGrid(self.b[index], self.gamma[index], self.mode, self.r[index])
+
+    def per_b(self, fn, *shape: int) -> np.ndarray:
+        """fn(b), of the given shape, computed once per distinct b and spread over the points."""
+        values, index = self._distinct_b
+        table = np.empty((len(values), *shape))
+        for j, v in enumerate(values):
+            table[j] = fn(v)
+        return table[index]
+
+    @property
+    def strength(self) -> np.ndarray:
+        """Excitation strength P = gamma * (1 - e^-b) per point."""
+        return self.gamma * (1.0 - self.x)
+
+    def gamma_bounds(self) -> tuple[np.ndarray | float, float]:
+        """`gamma_bounds` per point (the three-stroke bounds are the same everywhere)."""
+        if self.mode is CycleMode.THREE_STROKE:
+            return 0.5, 1.0
+        return 1.0 / (1.0 + self.r), 1.0
+
+    @property
+    def realizable(self) -> np.ndarray:
+        """`numeric_realizable` per point."""
+        lo, hi = self.gamma_bounds()
+        return (np.maximum(lo, GAMMA_NUMERIC_MIN) <= self.gamma) & (self.gamma <= hi)
+
+
+@dataclass(frozen=True, eq=False)
+class GridLedger:
+    """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
+
+    `states_qmi` / `states_qmii` are the validated (N, 2, 2) states after
+    QMI and QMII; their entropies are computed when asked for.
+    """
+
+    q_in: np.ndarray
+    q_out: np.ndarray
+    w_api: np.ndarray
+    w_apii: np.ndarray
+    delta: np.ndarray
+    w_ext: np.ndarray
+    eta: np.ndarray
+    q_used: np.ndarray
+    valid: np.ndarray
+    states_qmi: np.ndarray
+    states_qmii: np.ndarray
+
+    @property
+    def entropy_qmi(self) -> np.ndarray:
+        return entropy_stack(self.states_qmi)
+
+    @property
+    def entropy_qmii(self) -> np.ndarray:
+        return entropy_stack(self.states_qmii)
+
+
+def run_numeric_grid(grid: CycleGrid) -> GridLedger:
+    """`run_numeric` at every point of the grid, on state and Kraus stacks.
+
+    Raises the error `run_numeric` raises for the first unrealizable point.
+    """
+    realizable = grid.realizable
+    if not realizable.all():
+        _require_realizable(grid.point(int(np.argmin(realizable))))
+    h1 = Hamiltonian.qubit(1.0)
+    thermal = grid.per_b(lambda v: _gibbs_populations(h1, v), 2)
+    rho_th = validate_state_stack(population_stack(thermal))
+    strength = grid.strength
+    rho_m = apply_unselective_stack(first_channel_stack(strength), rho_th)
+    q = isentropic_strength_stack(strength, grid.x)
+    if np.isnan(q).any():
+        i = int(np.argmax(np.isnan(q)))
+        raise NoIsentropicStrengthError(float(strength[i]), 0.5 * (1.0 - float(grid.x[i])))
+    rho_n = apply_unselective_stack(second_channel_stack(q), rho_m)
+
+    r = grid.r
+    tp = mean_energy_stack(rho_th, 1.0)
+    api = mean_energy_stack(rho_th, r)
+    qmi = mean_energy_stack(rho_m, r)
+    qmii = mean_energy_stack(rho_n, r)
+    apii = mean_energy_stack(rho_n, 1.0)
+    w_api = tp - api
+    q_in = qmi - api
+    delta = qmi - qmii
+    w_apii = qmii - apii
+    q_out = tp - apii
+    w_ext = q_in + q_out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(q_in == 0.0, 0.0, w_ext / q_in)
+    return GridLedger(
+        q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
+        w_ext=w_ext, eta=eta, q_used=q, valid=np.ones(len(grid), dtype=bool),
+        states_qmi=rho_m, states_qmii=rho_n,
+    )
+
+
+def run_analytic_grid(grid: CycleGrid) -> GridLedger:
+    """`run_analytic` at every point of the grid, the closed form on arrays."""
+    x = grid.x
+    ground = 1.0 / (1.0 + x)
+    excited = x / (1.0 + x)
+    th = grid.per_b(lambda v: math.tanh(0.5 * v))
+    strength = grid.strength
+    pumped = strength * ground
+    r = grid.r
+    w_api = 0.5 * (r - 1.0) * th
+    q_in = r * pumped
+    delta = r * (2.0 * pumped - th)
+    w_apii = (r - 1.0) * (0.5 * th - pumped)
+    q_out = pumped - th
+    w_ext = q_in + q_out
+    gamma = grid.gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if grid.mode is CycleMode.THREE_STROKE:
+            eta = 2.0 - 1.0 / gamma
+        else:
+            eta = (gamma * (1.0 + r) - 1.0) / (gamma * r)
+    eta = np.where(gamma == 0.0, 0.0, eta)
+    lo, hi = grid.gamma_bounds()
+    m_pops = np.stack(((1.0 - strength) * ground, excited + pumped), axis=-1)
+    return GridLedger(
+        q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
+        w_ext=w_ext, eta=eta, q_used=isentropic_strength_stack(strength, x),
+        valid=(lo <= gamma) & (gamma <= hi),
+        states_qmi=validate_state_stack(population_stack(m_pops)),
+        states_qmii=validate_state_stack(population_stack(m_pops[:, ::-1])),
+    )

@@ -3,7 +3,9 @@
 Operators are numpy arrays of shape (2, 2), dtype complex128.
 `as_square_matrix` is the one check of that shape: the public functions
 here and the `DensityMatrix`/`KrausSet` constructors all coerce their
-input through it.  Eigenvalues come from the closed-form quadratic.
+input through it.  Batches of operators, as the grid evaluation uses
+them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`.
+Eigenvalues come from the closed-form quadratic.
 
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
@@ -27,6 +29,16 @@ def as_square_matrix(entries) -> np.ndarray:
     if a.shape != (2, 2):
         raise ValueError(f"expected a square 2x2 qubit matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def as_matrix_stack(entries) -> np.ndarray:
+    """Coerce input to a (..., 2, 2) complex stack, rejecting NaN/Inf entries."""
+    a = np.asarray(entries, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 qubit matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -84,3 +96,20 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
     mean = 0.5 * (p + q)
     radius = math.hypot(0.5 * (p - q), abs(c))
     return np.array([mean - radius, mean + radius])
+
+
+def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_eigvals` over a (N, 2, 2) Hermitian stack: the (N,) lower and upper eigenvalues.
+
+    Diagonal entries give the same bits as `_eigvals`; the others can
+    differ from it in the last place (numpy's hypot is not math.hypot).
+    """
+    p = a[:, 0, 0].real
+    q = a[:, 1, 1].real
+    c = 0.5 * (a[:, 0, 1] + np.conj(a[:, 1, 0]))
+    diagonal = c == 0.0
+    mean = 0.5 * (p + q)
+    radius = np.hypot(0.5 * (p - q), np.abs(c))
+    lo = np.where(diagonal, np.minimum(p, q), mean - radius)
+    hi = np.where(diagonal, np.maximum(p, q), mean + radius)
+    return lo, hi

@@ -7,6 +7,12 @@ Entropy is reported in nats.
 
 The working substance is a qubit: `Hamiltonian` takes exactly two levels
 and `DensityMatrix` only 2x2 matrices (via `linalg.as_square_matrix`).
+
+Grid evaluation works on (N, 2, 2) state stacks instead of one
+`DensityMatrix` per point: `validate_state_stack` applies the
+constructor's checks with the same tolerances to every state of a stack,
+and `mean_energy_stack` / `entropy_stack` give, state by state, the same
+bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_HERM, _eigvals, _hermiticity_defect, as_square_matrix
+from .linalg import (
+    TOL_HERM,
+    _eigvals,
+    _eigvals_stack,
+    _hermiticity_defect,
+    as_matrix_stack,
+    as_square_matrix,
+)
 
 TOL_TRACE = 1e-12        # |Tr(rho) - 1| accepted
 TOL_PSD = 1e-12          # eigenvalues >= -TOL_PSD accepted, clamped to 0 for entropy
@@ -101,11 +114,16 @@ class DensityMatrix:
 
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
     """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0."""
+    return DensityMatrix.from_populations(_gibbs_populations(h, b))
+
+
+def _gibbs_populations(h: Hamiltonian, b: float) -> np.ndarray:
+    """Populations of `gibbs_state`; the grid evaluation calls it once per distinct b."""
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
     e = np.asarray(h.levels)
     w = np.exp(-b * (e - e.min()))  # shift keeps exp() in range for any b
-    return DensityMatrix.from_populations(w / w.sum())
+    return w / w.sum()
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -131,3 +149,64 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b); lies in [0, 1]."""
     eigs = _eigvals(a.mat - b.mat)
     return 0.5 * float(np.sum(np.abs(eigs)))
+
+
+def population_stack(populations: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) diagonal state stack from (N, 2) populations, as `from_populations`."""
+    populations = np.asarray(populations)
+    out = np.zeros(populations.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = populations[..., 0]
+    out[..., 1, 1] = populations[..., 1]
+    return out
+
+
+def validate_state_stack(rho) -> np.ndarray:
+    """The `DensityMatrix` checks on every state of a (N, 2, 2) stack.
+
+    Raises ValueError naming the first state that is not finite, not
+    Hermitian within TOL_HERM, off unit trace by more than TOL_TRACE, or
+    has an eigenvalue below -TOL_PSD.  Returns the stack as a complex array.
+    """
+    m = as_matrix_stack(rho)
+    if m.ndim != 3:
+        raise ValueError(f"expected a (N, 2, 2) state stack, got shape {m.shape}")
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-1, -2))
+    if (defect > TOL_HERM).any():
+        i = int(np.argmax(defect > TOL_HERM))
+        raise ValueError(f"state {i} of the stack is not Hermitian (defect {defect[i]:.3e})")
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    if (np.abs(tr - 1.0) > TOL_TRACE).any():
+        i = int(np.argmax(np.abs(tr - 1.0) > TOL_TRACE))
+        raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
+    lo, _ = _eigvals_stack(m)
+    if (lo < -TOL_PSD).any():
+        i = int(np.argmax(lo < -TOL_PSD))
+        raise ValueError(f"state {i} of the stack has negative eigenvalue {lo[i]:.3e}")
+    return m
+
+
+def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
+    """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
+
+    Refuses, like `mean_energy`, if an imaginary part exceeds TOL_ENERGY_IMAG.
+    """
+    val = (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
+    imag = np.abs(val.imag)
+    if (imag > TOL_ENERGY_IMAG).any():
+        raise ValueError(f"mean energy has imaginary part {imag.max():.3e}")
+    return val.real
+
+
+def entropy_stack(rho: np.ndarray) -> np.ndarray:
+    """`von_neumann_entropy` per state of a validated (N, 2, 2) stack.
+
+    math.log, the scalar path's logarithm, runs once per distinct eigenvalue.
+    """
+    lam = np.maximum(np.concatenate(_eigvals_stack(rho)), 0.0)  # PSD slack must not produce NaN
+    kept = lam >= ENTROPY_EIG_FLOOR
+    values, index = np.unique(lam[kept], return_inverse=True)
+    logs = np.array([math.log(v) for v in values.tolist()])
+    terms = np.zeros_like(lam)
+    terms[kept] = (values * logs)[index.reshape(-1)]
+    lower, upper = terms.reshape(2, -1)
+    return (0.0 - lower) - upper

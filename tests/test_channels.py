@@ -12,6 +12,7 @@ from measengine.channels import (
     apply_unselective,
     first_channel,
     isentropic_strength,
+    isentropic_strength_stack,
     measure_selective,
     povm_elements,
     second_channel,
@@ -194,6 +195,17 @@ class TestIsentropicStrength:
         with pytest.raises(NoIsentropicStrengthError) as exc:
             isentropic_strength(0.1, b)
         assert exc.value.threshold == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize(("p", "b"), [(-1e-13, 1e-13), (-0.5, 1.0)])
+    def test_negative_strength_is_out_of_range(self, p, b):
+        # Scalar and batched solvers alike: a range error, not a threshold refusal.
+        for solve in (
+            lambda: isentropic_strength(p, b),
+            lambda: isentropic_strength_stack(np.array([p]), np.array([math.exp(-b)])),
+        ):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as exc:
+                solve()
+            assert not isinstance(exc.value, NoIsentropicStrengthError)
 
     @given(
         st.floats(min_value=0.5, max_value=1.0),
