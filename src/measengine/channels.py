@@ -25,8 +25,10 @@ a set and a `DensityMatrix` always agree on dimension.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
 per grid point: `first_channel_stack` / `second_channel_stack` build them,
-`apply_unselective_stack` checks completeness (COMPLETENESS_TOL) on every
-set and applies each set to its state with one einsum, and
+`completeness_deviation_stack` is `validate_completeness` per set,
+`apply_unselective_stack` checks it (COMPLETENESS_TOL) on every set and
+applies each set to its state with elementwise arithmetic on the four
+entries of the operators, each a (K, N) array, and
 `isentropic_strength_stack` is `isentropic_strength` per point.
 """
 
@@ -42,6 +44,7 @@ from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
+_IDENTITY = np.eye(2).reshape(2, 2, 1)  # broadcasts over the N axis of (2, 2, N) entries
 
 
 class IncompleteKrausSetError(ValueError):
@@ -224,26 +227,46 @@ def second_channel_stack(q: np.ndarray) -> np.ndarray:
     return k
 
 
+def _entries(kraus: np.ndarray) -> np.ndarray:
+    """A (N, K, 2, 2) Kraus stack as a contiguous (2, 2, K, N) array: [i, j] is every A_nk[i, j]."""
+    return np.ascontiguousarray(kraus.transpose(2, 3, 1, 0))
+
+
+def completeness_deviation_stack(kraus: np.ndarray) -> np.ndarray:
+    """`validate_completeness(...).max_deviation` of every set of a (N, K, 2, 2) stack."""
+    a = _entries(kraus)
+    ac = a.conj()
+    # (sum_k A^dag A)_il = sum_k conj(A_0i) A_0l + conj(A_1i) A_1l
+    total = (ac[0, :, None] * a[0, None] + ac[1, :, None] * a[1, None]).sum(axis=2)
+    return np.abs(total - _IDENTITY).reshape(4, -1).max(axis=0)
+
+
 def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^dag.
 
     Every set of the (N, K, 2, 2) stack must pass the completeness check of
-    `validate_completeness`, and every output state the `DensityMatrix`
-    checks, else the call raises.  On coherence-free states and the engine's
-    channels each output entry is the same IEEE result as `apply_unselective`:
-    every product is formed as (A rho) A^dag and at most two are non-zero.
+    `validate_completeness` (else IncompleteKrausSetError names the first
+    that fails), and every output state the `DensityMatrix` checks.  On
+    coherence-free states and the engine's channels each output entry is
+    the same IEEE result as `apply_unselective`: every product is formed as
+    (A rho) A^dag and at most two are non-zero.
     """
     k = as_matrix_stack(kraus)
     if k.ndim != 4 or k.shape[0] != rho.shape[0]:
         raise ValueError(f"expected a ({rho.shape[0]}, K, 2, 2) Kraus stack, got shape {k.shape}")
-    total = np.einsum("nkji,nkjl->nil", k.conj(), k)
-    dev = np.max(np.abs(total - np.eye(2)), axis=(-1, -2))
+    dev = completeness_deviation_stack(k)
     if (dev > COMPLETENESS_TOL).any():
-        i = int(np.argmax(dev))
+        i = int(np.argmax(dev > COMPLETENESS_TOL))
         raise IncompleteKrausSetError(
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
-    return validate_state_stack(np.einsum("nkij,njl,nkml->nim", k, rho, k.conj()))
+    a = _entries(k)
+    r = np.ascontiguousarray(rho.transpose(1, 2, 0))[:, :, None]  # [i, j] is rho_ij as (1, N)
+    # (A rho)_il = A_i0 rho_0l + A_i1 rho_1l, then ((A rho) A^dag)_im summed over k
+    b = a[:, None, 0] * r[None, 0] + a[:, None, 1] * r[None, 1]
+    ac = a.conj()
+    out = (b[:, None, 0] * ac[None, :, 0] + b[:, None, 1] * ac[None, :, 1]).sum(axis=2)
+    return validate_state_stack(out.transpose(2, 0, 1))
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ parameters, 3 verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -48,6 +49,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on first use, then shared: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="measengine", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)

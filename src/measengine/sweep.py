@@ -74,6 +74,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cells(values: np.ndarray) -> np.ndarray:
+    """`_fmt` of every entry as an object array, called once per run of equal sorted values.
+
+    This is np.unique(values, return_inverse=True) written out, cheaper per call on
+    one-row grids.  -0.0 == 0.0 and NaN != NaN: both zeros share "0", each NaN has its "".
+    """
+    flat = values.ravel()
+    order = flat.argsort()
+    ordered = flat[order]
+    first = np.empty(len(ordered), dtype=bool)  # starts a run of equal values
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    text = np.array([_fmt(v) for v in ordered[first].tolist()], dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
 def _rows(grid: CycleGrid) -> Iterator[str]:
     """Formatted CSV rows of every grid point, from the batched ledgers."""
     analytic = run_analytic_grid(grid)
@@ -81,7 +99,7 @@ def _rows(grid: CycleGrid) -> Iterator[str]:
     residual = first_law_residual(analytic)
     realizable = grid.realizable
     if realizable.any():
-        numeric = run_numeric_grid(grid.subset(realizable))
+        numeric = run_numeric_grid(grid if realizable.all() else grid.subset(realizable))
         eta_numeric[realizable] = numeric.eta
         residual[realizable] = first_law_residual(numeric)
     columns = [
@@ -89,11 +107,10 @@ def _rows(grid: CycleGrid) -> Iterator[str]:
         analytic.q_in, analytic.q_out, analytic.w_api, analytic.w_apii,
         analytic.delta, analytic.w_ext, analytic.eta, eta_numeric,
         analytic.entropy_qmi, analytic.entropy_qmii, residual,
+        analytic.valid,  # stacked as 1.0 / 0.0, which render "1" / "0"
     ]
-    cells = [map(_fmt, column.tolist()) for column in columns]
-    cells.append("1" if v else "0" for v in analytic.valid.tolist())
-    mode = grid.mode.value
-    return (",".join((mode, *row)) for row in zip(*cells))
+    cells = _cells(np.stack(columns, axis=1)).tolist()
+    return map(f"{grid.mode.value},".__add__, map(",".join, cells))
 
 
 def sweep_row(params: CycleParams) -> str:
@@ -123,7 +140,7 @@ def run_sweep(spec: SweepSpec) -> int:
             fh.write(CSV_HEADER + "\n")
             for start in range(0, len(grid), CHUNK_ROWS):
                 chunk = grid.subset(slice(start, start + CHUNK_ROWS))
-                fh.writelines(row + "\n" for row in _rows(chunk))
+                fh.write("\n".join(_rows(chunk)) + "\n")
         os.replace(tmp, spec.output_path)
     except BaseException:
         os.remove(tmp)

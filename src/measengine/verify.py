@@ -151,7 +151,8 @@ def _check_states(c: _Checker, where: str, ledger: EnergyLedger):
                 max_offdiag(rec.state_after.mat), 0.0, TOL_COHERENCE)
 
 
-def _check_three(c: _Checker, p: CycleParams, perturb: str | None):
+def _check_three(c: _Checker, p: CycleParams, perturb: str | None) -> EnergyLedger:
+    """Check the three-stroke cycle; returns its (perturbed) numeric ledger."""
     b, gamma = p.b, p.gamma
     where = f"three b={b:g} gamma={gamma:g}"
     numeric = _maybe_perturb(run_numeric(p), perturb)
@@ -177,9 +178,12 @@ def _check_three(c: _Checker, p: CycleParams, perturb: str | None):
         # Interior strengths must raise the entropy above thermal.
         c.below("entropy-ordering", where,
                 tp.entropy_after - qmi.entropy_after, 0.0, 0.0)
+    return numeric
 
 
-def _check_five(c: _Checker, b: float, gamma: float, r: float, perturb: str | None):
+def _check_five(c: _Checker, b: float, gamma: float, r: float, perturb: str | None,
+                three: EnergyLedger | None):
+    """Check the five-stroke cycle; at r = 1 against `three`, the ledger `_check_three` checked."""
     p = CycleParams(b=b, gamma=gamma, mode=CycleMode.FIVE_STROKE, r=r)
     if not numeric_realizable(p):
         return
@@ -194,11 +198,7 @@ def _check_five(c: _Checker, b: float, gamma: float, r: float, perturb: str | No
     c.close("adiabat-isentropic", where,
             numeric.stroke("API").entropy_after, numeric.stroke("TP").entropy_after, 0.0)
 
-    if r == 1.0:
-        three = _maybe_perturb(
-            run_numeric(CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)),
-            perturb,
-        )
+    if r == 1.0:  # realizable at r = 1 exactly where the three-stroke cycle is
         for field in LEDGER_FIELDS:
             c.close(f"reduction-r1-{field}", where,
                     getattr(numeric, field), getattr(three, field), TOL_EXACT)
@@ -219,9 +219,8 @@ def run_verification(
         for gamma in gamma_grid:
             three = CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)
             _check_channels(c, three)
-            if numeric_realizable(three):
-                _check_three(c, three, perturb)
+            ledger = _check_three(c, three, perturb) if numeric_realizable(three) else None
             for r in r_grid:
-                _check_five(c, b, gamma, r, perturb)
+                _check_five(c, b, gamma, r, perturb, ledger)
     elapsed = time.perf_counter() - start
     return VerifyReport(checks_run=c.count, failures=c.failures, elapsed_seconds=elapsed)

@@ -10,6 +10,8 @@ from measengine.channels import (
     KrausSet,
     NoIsentropicStrengthError,
     apply_unselective,
+    apply_unselective_stack,
+    completeness_deviation_stack,
     first_channel,
     isentropic_strength,
     isentropic_strength_stack,
@@ -112,6 +114,41 @@ class TestApplyUnselective:
             out = apply_unselective(k, rho)
             assert abs(out.mat.trace().real - 1.0) <= 1e-13
             assert out.eigenvalues()[0] >= -1e-12
+
+
+class TestApplyUnselectiveStack:
+    """The stacked channel against the scalar one on states with coherences."""
+
+    @staticmethod
+    def random_stack(rng, n_ops: int, n: int = 40):
+        sets = [random_kraus_set(rng, n_ops) for _ in range(n)]
+        states = [random_density_matrix(rng) for _ in range(n)]
+        return sets, states, np.array([k.ops for k in sets]), np.array([rho.mat for rho in states])
+
+    @pytest.mark.parametrize("n_ops", [2, 3, 4])
+    def test_matches_the_scalar_channel_entrywise(self, rng, n_ops):
+        for _ in range(10):
+            sets, states, kraus, rho = self.random_stack(rng, n_ops)
+            out = apply_unselective_stack(kraus, rho)
+            for k, state, got in zip(sets, states, out, strict=True):
+                assert np.max(np.abs(got - apply_unselective(k, state).mat)) <= 1e-15
+
+    @pytest.mark.parametrize("n_ops", [2, 3, 4])
+    def test_completeness_deviation_matches_validate_completeness(self, rng, n_ops):
+        sets, _, kraus, _ = self.random_stack(rng, n_ops)
+        kraus[::3] *= 1.0 + rng.uniform(1e-13, 1e-3, size=(len(kraus[::3]), 1, 1, 1))
+        dev = completeness_deviation_stack(kraus)
+        for i, got in enumerate(dev):
+            expected = validate_completeness(KrausSet(tuple(kraus[i]))).max_deviation
+            assert abs(got - expected) <= 1e-15
+
+    def test_incomplete_set_is_refused_by_its_index(self, rng):
+        _, _, kraus, rho = self.random_stack(rng, 2, n=10)
+        kraus[4] *= 1.001
+        kraus[7] *= 1.01  # worse, but later: the message names set 4
+        expected = validate_completeness(KrausSet(tuple(kraus[4]))).max_deviation
+        with pytest.raises(IncompleteKrausSetError, match=rf"^Kraus set 4 .* by {expected:.3e}$"):
+            apply_unselective_stack(kraus, rho)
 
 
 class TestMeasureSelective:

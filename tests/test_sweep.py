@@ -1,13 +1,14 @@
 """The batched grid path against the scalar runners it must reproduce bit for bit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measengine import engine
+from measengine import engine, sweep
 from measengine.channels import IncompleteKrausSetError, first_channel_stack
 from measengine.engine import (
     CycleGrid,
@@ -75,6 +76,43 @@ def test_sweep_row_is_the_matching_csv_line(tmp_path, mode, r_values):
     points = [(b, g, r) for b in spec.b_values for g in spec.gamma_values for r in r_values]
     for line, (b, g, r) in zip(lines, points, strict=True):
         assert sweep_row(CycleParams(b=b, gamma=g, mode=mode, r=r)) == line
+
+
+cell_values = st.one_of(
+    st.sampled_from((0.5, 1e300, -1e300, 5e-324, -1e-310, 2.2250738585072014e-308)),
+    st.floats(allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(cell_values, min_size=1, max_size=30).flatmap(
+        # each value with its neighbour (most print alike at 12 digits), a
+        # repeat, and NaN, +0.0 and -0.0 in every column
+        lambda base: st.permutations(
+            base + [math.nextafter(v, math.inf) for v in base] + base + [math.nan, 0.0, -0.0]
+        )
+    )
+)
+def test_cells_format_every_entry_as_fmt(column):
+    values = np.array(column)
+    assert sweep._cells(values).tolist() == [sweep._fmt(v) for v in column]
+    table = np.stack((values, values[::-1]), axis=1)
+    expected = [[sweep._fmt(a), sweep._fmt(b)] for a, b in table.tolist()]
+    assert sweep._cells(table).tolist() == expected
+
+
+def test_chunk_boundaries_leave_the_csv_unchanged(tmp_path, monkeypatch):
+    spec = SweepSpec("five", (0.05, 1.0, 50.0), (0.0, 0.3, 0.5, 0.8, 1.0),
+                     str(tmp_path / "default.csv"), r_values=(1.0, 3.0))
+    assert run_sweep(spec) == 30
+    monkeypatch.setattr(sweep, "CHUNK_ROWS", 7)  # 7, 7, 7, 7 and 2 rows
+    assert run_sweep(replace(spec, output_path=str(tmp_path / "seven.csv"))) == 30
+    text = (tmp_path / "seven.csv").read_text()
+    assert text == (tmp_path / "default.csv").read_text()
+    points = [(b, g, r) for b in spec.b_values for g in spec.gamma_values for r in spec.r_values]
+    for line, (b, g, r) in zip(text.splitlines()[1:], points, strict=True):
+        assert sweep_row(CycleParams(b=b, gamma=g, mode="five", r=r)) == line
 
 
 def _states_with(index, value):
