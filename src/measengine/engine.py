@@ -343,7 +343,9 @@ class CycleGrid:
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = np.unique(b, return_inverse=True)
         object.__setattr__(self, "_distinct_b", (values.tolist(), index.reshape(-1)))
-        object.__setattr__(self, "x", self.per_b(lambda v: math.exp(-v)))
+        x = self.per_b(lambda v: math.exp(-v))
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
     def __len__(self) -> int:
         return len(self.b)
@@ -354,8 +356,27 @@ class CycleGrid:
                            mode=self.mode, r=float(self.r[i]))
 
     def subset(self, index) -> CycleGrid:
-        """The points selected by a numpy index (mask, slice or positions), in order."""
-        return CycleGrid(self.b[index], self.gamma[index], self.mode, self.r[index])
+        """The points selected by a numpy index (mask, slice or positions), in order.
+
+        The points are validated already, so nothing is checked or derived
+        again: b, gamma, r and x are sliced, and the distinct-b table keeps
+        the values the subset still uses.
+        """
+        values, inverse = self._distinct_b
+        inverse = inverse[index]
+        used = np.zeros(len(values), dtype=bool)
+        used[inverse] = True
+        grid = object.__new__(CycleGrid)
+        for name in ("b", "gamma", "r", "x"):
+            column = getattr(self, name)[index]
+            column.flags.writeable = False
+            object.__setattr__(grid, name, column)
+        object.__setattr__(grid, "mode", self.mode)
+        object.__setattr__(grid, "_distinct_b", (
+            [v for v, keep in zip(values, used.tolist()) if keep],
+            (used.cumsum() - 1)[inverse],
+        ))
+        return grid
 
     def per_b(self, fn, *shape: int) -> np.ndarray:
         """fn(b), of the given shape, computed once per distinct b and spread over the points."""
@@ -387,8 +408,9 @@ class CycleGrid:
 class GridLedger:
     """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
 
-    `states_qmi` / `states_qmii` are the validated (N, 2, 2) states after
-    QMI and QMII; their entropies are computed when asked for.
+    `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
+    states after TP (the thermal state, which API keeps), QMI and QMII;
+    their entropies are computed when asked for.
     """
 
     q_in: np.ndarray
@@ -400,8 +422,13 @@ class GridLedger:
     eta: np.ndarray
     q_used: np.ndarray
     valid: np.ndarray
+    states_tp: np.ndarray
     states_qmi: np.ndarray
     states_qmii: np.ndarray
+
+    @property
+    def entropy_tp(self) -> np.ndarray:
+        return entropy_stack(self.states_tp)
 
     @property
     def entropy_qmi(self) -> np.ndarray:
@@ -412,6 +439,14 @@ class GridLedger:
         return entropy_stack(self.states_qmii)
 
 
+def _thermal_stack(grid: CycleGrid) -> np.ndarray:
+    """The validated Gibbs state of every point, as `gibbs_state` gives it, once per distinct b."""
+    values, index = grid._distinct_b
+    h1 = Hamiltonian.qubit(1.0)
+    populations = np.array([_gibbs_populations(h1, v) for v in values]).reshape(-1, 2)
+    return validate_state_stack(population_stack(populations))[index]
+
+
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     """`run_numeric` at every point of the grid, on state and Kraus stacks.
 
@@ -420,9 +455,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     realizable = grid.realizable
     if not realizable.all():
         _require_realizable(grid.point(int(np.argmin(realizable))))
-    h1 = Hamiltonian.qubit(1.0)
-    thermal = grid.per_b(lambda v: _gibbs_populations(h1, v), 2)
-    rho_th = validate_state_stack(population_stack(thermal))
+    rho_th = _thermal_stack(grid)
     strength = grid.strength
     rho_m = apply_unselective_stack(first_channel_stack(strength), rho_th)
     q = isentropic_strength_stack(strength, grid.x)
@@ -448,12 +481,16 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=q, valid=np.ones(len(grid), dtype=bool),
-        states_qmi=rho_m, states_qmii=rho_n,
+        states_tp=rho_th, states_qmi=rho_m, states_qmii=rho_n,
     )
 
 
 def run_analytic_grid(grid: CycleGrid) -> GridLedger:
-    """`run_analytic` at every point of the grid, the closed form on arrays."""
+    """`run_analytic` at every point of the grid, the closed form on arrays.
+
+    A subnormal gamma overflows 1/gamma, so eta is -inf there, as Python's
+    float division gives it in `run_analytic`; numpy is told not to warn.
+    """
     x = grid.x
     ground = 1.0 / (1.0 + x)
     excited = x / (1.0 + x)
@@ -468,7 +505,7 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     q_out = pumped - th
     w_ext = q_in + q_out
     gamma = grid.gamma
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if grid.mode is CycleMode.THREE_STROKE:
             eta = 2.0 - 1.0 / gamma
         else:
@@ -480,6 +517,7 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=isentropic_strength_stack(strength, x),
         valid=(lo <= gamma) & (gamma <= hi),
+        states_tp=_thermal_stack(grid),
         states_qmi=validate_state_stack(population_stack(m_pops)),
         states_qmii=validate_state_stack(population_stack(m_pops[:, ::-1])),
     )

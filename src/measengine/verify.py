@@ -1,14 +1,32 @@
 """Self-check suite: every closed-form result against the numeric evolution.
 
-This is the machinery behind `measengine verify`.  It sweeps a parameter
-grid, runs every cycle both ways, and cross-checks channel completeness,
-entropy conservation, population swapping, the energy ledger, the first
-law, and the special points of the efficiency curve.  Failures are
-collected into a report, never raised.
+This is the machinery behind `measengine verify`.  It lays the b x gamma
+grid out as one three-stroke `CycleGrid` and the b x gamma x r grid as one
+five-stroke `CycleGrid`, restricts each to the points whose cycle is
+realizable, and evaluates each twice: by `run_numeric_grid` (Kraus-channel
+evolution of state stacks) and by `run_analytic_grid` (the closed form).
+Each check family is then one array comparison over the points it applies
+to: channel completeness, oracle equivalence per ledger field, entropy
+equality, population swap, coherence-free states per stroke, the
+efficiency law, the first law, adiabat isentropy, the special points
+gamma = 1/2 and gamma = 1 (and the entropy ordering between them), and the
+r = 1 reduction of the five-stroke cycle to the three-stroke one.
+
+Failures are collected into a report, never raised.  Their lines are
+formatted for the failing entries only and sorted point by point: b, then
+gamma, then the channels, the three-stroke cycle and the five-stroke cycle
+at each r, each in its fixed order of checks.
 
 The optional `perturb` hook adds +0.1 to one ledger field of every
 numeric ledger before checking; it exists to prove the suite actually
 bites (a perturbed build must fail).
+
+The five-stroke numeric ledger comes from a single call of
+`run_five_stroke_numeric`, which takes the realizable five-stroke
+`CycleGrid` and returns its `GridLedger` (it is `run_numeric_grid`).
+Replacing that name injects a fault into the five-stroke ledgers alone;
+the three-stroke ledger, the r = 1 reduction's reference, is computed
+without it.
 """
 
 from __future__ import annotations
@@ -16,19 +34,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
-from .channels import first_channel, isentropic_strength, second_channel, validate_completeness
+import numpy as np
+
+from .channels import completeness_deviation_stack, first_channel_stack, second_channel_stack
 from .engine import (
+    CycleGrid,
     CycleMode,
-    CycleParams,
-    EnergyLedger,
+    GridLedger,
     first_law_residual,
-    numeric_realizable,
-    run_analytic,
-    run_numeric,
+    run_analytic_grid,
+    run_numeric_grid,
 )
-from .linalg import max_offdiag
-from .states import DensityMatrix, trace_distance
+from .linalg import _eigvals_stack
+from .states import mean_energy_stack
 
 DEFAULT_B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 DEFAULT_GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -42,11 +62,10 @@ LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q
 
 PERTURBATION = 0.1
 
-# The five-stroke checks reach the numeric runner through this name alone,
-# so a test can inject a fault into those ledgers by replacing it here
-# (bench/test_bench.py does) while the r = 1 reduction's three-stroke
-# reference stays clean.
-run_five_stroke_numeric = run_numeric
+_MAXIMALLY_MIXED = 0.5 * np.eye(2)
+
+# The fault-injection seam (see the module docstring): CycleGrid -> GridLedger.
+run_five_stroke_numeric = run_numeric_grid
 
 
 @dataclass(frozen=True)
@@ -83,23 +102,73 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _Points:
+    """Grid points checked together: how failure lines name them, and where they sort.
+
+    `section` orders the checks made at one (b, gamma): the channels, then
+    the three-stroke cycle, then the five-stroke cycle at each r in turn.
+    """
+
+    label: str  # excite, damp, three or five; five also names r
+    b: np.ndarray
+    gamma: np.ndarray
+    r: np.ndarray
+    b_index: np.ndarray
+    gamma_index: np.ndarray
+    section: np.ndarray
+
+    def __getitem__(self, index) -> _Points:
+        return _Points(self.label, *(getattr(self, name)[index] for name in (
+            "b", "gamma", "r", "b_index", "gamma_index", "section")))
+
+    def where(self, i: int) -> str:
+        text = f"{self.label} b={float(self.b[i]):g} gamma={float(self.gamma[i]):g}"
+        return text + f" r={float(self.r[i]):g}" if self.label == "five" else text
+
+    def key(self, i: int) -> tuple[int, int, int]:
+        return int(self.b_index[i]), int(self.gamma_index[i]), int(self.section[i])
+
+
 class _Checker:
+    """Counts checks and keeps failures; each call checks one family at every point given.
+
+    Families are called in the order the checks run at one point, so the
+    call number sorts the failures within a point's section.
+    """
+
     def __init__(self):
         self.count = 0
-        self.failures: list[CheckFailure] = []
+        self._family = 0
+        self._failures: list[tuple[tuple[int, ...], CheckFailure]] = []
 
-    def close(self, check: str, where: str, observed: float, expected: float, tol: float):
-        self.count += 1
-        ok = abs(observed - expected) <= tol
-        if math.isnan(observed) or math.isnan(expected):
-            ok = math.isnan(observed) and math.isnan(expected)
-        if not ok:
-            self.failures.append(CheckFailure(check, where, observed, expected, tol))
+    @property
+    def failures(self) -> list[CheckFailure]:
+        return [failure for _, failure in sorted(self._failures, key=itemgetter(0))]
 
-    def below(self, check: str, where: str, value: float, bound: float, tol: float = 0.0):
-        self.count += 1
-        if not value <= bound + tol or math.isnan(value):
-            self.failures.append(CheckFailure(check, where, value, bound, tol))
+    def close(self, check: str, points: _Points, observed, expected, tol: float, detail: str = ""):
+        """|observed - expected| <= tol; where either is NaN, passes only if both are."""
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            ok = np.abs(observed - expected) <= tol
+        nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
+        ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
+        self._tally(check, points, ok, observed, expected, tol, detail)
+
+    def below(self, check: str, points: _Points, value, bound: float, tol: float = 0.0,
+              detail: str = ""):
+        """value <= bound + tol; a NaN value fails."""
+        self._tally(check, points, value <= bound + tol, value, bound, tol, detail)
+
+    def _tally(self, check, points, ok, observed, expected, tol, detail):
+        self.count += ok.size
+        self._family += 1
+        if ok.all():
+            return
+        expected = np.broadcast_to(expected, ok.shape)
+        for i in np.flatnonzero(~ok).tolist():
+            failure = CheckFailure(check, points.where(i) + detail,
+                                   float(observed[i]), float(expected[i]), tol)
+            self._failures.append(((*points.key(i), self._family), failure))
 
 
 def normalize_perturb_field(name: str) -> str:
@@ -113,95 +182,80 @@ def normalize_perturb_field(name: str) -> str:
     )
 
 
-def _maybe_perturb(ledger: EnergyLedger, field: str | None) -> EnergyLedger:
+def _maybe_perturb(ledger: GridLedger, field: str | None) -> GridLedger:
     if field is None:
         return ledger
     return replace(ledger, **{field: getattr(ledger, field) + PERTURBATION})
 
 
-def _check_channels(c: _Checker, p: CycleParams):
-    b, gamma = p.b, p.gamma
-    strength = p.strength
-    rep = validate_completeness(first_channel(strength))
-    c.below("channel-completeness", f"excite b={b:g} gamma={gamma:g}", rep.max_deviation, 0.0, 1e-12)
-    if numeric_realizable(p):
-        q = isentropic_strength(strength, b)
-        rep = validate_completeness(second_channel(q))
-        c.below("channel-completeness", f"damp b={b:g} gamma={gamma:g}", rep.max_deviation, 0.0, 1e-12)
+def _offdiag(states: np.ndarray) -> np.ndarray:
+    """`linalg.max_offdiag` of every state of a (N, 2, 2) stack."""
+    return np.maximum(np.abs(states[:, 0, 1]), np.abs(states[:, 1, 0]))
 
 
-def _check_ledger_pair(c: _Checker, where: str, numeric: EnergyLedger, analytic: EnergyLedger):
+def _check_ledger_pair(c: _Checker, points: _Points, numeric: GridLedger, analytic: GridLedger):
     for field in LEDGER_FIELDS:
-        c.close(
-            f"oracle-equivalence-{field}", where,
-            getattr(numeric, field), getattr(analytic, field), TOL_ORACLE,
-        )
+        c.close(f"oracle-equivalence-{field}", points,
+                getattr(numeric, field), getattr(analytic, field), TOL_ORACLE)
 
 
-def _check_states(c: _Checker, where: str, ledger: EnergyLedger):
-    qmi = ledger.stroke("QMI")
-    qmii = ledger.stroke("QMII")
-    c.close("entropy-equality", where, qmi.entropy_after, qmii.entropy_after, TOL_EXACT)
-    pops_m = qmi.state_after.populations
-    pops_n = qmii.state_after.populations
-    for i, (a, bb) in enumerate(zip(pops_m[::-1], pops_n)):
-        c.close("population-swap", f"{where} level={i}", bb, a, TOL_EXACT)
-    for rec in ledger.strokes:
-        c.below("coherence-free", f"{where} stroke={rec.name}",
-                max_offdiag(rec.state_after.mat), 0.0, TOL_COHERENCE)
+def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tuple[str, ...]):
+    """Entropy equality, population swap, coherence-free states; returns TP's and QMI's entropy."""
+    entropy_qmi = ledger.entropy_qmi
+    c.close("entropy-equality", points, entropy_qmi, ledger.entropy_qmii, TOL_EXACT)
+    m, n = ledger.states_qmi, ledger.states_qmii
+    for level in (0, 1):
+        c.close("population-swap", points, n[:, level, level].real,
+                m[:, 1 - level, 1 - level].real, TOL_EXACT, f" level={level}")
+    tp, qmi, qmii = (_offdiag(states) for states in (ledger.states_tp, m, n))
+    # Each adiabat relabels the state before it without touching it.
+    offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}
+    for name in strokes:
+        c.below("coherence-free", points, offdiag[name], 0.0, TOL_COHERENCE, f" stroke={name}")
+    return ledger.entropy_tp, entropy_qmi
 
 
-def _check_three(c: _Checker, p: CycleParams, perturb: str | None) -> EnergyLedger:
-    """Check the three-stroke cycle; returns its (perturbed) numeric ledger."""
-    b, gamma = p.b, p.gamma
-    where = f"three b={b:g} gamma={gamma:g}"
-    numeric = _maybe_perturb(run_numeric(p), perturb)
-    analytic = run_analytic(p)
-    _check_ledger_pair(c, where, numeric, analytic)
-    _check_states(c, where, numeric)
-    c.close("efficiency-law", where, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
+def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger):
+    """The three-stroke checks; `numeric` is the (perturbed) ledger of `grid`."""
+    _check_ledger_pair(c, points, numeric, run_analytic_grid(grid))
+    entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
+    gamma = grid.gamma
+    c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
 
-    tp = numeric.stroke("TP")
-    qmi = numeric.stroke("QMI")
-    if gamma == 0.5:
-        mixed = DensityMatrix.maximally_mixed()
-        c.below("special-maximal-mixing", where,
-                trace_distance(qmi.state_after, mixed), 0.0, TOL_EXACT)
-        c.close("special-zero-energy", where, qmi.energy_after, 0.0, TOL_EXACT)
-    elif gamma == 1.0:
-        c.close("special-entropy-crossover", where,
-                qmi.entropy_after, tp.entropy_after, TOL_EXACT)
-        c.close("special-crossover-heat", where,
-                numeric.q_in, math.tanh(0.5 * b), TOL_EXACT)
-        c.close("special-zero-dissipation", where, numeric.q_out, 0.0, TOL_EXACT)
-    else:
-        # Interior strengths must raise the entropy above thermal.
-        c.below("entropy-ordering", where,
-                tp.entropy_after - qmi.entropy_after, 0.0, 0.0)
-    return numeric
+    at = gamma == 0.5
+    lo, hi = _eigvals_stack(numeric.states_qmi[at] - _MAXIMALLY_MIXED)
+    c.below("special-maximal-mixing", points[at], 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
+    c.close("special-zero-energy", points[at],
+            mean_energy_stack(numeric.states_qmi[at], 1.0), 0.0, TOL_EXACT)
+
+    at = gamma == 1.0
+    c.close("special-entropy-crossover", points[at], entropy_qmi[at], entropy_tp[at], TOL_EXACT)
+    c.close("special-crossover-heat", points[at], numeric.q_in[at],
+            np.array([math.tanh(0.5 * b) for b in grid.b[at].tolist()]), TOL_EXACT)
+    c.close("special-zero-dissipation", points[at], numeric.q_out[at], 0.0, TOL_EXACT)
+
+    # Interior strengths must raise the entropy above thermal.
+    at = (gamma != 0.5) & (gamma != 1.0)
+    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
 
 
-def _check_five(c: _Checker, b: float, gamma: float, r: float, perturb: str | None,
-                three: EnergyLedger | None):
-    """Check the five-stroke cycle; at r = 1 against `three`, the ledger `_check_three` checked."""
-    p = CycleParams(b=b, gamma=gamma, mode=CycleMode.FIVE_STROKE, r=r)
-    if not numeric_realizable(p):
-        return
-    where = f"five b={b:g} gamma={gamma:g} r={r:g}"
-    numeric = _maybe_perturb(run_five_stroke_numeric(p), perturb)
-    analytic = run_analytic(p)
-    _check_ledger_pair(c, where, numeric, analytic)
-    _check_states(c, where, numeric)
-    c.close("first-law", where, first_law_residual(numeric), 0.0, TOL_EXACT)
-    c.close("efficiency-law", where, numeric.eta,
-            (gamma * (1.0 + r) - 1.0) / (gamma * r), TOL_ORACLE)
-    c.close("adiabat-isentropic", where,
-            numeric.stroke("API").entropy_after, numeric.stroke("TP").entropy_after, 0.0)
+def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
+                three: GridLedger, three_at: np.ndarray):
+    """The five-stroke checks; at r = 1 point i is checked against entry three_at[i] of `three`."""
+    _check_ledger_pair(c, points, numeric, run_analytic_grid(grid))
+    entropy_tp, _ = _check_states(c, points, numeric, ("TP", "API", "QMI", "QMII", "APII"))
+    c.close("first-law", points, first_law_residual(numeric), 0.0, TOL_EXACT)
+    gamma, r = grid.gamma, grid.r
+    c.close("efficiency-law", points, numeric.eta, (gamma * (1.0 + r) - 1.0) / (gamma * r),
+            TOL_ORACLE)
+    # API relabels the thermal state without touching its populations.
+    c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 
-    if r == 1.0:  # realizable at r = 1 exactly where the three-stroke cycle is
-        for field in LEDGER_FIELDS:
-            c.close(f"reduction-r1-{field}", where,
-                    getattr(numeric, field), getattr(three, field), TOL_EXACT)
+    at = r == 1.0  # realizable at r = 1 exactly where the three-stroke cycle is
+    ref = three_at[at]
+    for field in LEDGER_FIELDS:
+        c.close(f"reduction-r1-{field}", points[at],
+                getattr(numeric, field)[at], getattr(three, field)[ref], TOL_EXACT)
 
 
 def run_verification(
@@ -214,13 +268,35 @@ def run_verification(
     if perturb is not None:
         perturb = normalize_perturb_field(perturb)
     start = time.perf_counter()
+    b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
+    # The five-stroke grid is built first, in b > gamma > r order, so a bad
+    # value raises the error the point-by-point nesting would meet first.
+    bi, gi, ri = (ix.reshape(-1) for ix in np.indices((len(b), len(gamma), len(r))))
+    five = CycleGrid(b[bi], gamma[gi], CycleMode.FIVE_STROKE, r[ri])
+    five_points = _Points("five", five.b, five.gamma, five.r, bi, gi, 2 + ri)
+    bi, gi = (ix.reshape(-1) for ix in np.indices((len(b), len(gamma))))
+    three = CycleGrid(b[bi], gamma[gi], CycleMode.THREE_STROKE, np.ones(len(bi)))
+    points = _Points("excite", three.b, three.gamma, three.r, bi, gi, np.zeros_like(bi))
+
     c = _Checker()
-    for b in b_grid:
-        for gamma in gamma_grid:
-            three = CycleParams(b=b, gamma=gamma, mode=CycleMode.THREE_STROKE)
-            _check_channels(c, three)
-            ledger = _check_three(c, three, perturb) if numeric_realizable(three) else None
-            for r in r_grid:
-                _check_five(c, b, gamma, r, perturb, ledger)
+    c.below("channel-completeness", points,
+            completeness_deviation_stack(first_channel_stack(three.strength)), 0.0, 1e-12)
+    ok = np.flatnonzero(three.realizable)
+    three, points = three.subset(ok), points[ok]
+    three_numeric = run_numeric_grid(three)
+    c.below("channel-completeness", replace(points, label="damp"),
+            completeness_deviation_stack(second_channel_stack(three_numeric.q_used)), 0.0, 1e-12)
+    three_numeric = _maybe_perturb(three_numeric, perturb)
+    _check_three(c, replace(points, label="three", section=points.section + 1),
+                 three, three_numeric)
+
+    # Position in `three` of each (b, gamma), by its number b_index * len(gamma) + gamma_index.
+    three_at = np.full(len(bi), -1)
+    three_at[ok] = np.arange(len(ok))
+    ok = np.flatnonzero(five.realizable)
+    five, five_points = five.subset(ok), five_points[ok]
+    five_numeric = _maybe_perturb(run_five_stroke_numeric(five), perturb)
+    _check_five(c, five_points, five, five_numeric, three_numeric,
+                three_at[five_points.b_index * len(gamma) + five_points.gamma_index])
     elapsed = time.perf_counter() - start
     return VerifyReport(checks_run=c.count, failures=c.failures, elapsed_seconds=elapsed)

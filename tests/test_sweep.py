@@ -1,6 +1,7 @@
 """The batched grid path against the scalar runners it must reproduce bit for bit."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,8 @@ def assert_columns_match(ledger, i: int, scalar) -> None:
     assert same(first_law_residual(ledger)[i], first_law_residual(scalar))
     assert same(ledger.entropy_qmi[i], scalar.stroke("QMI").entropy_after)
     assert same(ledger.entropy_qmii[i], scalar.stroke("QMII").entropy_after)
+    assert np.array_equal(ledger.states_tp[i], scalar.stroke("TP").state_after.mat)
+    assert same(ledger.entropy_tp[i], scalar.stroke("TP").entropy_after)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,6 +66,49 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
         assert_columns_match(analytic, i, run_analytic(params))
     for j, i in enumerate(realizable):
         assert_columns_match(numeric, j, run_numeric(grid.point(i)))
+
+
+def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
+    assert subset.mode is fresh.mode
+    for name in ("b", "gamma", "r", "x"):
+        column = getattr(subset, name)
+        assert column.dtype == getattr(fresh, name).dtype
+        assert np.array_equal(column, getattr(fresh, name)), name
+        assert not column.flags.writeable, name
+    assert subset._distinct_b[0] == fresh._distinct_b[0]
+    assert np.array_equal(subset._distinct_b[1], fresh._distinct_b[1])
+    assert np.array_equal(subset.per_b(lambda v: (v, math.exp(-v)), 2),
+                          fresh.per_b(lambda v: (v, math.exp(-v)), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(list(CycleMode)),
+    points=st.lists(st.tuples(st.sampled_from((0.1, 1.0, 5.0)) | b_values, gamma_values,
+                              r_values), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_subset_is_a_fresh_grid_of_the_same_points(mode, points, data):
+    b, gamma, r = (np.array(axis) for axis in zip(*points))
+    if mode is CycleMode.THREE_STROKE:
+        r = np.ones_like(b)
+    grid = CycleGrid(b, gamma, mode, r)
+    n = len(grid)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    start, stop = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    positions = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    for index in (mask, slice(start, stop), positions):
+        assert_same_grid(grid.subset(index),
+                         CycleGrid(b[index], gamma[index], mode, r[index]))
+
+
+@pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 2.0)])
+def test_subnormal_gamma_gives_the_scalar_eta_without_a_warning(mode, r):
+    params = CycleParams(b=1.0, gamma=1e-310, mode=mode, r=r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta = run_analytic_grid(CycleGrid((1.0,), (1e-310,), mode, (r,))).eta
+    assert eta[0] == run_analytic(params).eta == -math.inf
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,95 @@
+"""`measengine verify`: its output pinned, and the fault-injection seam the benchmark uses."""
+
+import dataclasses
+import hashlib
+import math
+import re
+
+import numpy as np
+import pytest
+
+from measengine import verify
+from measengine.cli import main
+
+# stdout digests (elapsed seconds stripped), exit codes, check and failure
+# counts, recorded from the point-by-point implementation on scalar
+# DensityMatrix/KrausSet ledgers before verify moved onto CycleGrid stacks.
+RECORDED = [
+    ([], 0, 1672, 0, "bee87c195a2f5fc0fa998f86c1ae69840f9e51d7d1d33161e94b26b62aeae7f5"),
+    (["--perturb", "q_in"], 3, 1672, 144,
+     "a1e10520b6afac5e85201ac7f7f51562be6231dc46e46aa16f12939c7bbb9155"),
+    (["--perturb", "q_out"], 3, 1672, 144,
+     "ba62aa5b886b4a1a85f5edb3bf0772126f59c24055187ca8971fbdc783987794"),
+    (["--perturb", "w_api"], 3, 1672, 140,
+     "09a9c3028051bd00176f1fe99d5b18e08bce183eb6e7a39da767475e337874fb"),
+    (["--perturb", "w_apii"], 3, 1672, 140,
+     "de2733765536b053213091a1928a74569a0bb3d7271ceea4762f2128c3cf6750"),
+    (["--perturb", "delta"], 3, 1672, 140,
+     "dd5ba1ab7b4ad0111a8a68b512679d2cb4aaffd02c6deec4f420201f5fa2dd0f"),
+    (["--perturb", "w_ext"], 3, 1672, 80,
+     "a7658ca82458c141ee40ff6a2b9fb5b9df7516ae9cbd2664bd0a7771340c60fb"),
+    (["--perturb", "eta"], 3, 1672, 160,
+     "2e602181aae13939e9d0316cb121e26fbf1cf4d1f3f5c911601cab00e694cca0"),
+    (["--perturb", "q_used"], 3, 1672, 80,
+     "43f8de4700585099a17b75aa00184551a43e17179ff94c23d0d8c22af3c308b6"),
+    (["--grid-b", "1e-8"], 3, 418, 24,
+     "8818301b1bbb07131390a4742786473bcc0848d6274967591cec40eb884f9016"),
+    (["--grid-gamma", "0,0.3,0.49,0.5,0.51,1"], 0, 1020, 0,
+     "b985a09315d807c99ea7def7f9aa84f4ea62b3cd05f684d46c8b9d2bb917867e"),
+    (["--grid-b", "0.05,3", "--grid-gamma", "0.2,0.5,0.7", "--grid-r", "1,1.5"], 0, 260, 0,
+     "7f490f411383ce2d4b18adad055719a80b1c286ed5c2845d611f1e723d83d8d1"),
+]
+
+
+def run_verify(capsys, *argv) -> tuple[int, str]:
+    code = main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def summary_counts(out: str) -> tuple[int, int]:
+    checks, failures = re.search(r"^verify: (\d+) checks, (\d+) failures, ", out, re.M).groups()
+    return int(checks), int(failures)
+
+
+@pytest.mark.parametrize(("argv", "code", "checks", "failures", "digest"), RECORDED,
+                         ids=[" ".join(argv) or "default" for argv, *_ in RECORDED])
+def test_output_is_the_recorded_one(capsys, argv, code, checks, failures, digest):
+    got_code, out = run_verify(capsys, *argv)
+    assert (got_code, summary_counts(out)) == (code, (checks, failures))
+    stripped = re.sub(r", [0-9.]+ s$", ", s", out, flags=re.M)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, monkeypatch):
+    run_five = verify.run_five_stroke_numeric
+
+    def q_out_off(grid):
+        ledger = run_five(grid)
+        return dataclasses.replace(ledger, q_out=ledger.q_out + 0.1)
+
+    monkeypatch.setattr(verify, "run_five_stroke_numeric", q_out_off)
+    code, out = run_verify(capsys)
+    assert code == 3
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    checks = {line.split()[1] for line in failed}
+    assert {"reduction-r1-q_out", "first-law", "oracle-equivalence-q_out"} <= checks
+    assert not [line for line in failed if "[three " in line]
+    # 60 five-stroke points fail oracle and first law, the 20 at r = 1 the reduction too.
+    assert summary_counts(out) == (1672, 140)
+
+
+def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
+    points = verify._Points("five", np.full(3, 1.0), np.array([0.5, 0.6, 0.7]), np.full(3, 2.0),
+                            np.zeros(3, dtype=int), np.arange(3), np.full(3, 2))
+    c = verify._Checker()
+    nan = math.nan
+    # close passes where both sides are NaN and fails where one is; below fails on NaN.
+    c.close("close", points, np.array([nan, nan, 1.0]), np.array([nan, 1.0, nan]), 1e-12)
+    c.below("below", points, np.array([nan, 0.0, 1.0]), 0.0)
+    assert c.count == 6
+    assert [(f.check, f.where) for f in c.failures] == [
+        ("below", "five b=1 gamma=0.5 r=2"),
+        ("close", "five b=1 gamma=0.6 r=2"),
+        ("close", "five b=1 gamma=0.7 r=2"),
+        ("below", "five b=1 gamma=0.7 r=2"),
+    ]
