@@ -19,6 +19,12 @@ Kraus channels and reads energies off the state.  The analytic path
 cycle.  They must agree to ~1e-10; the verify suite and tests enforce
 that.
 
+The five records hold three distinct states (thermal, after QMI, after
+QMII): the adiabats only relabel the gap, so TP and API share one
+entropy, and QMII and APII another, each computed once.  `gibbs_state`
+keeps the last thermal state, so `run_analytic(p)` right after
+`run_numeric(p)` reuses the validated state instead of building it again.
+
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
 exchanged with the reservoir on thermalization (negative when the engine
@@ -80,6 +86,8 @@ GAMMA_NUMERIC_MIN = 0.5  # below this the population-swapping channel does not e
 FLAG_ETA_ZERO_INPUT = "eta-zero-input"
 FLAG_OUTSIDE_RANGE = "gamma-outside-engine-range"
 FLAG_NO_PARTNER = "no-isentropic-partner"
+
+_H1 = Hamiltonian.qubit(1.0)  # the bare gap, before API and after APII
 
 
 class InvalidCycleError(ValueError):
@@ -165,21 +173,20 @@ def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
     return (1.0 / (1.0 + r), 1.0)
 
 
-def _record(name: str, state: DensityMatrix, h: Hamiltonian) -> StrokeRecord:
-    return StrokeRecord(name, state, h, mean_energy(state, h), von_neumann_entropy(state))
-
-
 def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
-    """Records of the full TP, API, QMI, QMII, APII sequence."""
-    h1 = Hamiltonian.qubit(1.0)
+    """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state."""
     hr = Hamiltonian.qubit(p.r)
+    s_th = von_neumann_entropy(thermal)
+    s_n = von_neumann_entropy(rho_n)
     return (
-        _record("TP", thermal, h1),
-        _record("API", thermal, hr),   # gap stretch, populations untouched
-        _record("QMI", rho_m, hr),
-        _record("QMII", rho_n, hr),
-        _record("APII", rho_n, h1),    # gap restored before thermalization
+        StrokeRecord("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
+        # API stretches the gap and leaves the populations untouched.
+        StrokeRecord("API", thermal, hr, mean_energy(thermal, hr), s_th),
+        StrokeRecord("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
+        StrokeRecord("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
+        # APII restores the gap before thermalization.
+        StrokeRecord("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
     )
 
 
@@ -206,7 +213,7 @@ def _require_realizable(p: CycleParams) -> None:
 def run_numeric(p: CycleParams) -> EnergyLedger:
     """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
     _require_realizable(p)
-    rho_th = gibbs_state(Hamiltonian.qubit(1.0), p.b)
+    rho_th = gibbs_state(_H1, p.b)
     strength = p.strength
     rho_m = apply_unselective(first_channel(strength), rho_th)
     q = isentropic_strength(strength, p.b)
@@ -282,7 +289,7 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
     n_pops = (m_pops[1], m_pops[0])
     strokes = _cycle_strokes(
         p,
-        gibbs_state(Hamiltonian.qubit(1.0), p.b),
+        gibbs_state(_H1, p.b),
         DensityMatrix.from_populations(m_pops),
         DensityMatrix.from_populations(n_pops),
     )
@@ -442,8 +449,7 @@ class GridLedger:
 def _thermal_stack(grid: CycleGrid) -> np.ndarray:
     """The validated Gibbs state of every point, as `gibbs_state` gives it, once per distinct b."""
     values, index = grid._distinct_b
-    h1 = Hamiltonian.qubit(1.0)
-    populations = np.array([_gibbs_populations(h1, v) for v in values]).reshape(-1, 2)
+    populations = np.array([_gibbs_populations(_H1, v) for v in values]).reshape(-1, 2)
     return validate_state_stack(population_stack(populations))[index]
 
 

@@ -17,6 +17,7 @@ bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ class Hamiltonian:
             raise ValueError("Hamiltonian levels must be finite")
         if self.levels[0] > self.levels[1]:
             raise ValueError("Hamiltonian levels must be sorted ascending")
+        # A tuple of floats, whatever sequence was passed: hashable, so it can key a cache.
+        object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
 
     @classmethod
     def qubit(cls, frequency: float = 1.0) -> Hamiltonian:
@@ -112,8 +115,14 @@ class DensityMatrix:
         return _eigvals(self.mat)
 
 
+@functools.lru_cache(maxsize=1)
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
-    """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0."""
+    """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0.
+
+    The last (h, b) is cached: a repeated request gets the same validated,
+    read-only state back, so the numeric and analytic ledgers of one
+    cycle build it once.  An invalid b raises on every call.
+    """
     return DensityMatrix.from_populations(_gibbs_populations(h, b))
 
 
@@ -127,8 +136,14 @@ def _gibbs_populations(h: Hamiltonian, b: float) -> np.ndarray:
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Tr(H rho); refuses if the imaginary part exceeds TOL_ENERGY_IMAG."""
-    val = complex(np.trace(h.matrix @ rho.mat))
+    """Tr(H rho); refuses if the imaginary part exceeds TOL_ENERGY_IMAG.
+
+    H is diagonal, so Tr(H rho) = lo * rho_00 + hi * rho_11: the
+    operations `mean_energy_stack` makes, in the same order.
+    """
+    lo, hi = h.levels
+    m = rho.mat
+    val = lo * complex(m[0, 0]) + hi * complex(m[1, 1])
     if abs(val.imag) > TOL_ENERGY_IMAG:
         raise ValueError(f"mean energy has imaginary part {val.imag:.3e}")
     return val.real

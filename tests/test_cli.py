@@ -62,6 +62,41 @@ class TestCycleCommand:
         assert "q_used=nan" in out
         assert "flags=no-isentropic-partner" in out
 
+    # sha256 of the stdout of `cycle` at every b x gamma below, run in this
+    # order, as first recorded: a change to the scalar cycle must print the
+    # same ledgers byte for byte.
+    @pytest.mark.parametrize(
+        ("mode", "source", "digest"),
+        [
+            ("three", "--numeric", "f36503ec16e5037525e0c6964700dc83a3680fb82361afc9236cfbc303b4b44d"),
+            ("three", "--analytic", "8e1a16e544f43baba96c5ccc48b3286f7b081bb6b7054b71b88d50b9442fc19a"),
+            ("three", "--both", "f01f2777383ec33b8d7305fff50aca9aab29327ace4210488cf61ebe62748ff1"),
+            ("five", "--numeric", "a4346d8a99d137cc6760f22c989da66c33bbae22a985a9391bea50b49b51e662"),
+            ("five", "--analytic", "9653c9b3498448a2a6b187fc4165dfd19da53adb579373d6985ef7d821a52cfa"),
+            ("five", "--both", "6098d8d6a7a48068a2faf5c075176984b1a33ae3327131da0ede4bfe05c0e536"),
+        ],
+    )
+    def test_stdout_digest_is_pinned(self, capsys, mode, source, digest):
+        extra = ["--r", "2"] if mode == "five" else []
+        out = []
+        for b in ("1e-7", "0.6931471805599453", "5", "700"):
+            for gamma in ("0.5", "0.8", "1"):
+                code, text, _ = run_cli(
+                    capsys, "cycle", "--mode", mode, "--b", b, "--gamma", gamma, *extra, source
+                )
+                assert code == 0
+                out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+    def test_analytic_only_stdout_digest_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cycle", "--mode", "five", "--gamma", "0.3", "--r", "2", "--analytic"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "03853a19cabf125b79e4a885ae0ffa6aa40136d66f3dafac54c5340aa2bc9165"
+        )
+
     def test_missing_gamma_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cycle", "--mode", "three")
         assert code == 1

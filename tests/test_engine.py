@@ -15,7 +15,7 @@ from measengine.engine import (
     run_analytic,
     run_numeric,
 )
-from measengine.states import DensityMatrix, trace_distance
+from measengine.states import DensityMatrix, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
@@ -177,9 +177,12 @@ class TestFiveStrokeNumeric:
                 assert led5.w_apii == 0.0
 
     def test_adiabats_preserve_entropy_exactly(self):
-        led = run_numeric(five(1.0, 0.75, 5.0))
-        assert led.stroke("API").entropy_after == led.stroke("TP").entropy_after
-        assert led.stroke("APII").entropy_after == led.stroke("QMII").entropy_after
+        for b in B_GRID:
+            for led in (run_numeric(five(b, 0.75, 5.0)), run_analytic(five(b, 0.75, 5.0))):
+                assert led.stroke("API").entropy_after == led.stroke("TP").entropy_after
+                assert led.stroke("APII").entropy_after == led.stroke("QMII").entropy_after
+                for rec in led.strokes:
+                    assert rec.entropy_after == von_neumann_entropy(rec.state_after)
 
     def test_entropy_is_independent_of_r(self):
         entropies = []

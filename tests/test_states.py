@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from support import random_density_matrix
 
+from measengine.engine import CycleParams, run_analytic, run_numeric
 from measengine.states import (
     DensityMatrix,
     Hamiltonian,
@@ -34,6 +36,16 @@ class TestHamiltonian:
     def test_rejects_unsorted_levels(self):
         with pytest.raises(ValueError, match="ascending"):
             Hamiltonian((1.0, -1.0))
+
+    @pytest.mark.parametrize("levels", [[-0.5, 0.5], np.array([-0.5, 0.5])], ids=["list", "array"])
+    def test_any_sequence_is_stored_as_a_float_tuple(self, levels):
+        h = Hamiltonian(levels)
+        assert h.levels == (-0.5, 0.5)
+        assert type(h.levels) is tuple and all(type(e) is float for e in h.levels)
+        assert h == QUBIT and hash(h) == hash(QUBIT)
+        # Hashable, so the cached gibbs_state takes it, and gives QUBIT's state.
+        b = 0.37
+        assert np.array_equal(gibbs_state(h, b).mat, gibbs_state(QUBIT, b).mat)
 
 
 class TestDensityMatrixInvariants:
@@ -75,6 +87,23 @@ class TestGibbsState:
         with pytest.raises(ValueError):
             gibbs_state(QUBIT, math.inf)
 
+    def test_repeated_request_returns_the_cached_state(self):
+        rho = gibbs_state(QUBIT, 0.42)
+        assert gibbs_state(QUBIT, 0.42) is rho
+        assert not rho.mat.flags.writeable
+        other = gibbs_state(QUBIT, 0.43)
+        assert other is not rho
+        assert not np.array_equal(other.mat, rho.mat)
+        assert gibbs_state(Hamiltonian.qubit(2.0), 0.43) is not other
+
+    def test_invalid_b_raises_on_every_call(self):
+        gibbs_state(QUBIT, 1.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="inverse temperature"):
+                gibbs_state(QUBIT, -1.0)
+        with pytest.raises(ValueError, match="inverse temperature"):
+            gibbs_state(QUBIT, math.nan)
+
     @given(st.floats(min_value=1e-3, max_value=50.0))
     def test_populations_positive_and_normalized(self, b):
         pops = gibbs_state(QUBIT, b).populations
@@ -107,6 +136,23 @@ class TestMeanEnergy:
             for b in (0.1, 1.0, 5.0):
                 expected = -0.5 * f * math.tanh(0.5 * b * f)
                 assert mean_energy(gibbs_state(h, b), h) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("frequency", [1.0, 2.0, 37.5])
+    def test_closed_form_is_the_trace_on_coherent_states(self, rng, frequency):
+        h = Hamiltonian.qubit(frequency)
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            assert abs(rho.mat[0, 1]) > 0.0
+            assert mean_energy(rho, h) == complex(np.trace(h.matrix @ rho.mat)).real
+
+    @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 3.0)])
+    @pytest.mark.parametrize("b", [1e-7, math.log(2.0), 5.0, 700.0])
+    def test_closed_form_is_the_trace_on_cycle_states(self, mode, r, b):
+        p = CycleParams(b=b, gamma=0.8, mode=mode, r=r)
+        for ledger in (run_numeric(p), run_analytic(p)):
+            for rec in ledger.strokes:
+                h, rho = rec.hamiltonian_after, rec.state_after
+                assert rec.energy_after == complex(np.trace(h.matrix @ rho.mat)).real
 
     def test_dimension_mismatch(self):
         # Only qubits pass the boundary: neither a 3x3 state nor a three-level
