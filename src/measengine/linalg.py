@@ -10,7 +10,9 @@ Eigenvalues come from the closed-form quadratic.
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
 construction and freeze their arrays, so math on those arrays uses numpy
-directly and the unchecked kernels `_hermiticity_defect` and `_eigvals`.
+directly and the unchecked kernels `_hermiticity_defect` and `_eig_pair`,
+which take the four entries as Python complex numbers (one `.tolist()`):
+on a 2x2 matrix a numpy call costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def as_square_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"expected a square 2x2 qubit matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -60,11 +62,13 @@ def trace(a: np.ndarray) -> complex:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max entrywise |A - A^dag|; zero for exactly Hermitian input."""
-    return _hermiticity_defect(as_square_matrix(a))
+    return _hermiticity_defect(*as_square_matrix(a).ravel().tolist())
 
 
-def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
+def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
+    # |a_ii - conj(a_ii)| = 2|Im a_ii|, and the two off-diagonal entries of
+    # A - A^dag are negated conjugates of each other, so they share one modulus.
+    return max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
 
 
 def max_offdiag(a: np.ndarray) -> float:
@@ -75,33 +79,33 @@ def max_offdiag(a: np.ndarray) -> float:
 
 def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending, in closed form."""
-    a = as_square_matrix(a)
-    defect = _hermiticity_defect(a)
+    entries = as_square_matrix(a).ravel().tolist()
+    defect = _hermiticity_defect(*entries)
     if defect > tol_herm:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol_herm:.1e}"
         )
-    return _eigvals(a)
+    return np.array(_eig_pair(*entries))
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Unchecked kernel of eig_hermitian, for arrays already known Hermitian."""
+def _eig_pair(a00: complex, a01: complex, a10: complex, a11: complex) -> tuple[float, float]:
+    """Unchecked kernel of eig_hermitian: ascending eigenvalues of a known-Hermitian matrix."""
     # Eigenvalues of [[p, c], [conj(c), q]] are mean +- sqrt(((p-q)/2)^2 + |c|^2).
-    p = a[0, 0].real
-    q = a[1, 1].real
-    c = 0.5 * (a[0, 1] + np.conj(a[1, 0]))
+    p = a00.real
+    q = a11.real
+    c = 0.5 * (a01 + a10.conjugate())
     if c == 0.0:
         # Diagonal case stays exact; the engine's states all live here.
-        return np.array(sorted((p, q)))
+        return (p, q) if p <= q else (q, p)
     mean = 0.5 * (p + q)
     radius = math.hypot(0.5 * (p - q), abs(c))
-    return np.array([mean - radius, mean + radius])
+    return mean - radius, mean + radius
 
 
 def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_eigvals` over a (N, 2, 2) Hermitian stack: the (N,) lower and upper eigenvalues.
+    """`_eig_pair` over a (N, 2, 2) Hermitian stack: the (N,) lower and upper eigenvalues.
 
-    Diagonal entries give the same bits as `_eigvals`; the others can
+    Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
     """
     p = a[:, 0, 0].real

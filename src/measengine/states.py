@@ -7,6 +7,8 @@ Entropy is reported in nats.
 
 The working substance is a qubit: `Hamiltonian` takes exactly two levels
 and `DensityMatrix` only 2x2 matrices (via `linalg.as_square_matrix`).
+Its constructor runs the Hermiticity, trace and lowest-eigenvalue checks
+on the four entries as Python complex numbers, read once with `.tolist()`.
 
 Grid evaluation works on (N, 2, 2) state stacks instead of one
 `DensityMatrix` per point: `validate_state_stack` applies the
@@ -25,7 +27,7 @@ import numpy as np
 
 from .linalg import (
     TOL_HERM,
-    _eigvals,
+    _eig_pair,
     _eigvals_stack,
     _hermiticity_defect,
     as_matrix_stack,
@@ -78,13 +80,14 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_square_matrix(self.mat).copy()
-        defect = _hermiticity_defect(m)
+        entries = m.ravel().tolist()
+        defect = _hermiticity_defect(*entries)
         if defect > TOL_HERM:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(m))
+        tr = entries[0] + entries[3]
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"state trace {tr:.15g} is not 1")
-        lo = _eigvals(m)[0]
+        lo = _eig_pair(*entries)[0]
         if lo < -TOL_PSD:
             raise ValueError(f"state has negative eigenvalue {lo:.3e}")
         m.flags.writeable = False
@@ -112,7 +115,7 @@ class DensityMatrix:
         return np.diag(self.mat).real.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        return _eigvals(self.mat)
+        return np.array(_eig_pair(*self.mat.ravel().tolist()))
 
 
 @functools.lru_cache(maxsize=1)
@@ -162,8 +165,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b); lies in [0, 1]."""
-    eigs = _eigvals(a.mat - b.mat)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    lo, hi = _eig_pair(*(a.mat - b.mat).ravel().tolist())
+    return 0.5 * (abs(lo) + abs(hi))
 
 
 def population_stack(populations: np.ndarray) -> np.ndarray:

@@ -48,3 +48,23 @@ def random_givens_unitary(rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return 0.5 * (g + g.conj().T)
+
+
+# Non-finite entries, each in the real part or the imaginary part alone, and in both.
+NON_FINITE = (
+    complex(np.inf, 0.0),
+    complex(-np.inf, 0.0),
+    complex(np.nan, 0.0),
+    complex(0.0, np.inf),
+    complex(0.0, -np.inf),
+    complex(0.0, np.nan),
+    complex(np.inf, -np.inf),
+    complex(np.nan, np.nan),
+)
+
+
+def with_entry(base, i: int, j: int, value: complex) -> np.ndarray:
+    """Complex copy of `base` with entry [i, j] replaced by `value`."""
+    out = np.array(base, dtype=complex)
+    out[i, j] = value
+    return out

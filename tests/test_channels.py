@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from measengine.channels import (
+    COMPLETENESS_TOL,
     IncompleteKrausSetError,
     KrausSet,
     NoIsentropicStrengthError,
@@ -20,9 +21,9 @@ from measengine.channels import (
     second_channel,
     validate_completeness,
 )
-from measengine.linalg import max_offdiag
+from measengine.linalg import adjoint, matmul, max_offdiag, trace
 from measengine.states import DensityMatrix, Hamiltonian, gibbs_state, von_neumann_entropy
-from support import random_density_matrix, random_kraus_set
+from support import NON_FINITE, random_density_matrix, random_kraus_set, with_entry
 
 QUBIT = Hamiltonian.qubit(1.0)
 PROJ_Z = KrausSet(
@@ -53,6 +54,12 @@ class TestCompleteness:
             KrausSet((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
         with pytest.raises(ValueError, match="2x2"):
             KrausSet((np.eye(3, dtype=complex),))
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_operator_is_rejected(self, bad):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                KrausSet(PROJ_Z.ops[:1] + (with_entry(PROJ_Z.ops[1], i, j, bad),))
 
 
 class TestChannelConstruction:
@@ -106,6 +113,25 @@ class TestApplyUnselective:
         bad = KrausSet((np.eye(2, dtype=complex) / math.sqrt(2.0),))
         with pytest.raises(IncompleteKrausSetError):
             apply_unselective(bad, DensityMatrix.maximally_mixed())
+
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imag"])
+    def test_completeness_edge(self, unit):
+        # sum A^dag A = [[1, e], [conj(e), 1]] (the e^2 on |1><1| rounds away):
+        # the deviation is |e|, accepted at COMPLETENESS_TOL and refused one float beyond.
+        def edge_set(e):
+            return KrausSet(
+                (np.array([[1.0, e], [0.0, 0.0]]), np.diag([0.0, 1.0]).astype(complex)),
+                label="edge",
+            )
+
+        mixed = DensityMatrix.maximally_mixed()
+        out = apply_unselective(edge_set(unit * COMPLETENESS_TOL), mixed)
+        assert np.array_equal(out.mat, mixed.mat)
+        beyond = edge_set(unit * math.nextafter(COMPLETENESS_TOL, math.inf))
+        with pytest.raises(
+            IncompleteKrausSetError, match=r"^Kraus set edge violates completeness by 1\.000e-12$"
+        ):
+            apply_unselective(beyond, mixed)
 
     def test_random_sets_preserve_trace_and_psd(self, rng):
         for _ in range(150):
@@ -181,6 +207,15 @@ class TestMeasureSelective:
             rebuilt = sum(o.probability * o.post_state.mat for o in measure_selective(k, rho))
             assert np.max(np.abs(rebuilt - unselective.mat)) <= 1e-13
 
+    def test_outcomes_are_the_checked_linalg_products_bit_for_bit(self, rng):
+        for _ in range(50):
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            rho = random_density_matrix(rng)
+            for op, outcome in zip(k.ops, measure_selective(k, rho), strict=True):
+                raw = matmul(matmul(op, rho.mat), adjoint(op))
+                assert outcome.probability == trace(raw).real
+                assert np.array_equal(outcome.post_state.mat, raw / trace(raw).real)
+
     def test_zero_probability_outcome_is_flagged(self):
         outcomes = measure_selective(first_channel(0.0), DensityMatrix.maximally_mixed())
         assert outcomes[1].negligible
@@ -205,6 +240,12 @@ class TestPovmElements:
         e1, e2 = povm_elements(second_channel(q))
         assert np.allclose(e1, np.diag([1.0, 1.0 - q]), atol=1e-15)
         assert np.allclose(e2, np.diag([0.0, q]), atol=1e-15)
+
+    def test_effects_are_the_checked_linalg_products_bit_for_bit(self, rng):
+        for _ in range(50):
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            for effect, op in zip(povm_elements(k), k.ops, strict=True):
+                assert np.array_equal(effect, matmul(adjoint(op), op))
 
     def test_effects_sum_to_identity(self, rng):
         for _ in range(50):

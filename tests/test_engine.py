@@ -1,5 +1,7 @@
+import hashlib
 import math
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from measengine.engine import (
     CycleMode,
     CycleParams,
+    EnergyLedger,
     InvalidCycleError,
     UnrealizableChannelError,
     first_law_residual,
@@ -313,3 +316,68 @@ class TestRealizability:
         assert not numeric_realizable(three(1.0, 0.49))
         assert numeric_realizable(five(1.0, 0.5, 2.0))
         assert not numeric_realizable(five(1.0, 0.4, 2.0))
+
+
+def cycle_stream_requests(seed: int, count: int):
+    """The first `count` (mode, b, gamma, r) requests of the `cycle-stream` benchmark.
+
+    The same draws as `bench/workloads.py`: mode 50/50, log-uniform b in
+    [1e-8, 700] and r in [1, 100] (five-stroke only), uniform gamma in [1/2, 1].
+    """
+    rng = random.Random(seed)
+    log_b = (math.log(1e-8), math.log(700.0))
+    log_r = (math.log(1.0), math.log(100.0))
+    for _ in range(count):
+        mode = "three" if rng.random() < 0.5 else "five"
+        b = math.exp(rng.uniform(*log_b))
+        gamma = rng.uniform(0.5, 1.0)
+        r = 1.0 if mode == "three" else math.exp(rng.uniform(*log_r))
+        yield mode, b, gamma, r
+
+
+def _hash_ledger(h, ledger: EnergyLedger) -> None:
+    """Feed every field of a ledger to `h` at full precision (floats as hex)."""
+
+    def put(value):
+        if isinstance(value, float):
+            h.update(value.hex().encode())
+        elif isinstance(value, np.ndarray):
+            h.update(value.tobytes())
+        else:
+            h.update(repr(value).encode())
+        h.update(b"|")
+
+    for f in fields(ledger):
+        value = getattr(ledger, f.name)
+        if f.name == "params":
+            for x in (value.b, value.gamma, value.mode.value, value.r):
+                put(x)
+        elif f.name == "strokes":
+            for rec in value:
+                put(rec.name)
+                put(rec.state_after.mat)
+                for e in rec.hamiltonian_after.levels:
+                    put(e)
+                put(rec.energy_after)
+                put(rec.entropy_after)
+        else:
+            put(value)
+
+
+class TestOutputsArePinned:
+    # sha256 over both ledgers of the first 1000 seed-1 `cycle-stream`
+    # requests and four three-stroke points, as recorded before the
+    # constructor checks moved to Python scalars.  A change that keeps the
+    # numerics must keep this digest; it is re-recorded only by a change
+    # that says it changes the numerics (ROADMAP item 3), with the diff.
+    CYCLE_DIGEST = "f4933d0caf726de33e4b033feecb4216a390fa4a8ea542448c2a5af4e69675fe"
+
+    def test_cycle_ledgers_digest_is_pinned(self):
+        points = [(mode, b, gamma, r) for mode, b, gamma, r in cycle_stream_requests(1, 1000)]
+        points += [("three", b, 0.8, 1.0) for b in (1e-7, math.log(2.0), 5.0, 700.0)]
+        h = hashlib.sha256()
+        for mode, b, gamma, r in points:
+            p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
+            _hash_ledger(h, run_numeric(p))
+            _hash_ledger(h, run_analytic(p))
+        assert h.hexdigest() == self.CYCLE_DIGEST

@@ -10,7 +10,7 @@ from measengine.linalg import (
     max_offdiag,
     trace,
 )
-from support import random_givens_unitary, random_hermitian
+from support import NON_FINITE, random_givens_unitary, random_hermitian, with_entry
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -46,6 +46,14 @@ def test_as_square_matrix_rejects_bad_input():
         as_square_matrix(np.ones((1, 1)))
     with pytest.raises(ValueError, match="finite"):
         as_square_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("check", [as_square_matrix, eig_hermitian], ids=lambda f: f.__name__)
+def test_non_finite_entries_are_rejected(check, bad):
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            check(with_entry(EYE2, i, j, bad))
 
 
 def test_adjoint_examples():

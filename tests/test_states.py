@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from support import random_density_matrix
+from support import NON_FINITE, random_density_matrix, with_entry
 
 from measengine.engine import CycleParams, run_analytic, run_numeric
+from measengine.linalg import TOL_HERM
 from measengine.states import (
+    TOL_PSD,
+    TOL_TRACE,
     DensityMatrix,
     Hamiltonian,
     gibbs_state,
@@ -65,6 +68,61 @@ class TestDensityMatrixInvariants:
         rho = DensityMatrix.maximally_mixed()
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.7
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_rejects_non_finite_entries(self, bad):
+        mixed = np.eye(2) / 2.0
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                DensityMatrix(with_entry(mixed, i, j, bad))
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+class TestDensityMatrixToleranceEdges:
+    """Each check accepts its tolerance exactly and rejects the next float beyond it.
+
+    The messages were recorded before the checks moved to Python scalars.
+    """
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda t: [[0.5, t], [0.0, 0.5]],
+            lambda t: [[0.5, 1j * t], [0.0, 0.5]],
+            lambda t: [[0.5 + 0.5j * t, 0.0], [0.0, 0.5]],
+            lambda t: [[0.5, 0.0], [0.0, 0.5 - 0.5j * t]],
+        ],
+        ids=["off-diagonal-real", "off-diagonal-imag", "diagonal-0", "diagonal-1"],
+    )
+    def test_hermiticity_edge(self, entries):
+        DensityMatrix(np.array(entries(TOL_HERM), dtype=complex))
+        with pytest.raises(ValueError, match=r"^state is not Hermitian \(defect 1\.000e-12\)$"):
+            DensityMatrix(np.array(entries(_up(TOL_HERM)), dtype=complex))
+
+    def test_trace_edges(self):
+        # Real traces move on the float grid around 1: steps of 2^-52 above, 2^-53 below.
+        above = math.floor(TOL_TRACE / 2.0**-52)
+        below = math.floor(TOL_TRACE / 2.0**-53)
+        DensityMatrix(np.diag([0.5 + above * 2.0**-52, 0.5]).astype(complex))
+        DensityMatrix(np.diag([0.5 - below * 2.0**-53, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match=r"^state trace 1\.000000000001\+0j is not 1$"):
+            DensityMatrix(np.diag([0.5 + (above + 1) * 2.0**-52, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match=r"^state trace 0\.999999999999\+0j is not 1$"):
+            DensityMatrix(np.diag([0.5 - (below + 1) * 2.0**-53, 0.5]).astype(complex))
+
+    def test_imaginary_trace_edge(self):
+        # Im Tr = TOL_TRACE exactly, with the Hermiticity defect at its edge too.
+        h = 0.5 * TOL_TRACE
+        assert 2.0 * h == TOL_HERM
+        DensityMatrix(np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]]))
+
+    def test_lowest_eigenvalue_edge(self):
+        DensityMatrix(np.diag([1.0 + TOL_PSD, -TOL_PSD]).astype(complex))
+        with pytest.raises(ValueError, match=r"^state has negative eigenvalue -1\.000e-12$"):
+            DensityMatrix(np.diag([1.0 + TOL_PSD, -_up(TOL_PSD)]).astype(complex))
 
 
 class TestGibbsState:
