@@ -44,10 +44,12 @@ the numeric side evolves (N, 2, 2) state stacks through (N, 2, 2, 2) Kraus
 stacks, the analytic side evaluates the closed form on arrays.  Every state
 being diagonal, they perform the scalar runners' floating-point operations
 in the same order, and take each transcendental from the same function
-(`np.exp` for the Gibbs weights and `math.exp`/`math.tanh` for the closed
-form, once per distinct b; `math.log` for the entropy, once per distinct
-eigenvalue), so each column equals the scalar field bit for bit.  The
-scalar runners stay the reference.
+(`np.exp` for the Gibbs weights, one call over all distinct b;
+`math.exp`/`math.tanh` for the closed form, once per distinct b;
+`math.log` for the entropy, once per distinct eigenvalue), so each column
+equals the scalar field bit for bit.  The scalar runners stay the
+reference.  A grid builds and validates its thermal stack once; `subset`
+slices it, and both grid runners read it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .channels import (
 from .states import (
     DensityMatrix,
     Hamiltonian,
-    _gibbs_populations,
     entropy_stack,
     gibbs_state,
     mean_energy,
@@ -329,7 +330,9 @@ class CycleGrid:
 
     Construction applies the `CycleParams` checks to every point, raising
     the error `CycleParams` raises for the first bad one, and freezes the
-    arrays.  `x` holds e^-b, from math.exp once per distinct b.
+    arrays.  `x` holds e^-b, from math.exp once per distinct b, and
+    `thermal` the validated (N, 2, 2) Gibbs state of every point, as
+    `gibbs_state` gives it, from one np.exp over the distinct b.
     """
 
     b: np.ndarray
@@ -337,6 +340,7 @@ class CycleGrid:
     mode: CycleMode
     r: np.ndarray
     x: np.ndarray = field(init=False, repr=False)
+    thermal: np.ndarray = field(init=False, repr=False)
     _distinct_b: tuple[list[float], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -357,10 +361,15 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = np.unique(b, return_inverse=True)
-        object.__setattr__(self, "_distinct_b", (values.tolist(), index.reshape(-1)))
+        index = index.reshape(-1)
+        object.__setattr__(self, "_distinct_b", (values.tolist(), index))
         x = self.per_b(lambda v: math.exp(-v))
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        e = np.asarray(_H1.levels)
+        w = np.exp(-np.multiply.outer(values, e - e.min()))  # as `gibbs_state` weighs each b
+        thermal = validate_state_stack(population_stack(w / w.sum(axis=1, keepdims=True)))
+        for name, column in (("x", x), ("thermal", thermal[index])):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.b)
@@ -374,7 +383,7 @@ class CycleGrid:
         """The points selected by a numpy index (mask, slice or positions), in order.
 
         The points are validated already, so nothing is checked or derived
-        again: b, gamma, r and x are sliced, and the distinct-b table keeps
+        again: b, gamma, r, x and the thermal stack are sliced, and the distinct-b table keeps
         the values the subset still uses.
         """
         values, inverse = self._distinct_b
@@ -382,7 +391,7 @@ class CycleGrid:
         used = np.zeros(len(values), dtype=bool)
         used[inverse] = True
         grid = object.__new__(CycleGrid)
-        for name in ("b", "gamma", "r", "x"):
+        for name in ("b", "gamma", "r", "x", "thermal"):
             column = getattr(self, name)[index]
             column.flags.writeable = False
             object.__setattr__(grid, name, column)
@@ -425,7 +434,8 @@ class GridLedger:
 
     `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
     states after TP (the thermal state, which API keeps), QMI and QMII;
-    their entropies are computed when asked for.
+    their entropies are computed, all three in one `entropy_stack` pass,
+    when first asked for.
     """
 
     q_in: np.ndarray
@@ -441,24 +451,24 @@ class GridLedger:
     states_qmi: np.ndarray
     states_qmii: np.ndarray
 
+    @functools.cached_property
+    def _entropies(self) -> np.ndarray:
+        states = np.concatenate((self.states_tp, self.states_qmi, self.states_qmii))
+        entropies = entropy_stack(states).reshape(3, -1)
+        entropies.flags.writeable = False
+        return entropies
+
     @property
     def entropy_tp(self) -> np.ndarray:
-        return entropy_stack(self.states_tp)
+        return self._entropies[0]
 
     @property
     def entropy_qmi(self) -> np.ndarray:
-        return entropy_stack(self.states_qmi)
+        return self._entropies[1]
 
     @property
     def entropy_qmii(self) -> np.ndarray:
-        return entropy_stack(self.states_qmii)
-
-
-def _thermal_stack(grid: CycleGrid) -> np.ndarray:
-    """The validated Gibbs state of every point, as `gibbs_state` gives it, once per distinct b."""
-    values, index = grid._distinct_b
-    populations = np.array([_gibbs_populations(_H1, v) for v in values]).reshape(-1, 2)
-    return validate_state_stack(population_stack(populations))[index]
+        return self._entropies[2]
 
 
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
@@ -469,7 +479,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     realizable = grid.realizable
     if not realizable.all():
         _require_realizable(grid.point(int(np.argmin(realizable))))
-    rho_th = _thermal_stack(grid)
+    rho_th = grid.thermal
     strength = grid.strength
     rho_m = apply_unselective_stack(first_channel_stack(strength), rho_th)
     q = isentropic_strength_stack(strength, grid.x)
@@ -531,7 +541,7 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=isentropic_strength_stack(strength, x),
         valid=(lo <= gamma) & (gamma <= hi),
-        states_tp=_thermal_stack(grid),
+        states_tp=grid.thermal,
         states_qmi=validate_state_stack(population_stack(m_pops)),
         states_qmii=validate_state_stack(population_stack(m_pops[:, ::-1])),
     )

@@ -40,7 +40,7 @@ def as_matrix_stack(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 qubit matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -107,10 +107,13 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
+    A stack without coherences, as every engine state is, skips the radius.
     """
     p = a[:, 0, 0].real
     q = a[:, 1, 1].real
     c = 0.5 * (a[:, 0, 1] + np.conj(a[:, 1, 0]))
+    if not c.any():
+        return np.minimum(p, q), np.maximum(p, q)
     diagonal = c == 0.0
     mean = 0.5 * (p + q)
     radius = np.hypot(0.5 * (p - q), np.abs(c))

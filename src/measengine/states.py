@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +127,11 @@ def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
     read-only state back, so the numeric and analytic ledgers of one
     cycle build it once.  An invalid b raises on every call.
     """
-    return DensityMatrix.from_populations(_gibbs_populations(h, b))
-
-
-def _gibbs_populations(h: Hamiltonian, b: float) -> np.ndarray:
-    """Populations of `gibbs_state`; the grid evaluation calls it once per distinct b."""
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
     e = np.asarray(h.levels)
     w = np.exp(-b * (e - e.min()))  # shift keeps exp() in range for any b
-    return w / w.sum()
+    return DensityMatrix.from_populations(w / w.sum())
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -178,26 +174,49 @@ def population_stack(populations: np.ndarray) -> np.ndarray:
     return out
 
 
+# A numpy modulus at or below tol * _ULPS_BELOW is within tol by Python's modulus too.
+_ULPS_BELOW = 1.0 - 4.0 * sys.float_info.epsilon
+
+
+def _first_beyond(values: np.ndarray, tol: float, exact) -> tuple[int, float] | None:
+    """The first i, with exact(i), where exact(i) > tol; only values near tol or above are tried."""
+    for i in np.flatnonzero(values > tol * _ULPS_BELOW).tolist():
+        value = exact(i)
+        if value > tol:
+            return i, value
+    return None
+
+
 def validate_state_stack(rho) -> np.ndarray:
     """The `DensityMatrix` checks on every state of a (N, 2, 2) stack.
 
     Raises ValueError naming the first state that is not finite, not
     Hermitian within TOL_HERM, off unit trace by more than TOL_TRACE, or
     has an eigenvalue below -TOL_PSD.  Returns the stack as a complex array.
+    Each check is one reduction over the whole stack; the per-state values
+    are formed only to name the state.  numpy's complex modulus can be an
+    ulp off Python's, so a defect or trace within a few ulps of its
+    tolerance is decided by the scalar rule of `DensityMatrix`.
     """
     m = as_matrix_stack(rho)
     if m.ndim != 3:
         raise ValueError(f"expected a (N, 2, 2) state stack, got shape {m.shape}")
-    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-1, -2))
-    if (defect > TOL_HERM).any():
-        i = int(np.argmax(defect > TOL_HERM))
-        raise ValueError(f"state {i} of the stack is not Hermitian (defect {defect[i]:.3e})")
+    defect = np.abs(m - m.conj().swapaxes(-1, -2))
+    if defect.max(initial=0.0) > TOL_HERM * _ULPS_BELOW:
+        bad = _first_beyond(defect.max(axis=(-1, -2)), TOL_HERM,
+                            lambda i: _hermiticity_defect(*m[i].ravel().tolist()))
+        if bad is not None:
+            i, value = bad
+            raise ValueError(f"state {i} of the stack is not Hermitian (defect {value:.3e})")
     tr = m[:, 0, 0] + m[:, 1, 1]
-    if (np.abs(tr - 1.0) > TOL_TRACE).any():
-        i = int(np.argmax(np.abs(tr - 1.0) > TOL_TRACE))
-        raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
+    off = np.abs(tr - 1.0)
+    if off.max(initial=0.0) > TOL_TRACE * _ULPS_BELOW:
+        bad = _first_beyond(off, TOL_TRACE, lambda i: abs(complex(tr[i]) - 1.0))
+        if bad is not None:
+            i = bad[0]
+            raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
     lo, _ = _eigvals_stack(m)
-    if (lo < -TOL_PSD).any():
+    if lo.min(initial=0.0) < -TOL_PSD:
         i = int(np.argmax(lo < -TOL_PSD))
         raise ValueError(f"state {i} of the stack has negative eigenvalue {lo[i]:.3e}")
     return m

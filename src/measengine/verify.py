@@ -6,7 +6,9 @@ five-stroke `CycleGrid`, restricts each to the points whose cycle is
 realizable, and evaluates each twice: by `run_numeric_grid` (Kraus-channel
 evolution of state stacks) and by `run_analytic_grid` (the closed form).
 Each check family is then one array comparison over the points it applies
-to: channel completeness, oracle equivalence per ledger field, entropy
+to, and the eight per-field families of the oracle equivalence and of the
+r = 1 reduction are one (8, N) comparison together while they all pass:
+channel completeness, oracle equivalence per ledger field, entropy
 equality, population swap, coherence-free states per stroke, the
 efficiency law, the first law, adiabat isentropy, the special points
 gamma = 1/2 and gamma = 1 (and the entropy ordering between them), and the
@@ -150,9 +152,21 @@ class _Checker:
         """|observed - expected| <= tol; where either is NaN, passes only if both are."""
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
             ok = np.abs(observed - expected) <= tol
-        nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
-        ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
+        if not ok.all():  # a NaN fails <=, so only then can the NaN rule change anything
+            nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
+            ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
         self._tally(check, points, ok, observed, expected, tol, detail)
+
+    def close_fields(self, prefix: str, points: _Points, observed: np.ndarray,
+                     expected: np.ndarray, tol: float):
+        """`close` of each (F, N) row, family prefix + field, as one comparison while all pass."""
+        with np.errstate(invalid="ignore"):
+            if (np.abs(observed - expected) <= tol).all():
+                self.count += observed.size
+                self._family += len(LEDGER_FIELDS)
+                return
+        for field, obs, exp in zip(LEDGER_FIELDS, observed, expected, strict=True):
+            self.close(prefix + field, points, obs, exp, tol)
 
     def below(self, check: str, points: _Points, value, bound: float, tol: float = 0.0,
               detail: str = ""):
@@ -193,10 +207,9 @@ def _offdiag(states: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(states[:, 0, 1]), np.abs(states[:, 1, 0]))
 
 
-def _check_ledger_pair(c: _Checker, points: _Points, numeric: GridLedger, analytic: GridLedger):
-    for field in LEDGER_FIELDS:
-        c.close(f"oracle-equivalence-{field}", points,
-                getattr(numeric, field), getattr(analytic, field), TOL_ORACLE)
+def _fields(ledger: GridLedger) -> np.ndarray:
+    """The LEDGER_FIELDS columns of a ledger as one (8, N) array."""
+    return np.stack([getattr(ledger, field) for field in LEDGER_FIELDS])
 
 
 def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tuple[str, ...]):
@@ -217,7 +230,8 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
 
 def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger):
     """The three-stroke checks; `numeric` is the (perturbed) ledger of `grid`."""
-    _check_ledger_pair(c, points, numeric, run_analytic_grid(grid))
+    c.close_fields("oracle-equivalence-", points, _fields(numeric),
+                   _fields(run_analytic_grid(grid)), TOL_ORACLE)
     entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
     gamma = grid.gamma
     c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
@@ -242,7 +256,9 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
                 three: GridLedger, three_at: np.ndarray):
     """The five-stroke checks; at r = 1 point i is checked against entry three_at[i] of `three`."""
-    _check_ledger_pair(c, points, numeric, run_analytic_grid(grid))
+    fields = _fields(numeric)
+    c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
+                   TOL_ORACLE)
     entropy_tp, _ = _check_states(c, points, numeric, ("TP", "API", "QMI", "QMII", "APII"))
     c.close("first-law", points, first_law_residual(numeric), 0.0, TOL_EXACT)
     gamma, r = grid.gamma, grid.r
@@ -252,10 +268,8 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
     c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 
     at = r == 1.0  # realizable at r = 1 exactly where the three-stroke cycle is
-    ref = three_at[at]
-    for field in LEDGER_FIELDS:
-        c.close(f"reduction-r1-{field}", points[at],
-                getattr(numeric, field)[at], getattr(three, field)[ref], TOL_EXACT)
+    c.close_fields("reduction-r1-", points[at], fields[:, at], _fields(three)[:, three_at[at]],
+                   TOL_EXACT)
 
 
 def run_verification(

@@ -1,7 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measengine.linalg import (
+    _eig_pair,
+    _eigvals_stack,
     adjoint,
     as_square_matrix,
     eig_hermitian,
@@ -122,3 +128,32 @@ def test_hermiticity_defect_and_offdiag():
     assert hermiticity_defect(SIGMA_X) == 0.0
     assert max_offdiag(np.diag([1.0, 2.0]).astype(complex)) == 0.0
     assert max_offdiag(SIGMA_X) == 1.0
+
+
+entries = st.floats(-1e3, 1e3)
+diagonal_states = st.tuples(entries, entries, st.sampled_from((0j, -0j)))
+coherent_states = st.tuples(entries, entries, st.complex_numbers(max_magnitude=1e3)
+                            .filter(lambda c: c != 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(diagonal_states, max_size=12),
+    st.lists(coherent_states, max_size=12),
+    st.lists(diagonal_states | coherent_states, max_size=12),
+))
+def test_eigvals_stack_is_eig_pair_per_state(states):
+    """Bit for bit on diagonal states, whatever else the stack holds; coherent ones can
+    differ in the last bits (numpy's hypot and complex abs are not Python's)."""
+    stack = np.zeros((len(states), 2, 2), dtype=complex)
+    for i, (p, q, c) in enumerate(states):
+        stack[i] = [[p, c], [np.conj(c), q]]
+    lo, hi = _eigvals_stack(stack)
+    assert lo.shape == hi.shape == (len(states),)
+    for i, (p, q, c) in enumerate(states):
+        pair = _eig_pair(*stack[i].ravel().tolist())
+        if c == 0:
+            assert (lo[i], hi[i]) == pair
+        else:
+            scale = 4.0 * sys.float_info.epsilon * max(abs(p), abs(q), abs(c))
+            assert abs(lo[i] - pair[0]) <= scale and abs(hi[i] - pair[1]) <= scale

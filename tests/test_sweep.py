@@ -22,7 +22,7 @@ from measengine.engine import (
     run_numeric,
     run_numeric_grid,
 )
-from measengine.states import population_stack
+from measengine.states import entropy_stack, gibbs_state, population_stack
 from measengine.sweep import SweepSpec, run_sweep, sweep_row
 
 LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used", "valid")
@@ -70,7 +70,7 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
     assert subset.mode is fresh.mode
-    for name in ("b", "gamma", "r", "x"):
+    for name in ("b", "gamma", "r", "x", "thermal"):
         column = getattr(subset, name)
         assert column.dtype == getattr(fresh, name).dtype
         assert np.array_equal(column, getattr(fresh, name)), name
@@ -100,6 +100,32 @@ def test_subset_is_a_fresh_grid_of_the_same_points(mode, points, data):
     for index in (mask, slice(start, stop), positions):
         assert_same_grid(grid.subset(index),
                          CycleGrid(b[index], gamma[index], mode, r[index]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(b_values, min_size=1, max_size=17), st.sampled_from(list(CycleMode)))
+def test_grid_thermal_stack_is_gibbs_state_per_point(b, mode):
+    b = np.array(b)
+    grid = CycleGrid(b, np.ones_like(b), mode, np.ones_like(b))
+    assert grid.thermal.shape == (len(b), 2, 2) and not grid.thermal.flags.writeable
+    for i, v in enumerate(b.tolist()):
+        assert np.array_equal(grid.thermal[i], gibbs_state(engine._H1, v).mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(list(CycleMode)),
+    points=st.lists(st.tuples(b_values, st.floats(0.5, 1.0), r_values), min_size=1, max_size=12),
+)
+def test_one_entropy_pass_is_entropy_stack_of_each_state_stack(mode, points):
+    b, gamma, r = (np.array(axis) for axis in zip(*points))
+    if mode is CycleMode.THREE_STROKE:
+        r = np.ones_like(b)
+    grid = CycleGrid(b, gamma, mode, r)
+    for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
+        for stroke in ("tp", "qmi", "qmii"):
+            entropy = getattr(ledger, f"entropy_{stroke}")
+            assert np.array_equal(entropy, entropy_stack(getattr(ledger, f"states_{stroke}")))
 
 
 @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 2.0)])

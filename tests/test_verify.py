@@ -13,7 +13,9 @@ from measengine.cli import main
 
 # stdout digests (elapsed seconds stripped), exit codes, check and failure
 # counts, recorded from the point-by-point implementation on scalar
-# DensityMatrix/KrausSet ledgers before verify moved onto CycleGrid stacks.
+# DensityMatrix/KrausSet ledgers before verify moved onto CycleGrid stacks;
+# the empty-grid case was recorded from the grid implementation before its
+# checks became global reductions.
 RECORDED = [
     ([], 0, 1672, 0, "bee87c195a2f5fc0fa998f86c1ae69840f9e51d7d1d33161e94b26b62aeae7f5"),
     (["--perturb", "q_in"], 3, 1672, 144,
@@ -38,6 +40,9 @@ RECORDED = [
      "b985a09315d807c99ea7def7f9aa84f4ea62b3cd05f684d46c8b9d2bb917867e"),
     (["--grid-b", "0.05,3", "--grid-gamma", "0.2,0.5,0.7", "--grid-r", "1,1.5"], 0, 260, 0,
      "7f490f411383ce2d4b18adad055719a80b1c286ed5c2845d611f1e723d83d8d1"),
+    # No realizable point: only the excitation channels are checked, every stack is empty.
+    (["--grid-gamma", "0.3,0.4"], 0, 8, 0,
+     "84962861e9cc668a14080863de2139ef8abc471015d5ac71b3c4debdec667f8f"),
 ]
 
 
@@ -93,3 +98,39 @@ def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
         ("close", "five b=1 gamma=0.7 r=2"),
         ("below", "five b=1 gamma=0.7 r=2"),
     ]
+
+
+def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
+    """`close_fields` gives the count and failures of one `close` per field."""
+    points = verify._Points("five", np.full(3, 1.0), np.array([0.5, 0.6, 0.7]), np.full(3, 2.0),
+                            np.zeros(3, dtype=int), np.arange(3), np.full(3, 2))
+    nan, inf = math.nan, math.inf
+    observed, expected = np.zeros((8, 3)), np.zeros((8, 3))
+    observed[0], expected[0] = [nan, nan, 1.0], [nan, 1.0, nan]  # NaN/NaN passes, NaN/x fails
+    observed[3], expected[3] = [inf, 0.0, -inf], [inf, 0.0, -inf]  # inf - inf is NaN: fails
+    observed[6, 1] = 1.0
+    stacked, separate = verify._Checker(), verify._Checker()
+    for c in (stacked, separate):
+        c.below("before", points, np.array([0.0, 1.0, 0.0]), 0.0)
+    stacked.close_fields("field-", points, observed, expected, 1e-12)
+    for field, obs, exp in zip(verify.LEDGER_FIELDS, observed, expected, strict=True):
+        separate.close("field-" + field, points, obs, exp, 1e-12)
+    for c in (stacked, separate):
+        c.below("after", points, np.array([nan, 1.0, 0.0]), 0.0)
+    assert stacked.count == separate.count == 3 + 24 + 3
+    assert [str(f) for f in stacked.failures] == [str(f) for f in separate.failures]
+    assert [(f.check, f.where) for f in stacked.failures] == [
+        ("field-w_apii", "five b=1 gamma=0.5 r=2"),
+        ("after", "five b=1 gamma=0.5 r=2"),
+        ("before", "five b=1 gamma=0.6 r=2"),
+        ("field-q_in", "five b=1 gamma=0.6 r=2"),
+        ("field-eta", "five b=1 gamma=0.6 r=2"),
+        ("after", "five b=1 gamma=0.6 r=2"),
+        ("field-q_in", "five b=1 gamma=0.7 r=2"),
+        ("field-w_apii", "five b=1 gamma=0.7 r=2"),
+    ]
+    # All passing: one comparison, the same count.
+    c = verify._Checker()
+    c.close_fields("field-", points, observed[1:2].repeat(8, axis=0), expected[1:2].repeat(8, 0),
+                   1e-12)
+    assert (c.count, c.failures) == (24, [])
