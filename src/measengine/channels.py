@@ -242,7 +242,11 @@ def _entries(kraus: np.ndarray) -> np.ndarray:
 
 def completeness_deviation_stack(kraus: np.ndarray) -> np.ndarray:
     """`validate_completeness(...).max_deviation` of every set of a (N, K, 2, 2) stack."""
-    a = _entries(kraus)
+    return _completeness_deviation(_entries(kraus))
+
+
+def _completeness_deviation(a: np.ndarray) -> np.ndarray:
+    """`completeness_deviation_stack` of the Kraus stack whose `_entries` are a."""
     ac = a.conj()
     # (sum_k A^dag A)_il = sum_k conj(A_0i) A_0l + conj(A_1i) A_1l
     total = (ac[0, :, None] * a[0, None] + ac[1, :, None] * a[1, None]).sum(axis=2)
@@ -262,13 +266,13 @@ def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
     k = as_matrix_stack(kraus)
     if k.ndim != 4 or k.shape[0] != rho.shape[0]:
         raise ValueError(f"expected a ({rho.shape[0]}, K, 2, 2) Kraus stack, got shape {k.shape}")
-    dev = completeness_deviation_stack(k)
+    a = _entries(k)
+    dev = _completeness_deviation(a)
     if (dev > COMPLETENESS_TOL).any():
         i = int(np.argmax(dev > COMPLETENESS_TOL))
         raise IncompleteKrausSetError(
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
-    a = _entries(k)
     r = np.ascontiguousarray(rho.transpose(1, 2, 0))[:, :, None]  # [i, j] is rho_ij as (1, N)
     # (A rho)_il = A_i0 rho_0l + A_i1 rho_1l, then ((A rho) A^dag)_im summed over k
     b = a[:, None, 0] * r[None, 0] + a[:, None, 1] * r[None, 1]
@@ -291,6 +295,6 @@ def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     qa = (2.0 * pa - 1.0 + xa) / (pa + xa)
     escaped = (qa < -1e-12) | (qa > 1.0 + 1e-12)
     if escaped.any():
-        raise RuntimeError(f"isentropic strength {qa[np.argmax(escaped)]!r} escaped [0, 1]")
+        raise RuntimeError(f"isentropic strength {float(qa[np.argmax(escaped)])!r} escaped [0, 1]")
     q[above] = np.minimum(np.maximum(qa, 0.0), 1.0)
     return q

@@ -72,6 +72,7 @@ from .channels import (
     second_channel,
     second_channel_stack,
 )
+from .linalg import _distinct
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -360,8 +361,7 @@ class CycleGrid:
             ok &= r == 1.0
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
-        values, index = np.unique(b, return_inverse=True)
-        index = index.reshape(-1)
+        values, index = _distinct(b)
         object.__setattr__(self, "_distinct_b", (values.tolist(), index))
         x = self.per_b(lambda v: math.exp(-v))
         e = np.asarray(_H1.levels)

@@ -5,7 +5,9 @@ Operators are numpy arrays of shape (2, 2), dtype complex128.
 here and the `DensityMatrix`/`KrausSet` constructors all coerce their
 input through it.  Batches of operators, as the grid evaluation uses
 them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`.
-Eigenvalues come from the closed-form quadratic.
+Eigenvalues come from the closed-form quadratic.  `_distinct` is the
+sort-based deduplication the grid code shares (a transcendental or a
+string once per distinct value).
 
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
@@ -120,3 +122,21 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = np.where(diagonal, np.minimum(p, q), mean - radius)
     hi = np.where(diagonal, np.maximum(p, q), mean + radius)
     return lo, hi
+
+
+def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a flat array and, per entry, its index among them.
+
+    On NaN-free input this is np.unique(flat, return_inverse=True) bit for
+    bit, up to which of two equal zeros stands for both.  One stable
+    argsort: input laid out in long runs of equal values sorts fastest.
+    Each NaN is a value of its own (NaN != NaN); they sort last.
+    """
+    order = flat.argsort(kind="stable")
+    ordered = flat[order]
+    first = np.empty(len(ordered), dtype=bool)  # starts a run of equal values
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return ordered[first], inverse

@@ -28,6 +28,7 @@ import numpy as np
 
 from .linalg import (
     TOL_HERM,
+    _distinct,
     _eig_pair,
     _eigvals_stack,
     _hermiticity_defect,
@@ -176,11 +177,14 @@ def population_stack(populations: np.ndarray) -> np.ndarray:
 
 # A numpy modulus at or below tol * _ULPS_BELOW is within tol by Python's modulus too.
 _ULPS_BELOW = 1.0 - 4.0 * sys.float_info.epsilon
+# numpy's lower eigenvalue of a unit-trace state is within this of `_eig_pair`'s: near 0 it
+# is mean - radius with both terms near 1/2, so the ulps of numpy's hypot count at unit scale.
+_PSD_SLACK = 4.0 * sys.float_info.epsilon
 
 
-def _first_beyond(values: np.ndarray, tol: float, exact) -> tuple[int, float] | None:
-    """The first i, with exact(i), where exact(i) > tol; only values near tol or above are tried."""
-    for i in np.flatnonzero(values > tol * _ULPS_BELOW).tolist():
+def _first_beyond(values: np.ndarray, near: float, tol: float, exact) -> tuple[int, float] | None:
+    """The first i, with exact(i), where exact(i) > tol; only values above `near` are tried."""
+    for i in np.flatnonzero(values > near).tolist():
         value = exact(i)
         if value > tol:
             return i, value
@@ -194,31 +198,37 @@ def validate_state_stack(rho) -> np.ndarray:
     Hermitian within TOL_HERM, off unit trace by more than TOL_TRACE, or
     has an eigenvalue below -TOL_PSD.  Returns the stack as a complex array.
     Each check is one reduction over the whole stack; the per-state values
-    are formed only to name the state.  numpy's complex modulus can be an
-    ulp off Python's, so a defect or trace within a few ulps of its
-    tolerance is decided by the scalar rule of `DensityMatrix`.
+    are formed only to name the state.  numpy's complex modulus and hypot
+    can be an ulp off Python's, so a defect, trace or lower eigenvalue
+    within a few ulps of its tolerance is decided by the scalar rule of
+    `DensityMatrix`.
     """
     m = as_matrix_stack(rho)
     if m.ndim != 3:
         raise ValueError(f"expected a (N, 2, 2) state stack, got shape {m.shape}")
     defect = np.abs(m - m.conj().swapaxes(-1, -2))
-    if defect.max(initial=0.0) > TOL_HERM * _ULPS_BELOW:
-        bad = _first_beyond(defect.max(axis=(-1, -2)), TOL_HERM,
+    near = TOL_HERM * _ULPS_BELOW
+    if defect.max(initial=0.0) > near:
+        bad = _first_beyond(defect.max(axis=(-1, -2)), near, TOL_HERM,
                             lambda i: _hermiticity_defect(*m[i].ravel().tolist()))
         if bad is not None:
             i, value = bad
             raise ValueError(f"state {i} of the stack is not Hermitian (defect {value:.3e})")
     tr = m[:, 0, 0] + m[:, 1, 1]
     off = np.abs(tr - 1.0)
-    if off.max(initial=0.0) > TOL_TRACE * _ULPS_BELOW:
-        bad = _first_beyond(off, TOL_TRACE, lambda i: abs(complex(tr[i]) - 1.0))
+    near = TOL_TRACE * _ULPS_BELOW
+    if off.max(initial=0.0) > near:
+        bad = _first_beyond(off, near, TOL_TRACE, lambda i: abs(complex(tr[i]) - 1.0))
         if bad is not None:
             i = bad[0]
             raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
     lo, _ = _eigvals_stack(m)
-    if lo.min(initial=0.0) < -TOL_PSD:
-        i = int(np.argmax(lo < -TOL_PSD))
-        raise ValueError(f"state {i} of the stack has negative eigenvalue {lo[i]:.3e}")
+    near = _PSD_SLACK - TOL_PSD
+    if lo.min(initial=0.0) < near:
+        bad = _first_beyond(-lo, -near, TOL_PSD, lambda i: -_eig_pair(*m[i].ravel().tolist())[0])
+        if bad is not None:
+            i, value = bad
+            raise ValueError(f"state {i} of the stack has negative eigenvalue {-value:.3e}")
     return m
 
 
@@ -241,9 +251,9 @@ def entropy_stack(rho: np.ndarray) -> np.ndarray:
     """
     lam = np.maximum(np.concatenate(_eigvals_stack(rho)), 0.0)  # PSD slack must not produce NaN
     kept = lam >= ENTROPY_EIG_FLOOR
-    values, index = np.unique(lam[kept], return_inverse=True)
+    values, index = _distinct(lam[kept])
     logs = np.array([math.log(v) for v in values.tolist()])
     terms = np.zeros_like(lam)
-    terms[kept] = (values * logs)[index.reshape(-1)]
+    terms[kept] = (values * logs)[index]
     lower, upper = terms.reshape(2, -1)
     return (0.0 - lower) - upper

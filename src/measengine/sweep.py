@@ -8,7 +8,8 @@ gamma >= 1/2).  first_law_residual is never empty: it is the numeric
 ledger's residual where the cycle is realizable and the analytic ledger's
 residual elsewhere, a roundoff-level number that is often, but not always,
 0.  Floats are rendered with 12 significant digits, so repeated sweeps are
-byte-identical.
+byte-identical.  Each batch sorts its cells once, column after column,
+and formats each distinct value once, all of them in one `%` call.
 
 The whole grid is evaluated in batches of CHUNK_ROWS points by
 `engine.run_analytic_grid` and `engine.run_numeric_grid`; `sweep_row` is
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +37,7 @@ from .engine import (
     run_analytic_grid,
     run_numeric_grid,
 )
+from .linalg import _distinct
 
 CSV_HEADER = (
     "mode,b,gamma,r,P,q,Q_in,Q_out,W_api,W_apii,Delta,W_ext,"
@@ -66,34 +67,23 @@ class SweepSpec:
             raise ValueError("sweep needs an output path")
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    if x == 0.0:
-        return "0"  # fold negative zero
-    return f"{x:.12g}"
-
-
 def _cells(values: np.ndarray) -> np.ndarray:
-    """`_fmt` of every entry as an object array, called once per run of equal sorted values.
+    """Every entry as its CSV cell, an object array of values' shape.
 
-    This is np.unique(values, return_inverse=True) written out, cheaper per call on
-    one-row grids.  -0.0 == 0.0 and NaN != NaN: both zeros share "0", each NaN has its "".
+    A cell is "%.12g" of the value, with -0.0 shown as "0" and NaN as ""
+    (an empty cell).  Each distinct value is formatted once, and all of
+    them in one `%` call.
     """
-    flat = values.ravel()
-    order = flat.argsort()
-    ordered = flat[order]
-    first = np.empty(len(ordered), dtype=bool)  # starts a run of equal values
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(ordered), dtype=np.intp)
-    inverse[order] = first.cumsum() - 1
-    text = np.array([_fmt(v) for v in ordered[first].tolist()], dtype=object)
-    return text[inverse].reshape(values.shape)
+    distinct, inverse = _distinct(values.ravel())
+    finite = distinct.searchsorted(math.nan)  # NaNs sort last, each a distinct value of its own
+    shown = distinct[:finite] + 0.0  # folds -0.0
+    text = ("%.12g\n" * finite % tuple(shown.tolist())).split("\n")
+    np.minimum(inverse, finite, out=inverse)  # every NaN takes the "" after the last newline
+    return np.array(text, dtype=object)[inverse].reshape(values.shape)
 
 
-def _rows(grid: CycleGrid) -> Iterator[str]:
-    """Formatted CSV rows of every grid point, from the batched ledgers."""
+def _lines(grid: CycleGrid) -> str:
+    """The CSV rows of every grid point, each ending in a newline, from the batched ledgers."""
     analytic = run_analytic_grid(grid)
     eta_numeric = np.full(len(grid), math.nan)
     residual = first_law_residual(analytic)
@@ -109,14 +99,14 @@ def _rows(grid: CycleGrid) -> Iterator[str]:
         analytic.entropy_qmi, analytic.entropy_qmii, residual,
         analytic.valid,  # stacked as 1.0 / 0.0, which render "1" / "0"
     ]
-    cells = _cells(np.stack(columns, axis=1)).tolist()
-    return map(f"{grid.mode.value},".__add__, map(",".join, cells))
+    cells = _cells(np.stack(columns)).T.tolist()  # column after column: long runs of equal values
+    mode = f"{grid.mode.value},"
+    return mode + f"\n{mode}".join(map(",".join, cells)) + "\n"
 
 
 def sweep_row(params: CycleParams) -> str:
     """One formatted CSV row for a single grid point, as `run_sweep` writes it."""
-    (row,) = _rows(CycleGrid((params.b,), (params.gamma,), params.mode, (params.r,)))
-    return row
+    return _lines(CycleGrid((params.b,), (params.gamma,), params.mode, (params.r,)))[:-1]
 
 
 def _grid(spec: SweepSpec) -> CycleGrid:
@@ -140,7 +130,7 @@ def run_sweep(spec: SweepSpec) -> int:
             fh.write(CSV_HEADER + "\n")
             for start in range(0, len(grid), CHUNK_ROWS):
                 chunk = grid.subset(slice(start, start + CHUNK_ROWS))
-                fh.write("\n".join(_rows(chunk)) + "\n")
+                fh.write(_lines(chunk))
         os.replace(tmp, spec.output_path)
     except BaseException:
         os.remove(tmp)

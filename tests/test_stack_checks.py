@@ -18,7 +18,7 @@ from measengine.channels import (
     second_channel_stack,
 )
 from measengine.engine import CycleGrid, run_analytic_grid, run_numeric_grid
-from measengine.linalg import TOL_HERM, _eigvals_stack, _hermiticity_defect
+from measengine.linalg import TOL_HERM, _eig_pair, _eigvals_stack, _hermiticity_defect
 from measengine.states import (
     TOL_PSD,
     TOL_TRACE,
@@ -44,11 +44,11 @@ def with_states(**states) -> np.ndarray:
     return out
 
 
-def rejects_as_non_hermitian(check, m) -> bool:
+def rejects_with(check, m, reason: str) -> bool:
     try:
         check(m)
     except ValueError as e:
-        assert "not Hermitian" in str(e)
+        assert reason in str(e)
         return True
     return False
 
@@ -158,13 +158,44 @@ class TestValidateStateStack:
         assert 0.2 < accepted.mean() < 0.8
         assert ((defect <= TOL_HERM) != accepted).sum() > 1000  # numpy's modulus would differ
         for check in (DensityMatrix, lambda m: validate_state_stack(m[None])):
-            assert [rejects_as_non_hermitian(check, m) for m in stack] == (~accepted).tolist()
+            assert [rejects_with(check, m, "not Hermitian") for m in stack] == (~accepted).tolist()
         # A stack passes exactly when each of its states does.
         validate_state_stack(stack[accepted])
         first = int(np.argmin(accepted))
         with pytest.raises(ValueError, match=rf"^state {first} of the stack is not Hermitian"):
             validate_state_stack(stack)
 
+
+    def test_coherent_psd_edge_is_the_density_matrix_rule(self, rng):
+        """Near -TOL_PSD the stack accepts exactly the states `DensityMatrix` accepts.
+
+        Each state is diag(-TOL_PSD, 1 + TOL_PSD) in a random basis, exactly
+        Hermitian and of unit trace within an ulp, so only the lowest-eigenvalue
+        check decides.  numpy's lower eigenvalue, mean - radius with both terms
+        near 1/2, can be an ulp of 1/2 off the constructor's.
+        """
+        n = 100_000
+        theta = rng.uniform(0.0, math.pi, n)
+        lo, hi = -TOL_PSD, 1.0 + TOL_PSD
+        a = lo * np.cos(theta) ** 2 + hi * np.sin(theta) ** 2
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        c = (hi - lo) * np.sin(theta) * np.cos(theta) * phase
+        stack = np.empty((n, 2, 2), dtype=complex)
+        stack[:, 0, 0], stack[:, 1, 1] = a, 1.0 - a
+        stack[:, 0, 1], stack[:, 1, 0] = c, np.conj(c)
+        accepted = np.array([_eig_pair(*m.ravel().tolist())[0] >= -TOL_PSD for m in stack])
+        assert 0.2 < accepted.mean() < 0.8
+        numpy_accepts = _eigvals_stack(stack)[0] >= -TOL_PSD
+        assert (numpy_accepts != accepted).sum() > 1000  # numpy's eigenvalue alone would differ
+        for check in (DensityMatrix, lambda m: validate_state_stack(m[None])):
+            rejected = [rejects_with(check, m, "negative eigenvalue") for m in stack]
+            assert rejected == (~accepted).tolist()
+        # A stack passes exactly when each of its states does.
+        validate_state_stack(stack[accepted])
+        first = int(np.argmin(accepted))
+        with pytest.raises(ValueError,
+                           match=rf"^state {first} of the stack has negative eigenvalue"):
+            validate_state_stack(stack)
 
 class TestApplyUnselectiveStackRejects:
     RHO = mixed_stack()
@@ -220,9 +251,9 @@ class TestIsentropicStrengthStackRejects:
         # Within 1e-12 below the threshold, with x so small that q falls below -1e-12.
         p = np.array([0.3, 0.5 - 0.9e-12, 0.2, 0.5 - 0.5e-12])
         x = np.array([0.5, 1e-300, 0.5, 1e-300])
-        # numpy >= 2 shows the float as np.float64(...)
-        with pytest.raises(RuntimeError, match=r"^isentropic strength (np\.float64\()?"
-                                               r"-3\.6000091796560127e-12\)? escaped \[0, 1\]$"):
+        # The repr of a Python float, as `isentropic_strength` shows it, under any numpy.
+        with pytest.raises(RuntimeError, match=r"^isentropic strength -3\.6000091796560127e-12 "
+                                               r"escaped \[0, 1\]$"):
             isentropic_strength_stack(p, x)
 
     def test_below_threshold_is_nan(self):

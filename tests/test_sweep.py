@@ -1,5 +1,6 @@
 """The batched grid path against the scalar runners it must reproduce bit for bit."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -22,6 +23,7 @@ from measengine.engine import (
     run_numeric,
     run_numeric_grid,
 )
+from measengine.linalg import _distinct
 from measengine.states import entropy_stack, gibbs_state, population_stack
 from measengine.sweep import SweepSpec, run_sweep, sweep_row
 
@@ -150,9 +152,19 @@ def test_sweep_row_is_the_matching_csv_line(tmp_path, mode, r_values):
         assert sweep_row(CycleParams(b=b, gamma=g, mode=mode, r=r)) == line
 
 
+def _fmt(x: float) -> str:
+    """The CSV cell of one value, one float at a time: the rule `sweep._cells` must follow."""
+    if math.isnan(x):
+        return ""
+    if x == 0.0:
+        return "0"  # fold negative zero
+    return f"{x:.12g}"
+
+
 cell_values = st.one_of(
-    st.sampled_from((0.5, 1e300, -1e300, 5e-324, -1e-310, 2.2250738585072014e-308)),
-    st.floats(allow_infinity=False),
+    st.sampled_from((0.5, 1e300, -1e300, 5e-324, -1e-310, 2.2250738585072014e-308,
+                     math.inf, -math.inf)),
+    st.floats(),
 )
 
 
@@ -168,10 +180,57 @@ cell_values = st.one_of(
 )
 def test_cells_format_every_entry_as_fmt(column):
     values = np.array(column)
-    assert sweep._cells(values).tolist() == [sweep._fmt(v) for v in column]
+    assert sweep._cells(values).tolist() == [_fmt(v) for v in column]
     table = np.stack((values, values[::-1]), axis=1)
-    expected = [[sweep._fmt(a), sweep._fmt(b)] for a, b in table.tolist()]
+    expected = [[_fmt(a), _fmt(b)] for a, b in table.tolist()]
     assert sweep._cells(table).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False), max_size=40).flatmap(
+        # heavy repeats: every value drawn from a small pool, which may hold one value only
+        lambda pool: st.lists(st.sampled_from(pool), max_size=200) if pool else st.just([])
+    )
+)
+def test_distinct_is_np_unique_with_inverse(flat):
+    flat = np.array(flat, dtype=float)
+    values, inverse = _distinct(flat)
+    expected, expected_inverse = np.unique(flat, return_inverse=True)
+    # np.unique takes one of two equal zeros from an unstable sort; every other value
+    # of a run of equal floats has the same bits.
+    assert (values + 0.0).tobytes() == (expected + 0.0).tobytes()
+    assert inverse.dtype == expected_inverse.dtype
+    assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("flat", [[], [2.5], [7.0] * 50], ids=["empty", "single", "all-equal"])
+def test_distinct_edge_cases_are_np_unique_bit_for_bit(flat):
+    flat = np.array(flat, dtype=float)
+    values, inverse = _distinct(flat)
+    expected, expected_inverse = np.unique(flat, return_inverse=True)
+    assert values.tobytes() == expected.tobytes() and values.dtype == expected.dtype
+    assert inverse.tobytes() == expected_inverse.reshape(-1).tobytes()
+
+
+def test_multi_chunk_csv_digest_is_pinned(tmp_path):
+    """A five-stroke sweep over the physical range in three chunks, as first recorded.
+
+    b runs in half decades from 1e-8 up to 700, where exp(-b) nears
+    underflow; gamma includes 0, the subnormal 5e-324 (eta_analytic is
+    -inf there) and the edges 1/2 and 1 of the numeric range.
+    """
+    b_values = tuple(float(f"{m}e{k}") for k in range(-8, 3) for m in (1, 3)) + (700.0,)
+    gamma_values = (0.0, 5e-324, 0.1, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0)
+    r_values = (1.0, 1.5, 2.0, 5.0, 10.0, 100.0)
+    spec = SweepSpec("five", b_values, gamma_values, str(tmp_path / "range.csv"), r_values)
+    rows = run_sweep(spec)
+    assert rows == 1380 and rows > 2 * sweep.CHUNK_ROWS
+    data = (tmp_path / "range.csv").read_bytes()
+    assert b",-inf," in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "3618d5b89a472419f45a745f3b63c0f96aedfefcf046ddfcf5ef17640acba32d"
+    )
 
 
 def test_chunk_boundaries_leave_the_csv_unchanged(tmp_path, monkeypatch):
