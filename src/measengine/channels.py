@@ -31,7 +31,8 @@ per grid point: `first_channel_stack` / `second_channel_stack` build them,
 `apply_unselective_stack` checks it (COMPLETENESS_TOL) on every set and
 applies each set to its state with elementwise arithmetic on the four
 entries of the operators, each a (K, N) array, and
-`isentropic_strength_stack` is `isentropic_strength` per point.
+`isentropic_strength_stack` is `isentropic_strength` per point, through the
+same `_partner_threshold` and `_swap_strength`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
+_Q_SLACK = 1e-12             # roundoff allowed past the partner threshold and past q's [0, 1]
 _IDENTITY = np.eye(2).reshape(2, 2, 1)  # broadcasts over the N axis of (2, 2, N) entries
 
 
@@ -200,13 +202,23 @@ def isentropic_strength(p: float, b: float) -> float:
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
     x = math.exp(-b)
-    threshold = 0.5 * (1.0 - x)
-    if p < threshold - 1e-12:
+    threshold = _partner_threshold(x)
+    if p < threshold - _Q_SLACK:
         raise NoIsentropicStrengthError(p, threshold)
-    q = (2.0 * p - 1.0 + x) / (p + x)
-    if q < -1e-12 or q > 1.0 + 1e-12:
+    q = _swap_strength(p, x)
+    if q < -_Q_SLACK or q > 1.0 + _Q_SLACK:
         raise RuntimeError(f"isentropic strength {q!r} escaped [0, 1]")
     return min(max(q, 0.0), 1.0)
+
+
+def _partner_threshold(x):
+    """(1 - x)/2 with x = e^-b: the least excitation strength that has a partner q."""
+    return 0.5 * (1.0 - x)
+
+
+def _swap_strength(p, x):
+    """(2P - 1 + x)/(P + x): the damping strength that swaps the populations P leaves."""
+    return (2.0 * p - 1.0 + x) / (p + x)
 
 
 def _strength_range(name: str, values: np.ndarray) -> None:
@@ -290,10 +302,9 @@ def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     _strength_range("excitation", p)
     q = np.full(p.shape, math.nan)
-    above = ~(p < 0.5 * (1.0 - x) - 1e-12)
-    pa, xa = p[above], x[above]
-    qa = (2.0 * pa - 1.0 + xa) / (pa + xa)
-    escaped = (qa < -1e-12) | (qa > 1.0 + 1e-12)
+    above = ~(p < _partner_threshold(x) - _Q_SLACK)
+    qa = _swap_strength(p[above], x[above])
+    escaped = (qa < -_Q_SLACK) | (qa > 1.0 + _Q_SLACK)
     if escaped.any():
         raise RuntimeError(f"isentropic strength {float(qa[np.argmax(escaped)])!r} escaped [0, 1]")
     q[above] = np.minimum(np.maximum(qa, 0.0), 1.0)

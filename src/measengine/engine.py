@@ -41,15 +41,16 @@ state.
 `CycleGrid` holds many parameter points as flat arrays, and
 `run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
 the numeric side evolves (N, 2, 2) state stacks through (N, 2, 2, 2) Kraus
-stacks, the analytic side evaluates the closed form on arrays.  Every state
-being diagonal, they perform the scalar runners' floating-point operations
-in the same order, and take each transcendental from the same function
-(`np.exp` for the Gibbs weights, one call over all distinct b;
-`math.exp`/`math.tanh` for the closed form, once per distinct b;
-`math.log` for the entropy, once per distinct eigenvalue), so each column
-equals the scalar field bit for bit.  The scalar runners stay the
-reference.  A grid builds and validates its thermal stack once; `subset`
-slices it, and both grid runners read it.
+stacks, the analytic side evaluates the closed form on arrays.  The two
+engines share `_strength`, `_gamma_range`, `_ledger`, `_closed_form` and
+`_eta_law`, which take Python floats or float64 arrays alike, and the
+channel helpers that give q.  The state evolution stays per type and makes
+the same operations on the diagonal states; each transcendental comes from
+the same function (`np.exp` for the Gibbs weights, one call over all
+distinct b; `math.exp`/`math.tanh` for the closed form, once per distinct
+b; `math.log` for the entropy, once per distinct eigenvalue).  So each
+column equals the scalar field bit for bit.  A grid builds and validates
+its thermal stack once; `subset` slices it, and both grid runners read it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
+    _partner_threshold,
     apply_unselective,
     apply_unselective_stack,
     first_channel,
@@ -130,7 +132,7 @@ class CycleParams:
     @property
     def strength(self) -> float:
         """Excitation strength P = gamma * (1 - e^-b)."""
-        return self.gamma * (1.0 - math.exp(-self.b))
+        return _strength(self.gamma, math.exp(-self.b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +174,53 @@ def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
     mode = CycleMode(mode)
     if not math.isfinite(r) or r < 1.0:
         raise InvalidCycleError(f"frequency ratio r must be >= 1, got {r}")
+    return _gamma_range(mode, r)
+
+
+# The arithmetic of both engines: `+ - * /` round floats and float64 arrays alike.
+
+def _strength(gamma, x):
+    """Excitation strength P = gamma * (1 - x), with x = e^-b."""
+    return gamma * (1.0 - x)
+
+
+def _gamma_range(mode: CycleMode, r):
+    """`gamma_bounds` of a validated r (a float, or an array for five-stroke)."""
     if mode is CycleMode.THREE_STROKE:
-        return (0.5, 1.0)
-    return (1.0 / (1.0 + r), 1.0)
+        return 0.5, 1.0
+    return 1.0 / (1.0 + r), 1.0
+
+
+def _ledger(tp, api, qmi, qmii, apii):
+    """(w_api, q_in, delta, w_apii, q_out, w_ext) from the five stroke energies."""
+    q_in = qmi - api
+    q_out = tp - apii
+    return tp - api, q_in, qmi - qmii, qmii - apii, q_out, q_in + q_out
+
+
+def _closed_form(x, th, strength, r):
+    """The analytic `_ledger` fields and the post-QMI (ground, excited) populations.
+
+    x = e^-b, th = tanh(b/2).  ground = e^(b/2)/Z = 1/(1 + x), overflow-safe, is the
+    thermal ground population and pumped = P * ground the part QMI moves up.
+    At r = 1 the adiabatic works vanish and the rest are the three-stroke values.
+    """
+    ground = 1.0 / (1.0 + x)
+    pumped = strength * ground
+    w_api = 0.5 * (r - 1.0) * th
+    q_in = r * pumped
+    delta = r * (2.0 * pumped - th)  # equals w_ext up to roundoff
+    w_apii = (r - 1.0) * (0.5 * th - pumped)
+    q_out = pumped - th
+    populations = ((1.0 - strength) * ground, x / (1.0 + x) + pumped)
+    return (w_api, q_in, delta, w_apii, q_out, q_in + q_out), populations
+
+
+def _eta_law(mode: CycleMode, gamma, r):
+    """The closed-form eta at a non-zero gamma: 2 - 1/gamma, or (gamma*(1+r) - 1)/(gamma*r)."""
+    if mode is CycleMode.THREE_STROKE:
+        return 2.0 - 1.0 / gamma
+    return (gamma * (1.0 + r) - 1.0) / (gamma * r)
 
 
 def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
@@ -208,7 +254,7 @@ def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeReco
 
 
 def _require_realizable(p: CycleParams) -> None:
-    lo, hi = gamma_bounds(p.mode, p.r)
+    lo, hi = _gamma_range(p.mode, p.r)
     if not lo <= p.gamma <= hi:
         raise InvalidCycleError(
             f"gamma = {p.gamma:g} outside the {p.mode.value}-stroke engine range [{lo:g}, {hi:g}]"
@@ -229,14 +275,7 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
     q = isentropic_strength(strength, p.b)
     rho_n = apply_unselective(second_channel(q), rho_m)
     strokes = _cycle_strokes(p, rho_th, rho_m, rho_n)
-    tp, api, qmi, qmii, apii = strokes
-
-    w_api = tp.energy_after - api.energy_after
-    q_in = qmi.energy_after - api.energy_after
-    delta = qmi.energy_after - qmii.energy_after
-    w_apii = qmii.energy_after - apii.energy_after
-    q_out = tp.energy_after - apii.energy_after
-    w_ext = q_in + q_out
+    w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(*[rec.energy_after for rec in strokes])
     flags: list[str] = []
     if q_in == 0.0:
         flags.append(FLAG_ETA_ZERO_INPUT)
@@ -255,54 +294,32 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
 
     Outside the engine range the values are still the formula values
     (useful for plotting the full efficiency curve) and the ledger is
-    flagged invalid.  At r = 1 the r-scaled blocks reduce to the
-    three-stroke values and the adiabatic works vanish.  eta is the one
-    mode-specific formula: 2 - 1/gamma three-stroke, and five-stroke
-    (gamma*(1+r) - 1)/(gamma*r), which is exactly zero at the lower bound
-    gamma = 1/(1+r).  The two agree at r = 1 only up to roundoff, so each
-    mode keeps its own and the three-stroke CSV keeps its digits.
+    flagged invalid.  eta is the one mode-specific formula (`_eta_law`):
+    the five-stroke law is exactly zero at the lower bound gamma = 1/(1+r),
+    and the two agree at r = 1 only up to roundoff, so each mode keeps its
+    own and the three-stroke CSV keeps its digits.
     """
-    # ground = e^(b/2)/Z = 1/(1 + e^-b) is the thermal ground population,
-    # written overflow-safe; pumped = P * ground is the population QMI moves up.
     x = math.exp(-p.b)
-    ground = 1.0 / (1.0 + x)
-    excited = x / (1.0 + x)
-    th = math.tanh(0.5 * p.b)
-    strength = p.strength
-    pumped = strength * ground
-    r = p.r
-    w_api = 0.5 * (r - 1.0) * th
-    q_in = r * pumped
-    delta = r * (2.0 * pumped - th)  # equals w_ext up to roundoff
-    w_apii = (r - 1.0) * (0.5 * th - pumped)
-    q_out = pumped - th
-    w_ext = q_in + q_out
+    strength = _strength(p.gamma, x)
+    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
+        x, math.tanh(0.5 * p.b), strength, p.r)
     flags: list[str] = []
     if p.gamma == 0.0:
         flags.append(FLAG_ETA_ZERO_INPUT)
         eta = 0.0
-    elif p.mode is CycleMode.THREE_STROKE:
-        eta = 2.0 - 1.0 / p.gamma
     else:
-        eta = (p.gamma * (1.0 + r) - 1.0) / (p.gamma * r)
+        eta = _eta_law(p.mode, p.gamma, p.r)
     try:
         q_used = isentropic_strength(strength, p.b)
     except NoIsentropicStrengthError:
         flags.append(FLAG_NO_PARTNER)
         q_used = math.nan
-    lo, hi = gamma_bounds(p.mode, r)
+    lo, hi = _gamma_range(p.mode, p.r)
     valid = lo <= p.gamma <= hi
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
-    # Post-QMI populations and their QMII swap.
-    m_pops = ((1.0 - strength) * ground, excited + pumped)
-    n_pops = (m_pops[1], m_pops[0])
-    strokes = _cycle_strokes(
-        p,
-        gibbs_state(_H1, p.b),
-        DensityMatrix.from_populations(m_pops),
-        DensityMatrix.from_populations(n_pops),
-    )
+    strokes = _cycle_strokes(p, gibbs_state(_H1, p.b), DensityMatrix.from_populations(m_pops),
+                             DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
     return EnergyLedger(
         params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
@@ -312,8 +329,8 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
 
 def numeric_realizable(p: CycleParams) -> bool:
     """True when the numeric cycle can run: gamma within bounds and >= 1/2."""
-    lo, hi = gamma_bounds(p.mode, p.r)
-    return max(lo, GAMMA_NUMERIC_MIN) <= p.gamma <= hi
+    # Validation keeps gamma <= 1, and no mode's lower bound (1/2 or 1/(1 + r)) exceeds 1/2.
+    return p.gamma >= GAMMA_NUMERIC_MIN
 
 
 def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
@@ -413,19 +430,12 @@ class CycleGrid:
     @property
     def strength(self) -> np.ndarray:
         """Excitation strength P = gamma * (1 - e^-b) per point."""
-        return self.gamma * (1.0 - self.x)
-
-    def gamma_bounds(self) -> tuple[np.ndarray | float, float]:
-        """`gamma_bounds` per point (the three-stroke bounds are the same everywhere)."""
-        if self.mode is CycleMode.THREE_STROKE:
-            return 0.5, 1.0
-        return 1.0 / (1.0 + self.r), 1.0
+        return _strength(self.gamma, self.x)
 
     @property
     def realizable(self) -> np.ndarray:
         """`numeric_realizable` per point."""
-        lo, hi = self.gamma_bounds()
-        return (np.maximum(lo, GAMMA_NUMERIC_MIN) <= self.gamma) & (self.gamma <= hi)
+        return self.gamma >= GAMMA_NUMERIC_MIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,21 +495,13 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     q = isentropic_strength_stack(strength, grid.x)
     if np.isnan(q).any():
         i = int(np.argmax(np.isnan(q)))
-        raise NoIsentropicStrengthError(float(strength[i]), 0.5 * (1.0 - float(grid.x[i])))
+        raise NoIsentropicStrengthError(float(strength[i]), _partner_threshold(float(grid.x[i])))
     rho_n = apply_unselective_stack(second_channel_stack(q), rho_m)
 
     r = grid.r
-    tp = mean_energy_stack(rho_th, 1.0)
-    api = mean_energy_stack(rho_th, r)
-    qmi = mean_energy_stack(rho_m, r)
-    qmii = mean_energy_stack(rho_n, r)
-    apii = mean_energy_stack(rho_n, 1.0)
-    w_api = tp - api
-    q_in = qmi - api
-    delta = qmi - qmii
-    w_apii = qmii - apii
-    q_out = tp - apii
-    w_ext = q_in + q_out
+    w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(
+        mean_energy_stack(rho_th, 1.0), mean_energy_stack(rho_th, r), mean_energy_stack(rho_m, r),
+        mean_energy_stack(rho_n, r), mean_energy_stack(rho_n, 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(q_in == 0.0, 0.0, w_ext / q_in)
     return GridLedger(
@@ -515,28 +517,14 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     A subnormal gamma overflows 1/gamma, so eta is -inf there, as Python's
     float division gives it in `run_analytic`; numpy is told not to warn.
     """
-    x = grid.x
-    ground = 1.0 / (1.0 + x)
-    excited = x / (1.0 + x)
-    th = grid.per_b(lambda v: math.tanh(0.5 * v))
+    x, gamma, r = grid.x, grid.gamma, grid.r
     strength = grid.strength
-    pumped = strength * ground
-    r = grid.r
-    w_api = 0.5 * (r - 1.0) * th
-    q_in = r * pumped
-    delta = r * (2.0 * pumped - th)
-    w_apii = (r - 1.0) * (0.5 * th - pumped)
-    q_out = pumped - th
-    w_ext = q_in + q_out
-    gamma = grid.gamma
+    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
+        x, grid.per_b(lambda v: math.tanh(0.5 * v)), strength, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if grid.mode is CycleMode.THREE_STROKE:
-            eta = 2.0 - 1.0 / gamma
-        else:
-            eta = (gamma * (1.0 + r) - 1.0) / (gamma * r)
-    eta = np.where(gamma == 0.0, 0.0, eta)
-    lo, hi = grid.gamma_bounds()
-    m_pops = np.stack(((1.0 - strength) * ground, excited + pumped), axis=-1)
+        eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
+    lo, hi = _gamma_range(grid.mode, r)
+    m_pops = np.stack(m_pops, axis=-1)
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=isentropic_strength_stack(strength, x),

@@ -40,7 +40,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channels import completeness_deviation_stack, first_channel_stack, second_channel_stack
+from .channels import (COMPLETENESS_TOL, completeness_deviation_stack, first_channel_stack,
+                       second_channel_stack)
 from .engine import (
     CycleGrid,
     CycleMode,
@@ -293,13 +294,13 @@ def run_verification(
     points = _Points("excite", three.b, three.gamma, three.r, bi, gi, np.zeros_like(bi))
 
     c = _Checker()
-    c.below("channel-completeness", points,
-            completeness_deviation_stack(first_channel_stack(three.strength)), 0.0, 1e-12)
+    c.below("channel-completeness", points, completeness_deviation_stack(
+        first_channel_stack(three.strength)), 0.0, COMPLETENESS_TOL)
     ok = np.flatnonzero(three.realizable)
     three, points = three.subset(ok), points[ok]
     three_numeric = run_numeric_grid(three)
-    c.below("channel-completeness", replace(points, label="damp"),
-            completeness_deviation_stack(second_channel_stack(three_numeric.q_used)), 0.0, 1e-12)
+    c.below("channel-completeness", replace(points, label="damp"), completeness_deviation_stack(
+        second_channel_stack(three_numeric.q_used)), 0.0, COMPLETENESS_TOL)
     three_numeric = _maybe_perturb(three_numeric, perturb)
     _check_three(c, replace(points, label="three", section=points.section + 1),
                  three, three_numeric)

@@ -369,7 +369,8 @@ class TestOutputsArePinned:
     # requests and four three-stroke points, as recorded before the
     # constructor checks moved to Python scalars.  A change that keeps the
     # numerics must keep this digest; it is re-recorded only by a change
-    # that says it changes the numerics (ROADMAP item 3), with the diff.
+    # that says it changes the numerics, with the diff, under the digest
+    # rule of ROADMAP item 1 (the small-b fix of item 4 is such a change).
     CYCLE_DIGEST = "f4933d0caf726de33e4b033feecb4216a390fa4a8ea542448c2a5af4e69675fe"
 
     def test_cycle_ledgers_digest_is_pinned(self):

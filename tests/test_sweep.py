@@ -30,8 +30,9 @@ from measengine.sweep import SweepSpec, run_sweep, sweep_row
 LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used", "valid")
 
 b_values = st.floats(math.log(1e-8), math.log(700.0)).map(math.exp)
-gamma_values = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
-r_values = st.floats(1.0, 100.0)
+# gamma 5e-324 is subnormal: 1/gamma overflows and eta is -inf.
+gamma_values = st.one_of(st.sampled_from((0.0, 5e-324, 0.5, 1.0)), st.floats(0.0, 1.0))
+r_values = st.one_of(st.floats(1.0, 100.0), st.floats(0.0, math.log(1e6)).map(math.exp))
 
 
 def same(batched: float, scalar: float) -> bool:
