@@ -27,12 +27,14 @@ checks completeness on the operators' entries as Python complex numbers.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
 per grid point: `first_channel_stack` / `second_channel_stack` build them,
-`completeness_deviation_stack` is `validate_completeness` per set,
+float64 since both channels' operators are real;
+`completeness_deviation_stack` is `validate_completeness` per set;
 `apply_unselective_stack` checks it (COMPLETENESS_TOL) on every set and
 applies each set to its state with elementwise arithmetic on the four
-entries of the operators, each a (K, N) array, and
-`isentropic_strength_stack` is `isentropic_strength` per point, through the
-same `_partner_threshold` and `_swap_strength`.
+entries of the operators, each a (K, N) array, in numpy's promoted type
+(real stacks stay real, a complex one makes the result complex); and
+`isentropic_strength_stack` is `isentropic_strength` per point, through
+the same `_partner_threshold` and `_swap_strength`.
 """
 
 from __future__ import annotations
@@ -228,9 +230,9 @@ def _strength_range(name: str, values: np.ndarray) -> None:
 
 
 def first_channel_stack(p: np.ndarray) -> np.ndarray:
-    """Excitation channels of strengths p, as a (N, 2, 2, 2) Kraus stack."""
+    """Excitation channels of strengths p, as a real (N, 2, 2, 2) Kraus stack."""
     _strength_range("excitation", p)
-    k = np.zeros(p.shape + (2, 2, 2), dtype=complex)
+    k = np.zeros(p.shape + (2, 2, 2))
     k[:, 0, 0, 0] = np.sqrt(1.0 - p)
     k[:, 0, 1, 1] = 1.0
     k[:, 1, 1, 0] = np.sqrt(p)
@@ -238,9 +240,9 @@ def first_channel_stack(p: np.ndarray) -> np.ndarray:
 
 
 def second_channel_stack(q: np.ndarray) -> np.ndarray:
-    """Damping channels of strengths q, as a (N, 2, 2, 2) Kraus stack."""
+    """Damping channels of strengths q, as a real (N, 2, 2, 2) Kraus stack."""
     _strength_range("damping", q)
-    k = np.zeros(q.shape + (2, 2, 2), dtype=complex)
+    k = np.zeros(q.shape + (2, 2, 2))
     k[:, 0, 0, 0] = 1.0
     k[:, 0, 1, 1] = np.sqrt(1.0 - q)
     k[:, 1, 0, 1] = np.sqrt(q)
@@ -270,7 +272,8 @@ def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
 
     Every set of the (N, K, 2, 2) stack must pass the completeness check of
     `validate_completeness` (else IncompleteKrausSetError names the first
-    that fails), and every output state the `DensityMatrix` checks.  On
+    that fails), and every output state the `DensityMatrix` checks.  The
+    output is float64 when both stacks are, complex otherwise.  On
     coherence-free states and the engine's channels each output entry is
     the same IEEE result as `apply_unselective`: every product is formed as
     (A rho) A^dag and at most two are non-zero.

@@ -443,7 +443,7 @@ class GridLedger:
     """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
 
     `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
-    states after TP (the thermal state, which API keeps), QMI and QMII;
+    float64 states after TP (the thermal state, which API keeps), QMI and QMII;
     their entropies are computed, all three in one `entropy_stack` pass,
     when first asked for.
     """

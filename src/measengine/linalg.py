@@ -1,13 +1,14 @@
-"""Dense complex linear algebra for the qubit's 2x2 operator matrices.
+"""Dense linear algebra for the qubit's 2x2 operator matrices.
 
 Operators are numpy arrays of shape (2, 2), dtype complex128.
 `as_square_matrix` is the one check of that shape: the public functions
 here and the `DensityMatrix`/`KrausSet` constructors all coerce their
 input through it.  Batches of operators, as the grid evaluation uses
-them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`.
+them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`; a
+float64 stack stays real, as the engine's states and channels are.
 Eigenvalues come from the closed-form quadratic.  `_distinct` is the
 sort-based deduplication the grid code shares (a transcendental or a
-string once per distinct value).
+string once per distinct value); one argsort, of no particular kind.
 
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
@@ -38,8 +39,12 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def as_matrix_stack(entries) -> np.ndarray:
-    """Coerce input to a (..., 2, 2) complex stack, rejecting NaN/Inf entries."""
-    a = np.asarray(entries, dtype=complex)
+    """Coerce input to a (..., 2, 2) stack, rejecting NaN/Inf entries.
+
+    A float64 array stays float64; any other input becomes complex128.
+    """
+    real = getattr(entries, "dtype", None) == np.float64
+    a = np.asarray(entries, dtype=float if real else complex)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 qubit matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -128,11 +133,13 @@ def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of a flat array and, per entry, its index among them.
 
     On NaN-free input this is np.unique(flat, return_inverse=True) bit for
-    bit, up to which of two equal zeros stands for both.  One stable
-    argsort: input laid out in long runs of equal values sorts fastest.
-    Each NaN is a value of its own (NaN != NaN); they sort last.
+    bit, up to which of two equal zeros stands for both.  One argsort of
+    numpy's default kind, which is faster than the stable one, since the
+    order within a run of equal values does not matter.  Each NaN is a
+    value of its own (NaN != NaN); they sort last, but they slow the sort,
+    so callers with many NaNs leave them out.
     """
-    order = flat.argsort(kind="stable")
+    order = flat.argsort()
     ordered = flat[order]
     first = np.empty(len(ordered), dtype=bool)  # starts a run of equal values
     first[:1] = True

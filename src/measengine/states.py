@@ -15,6 +15,10 @@ Grid evaluation works on (N, 2, 2) state stacks instead of one
 constructor's checks with the same tolerances to every state of a stack,
 and `mean_energy_stack` / `entropy_stack` give, state by state, the same
 bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
+The engine's stacks are float64 (`population_stack`); the stack functions
+take complex stacks too, by numpy's type promotion, and a real stack gives
+the bits its complex copy would: with zero imaginary parts every complex
+product, sum and modulus rounds as its real counterpart.
 """
 
 from __future__ import annotations
@@ -167,9 +171,9 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def population_stack(populations: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) diagonal state stack from (N, 2) populations, as `from_populations`."""
+    """(N, 2, 2) real diagonal state stack from (N, 2) populations, as `from_populations`."""
     populations = np.asarray(populations)
-    out = np.zeros(populations.shape[:-1] + (2, 2), dtype=complex)
+    out = np.zeros(populations.shape[:-1] + (2, 2))
     out[..., 0, 0] = populations[..., 0]
     out[..., 1, 1] = populations[..., 1]
     return out
@@ -196,7 +200,8 @@ def validate_state_stack(rho) -> np.ndarray:
 
     Raises ValueError naming the first state that is not finite, not
     Hermitian within TOL_HERM, off unit trace by more than TOL_TRACE, or
-    has an eigenvalue below -TOL_PSD.  Returns the stack as a complex array.
+    has an eigenvalue below -TOL_PSD.  Returns the stack as `as_matrix_stack`
+    coerces it: float64 input stays real, any other becomes complex.
     Each check is one reduction over the whole stack; the per-state values
     are formed only to name the state.  numpy's complex modulus and hypot
     can be an ulp off Python's, so a defect, trace or lower eigenvalue

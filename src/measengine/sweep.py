@@ -8,8 +8,8 @@ gamma >= 1/2).  first_law_residual is never empty: it is the numeric
 ledger's residual where the cycle is realizable and the analytic ledger's
 residual elsewhere, a roundoff-level number that is often, but not always,
 0.  Floats are rendered with 12 significant digits, so repeated sweeps are
-byte-identical.  Each batch sorts its cells once, column after column,
-and formats each distinct value once, all of them in one `%` call.
+byte-identical.  Each batch sorts its non-NaN cells once and formats
+each distinct value once, all of them in one `%` call.
 
 The whole grid is evaluated in batches of CHUNK_ROWS points by
 `engine.run_analytic_grid` and `engine.run_numeric_grid`; `sweep_row` is
@@ -71,15 +71,17 @@ def _cells(values: np.ndarray) -> np.ndarray:
     """Every entry as its CSV cell, an object array of values' shape.
 
     A cell is "%.12g" of the value, with -0.0 shown as "0" and NaN as ""
-    (an empty cell).  Each distinct value is formatted once, and all of
-    them in one `%` call.
+    (an empty cell).  Only the non-NaN values are sorted: each distinct one
+    is formatted once, and all of them in one `%` call.
     """
-    distinct, inverse = _distinct(values.ravel())
-    finite = distinct.searchsorted(math.nan)  # NaNs sort last, each a distinct value of its own
-    shown = distinct[:finite] + 0.0  # folds -0.0
-    text = ("%.12g\n" * finite % tuple(shown.tolist())).split("\n")
-    np.minimum(inverse, finite, out=inverse)  # every NaN takes the "" after the last newline
-    return np.array(text, dtype=object)[inverse].reshape(values.shape)
+    flat = values.ravel()
+    kept = ~np.isnan(flat)
+    distinct, inverse = _distinct(flat[kept])
+    shown = distinct + 0.0  # folds -0.0
+    text = ("%.12g\n" * len(shown) % tuple(shown.tolist())).split("\n")
+    index = np.full(flat.shape, len(shown))  # every NaN takes the "" after the last newline
+    index[kept] = inverse
+    return np.array(text, dtype=object)[index].reshape(values.shape)
 
 
 def _lines(grid: CycleGrid) -> str:
@@ -99,7 +101,7 @@ def _lines(grid: CycleGrid) -> str:
         analytic.entropy_qmi, analytic.entropy_qmii, residual,
         analytic.valid,  # stacked as 1.0 / 0.0, which render "1" / "0"
     ]
-    cells = _cells(np.stack(columns)).T.tolist()  # column after column: long runs of equal values
+    cells = _cells(np.stack(columns)).T.tolist()  # one table: one sort and one `%` call per chunk
     mode = f"{grid.mode.value},"
     return mode + f"\n{mode}".join(map(",".join, cells)) + "\n"
 

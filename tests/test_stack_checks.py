@@ -212,7 +212,7 @@ class TestApplyUnselectiveStackRejects:
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)],
                              ids=["real", "imag"])
     def test_non_finite_operator(self, bad):
-        kraus = self.KRAUS.copy()
+        kraus = self.KRAUS.astype(complex)  # the channel stacks are real; the bad entry is not
         kraus[2, 1, 1, 0] = bad
         with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
             apply_unselective_stack(kraus, self.RHO)

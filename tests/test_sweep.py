@@ -180,11 +180,14 @@ cell_values = st.one_of(
     )
 )
 def test_cells_format_every_entry_as_fmt(column):
-    values = np.array(column)
-    assert sweep._cells(values).tolist() == [_fmt(v) for v in column]
-    table = np.stack((values, values[::-1]), axis=1)
-    expected = [[_fmt(a), _fmt(b)] for a, b in table.tolist()]
-    assert sweep._cells(table).tolist() == expected
+    # The drawn mix, and the two layouts where only one side of the NaN split is non-empty.
+    nan_free = [v for v in column if not math.isnan(v)]
+    for layout in (column, nan_free, [math.nan] * len(column)):
+        values = np.array(layout)
+        assert sweep._cells(values).tolist() == [_fmt(v) for v in layout]
+        table = np.stack((values, values[::-1]), axis=1)
+        expected = [[_fmt(a), _fmt(b)] for a, b in table.tolist()]
+        assert sweep._cells(table).tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -46,6 +46,13 @@ RECORDED = [
 ]
 
 
+# b up to 700 and r up to 100, where the default grid (b <= 5, r <= 5) does not reach.
+WIDE_RANGE = ["--grid-b", "1e-3,0.01,0.1,1,10,100,700", "--grid-gamma", "0.5,0.6,0.75,0.9,1.0",
+              "--grid-r", "1,2,10,100"]
+# Recorded while the grid engine's stacks were complex128.
+WIDE_RANGE_DIGEST = "f9780ae87a829e6294d04c3e7e863d25d91ea1bd144a9346de95cf94d562adce"
+
+
 def run_verify(capsys, *argv) -> tuple[int, str]:
     code = main(["verify", *argv])
     return code, capsys.readouterr().out
@@ -63,6 +70,13 @@ def test_output_is_the_recorded_one(capsys, argv, code, checks, failures, digest
     assert (got_code, summary_counts(out)) == (code, (checks, failures))
     stripped = re.sub(r", [0-9.]+ s$", ", s", out, flags=re.M)
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+def test_wide_range_grid_passes_every_check(capsys):
+    code, out = run_verify(capsys, *WIDE_RANGE)
+    assert (code, summary_counts(out)) == (0, (3591, 0))
+    stripped = re.sub(r", [0-9.]+ s$", ", s", out, flags=re.M)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == WIDE_RANGE_DIGEST
 
 
 def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, monkeypatch):
