@@ -50,7 +50,10 @@ the same function (`np.exp` for the Gibbs weights, one call over all
 distinct b; `math.exp`/`math.tanh` for the closed form, once per distinct
 b; `math.log` for the entropy, once per distinct eigenvalue).  So each
 column equals the scalar field bit for bit.  A grid builds and validates
-its thermal stack once; `subset` slices it, and both grid runners read it.
+its thermal stack once, and computes its damping strengths `q` once when
+first read; `subset` slices both, and both grid runners read them.  The
+analytic runner builds and validates its QMI and QMII state stacks only
+when they, or their entropies, are read.
 """
 
 from __future__ import annotations
@@ -350,7 +353,8 @@ class CycleGrid:
     the error `CycleParams` raises for the first bad one, and freezes the
     arrays.  `x` holds e^-b, from math.exp once per distinct b, and
     `thermal` the validated (N, 2, 2) Gibbs state of every point, as
-    `gibbs_state` gives it, from one np.exp over the distinct b.
+    `gibbs_state` gives it, from one np.exp over the distinct b.  `q`, the
+    isentropic damping strength of every point, is computed on first read.
     """
 
     b: np.ndarray
@@ -400,15 +404,19 @@ class CycleGrid:
         """The points selected by a numpy index (mask, slice or positions), in order.
 
         The points are validated already, so nothing is checked or derived
-        again: b, gamma, r, x and the thermal stack are sliced, and the distinct-b table keeps
-        the values the subset still uses.
+        again: b, gamma, r, x, the thermal stack and q, if it has been
+        computed, are sliced, and the distinct-b table keeps the values the
+        subset still uses.
         """
         values, inverse = self._distinct_b
         inverse = inverse[index]
         used = np.zeros(len(values), dtype=bool)
         used[inverse] = True
         grid = object.__new__(CycleGrid)
-        for name in ("b", "gamma", "r", "x", "thermal"):
+        names = ["b", "gamma", "r", "x", "thermal"]
+        if "q" in self.__dict__:  # computed already: sliced, not computed again
+            names.append("q")
+        for name in names:
             column = getattr(self, name)[index]
             column.flags.writeable = False
             object.__setattr__(grid, name, column)
@@ -437,15 +445,25 @@ class CycleGrid:
         """`numeric_realizable` per point."""
         return self.gamma >= GAMMA_NUMERIC_MIN
 
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        """`isentropic_strength_stack` of every point, read-only: NaN where no partner exists."""
+        q = isentropic_strength_stack(self.strength, self.x)
+        q.flags.writeable = False
+        return q
+
 
 @dataclass(frozen=True, eq=False)
 class GridLedger:
     """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
 
     `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
-    float64 states after TP (the thermal state, which API keeps), QMI and QMII;
-    their entropies are computed, all three in one `entropy_stack` pass,
-    when first asked for.
+    float64 states after TP (the thermal state, which API keeps), QMI and QMII.
+    The numeric ledger is given all three stacks.  The analytic ledger is
+    given `measured` as the (N, 2) post-QMI populations, and builds and
+    validates the QMI and QMII stacks from them (QMII swaps the two) when
+    they, or their entropies, are first read.  The entropies are computed,
+    all three in one `entropy_stack` pass, when first asked for.
     """
 
     q_in: np.ndarray
@@ -458,12 +476,28 @@ class GridLedger:
     q_used: np.ndarray
     valid: np.ndarray
     states_tp: np.ndarray
-    states_qmi: np.ndarray
-    states_qmii: np.ndarray
+    # The (states_qmi, states_qmii) stacks, or the (N, 2) populations after QMI.
+    measured: tuple[np.ndarray, np.ndarray] | np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _measured_states(self) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(self.measured, tuple):
+            return self.measured
+        m_pops = self.measured
+        return (validate_state_stack(population_stack(m_pops)),
+                validate_state_stack(population_stack(m_pops[:, ::-1])))
+
+    @property
+    def states_qmi(self) -> np.ndarray:
+        return self._measured_states[0]
+
+    @property
+    def states_qmii(self) -> np.ndarray:
+        return self._measured_states[1]
 
     @functools.cached_property
     def _entropies(self) -> np.ndarray:
-        states = np.concatenate((self.states_tp, self.states_qmi, self.states_qmii))
+        states = np.concatenate((self.states_tp, *self._measured_states))
         entropies = entropy_stack(states).reshape(3, -1)
         entropies.flags.writeable = False
         return entropies
@@ -492,7 +526,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     rho_th = grid.thermal
     strength = grid.strength
     rho_m = apply_unselective_stack(first_channel_stack(strength), rho_th)
-    q = isentropic_strength_stack(strength, grid.x)
+    q = grid.q
     if np.isnan(q).any():
         i = int(np.argmax(np.isnan(q)))
         raise NoIsentropicStrengthError(float(strength[i]), _partner_threshold(float(grid.x[i])))
@@ -507,7 +541,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=q, valid=np.ones(len(grid), dtype=bool),
-        states_tp=rho_th, states_qmi=rho_m, states_qmii=rho_n,
+        states_tp=rho_th, measured=(rho_m, rho_n),
     )
 
 
@@ -516,20 +550,16 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
 
     A subnormal gamma overflows 1/gamma, so eta is -inf there, as Python's
     float division gives it in `run_analytic`; numpy is told not to warn.
+    The QMI and QMII state stacks are built, and validated, when first read.
     """
     x, gamma, r = grid.x, grid.gamma, grid.r
-    strength = grid.strength
     (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
-        x, grid.per_b(lambda v: math.tanh(0.5 * v)), strength, r)
+        x, grid.per_b(lambda v: math.tanh(0.5 * v)), grid.strength, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
     lo, hi = _gamma_range(grid.mode, r)
-    m_pops = np.stack(m_pops, axis=-1)
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=isentropic_strength_stack(strength, x),
-        valid=(lo <= gamma) & (gamma <= hi),
-        states_tp=grid.thermal,
-        states_qmi=validate_state_stack(population_stack(m_pops)),
-        states_qmii=validate_state_stack(population_stack(m_pops[:, ::-1])),
+        w_ext=w_ext, eta=eta, q_used=grid.q, valid=(lo <= gamma) & (gamma <= hi),
+        states_tp=grid.thermal, measured=np.stack(m_pops, axis=-1),
     )

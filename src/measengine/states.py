@@ -240,12 +240,14 @@ def validate_state_stack(rho) -> np.ndarray:
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
     """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
 
-    Refuses, like `mean_energy`, if an imaginary part exceeds TOL_ENERGY_IMAG.
+    Refuses, like `mean_energy`, if an imaginary part exceeds TOL_ENERGY_IMAG;
+    a real stack has none, so only a complex one is checked.
     """
     val = (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
-    imag = np.abs(val.imag)
-    if (imag > TOL_ENERGY_IMAG).any():
-        raise ValueError(f"mean energy has imaginary part {imag.max():.3e}")
+    if np.iscomplexobj(rho):
+        imag = np.abs(val.imag)
+        if (imag > TOL_ENERGY_IMAG).any():
+            raise ValueError(f"mean energy has imaginary part {imag.max():.3e}")
     return val.real
 
 

@@ -5,17 +5,18 @@ grid out as one three-stroke `CycleGrid` and the b x gamma x r grid as one
 five-stroke `CycleGrid`, restricts each to the points whose cycle is
 realizable, and evaluates each twice: by `run_numeric_grid` (Kraus-channel
 evolution of state stacks) and by `run_analytic_grid` (the closed form).
-Each check family is then one array comparison over the points it applies
-to, and the eight per-field families of the oracle equivalence and of the
-r = 1 reduction are one (8, N) comparison together while they all pass:
-channel completeness, oracle equivalence per ledger field, entropy
-equality, population swap, coherence-free states per stroke, the
-efficiency law, the first law, adiabat isentropy, the special points
-gamma = 1/2 and gamma = 1 (and the entropy ordering between them), and the
-r = 1 reduction of the five-stroke cycle to the three-stroke one.
+Each check family is one rule at every point it applies to: channel
+completeness, oracle equivalence per ledger field, entropy equality,
+population swap, coherence-free states per stroke, the efficiency law,
+the first law, adiabat isentropy, the special points gamma = 1/2 and
+gamma = 1 (and the entropy ordering between them), and the r = 1
+reduction of the five-stroke cycle to the three-stroke one.  `_Checker`
+records the (observed, expected, tol) of every family and decides the
+whole run by one comparison of all their margins with 0.
 
-Failures are collected into a report, never raised.  Their lines are
-formatted for the failing entries only and sorted point by point: b, then
+Failures are collected into a report, never raised.  Only when some check
+fails are the families replayed one by one; the failing points are
+indexed and their lines formatted, and sorted point by point: b, then
 gamma, then the channels, the three-stroke cycle and the five-stroke cycle
 at each r, each in its fixed order of checks.
 
@@ -33,6 +34,7 @@ without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -125,6 +127,10 @@ class _Points:
         return _Points(self.label, *(getattr(self, name)[index] for name in (
             "b", "gamma", "r", "b_index", "gamma_index", "section")))
 
+    def at(self, index) -> _PointsAt:
+        """`self[index]`, indexed only when a failure among them is named."""
+        return _PointsAt(self, index)
+
     def where(self, i: int) -> str:
         text = f"{self.label} b={float(self.b[i]):g} gamma={float(self.gamma[i]):g}"
         return text + f" r={float(self.r[i]):g}" if self.label == "five" else text
@@ -133,57 +139,92 @@ class _Points:
         return int(self.b_index[i]), int(self.gamma_index[i]), int(self.section[i])
 
 
-class _Checker:
-    """Counts checks and keeps failures; each call checks one family at every point given.
+@dataclass(frozen=True)
+class _PointsAt:
+    """The deferred view `_Points.at` returns: the same `where` and `key`."""
 
-    Families are called in the order the checks run at one point, so the
-    call number sorts the failures within a point's section.
+    points: _Points
+    index: np.ndarray
+
+    @functools.cached_property
+    def _selected(self) -> _Points:
+        return self.points[self.index]
+
+    def where(self, i: int) -> str:
+        return self._selected.where(i)
+
+    def key(self, i: int) -> tuple[int, int, int]:
+        return self._selected.key(i)
+
+
+class _Checker:
+    """Records check families, then settles them all at the first read of `count` or `failures`.
+
+    A family checks one rule at every point given.  Settling computes each
+    family's margin, |observed - expected| - tol for `close` and
+    `close_fields`, value - (bound + tol) for `below`, and decides the run
+    with one comparison of all of them with 0: a margin is <= 0 exactly
+    when its check passes (with gradual underflow a - t <= 0 iff a <= t),
+    and NaN and inf fail it.  Only when some check fails are the families
+    replayed one by one, under the NaN rule of `close`, to name the failing
+    points.  Families are recorded in the order the checks run at one
+    point, so the call number sorts the failures within a point's section.
+    Every family must be recorded before the first read.
     """
 
     def __init__(self):
-        self.count = 0
-        self._family = 0
-        self._failures: list[tuple[tuple[int, ...], CheckFailure]] = []
+        # (checks, points, observed, expected, tol, detail, below): one check name per row.
+        self._families: list[tuple] = []
+
+    @property
+    def count(self) -> int:
+        return self._settled[0]
 
     @property
     def failures(self) -> list[CheckFailure]:
-        return [failure for _, failure in sorted(self._failures, key=itemgetter(0))]
+        return self._settled[1]
 
     def close(self, check: str, points: _Points, observed, expected, tol: float, detail: str = ""):
         """|observed - expected| <= tol; where either is NaN, passes only if both are."""
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            ok = np.abs(observed - expected) <= tol
-        if not ok.all():  # a NaN fails <=, so only then can the NaN rule change anything
-            nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
-            ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
-        self._tally(check, points, ok, observed, expected, tol, detail)
+        self._families.append(((check,), points, observed, expected, tol, detail, False))
 
     def close_fields(self, prefix: str, points: _Points, observed: np.ndarray,
                      expected: np.ndarray, tol: float):
-        """`close` of each (F, N) row, family prefix + field, as one comparison while all pass."""
-        with np.errstate(invalid="ignore"):
-            if (np.abs(observed - expected) <= tol).all():
-                self.count += observed.size
-                self._family += len(LEDGER_FIELDS)
-                return
-        for field, obs, exp in zip(LEDGER_FIELDS, observed, expected, strict=True):
-            self.close(prefix + field, points, obs, exp, tol)
+        """`close` of each (F, N) row, family prefix + field."""
+        checks = tuple(prefix + field for field in LEDGER_FIELDS)
+        self._families.append((checks, points, observed, expected, tol, "", False))
 
     def below(self, check: str, points: _Points, value, bound: float, tol: float = 0.0,
               detail: str = ""):
         """value <= bound + tol; a NaN value fails."""
-        self._tally(check, points, value <= bound + tol, value, bound, tol, detail)
+        self._families.append(((check,), points, value, bound, tol, detail, True))
 
-    def _tally(self, check, points, ok, observed, expected, tol, detail):
-        self.count += ok.size
-        self._family += 1
-        if ok.all():
-            return
-        expected = np.broadcast_to(expected, ok.shape)
-        for i in np.flatnonzero(~ok).tolist():
-            failure = CheckFailure(check, points.where(i) + detail,
-                                   float(observed[i]), float(expected[i]), tol)
-            self._failures.append(((*points.key(i), self._family), failure))
+    @functools.cached_property
+    def _settled(self) -> tuple[int, list[CheckFailure]]:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            margins = [observed - (expected + tol) if below else np.abs(observed - expected) - tol
+                       for _, _, observed, expected, tol, _, below in self._families]
+            passed = np.concatenate(margins, axis=None) <= 0.0
+        if passed.all():
+            return passed.size, []
+        failures = []
+        family = 0
+        for (checks, points, observed, expected, tol, detail, below), margin in zip(
+                self._families, margins):
+            ok = margin <= 0.0
+            if not below and not ok.all():  # a NaN fails <=, so only then can the NaN rule act
+                nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
+                ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
+            if not ok.all():
+                observed = np.reshape(observed, (len(checks), -1))
+                expected = np.broadcast_to(expected, np.shape(ok)).reshape(len(checks), -1)
+                rows, at = np.nonzero(~ok.reshape(len(checks), -1))
+                for row, i in zip(rows.tolist(), at.tolist()):
+                    failure = CheckFailure(checks[row], points.where(i) + detail,
+                                           float(observed[row, i]), float(expected[row, i]), tol)
+                    failures.append(((*points.key(i), family + row), failure))
+            family += len(checks)
+        return passed.size, [failure for _, failure in sorted(failures, key=itemgetter(0))]
 
 
 def normalize_perturb_field(name: str) -> str:
@@ -239,19 +280,20 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
 
     at = gamma == 0.5
     lo, hi = _eigvals_stack(numeric.states_qmi[at] - _MAXIMALLY_MIXED)
-    c.below("special-maximal-mixing", points[at], 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
-    c.close("special-zero-energy", points[at],
+    c.below("special-maximal-mixing", points.at(at), 0.5 * (np.abs(lo) + np.abs(hi)), 0.0,
+            TOL_EXACT)
+    c.close("special-zero-energy", points.at(at),
             mean_energy_stack(numeric.states_qmi[at], 1.0), 0.0, TOL_EXACT)
 
     at = gamma == 1.0
-    c.close("special-entropy-crossover", points[at], entropy_qmi[at], entropy_tp[at], TOL_EXACT)
-    c.close("special-crossover-heat", points[at], numeric.q_in[at],
+    c.close("special-entropy-crossover", points.at(at), entropy_qmi[at], entropy_tp[at], TOL_EXACT)
+    c.close("special-crossover-heat", points.at(at), numeric.q_in[at],
             np.array([math.tanh(0.5 * b) for b in grid.b[at].tolist()]), TOL_EXACT)
-    c.close("special-zero-dissipation", points[at], numeric.q_out[at], 0.0, TOL_EXACT)
+    c.close("special-zero-dissipation", points.at(at), numeric.q_out[at], 0.0, TOL_EXACT)
 
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
-    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
+    c.below("entropy-ordering", points.at(at), entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -269,7 +311,7 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
     c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 
     at = r == 1.0  # realizable at r = 1 exactly where the three-stroke cycle is
-    c.close_fields("reduction-r1-", points[at], fields[:, at], _fields(three)[:, three_at[at]],
+    c.close_fields("reduction-r1-", points.at(at), fields[:, at], _fields(three)[:, three_at[at]],
                    TOL_EXACT)
 
 

@@ -1,0 +1,119 @@
+"""The grid ledgers' raw bits, and what each grid computes once or only when read."""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from measengine import channels, engine, states
+from measengine.cli import main
+from measengine.engine import CycleGrid, CycleMode, run_analytic_grid, run_numeric_grid
+from measengine.verify import DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID
+
+GRID_LEDGER_VALUES = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used",
+                      "valid", "entropy_tp", "entropy_qmi", "entropy_qmii",
+                      "states_tp", "states_qmi", "states_qmii")
+
+WIDE_B = (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 700.0)
+WIDE_GAMMA = (0.5, 0.6, 0.75, 0.9, 1.0)
+WIDE_R = (1.0, 2.0, 10.0, 100.0)
+
+
+def _grid(mode: CycleMode, b, gamma, r) -> CycleGrid:
+    if mode is CycleMode.THREE_STROKE:
+        r = (1.0,)
+    b, gamma, r = (np.array(axis) for axis in zip(*itertools.product(b, gamma, r)))
+    return CycleGrid(b, gamma, mode, r)
+
+
+def _ledgers():
+    """The numeric and analytic ledger of each mode on the default and the wide-range grid.
+
+    The wide analytic grid adds the subnormal gamma 5e-324, where eta is -inf
+    and no numeric cycle exists.
+    """
+    for mode in CycleMode:
+        for b, gamma, r in ((DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID),
+                            (WIDE_B, WIDE_GAMMA, WIDE_R)):
+            yield run_numeric_grid(_grid(mode, b, gamma, r))
+            yield run_analytic_grid(_grid(mode, b, gamma, r))
+        yield run_analytic_grid(_grid(mode, WIDE_B, (5e-324, *WIDE_GAMMA), WIDE_R))
+
+
+# sha256 over the float64 bytes of every GRID_LEDGER_VALUES entry of every `_ledgers()`
+# ledger, recorded before `verify` settled its checks in one comparison.  A grid-only drift
+# of one ulp shows here, where the 12-digit CSV and verify's failure-only output miss it.
+GRID_LEDGERS_DIGEST = "f99b3b72f4c6d20154cb97ac74feb455678bd5a547fd5c59b4430258c5618aa8"
+
+
+def test_grid_ledgers_digest_is_pinned():
+    h = hashlib.sha256()
+    for ledger in _ledgers():
+        for name in GRID_LEDGER_VALUES:
+            h.update(np.ascontiguousarray(getattr(ledger, name), dtype=np.float64).tobytes())
+    assert h.hexdigest() == GRID_LEDGERS_DIGEST
+
+
+def _count_calls(monkeypatch, name: str) -> list[None]:
+    """Patch every binding of a stack function in the package; one entry per call is appended."""
+    calls = []
+    original = getattr(channels, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module in (states, channels, engine):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_default_verify_builds_each_state_stack_and_q_once(monkeypatch, capsys):
+    validations = _count_calls(monkeypatch, "validate_state_stack")
+    strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    # Each grid's thermal stack and both numeric stacks of each runner; one q per grid.  The
+    # analytic runner's QMI and QMII stacks are never read, so never built.
+    assert (len(validations), len(strengths)) == (6, 2)
+
+
+def test_q_is_computed_once_and_sliced_by_subset(monkeypatch):
+    strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
+    grid = _grid(CycleMode.FIVE_STROKE, DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID)
+    analytic = run_analytic_grid(grid)
+    numeric = run_numeric_grid(grid.subset(slice(3, None)))
+    assert len(strengths) == 1
+    assert analytic.q_used is grid.q and not grid.q.flags.writeable
+    assert numeric.q_used.tobytes() == grid.q[3:].tobytes()
+
+
+def _negative_population(monkeypatch):
+    closed_form = engine._closed_form
+
+    def shifted(*args):
+        fields, (ground, excited) = closed_form(*args)
+        return fields, (ground - 1.0, excited + 1.0)  # unit trace, one population below 0
+
+    monkeypatch.setattr(engine, "_closed_form", shifted)
+
+
+@pytest.mark.parametrize("name", ["states_qmi", "states_qmii", "entropy_qmi"])
+def test_analytic_states_are_validated_when_first_read(monkeypatch, name):
+    _negative_population(monkeypatch)
+    ledger = run_analytic_grid(_grid(CycleMode.THREE_STROKE, (1.0,), (0.5, 0.8), (1.0,)))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        getattr(ledger, name)
+
+
+def test_sweep_of_invalid_analytic_states_exits_2_and_leaves_no_file(monkeypatch, tmp_path,
+                                                                      capsys):
+    _negative_population(monkeypatch)
+    out_path = tmp_path / "x.csv"
+    code = main(["sweep", "--mode", "three", "--b-values", "1", "--gamma-values", "0.5,0.8",
+                 "--out", str(out_path)])
+    assert code == 2
+    assert "negative eigenvalue" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

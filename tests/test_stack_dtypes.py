@@ -80,3 +80,17 @@ def test_grid_states_are_float64(mode, r):
     for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
         for states in (ledger.states_tp, ledger.states_qmi, ledger.states_qmii):
             assert states.dtype == F64
+
+
+def test_mean_energy_checks_the_imaginary_part_of_complex_stacks_only():
+    rho = population_stack(POPULATIONS)
+    for frequency in (1.5, np.array([1.0, 2.0, 3.0, 4.0])):
+        energy = mean_energy_stack(rho, frequency)
+        assert energy.dtype == F64
+        assert energy.tobytes() == mean_energy_stack(rho.astype(complex), frequency).tobytes()
+    tilted = rho.astype(complex)
+    tilted[2, 1, 1] += 1e-10j  # Im Tr(H rho) = 0.5e-10 at unit gap: accepted
+    assert mean_energy_stack(tilted, 1.0).tobytes() == mean_energy_stack(rho, 1.0).tobytes()
+    tilted[2, 1, 1] += 2e-10j  # 1.5e-10 > TOL_ENERGY_IMAG
+    with pytest.raises(ValueError, match=r"^mean energy has imaginary part 1\.500e-10$"):
+        mean_energy_stack(tilted, 1.0)

@@ -73,10 +73,10 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
     assert subset.mode is fresh.mode
-    for name in ("b", "gamma", "r", "x", "thermal"):
+    for name in ("b", "gamma", "r", "x", "thermal", "q"):
         column = getattr(subset, name)
         assert column.dtype == getattr(fresh, name).dtype
-        assert np.array_equal(column, getattr(fresh, name)), name
+        assert column.tobytes() == getattr(fresh, name).tobytes(), name
         assert not column.flags.writeable, name
     assert subset._distinct_b[0] == fresh._distinct_b[0]
     assert np.array_equal(subset._distinct_b[1], fresh._distinct_b[1])
@@ -100,6 +100,8 @@ def test_subset_is_a_fresh_grid_of_the_same_points(mode, points, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     start, stop = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
     positions = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    if data.draw(st.booleans(), label="q computed before subset"):
+        assert grid.q.shape == (n,)
     for index in (mask, slice(start, stop), positions):
         assert_same_grid(grid.subset(index),
                          CycleGrid(b[index], gamma[index], mode, r[index]))

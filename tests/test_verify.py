@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import math
 import re
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measengine import verify
 from measengine.cli import main
@@ -79,6 +82,15 @@ def test_wide_range_grid_passes_every_check(capsys):
     assert hashlib.sha256(stripped.encode()).hexdigest() == WIDE_RANGE_DIGEST
 
 
+def test_wide_range_fault_fails_through_the_per_family_replay(capsys):
+    code, out = run_verify(capsys, *WIDE_RANGE, "--perturb", "w_ext")
+    assert (code, summary_counts(out)) == (3, (3591, 175))
+    stripped = re.sub(r", [0-9.]+ s$", ", s", out, flags=re.M)
+    # Recorded while each check family was settled by its own comparison.
+    assert hashlib.sha256(stripped.encode()).hexdigest() == (
+        "85d27a462fbfa00f00ef33a19a0bd58b6f32aa2c2279fd307e0372b68b3249cf")
+
+
 def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, monkeypatch):
     run_five = verify.run_five_stroke_numeric
 
@@ -148,3 +160,82 @@ def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
     c.close_fields("field-", points, observed[1:2].repeat(8, axis=0), expected[1:2].repeat(8, 0),
                    1e-12)
     assert (c.count, c.failures) == (24, [])
+
+
+# Settling all families in one comparison against the rule of each check, point by point.
+EDGES = (0.0, -0.0, 1.0, -2.5, 2.0**-40, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308)  # the last: the smallest normal
+TOLS = (0.0, 1e-12, 1e-10, 5e-324, 2.0**-40)
+
+
+def _near(draw, expected: float, tol: float) -> float:
+    """A value at expected + tol, or one ulp of tol either side, or anything."""
+    shift = draw(st.sampled_from((tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf))))
+    return draw(st.sampled_from((expected + shift, expected - shift, expected))
+                | st.sampled_from(EDGES) | st.floats(-10.0, 10.0))
+
+
+@st.composite
+def families(draw):
+    """(method, name, points, observed, expected, tol, detail, reference points) of one family."""
+    method = draw(st.sampled_from(("close", "close_fields", "below")))
+    m = draw(st.integers(1, 4))
+    base = verify._Points(
+        draw(st.sampled_from(("five", "three"))), np.linspace(0.1, 1.0, m), np.linspace(0.5, 1.0, m),
+        np.full(m, 2.0), *(np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+                           for _ in range(3)))
+    index = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)))
+    reference = base[index]
+    points = base.at(index) if draw(st.booleans()) else reference
+    n, tol = len(index), draw(st.sampled_from(TOLS))
+    if method == "below":
+        bound = draw(st.sampled_from((0.0, 1.0, -2.5)))
+        value = np.array([_near(draw, bound, tol) for _ in range(n)])
+        return method, "bound", points, value, bound, tol, " level=1", reference
+    rows = len(verify.LEDGER_FIELDS) if method == "close_fields" else 1
+    expected = np.array([[draw(st.sampled_from(EDGES) | st.floats(-10.0, 10.0)) for _ in range(n)]
+                         for _ in range(rows)])
+    observed = np.array([[_near(draw, e, tol) for e in row.tolist()] for row in expected])
+    if method == "close_fields":
+        return method, "field-", points, observed, expected, tol, "", reference
+    if draw(st.booleans()):  # a scalar expected value, broadcast over the points
+        expected[0] = expected[0, 0]
+        return method, "close", points, observed[0], float(expected[0, 0]), tol, "", reference
+    return method, "close", points, observed[0], expected[0], tol, "", reference
+
+
+def _per_check(recorded) -> tuple[int, list[str]]:
+    """The count and FAIL lines of each check applied on its own, with Python floats."""
+    count, failures, family = 0, [], 0
+    for method, name, _, observed, expected, tol, detail, points in recorded:
+        if method == "close_fields":
+            rows = [(name + field, o, e)
+                    for field, o, e in zip(verify.LEDGER_FIELDS, observed, expected, strict=True)]
+        else:
+            rows = [(name, observed, np.broadcast_to(expected, observed.shape))]
+        for check, obs, exp in rows:
+            for i, (o, e) in enumerate(zip(obs.tolist(), exp.tolist(), strict=True)):
+                if method == "below":
+                    ok = o <= e + tol
+                elif math.isnan(o) or math.isnan(e):
+                    ok = math.isnan(o) and math.isnan(e)
+                else:
+                    ok = abs(o - e) <= tol  # inf - inf is NaN and fails
+                count += 1
+                if not ok:
+                    failure = verify.CheckFailure(check, points.where(i) + detail, o, e, tol)
+                    failures.append(((*points.key(i), family), str(failure)))
+            family += 1
+    return count, [line for _, line in sorted(failures, key=itemgetter(0))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(families(), min_size=1, max_size=6))
+def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recorded):
+    c = verify._Checker()
+    for method, name, points, observed, expected, tol, detail, _ in recorded:
+        if method == "close_fields":
+            c.close_fields(name, points, observed, expected, tol)
+        else:
+            getattr(c, method)(name, points, observed, expected, tol, detail)
+    assert (c.count, [str(f) for f in c.failures]) == _per_check(recorded)
