@@ -34,7 +34,8 @@ applies each set to its state with elementwise arithmetic on the four
 entries of the operators, each a (K, N) array, in numpy's promoted type
 (real stacks stay real, a complex one makes the result complex); and
 `isentropic_strength_stack` is `isentropic_strength` per point, through
-the same `_partner_threshold` and `_swap_strength`.
+the same `_partner_threshold` and `_swap_strength`, with NaN for a point
+that has no partner.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
-_Q_SLACK = 1e-12             # roundoff allowed past the partner threshold and past q's [0, 1]
+_Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and below q = 0
 _IDENTITY = np.eye(2).reshape(2, 2, 1)  # broadcasts over the N axis of (2, 2, N) entries
 
 
@@ -197,7 +198,9 @@ def isentropic_strength(p: float, b: float) -> float:
 
     Defined only for P >= (1 - e^-b)/2; below that no q in [0, 1] swaps
     the populations and NoIsentropicStrengthError is raised (clamping
-    would silently leave the stroke entropy-increasing).
+    would silently leave the stroke entropy-increasing).  Roundoff is
+    allowed for: a partner exists when P is at least the threshold less
+    _Q_SLACK and q is at least -_Q_SLACK, and q is then clamped to [0, 1].
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
@@ -205,12 +208,11 @@ def isentropic_strength(p: float, b: float) -> float:
         raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
     x = math.exp(-b)
     threshold = _partner_threshold(x)
-    if p < threshold - _Q_SLACK:
-        raise NoIsentropicStrengthError(p, threshold)
-    q = _swap_strength(p, x)
-    if q < -_Q_SLACK or q > 1.0 + _Q_SLACK:
-        raise RuntimeError(f"isentropic strength {q!r} escaped [0, 1]")
-    return min(max(q, 0.0), 1.0)
+    if p >= threshold - _Q_SLACK:  # tested first: at P = 0 and x = 0, q would be 0/0
+        q = _swap_strength(p, x)
+        if q >= -_Q_SLACK:
+            return min(max(q, 0.0), 1.0)
+    raise NoIsentropicStrengthError(p, threshold)
 
 
 def _partner_threshold(x):
@@ -299,16 +301,13 @@ def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`isentropic_strength` per point, with x = e^-b computed by the caller.
 
-    A point below the threshold (1 - x)/2 gets NaN where the scalar raises
-    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError
-    and an escaped q RuntimeError, as there.
+    A point without a partner gets NaN where the scalar raises
+    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError,
+    as there.
     """
     _strength_range("excitation", p)
     q = np.full(p.shape, math.nan)
-    above = ~(p < _partner_threshold(x) - _Q_SLACK)
+    above = p >= _partner_threshold(x) - _Q_SLACK
     qa = _swap_strength(p[above], x[above])
-    escaped = (qa < -_Q_SLACK) | (qa > 1.0 + _Q_SLACK)
-    if escaped.any():
-        raise RuntimeError(f"isentropic strength {float(qa[np.argmax(escaped)])!r} escaped [0, 1]")
-    q[above] = np.minimum(np.maximum(qa, 0.0), 1.0)
+    q[above] = np.where(qa >= -_Q_SLACK, np.minimum(np.maximum(qa, 0.0), 1.0), math.nan)
     return q

@@ -49,11 +49,11 @@ the same operations on the diagonal states; each transcendental comes from
 the same function (`np.exp` for the Gibbs weights, one call over all
 distinct b; `math.exp`/`math.tanh` for the closed form, once per distinct
 b; `math.log` for the entropy, once per distinct eigenvalue).  So each
-column equals the scalar field bit for bit.  A grid builds and validates
-its thermal stack once, and computes its damping strengths `q` once when
-first read; `subset` slices both, and both grid runners read them.  The
-analytic runner builds and validates its QMI and QMII state stacks only
-when they, or their entropies, are read.
+column equals the scalar field bit for bit.  A grid builds every per-point
+column once, at construction: x, tanh(b/2), the validated thermal stack
+and the damping strengths `q`; `subset` slices them all, and both grid
+runners read them.  The analytic runner builds and validates its QMI and
+QMII state stacks only when they, or their entropies, are read.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
-    _partner_threshold,
     apply_unselective,
     apply_unselective_stack,
     first_channel,
@@ -345,16 +344,25 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
 
 
+_GRID_COLUMNS = ("b", "gamma", "r", "x", "th", "thermal", "q")
+
+
+def _set_column(grid: CycleGrid, name: str, column: np.ndarray) -> None:
+    column.flags.writeable = False
+    object.__setattr__(grid, name, column)
+
+
 @dataclass(frozen=True, eq=False)
 class CycleGrid:
     """Many cycle points of one mode as flat (N,) arrays of b, gamma and r.
 
     Construction applies the `CycleParams` checks to every point, raising
-    the error `CycleParams` raises for the first bad one, and freezes the
-    arrays.  `x` holds e^-b, from math.exp once per distinct b, and
-    `thermal` the validated (N, 2, 2) Gibbs state of every point, as
-    `gibbs_state` gives it, from one np.exp over the distinct b.  `q`, the
-    isentropic damping strength of every point, is computed on first read.
+    the error `CycleParams` raises for the first bad one, and builds every
+    per-point column once, read-only: `x` = e^-b and `th` = tanh(b/2), from
+    math.exp and math.tanh once per distinct b; `thermal`, the validated
+    (N, 2, 2) Gibbs state of every point, as `gibbs_state` gives it, from
+    one np.exp over the distinct b; and `q`, the `isentropic_strength_stack`
+    of every point, NaN where no partner exists.
     """
 
     b: np.ndarray
@@ -362,8 +370,9 @@ class CycleGrid:
     mode: CycleMode
     r: np.ndarray
     x: np.ndarray = field(init=False, repr=False)
+    th: np.ndarray = field(init=False, repr=False)
     thermal: np.ndarray = field(init=False, repr=False)
-    _distinct_b: tuple[list[float], np.ndarray] = field(init=False, repr=False)
+    q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", CycleMode(self.mode))
@@ -371,8 +380,7 @@ class CycleGrid:
             column = np.array(getattr(self, name), dtype=float)
             if column.shape != np.shape(self.b):
                 raise ValueError(f"{name} has shape {column.shape}, b has {np.shape(self.b)}")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            _set_column(self, name, column)
         b, gamma, r = self.b, self.gamma, self.r
         if b.ndim != 1:
             raise ValueError(f"grid arrays must be flat, got shape {b.shape}")
@@ -383,14 +391,14 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
-        object.__setattr__(self, "_distinct_b", (values.tolist(), index))
-        x = self.per_b(lambda v: math.exp(-v))
         e = np.asarray(_H1.levels)
         w = np.exp(-np.multiply.outer(values, e - e.min()))  # as `gibbs_state` weighs each b
         thermal = validate_state_stack(population_stack(w / w.sum(axis=1, keepdims=True)))
-        for name, column in (("x", x), ("thermal", thermal[index])):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        distinct = values.tolist()
+        _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
+        _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])
+        _set_column(self, "thermal", thermal[index])
+        _set_column(self, "q", isentropic_strength_stack(self.strength, self.x))
 
     def __len__(self) -> int:
         return len(self.b)
@@ -404,36 +412,13 @@ class CycleGrid:
         """The points selected by a numpy index (mask, slice or positions), in order.
 
         The points are validated already, so nothing is checked or derived
-        again: b, gamma, r, x, the thermal stack and q, if it has been
-        computed, are sliced, and the distinct-b table keeps the values the
-        subset still uses.
+        again: every column is sliced.
         """
-        values, inverse = self._distinct_b
-        inverse = inverse[index]
-        used = np.zeros(len(values), dtype=bool)
-        used[inverse] = True
         grid = object.__new__(CycleGrid)
-        names = ["b", "gamma", "r", "x", "thermal"]
-        if "q" in self.__dict__:  # computed already: sliced, not computed again
-            names.append("q")
-        for name in names:
-            column = getattr(self, name)[index]
-            column.flags.writeable = False
-            object.__setattr__(grid, name, column)
         object.__setattr__(grid, "mode", self.mode)
-        object.__setattr__(grid, "_distinct_b", (
-            [v for v, keep in zip(values, used.tolist()) if keep],
-            (used.cumsum() - 1)[inverse],
-        ))
+        for name in _GRID_COLUMNS:
+            _set_column(grid, name, getattr(self, name)[index])
         return grid
-
-    def per_b(self, fn, *shape: int) -> np.ndarray:
-        """fn(b), of the given shape, computed once per distinct b and spread over the points."""
-        values, index = self._distinct_b
-        table = np.empty((len(values), *shape))
-        for j, v in enumerate(values):
-            table[j] = fn(v)
-        return table[index]
 
     @property
     def strength(self) -> np.ndarray:
@@ -444,13 +429,6 @@ class CycleGrid:
     def realizable(self) -> np.ndarray:
         """`numeric_realizable` per point."""
         return self.gamma >= GAMMA_NUMERIC_MIN
-
-    @functools.cached_property
-    def q(self) -> np.ndarray:
-        """`isentropic_strength_stack` of every point, read-only: NaN where no partner exists."""
-        q = isentropic_strength_stack(self.strength, self.x)
-        q.flags.writeable = False
-        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,13 +502,8 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     if not realizable.all():
         _require_realizable(grid.point(int(np.argmin(realizable))))
     rho_th = grid.thermal
-    strength = grid.strength
-    rho_m = apply_unselective_stack(first_channel_stack(strength), rho_th)
-    q = grid.q
-    if np.isnan(q).any():
-        i = int(np.argmax(np.isnan(q)))
-        raise NoIsentropicStrengthError(float(strength[i]), _partner_threshold(float(grid.x[i])))
-    rho_n = apply_unselective_stack(second_channel_stack(q), rho_m)
+    rho_m = apply_unselective_stack(first_channel_stack(grid.strength), rho_th)
+    rho_n = apply_unselective_stack(second_channel_stack(grid.q), rho_m)
 
     r = grid.r
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(
@@ -540,7 +513,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
         eta = np.where(q_in == 0.0, 0.0, w_ext / q_in)
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=q, valid=np.ones(len(grid), dtype=bool),
+        w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),
         states_tp=rho_th, measured=(rho_m, rho_n),
     )
 
@@ -548,13 +521,14 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
 def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     """`run_analytic` at every point of the grid, the closed form on arrays.
 
-    A subnormal gamma overflows 1/gamma, so eta is -inf there, as Python's
-    float division gives it in `run_analytic`; numpy is told not to warn.
-    The QMI and QMII state stacks are built, and validated, when first read.
+    It reads the grid's x, th and q columns.  A subnormal gamma overflows
+    1/gamma, so eta is -inf there, as Python's float division gives it in
+    `run_analytic`; numpy is told not to warn.  The QMI and QMII state
+    stacks are built, and validated, when first read.
     """
-    x, gamma, r = grid.x, grid.gamma, grid.r
+    gamma, r = grid.gamma, grid.r
     (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
-        x, grid.per_b(lambda v: math.tanh(0.5 * v)), grid.strength, r)
+        grid.x, grid.th, grid.strength, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
     lo, hi = _gamma_range(grid.mode, r)

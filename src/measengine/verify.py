@@ -15,10 +15,10 @@ records the (observed, expected, tol) of every family and decides the
 whole run by one comparison of all their margins with 0.
 
 Failures are collected into a report, never raised.  Only when some check
-fails are the families replayed one by one; the failing points are
-indexed and their lines formatted, and sorted point by point: b, then
-gamma, then the channels, the three-stroke cycle and the five-stroke cycle
-at each r, each in its fixed order of checks.
+fails are the families replayed one by one; the lines of the failing
+points are formatted, and sorted point by point: b, then gamma, then the
+channels, the three-stroke cycle and the five-stroke cycle at each r, each
+in its fixed order of checks.
 
 The optional `perturb` hook adds +0.1 to one ledger field of every
 numeric ledger before checking; it exists to prove the suite actually
@@ -127,34 +127,12 @@ class _Points:
         return _Points(self.label, *(getattr(self, name)[index] for name in (
             "b", "gamma", "r", "b_index", "gamma_index", "section")))
 
-    def at(self, index) -> _PointsAt:
-        """`self[index]`, indexed only when a failure among them is named."""
-        return _PointsAt(self, index)
-
     def where(self, i: int) -> str:
         text = f"{self.label} b={float(self.b[i]):g} gamma={float(self.gamma[i]):g}"
         return text + f" r={float(self.r[i]):g}" if self.label == "five" else text
 
     def key(self, i: int) -> tuple[int, int, int]:
         return int(self.b_index[i]), int(self.gamma_index[i]), int(self.section[i])
-
-
-@dataclass(frozen=True)
-class _PointsAt:
-    """The deferred view `_Points.at` returns: the same `where` and `key`."""
-
-    points: _Points
-    index: np.ndarray
-
-    @functools.cached_property
-    def _selected(self) -> _Points:
-        return self.points[self.index]
-
-    def where(self, i: int) -> str:
-        return self._selected.where(i)
-
-    def key(self, i: int) -> tuple[int, int, int]:
-        return self._selected.key(i)
 
 
 class _Checker:
@@ -280,20 +258,18 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
 
     at = gamma == 0.5
     lo, hi = _eigvals_stack(numeric.states_qmi[at] - _MAXIMALLY_MIXED)
-    c.below("special-maximal-mixing", points.at(at), 0.5 * (np.abs(lo) + np.abs(hi)), 0.0,
-            TOL_EXACT)
-    c.close("special-zero-energy", points.at(at),
+    c.below("special-maximal-mixing", points[at], 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
+    c.close("special-zero-energy", points[at],
             mean_energy_stack(numeric.states_qmi[at], 1.0), 0.0, TOL_EXACT)
 
     at = gamma == 1.0
-    c.close("special-entropy-crossover", points.at(at), entropy_qmi[at], entropy_tp[at], TOL_EXACT)
-    c.close("special-crossover-heat", points.at(at), numeric.q_in[at],
-            np.array([math.tanh(0.5 * b) for b in grid.b[at].tolist()]), TOL_EXACT)
-    c.close("special-zero-dissipation", points.at(at), numeric.q_out[at], 0.0, TOL_EXACT)
+    c.close("special-entropy-crossover", points[at], entropy_qmi[at], entropy_tp[at], TOL_EXACT)
+    c.close("special-crossover-heat", points[at], numeric.q_in[at], grid.th[at], TOL_EXACT)
+    c.close("special-zero-dissipation", points[at], numeric.q_out[at], 0.0, TOL_EXACT)
 
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
-    c.below("entropy-ordering", points.at(at), entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
+    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -311,7 +287,7 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
     c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 
     at = r == 1.0  # realizable at r = 1 exactly where the three-stroke cycle is
-    c.close_fields("reduction-r1-", points.at(at), fields[:, at], _fields(three)[:, three_at[at]],
+    c.close_fields("reduction-r1-", points[at], fields[:, at], _fields(three)[:, three_at[at]],
                    TOL_EXACT)
 
 

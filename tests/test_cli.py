@@ -10,6 +10,11 @@ from measengine.sweep import CSV_HEADER
 from measengine.verify import run_verification
 
 
+# Within 1e-12 below the partner threshold (1 - e^-b)/2, whose q at b = 10 falls below -1e-12:
+# no damping strength swaps the populations.
+BAND_GAMMA = "0.4999999999995"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -57,6 +62,14 @@ class TestCycleCommand:
     def test_five_stroke_unrealizable_gamma_analytic_is_flagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "cycle", "--mode", "five", "--gamma", "0.4", "--r", "2", "--analytic"
+        )
+        assert code == 0
+        assert "q_used=nan" in out
+        assert "flags=no-isentropic-partner" in out
+
+    def test_gamma_just_below_half_has_no_partner(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cycle", "--mode", "three", "--b", "10", "--gamma", BAND_GAMMA, "--analytic"
         )
         assert code == 0
         assert "q_used=nan" in out
@@ -128,6 +141,14 @@ class TestSweepCommand:
         eta_col = CSV_HEADER.split(",").index("eta_analytic")
         etas = [float(line.split(",")[eta_col]) for line in lines[1:]]
         assert etas == [0.0, pytest.approx(2.0 / 3.0, abs=1e-12), 1.0]
+
+    def test_gamma_just_below_half_leaves_q_empty(self, capsys, tmp_path):
+        out_path = tmp_path / "band.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--mode", "three", "--b-values", "10",
+                             "--gamma-values", BAND_GAMMA, "--out", str(out_path))
+        assert code == 0
+        header, row = out_path.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("q")] == ""
 
     def test_rows_round_trip_at_12_significant_digits(self, capsys, tmp_path):
         out_path = tmp_path / "five.csv"
@@ -255,6 +276,12 @@ class TestVerifyCommand:
         assert report.passed
         assert report.checks_run == 1672
         assert report.elapsed_seconds < 1.0
+
+    def test_gamma_just_below_half_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--grid-b", "10",
+                               "--grid-gamma", f"{BAND_GAMMA},0.5")
+        assert code == 0
+        assert out.startswith("verify: 85 checks, 0 failures, ")
 
     def test_perturbation_fails_first_law(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--perturb", "qout")

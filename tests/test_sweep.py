@@ -30,8 +30,10 @@ from measengine.sweep import SweepSpec, run_sweep, sweep_row
 LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used", "valid")
 
 b_values = st.floats(math.log(1e-8), math.log(700.0)).map(math.exp)
-# gamma 5e-324 is subnormal: 1/gamma overflows and eta is -inf.
-gamma_values = st.one_of(st.sampled_from((0.0, 5e-324, 0.5, 1.0)), st.floats(0.0, 1.0))
+# gamma 5e-324 is subnormal: 1/gamma overflows and eta is -inf.  Just below 1/2, within
+# the roundoff slack of the partner threshold, q falls below -1e-12 where x is small.
+gamma_values = st.one_of(st.sampled_from((0.0, 5e-324, 0.5, 1.0)), st.floats(0.0, 1.0),
+                         st.floats(0.5 - 1e-12, 0.5, exclude_min=True, exclude_max=True))
 r_values = st.one_of(st.floats(1.0, 100.0), st.floats(0.0, math.log(1e6)).map(math.exp))
 
 
@@ -73,15 +75,11 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
     assert subset.mode is fresh.mode
-    for name in ("b", "gamma", "r", "x", "thermal", "q"):
+    for name in ("b", "gamma", "r", "x", "th", "thermal", "q"):
         column = getattr(subset, name)
         assert column.dtype == getattr(fresh, name).dtype
         assert column.tobytes() == getattr(fresh, name).tobytes(), name
         assert not column.flags.writeable, name
-    assert subset._distinct_b[0] == fresh._distinct_b[0]
-    assert np.array_equal(subset._distinct_b[1], fresh._distinct_b[1])
-    assert np.array_equal(subset.per_b(lambda v: (v, math.exp(-v)), 2),
-                          fresh.per_b(lambda v: (v, math.exp(-v)), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,8 +98,6 @@ def test_subset_is_a_fresh_grid_of_the_same_points(mode, points, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     start, stop = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
     positions = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
-    if data.draw(st.booleans(), label="q computed before subset"):
-        assert grid.q.shape == (n,)
     for index in (mask, slice(start, stop), positions):
         assert_same_grid(grid.subset(index),
                          CycleGrid(b[index], gamma[index], mode, r[index]))

@@ -177,7 +177,7 @@ def _near(draw, expected: float, tol: float) -> float:
 
 @st.composite
 def families(draw):
-    """(method, name, points, observed, expected, tol, detail, reference points) of one family."""
+    """(method, name, points, observed, expected, tol, detail) of one family."""
     method = draw(st.sampled_from(("close", "close_fields", "below")))
     m = draw(st.integers(1, 4))
     base = verify._Points(
@@ -185,29 +185,28 @@ def families(draw):
         np.full(m, 2.0), *(np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
                            for _ in range(3)))
     index = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)))
-    reference = base[index]
-    points = base.at(index) if draw(st.booleans()) else reference
+    points = base[index]
     n, tol = len(index), draw(st.sampled_from(TOLS))
     if method == "below":
         bound = draw(st.sampled_from((0.0, 1.0, -2.5)))
         value = np.array([_near(draw, bound, tol) for _ in range(n)])
-        return method, "bound", points, value, bound, tol, " level=1", reference
+        return method, "bound", points, value, bound, tol, " level=1"
     rows = len(verify.LEDGER_FIELDS) if method == "close_fields" else 1
     expected = np.array([[draw(st.sampled_from(EDGES) | st.floats(-10.0, 10.0)) for _ in range(n)]
                          for _ in range(rows)])
     observed = np.array([[_near(draw, e, tol) for e in row.tolist()] for row in expected])
     if method == "close_fields":
-        return method, "field-", points, observed, expected, tol, "", reference
+        return method, "field-", points, observed, expected, tol, ""
     if draw(st.booleans()):  # a scalar expected value, broadcast over the points
         expected[0] = expected[0, 0]
-        return method, "close", points, observed[0], float(expected[0, 0]), tol, "", reference
-    return method, "close", points, observed[0], expected[0], tol, "", reference
+        return method, "close", points, observed[0], float(expected[0, 0]), tol, ""
+    return method, "close", points, observed[0], expected[0], tol, ""
 
 
 def _per_check(recorded) -> tuple[int, list[str]]:
     """The count and FAIL lines of each check applied on its own, with Python floats."""
     count, failures, family = 0, [], 0
-    for method, name, _, observed, expected, tol, detail, points in recorded:
+    for method, name, points, observed, expected, tol, detail in recorded:
         if method == "close_fields":
             rows = [(name + field, o, e)
                     for field, o, e in zip(verify.LEDGER_FIELDS, observed, expected, strict=True)]
@@ -233,7 +232,7 @@ def _per_check(recorded) -> tuple[int, list[str]]:
 @given(st.lists(families(), min_size=1, max_size=6))
 def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recorded):
     c = verify._Checker()
-    for method, name, points, observed, expected, tol, detail, _ in recorded:
+    for method, name, points, observed, expected, tol, detail in recorded:
         if method == "close_fields":
             c.close_fields(name, points, observed, expected, tol)
         else:
