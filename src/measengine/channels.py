@@ -26,13 +26,13 @@ apply its frozen operators with numpy's `@`, and every application first
 checks completeness on the operators' entries as Python complex numbers.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
-per grid point: `first_channel_stack` / `second_channel_stack` build them,
-float64 since both channels' operators are real;
-`completeness_deviation_stack` is `validate_completeness` per set;
+per grid point, float64 only since both channels' operators are real (a
+complex stack is refused): `first_channel_stack` / `second_channel_stack`
+build them; `completeness_deviation_stack` is `validate_completeness` per
+set, summed in the same order, so on real entries it gives the same bits;
 `apply_unselective_stack` checks it (COMPLETENESS_TOL) on every set and
 applies each set to its state with elementwise arithmetic on the four
-entries of the operators, each a (K, N) array, in numpy's promoted type
-(real stacks stay real, a complex one makes the result complex); and
+entries of the operators, each a (K, N) array; and
 `isentropic_strength_stack` is `isentropic_strength` per point, through
 the same `_partner_threshold` and `_swap_strength`, with NaN for a point
 that has no partner.
@@ -256,29 +256,28 @@ def _entries(kraus: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(kraus.transpose(2, 3, 1, 0))
 
 
-def completeness_deviation_stack(kraus: np.ndarray) -> np.ndarray:
-    """`validate_completeness(...).max_deviation` of every set of a (N, K, 2, 2) stack."""
-    return _completeness_deviation(_entries(kraus))
+def completeness_deviation_stack(kraus) -> np.ndarray:
+    """`validate_completeness(...).max_deviation` of every set of a float64 (N, K, 2, 2) stack."""
+    return _completeness_deviation(_entries(as_matrix_stack(kraus)))
 
 
 def _completeness_deviation(a: np.ndarray) -> np.ndarray:
     """`completeness_deviation_stack` of the Kraus stack whose `_entries` are a."""
-    ac = a.conj()
-    # (sum_k A^dag A)_il = sum_k conj(A_0i) A_0l + conj(A_1i) A_1l
-    total = (ac[0, :, None] * a[0, None] + ac[1, :, None] * a[1, None]).sum(axis=2)
+    # (sum_k A^T A)_il = sum_k A_0i A_0l + A_1i A_1l
+    total = (a[0, :, None] * a[0, None] + a[1, :, None] * a[1, None]).sum(axis=2)
     return np.abs(total - _IDENTITY).reshape(4, -1).max(axis=0)
 
 
 def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
-    """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^dag.
+    """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
-    Every set of the (N, K, 2, 2) stack must pass the completeness check of
+    Both stacks are float64 only; a complex one raises ValueError.  Every
+    set of the (N, K, 2, 2) stack must pass the completeness check of
     `validate_completeness` (else IncompleteKrausSetError names the first
-    that fails), and every output state the `DensityMatrix` checks.  The
-    output is float64 when both stacks are, complex otherwise.  On
+    that fails), and every output state the `DensityMatrix` checks.  On
     coherence-free states and the engine's channels each output entry is
     the same IEEE result as `apply_unselective`: every product is formed as
-    (A rho) A^dag and at most two are non-zero.
+    (A rho) A^T and at most two are non-zero.
     """
     k = as_matrix_stack(kraus)
     if k.ndim != 4 or k.shape[0] != rho.shape[0]:
@@ -291,10 +290,9 @@ def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
     r = np.ascontiguousarray(rho.transpose(1, 2, 0))[:, :, None]  # [i, j] is rho_ij as (1, N)
-    # (A rho)_il = A_i0 rho_0l + A_i1 rho_1l, then ((A rho) A^dag)_im summed over k
+    # (A rho)_il = A_i0 rho_0l + A_i1 rho_1l, then ((A rho) A^T)_im summed over k
     b = a[:, None, 0] * r[None, 0] + a[:, None, 1] * r[None, 1]
-    ac = a.conj()
-    out = (b[:, None, 0] * ac[None, :, 0] + b[:, None, 1] * ac[None, :, 1]).sum(axis=2)
+    out = (b[:, None, 0] * a[None, :, 0] + b[:, None, 1] * a[None, :, 1]).sum(axis=2)
     return validate_state_stack(out.transpose(2, 0, 1))
 
 

@@ -50,10 +50,11 @@ the same function (`np.exp` for the Gibbs weights, one call over all
 distinct b; `math.exp`/`math.tanh` for the closed form, once per distinct
 b; `math.log` for the entropy, once per distinct eigenvalue).  So each
 column equals the scalar field bit for bit.  A grid builds every per-point
-column once, at construction: x, tanh(b/2), the validated thermal stack
-and the damping strengths `q`; `subset` slices them all, and both grid
-runners read them.  The analytic runner builds and validates its QMI and
-QMII state stacks only when they, or their entropies, are read.
+column once, at construction: x, tanh(b/2), the excitation strengths,
+the validated thermal stack and the damping strengths `q`; `subset`
+slices them all, and both grid runners read them.  The analytic runner
+builds and validates its QMI and QMII state stacks only when they, or
+their entropies, are read.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
 
 
-_GRID_COLUMNS = ("b", "gamma", "r", "x", "th", "thermal", "q")
+_GRID_COLUMNS = ("b", "gamma", "r", "x", "th", "strength", "thermal", "q")
 
 
 def _set_column(grid: CycleGrid, name: str, column: np.ndarray) -> None:
@@ -359,7 +360,8 @@ class CycleGrid:
     Construction applies the `CycleParams` checks to every point, raising
     the error `CycleParams` raises for the first bad one, and builds every
     per-point column once, read-only: `x` = e^-b and `th` = tanh(b/2), from
-    math.exp and math.tanh once per distinct b; `thermal`, the validated
+    math.exp and math.tanh once per distinct b; `strength`, the excitation
+    strength P = gamma * (1 - e^-b); `thermal`, the validated float64
     (N, 2, 2) Gibbs state of every point, as `gibbs_state` gives it, from
     one np.exp over the distinct b; and `q`, the `isentropic_strength_stack`
     of every point, NaN where no partner exists.
@@ -371,6 +373,7 @@ class CycleGrid:
     r: np.ndarray
     x: np.ndarray = field(init=False, repr=False)
     th: np.ndarray = field(init=False, repr=False)
+    strength: np.ndarray = field(init=False, repr=False)
     thermal: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
 
@@ -397,6 +400,7 @@ class CycleGrid:
         distinct = values.tolist()
         _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
         _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])
+        _set_column(self, "strength", _strength(gamma, self.x))
         _set_column(self, "thermal", thermal[index])
         _set_column(self, "q", isentropic_strength_stack(self.strength, self.x))
 
@@ -419,11 +423,6 @@ class CycleGrid:
         for name in _GRID_COLUMNS:
             _set_column(grid, name, getattr(self, name)[index])
         return grid
-
-    @property
-    def strength(self) -> np.ndarray:
-        """Excitation strength P = gamma * (1 - e^-b) per point."""
-        return _strength(self.gamma, self.x)
 
     @property
     def realizable(self) -> np.ndarray:

@@ -4,8 +4,9 @@ Operators are numpy arrays of shape (2, 2), dtype complex128.
 `as_square_matrix` is the one check of that shape: the public functions
 here and the `DensityMatrix`/`KrausSet` constructors all coerce their
 input through it.  Batches of operators, as the grid evaluation uses
-them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`; a
-float64 stack stays real, as the engine's states and channels are.
+them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`, and
+they are float64 only: the engine's states and channels are real, and a
+complex stack is refused.
 Eigenvalues come from the closed-form quadratic.  `_distinct` is the
 sort-based deduplication the grid code shares (a transcendental or a
 string once per distinct value); one argsort, of no particular kind.
@@ -39,12 +40,15 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def as_matrix_stack(entries) -> np.ndarray:
-    """Coerce input to a (..., 2, 2) stack, rejecting NaN/Inf entries.
+    """Coerce real numeric input to a float64 (..., 2, 2) stack, rejecting NaN/Inf entries.
 
-    A float64 array stays float64; any other input becomes complex128.
+    Complex input, even with zero imaginary parts, and object arrays are
+    refused, not cast.
     """
-    real = getattr(entries, "dtype", None) == np.float64
-    a = np.asarray(entries, dtype=float if real else complex)
+    a = np.asarray(entries)
+    if a.dtype.kind not in "biuf":
+        raise ValueError("matrix entries must be real")
+    a = a.astype(float, copy=False)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 qubit matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -110,20 +114,20 @@ def _eig_pair(a00: complex, a01: complex, a10: complex, a11: complex) -> tuple[f
 
 
 def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_eig_pair` over a (N, 2, 2) Hermitian stack: the (N,) lower and upper eigenvalues.
+    """`_eig_pair` over a float64 (N, 2, 2) stack: the (N,) lower and upper eigenvalues.
 
     Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
     A stack without coherences, as every engine state is, skips the radius.
     """
-    p = a[:, 0, 0].real
-    q = a[:, 1, 1].real
-    c = 0.5 * (a[:, 0, 1] + np.conj(a[:, 1, 0]))
+    p = a[:, 0, 0]
+    q = a[:, 1, 1]
+    c = 0.5 * (a[:, 0, 1] + a[:, 1, 0])
     if not c.any():
         return np.minimum(p, q), np.maximum(p, q)
     diagonal = c == 0.0
     mean = 0.5 * (p + q)
-    radius = np.hypot(0.5 * (p - q), np.abs(c))
+    radius = np.hypot(0.5 * (p - q), c)
     lo = np.where(diagonal, np.minimum(p, q), mean - radius)
     hi = np.where(diagonal, np.maximum(p, q), mean + radius)
     return lo, hi

@@ -15,10 +15,9 @@ Grid evaluation works on (N, 2, 2) state stacks instead of one
 constructor's checks with the same tolerances to every state of a stack,
 and `mean_energy_stack` / `entropy_stack` give, state by state, the same
 bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
-The engine's stacks are float64 (`population_stack`); the stack functions
-take complex stacks too, by numpy's type promotion, and a real stack gives
-the bits its complex copy would: with zero imaginary parts every complex
-product, sum and modulus rounds as its real counterpart.
+Stacks are float64 only (`population_stack` builds them; a complex one
+is refused), so every difference and modulus the stack checks take is
+exact, as the constructor's are on real entries, and they decide alike.
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum(lam * ln(lam)) over eigenvalues, in nats."""
     s = 0.0
-    for lam in rho.eigenvalues():
+    for lam in _eig_pair(*rho.mat.ravel().tolist()):
         lam = max(lam, 0.0)  # PSD slack in [-TOL_PSD, 0) must not produce NaN
         if lam < ENTROPY_EIG_FLOOR:
             continue
@@ -179,76 +178,53 @@ def population_stack(populations: np.ndarray) -> np.ndarray:
     return out
 
 
-# A numpy modulus at or below tol * _ULPS_BELOW is within tol by Python's modulus too.
-_ULPS_BELOW = 1.0 - 4.0 * sys.float_info.epsilon
 # numpy's lower eigenvalue of a unit-trace state is within this of `_eig_pair`'s: near 0 it
 # is mean - radius with both terms near 1/2, so the ulps of numpy's hypot count at unit scale.
 _PSD_SLACK = 4.0 * sys.float_info.epsilon
 
 
-def _first_beyond(values: np.ndarray, near: float, tol: float, exact) -> tuple[int, float] | None:
-    """The first i, with exact(i), where exact(i) > tol; only values above `near` are tried."""
-    for i in np.flatnonzero(values > near).tolist():
-        value = exact(i)
-        if value > tol:
-            return i, value
-    return None
-
-
 def validate_state_stack(rho) -> np.ndarray:
-    """The `DensityMatrix` checks on every state of a (N, 2, 2) stack.
+    """The `DensityMatrix` checks on every state of a float64 (N, 2, 2) stack.
 
-    Raises ValueError naming the first state that is not finite, not
-    Hermitian within TOL_HERM, off unit trace by more than TOL_TRACE, or
-    has an eigenvalue below -TOL_PSD.  Returns the stack as `as_matrix_stack`
-    coerces it: float64 input stays real, any other becomes complex.
-    Each check is one reduction over the whole stack; the per-state values
-    are formed only to name the state.  numpy's complex modulus and hypot
-    can be an ulp off Python's, so a defect, trace or lower eigenvalue
-    within a few ulps of its tolerance is decided by the scalar rule of
-    `DensityMatrix`.
+    Raises ValueError if the stack is complex, and otherwise names the
+    first state that is not finite, not Hermitian within TOL_HERM, off
+    unit trace by more than TOL_TRACE, or has an eigenvalue below -TOL_PSD.
+    Returns the stack as `as_matrix_stack` coerces it, float64.  Each check
+    is one reduction over the whole stack; the per-state values are formed
+    only to name the state.  On real entries |a01 - a10| and |tr - 1| are
+    exact, so they decide as `DensityMatrix` does; numpy's hypot can be an
+    ulp off math.hypot, so a lower eigenvalue within a few ulps of -TOL_PSD
+    is decided by `_eig_pair`, the constructor's rule.
     """
     m = as_matrix_stack(rho)
     if m.ndim != 3:
         raise ValueError(f"expected a (N, 2, 2) state stack, got shape {m.shape}")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2))
-    near = TOL_HERM * _ULPS_BELOW
-    if defect.max(initial=0.0) > near:
-        bad = _first_beyond(defect.max(axis=(-1, -2)), near, TOL_HERM,
-                            lambda i: _hermiticity_defect(*m[i].ravel().tolist()))
-        if bad is not None:
-            i, value = bad
-            raise ValueError(f"state {i} of the stack is not Hermitian (defect {value:.3e})")
+    defect = np.abs(m[:, 0, 1] - m[:, 1, 0])
+    if defect.max(initial=0.0) > TOL_HERM:
+        i = int(np.argmax(defect > TOL_HERM))
+        raise ValueError(f"state {i} of the stack is not Hermitian (defect {defect[i]:.3e})")
     tr = m[:, 0, 0] + m[:, 1, 1]
     off = np.abs(tr - 1.0)
-    near = TOL_TRACE * _ULPS_BELOW
-    if off.max(initial=0.0) > near:
-        bad = _first_beyond(off, near, TOL_TRACE, lambda i: abs(complex(tr[i]) - 1.0))
-        if bad is not None:
-            i = bad[0]
-            raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
+    if off.max(initial=0.0) > TOL_TRACE:
+        i = int(np.argmax(off > TOL_TRACE))
+        raise ValueError(f"state {i} of the stack has trace {complex(tr[i]):.15g}, not 1")
     lo, _ = _eigvals_stack(m)
     near = _PSD_SLACK - TOL_PSD
     if lo.min(initial=0.0) < near:
-        bad = _first_beyond(-lo, -near, TOL_PSD, lambda i: -_eig_pair(*m[i].ravel().tolist())[0])
-        if bad is not None:
-            i, value = bad
-            raise ValueError(f"state {i} of the stack has negative eigenvalue {-value:.3e}")
+        for i in np.flatnonzero(lo < near).tolist():
+            value = _eig_pair(*m[i].ravel().tolist())[0]
+            if value < -TOL_PSD:
+                raise ValueError(f"state {i} of the stack has negative eigenvalue {value:.3e}")
     return m
 
 
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
     """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
 
-    Refuses, like `mean_energy`, if an imaginary part exceeds TOL_ENERGY_IMAG;
-    a real stack has none, so only a complex one is checked.
+    rho is a validated float64 (N, 2, 2) stack: a real state has no
+    imaginary energy, so `mean_energy`'s TOL_ENERGY_IMAG check has nothing to refuse.
     """
-    val = (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
-    if np.iscomplexobj(rho):
-        imag = np.abs(val.imag)
-        if (imag > TOL_ENERGY_IMAG).any():
-            raise ValueError(f"mean energy has imaginary part {imag.max():.3e}")
-    return val.real
+    return (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
 
 
 def entropy_stack(rho: np.ndarray) -> np.ndarray:

@@ -238,8 +238,8 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
     c.close("entropy-equality", points, entropy_qmi, ledger.entropy_qmii, TOL_EXACT)
     m, n = ledger.states_qmi, ledger.states_qmii
     for level in (0, 1):
-        c.close("population-swap", points, n[:, level, level].real,
-                m[:, 1 - level, 1 - level].real, TOL_EXACT, f" level={level}")
+        c.close("population-swap", points, n[:, level, level],
+                m[:, 1 - level, 1 - level], TOL_EXACT, f" level={level}")
     tp, qmi, qmii = (_offdiag(states) for states in (ledger.states_tp, m, n))
     # Each adiabat relabels the state before it without touching it.
     offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}

@@ -12,8 +12,15 @@ from measengine.channels import KrausSet
 from measengine.states import DensityMatrix
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def _gaussian(rng: np.random.Generator, real: bool) -> np.ndarray:
+    """A 2x2 matrix of standard normal entries, complex unless `real`."""
+    g = rng.normal(size=(2, 2))
+    return g if real else g + 1j * rng.normal(size=(2, 2))
+
+
+def random_density_matrix(rng: np.random.Generator, real: bool = False) -> DensityMatrix:
+    """Random state; `real` gives a real symmetric one."""
+    g = _gaussian(rng, real)
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
@@ -25,10 +32,10 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def random_kraus_set(rng: np.random.Generator, n_ops: int) -> KrausSet:
-    """Random valid set: n_ops - 1 scaled contractions plus the completion."""
+def random_kraus_set(rng: np.random.Generator, n_ops: int, real: bool = False) -> KrausSet:
+    """Random valid set: n_ops - 1 scaled contractions plus the completion; `real` ones if asked."""
     assert n_ops >= 2
-    raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_ops - 1)]
+    raw = [_gaussian(rng, real) for _ in range(n_ops - 1)]
     total = sum(g.conj().T @ g for g in raw)
     scale = np.sqrt(0.9 / np.linalg.eigvalsh(total)[-1])  # remainder stays PSD
     ops = [scale * g for g in raw]
@@ -61,6 +68,13 @@ NON_FINITE = (
     complex(np.inf, -np.inf),
     complex(np.nan, np.nan),
 )
+
+
+def real_stack(matrices) -> np.ndarray:
+    """The float64 stack of matrices whose entries are real (complex-typed ones included)."""
+    stack = np.array(matrices)
+    assert not np.imag(stack).any()
+    return np.real(stack).astype(float)
 
 
 def with_entry(base, i: int, j: int, value: complex) -> np.ndarray:

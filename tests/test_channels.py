@@ -23,7 +23,7 @@ from measengine.channels import (
 )
 from measengine.linalg import adjoint, matmul, max_offdiag, trace
 from measengine.states import DensityMatrix, Hamiltonian, gibbs_state, von_neumann_entropy
-from support import NON_FINITE, random_density_matrix, random_kraus_set, with_entry
+from support import NON_FINITE, random_density_matrix, random_kraus_set, real_stack, with_entry
 
 QUBIT = Hamiltonian.qubit(1.0)
 PROJ_Z = KrausSet(
@@ -143,13 +143,14 @@ class TestApplyUnselective:
 
 
 class TestApplyUnselectiveStack:
-    """The stacked channel against the scalar one on states with coherences."""
+    """The stacked channel against the scalar one on real states with coherences."""
 
     @staticmethod
     def random_stack(rng, n_ops: int, n: int = 40):
-        sets = [random_kraus_set(rng, n_ops) for _ in range(n)]
-        states = [random_density_matrix(rng) for _ in range(n)]
-        return sets, states, np.array([k.ops for k in sets]), np.array([rho.mat for rho in states])
+        sets = [random_kraus_set(rng, n_ops, real=True) for _ in range(n)]
+        states = [random_density_matrix(rng, real=True) for _ in range(n)]
+        return (sets, states, real_stack([k.ops for k in sets]),
+                real_stack([rho.mat for rho in states]))
 
     @pytest.mark.parametrize("n_ops", [2, 3, 4])
     def test_matches_the_scalar_channel_entrywise(self, rng, n_ops):
@@ -165,8 +166,8 @@ class TestApplyUnselectiveStack:
         kraus[::3] *= 1.0 + rng.uniform(1e-13, 1e-3, size=(len(kraus[::3]), 1, 1, 1))
         dev = completeness_deviation_stack(kraus)
         for i, got in enumerate(dev):
-            expected = validate_completeness(KrausSet(tuple(kraus[i]))).max_deviation
-            assert abs(got - expected) <= 1e-15
+            # Real entries: the same sums in the same order, and an exact modulus.
+            assert got == validate_completeness(KrausSet(tuple(kraus[i]))).max_deviation
 
     def test_incomplete_set_is_refused_by_its_index(self, rng):
         _, _, kraus, rho = self.random_stack(rng, 2, n=10)

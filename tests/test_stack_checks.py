@@ -11,16 +11,20 @@ import pytest
 from support import NON_FINITE
 
 from measengine.channels import (
+    COMPLETENESS_TOL,
     IncompleteKrausSetError,
+    KrausSet,
     NoIsentropicStrengthError,
     apply_unselective_stack,
+    completeness_deviation_stack,
     first_channel_stack,
     isentropic_strength,
     isentropic_strength_stack,
     second_channel_stack,
+    validate_completeness,
 )
 from measengine.engine import CycleGrid, run_analytic_grid, run_numeric_grid
-from measengine.linalg import TOL_HERM, _eig_pair, _eigvals_stack, _hermiticity_defect
+from measengine.linalg import TOL_HERM, _eigvals_stack
 from measengine.states import (
     TOL_PSD,
     TOL_TRACE,
@@ -35,7 +39,19 @@ def _up(x: float) -> float:
 
 
 def mixed_stack(n: int = 4) -> np.ndarray:
-    return np.array([np.diag([0.5, 0.5])] * n, dtype=complex)
+    return np.array([np.diag([0.5, 0.5])] * n)
+
+
+def with_bad_entry(stack: np.ndarray, index: tuple, bad: complex) -> tuple[np.ndarray, str]:
+    """A copy of a real stack with one non-finite entry, and the message that refuses it.
+
+    A value with an imaginary part makes the stack complex, which is refused
+    before its values are looked at.
+    """
+    real = bad.imag == 0.0
+    out = stack.astype(float if real else complex)
+    out[index] = bad.real if real else bad
+    return out, rf"^matrix entries must be {'finite' if real else 'real'}$"
 
 
 def with_states(**states) -> np.ndarray:
@@ -59,9 +75,8 @@ class TestValidateStateStack:
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize(("i", "j"), [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_non_finite_entry(self, bad, i, j):
-        stack = mixed_stack()
-        stack[2, i, j] = bad
-        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+        stack, message = with_bad_entry(mixed_stack(), (2, i, j), bad)
+        with pytest.raises(ValueError, match=message):
             validate_state_stack(stack)
 
     def test_non_hermitian_names_the_first_bad_state(self):
@@ -105,11 +120,10 @@ class TestValidateStateStack:
         "entries",
         [
             lambda t: [[0.5, t], [0.0, 0.5]],
-            lambda t: [[0.5, 1j * t], [0.0, 0.5]],
-            lambda t: [[0.5 + 0.5j * t, 0.0], [0.0, 0.5]],
-            lambda t: [[0.5, 0.0], [0.0, 0.5 - 0.5j * t]],
+            lambda t: [[0.5, 0.0], [t, 0.5]],
+            lambda t: [[0.5, -t], [0.0, 0.5]],
         ],
-        ids=["off-diagonal-real", "off-diagonal-imag", "diagonal-0", "diagonal-1"],
+        ids=["off-diagonal-real", "off-diagonal-lower", "off-diagonal-negative"],
     )
     def test_hermiticity_edge(self, entries):
         validate_state_stack(with_states(s1=entries(TOL_HERM), s3=entries(TOL_HERM)))
@@ -130,8 +144,14 @@ class TestValidateStateStack:
             validate_state_stack(with_states(s0=np.diag([0.5 - (below + 1) * 2.0**-53, 0.5])))
 
     def test_imaginary_trace_edge(self):
+        # `DensityMatrix` accepts an imaginary trace within TOL_TRACE; a stack must be real.
         h = 0.5 * TOL_TRACE
-        validate_state_stack(with_states(s3=[[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]]))
+        state = np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]])
+        DensityMatrix(state)
+        stack = mixed_stack().astype(complex)
+        stack[3] = state
+        with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
+            validate_state_stack(stack)
 
     def test_lowest_eigenvalue_edge(self):
         validate_state_stack(with_states(s2=np.diag([1.0 + TOL_PSD, -TOL_PSD])))
@@ -139,40 +159,59 @@ class TestValidateStateStack:
                                              r"-1\.000e-12$"):
             validate_state_stack(with_states(s2=np.diag([1.0 + TOL_PSD, -_up(TOL_PSD)])))
 
-    def test_coherent_hermiticity_edge_is_the_density_matrix_rule(self, rng):
-        """Near TOL_HERM the stack accepts exactly the states `DensityMatrix` accepts.
+    @staticmethod
+    def decided_alike(stack: np.ndarray, reason: str) -> np.ndarray:
+        """Per state, whether `DensityMatrix` accepts it; asserts the stack check agrees.
 
-        numpy's complex abs can be an ulp off Python's abs, the constructor's
-        modulus.  Each state is the maximally mixed one with random
-        off-diagonal entries scaled so that the defect |a01 - conj(a10)|
-        lies within a few ulps of TOL_HERM; only the Hermiticity check decides.
+        Each state is checked alone by both rules, then a stack of the
+        accepted states must pass and the whole stack must name the first
+        rejected state.
         """
-        n = 100_000
-        z = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        z *= TOL_HERM / np.abs(z[0] - np.conj(z[1]))
-        z *= 1.0 + rng.integers(-4, 5, size=n) * 2.0**-53
-        stack = np.zeros((n, 2, 2), dtype=complex)
-        stack[:, 0, 0] = stack[:, 1, 1] = 0.5
-        stack[:, 0, 1], stack[:, 1, 0] = z
-        defect = np.abs(z[0] - np.conj(z[1]))
-        accepted = np.array([_hermiticity_defect(*m.ravel().tolist()) <= TOL_HERM
-                             for m in stack])
+        accepted = np.array([not rejects_with(DensityMatrix, m, reason) for m in stack])
         assert 0.2 < accepted.mean() < 0.8
-        assert ((defect <= TOL_HERM) != accepted).sum() > 1000  # numpy's modulus would differ
-        for check in (DensityMatrix, lambda m: validate_state_stack(m[None])):
-            assert [rejects_with(check, m, "not Hermitian") for m in stack] == (~accepted).tolist()
-        # A stack passes exactly when each of its states does.
+        rejected = [rejects_with(lambda m: validate_state_stack(m[None]), m, reason)
+                    for m in stack]
+        assert rejected == (~accepted).tolist()
         validate_state_stack(stack[accepted])
         first = int(np.argmin(accepted))
-        with pytest.raises(ValueError, match=rf"^state {first} of the stack is not Hermitian"):
+        with pytest.raises(ValueError, match=rf"^state {first} of the stack .*{reason}"):
             validate_state_stack(stack)
+        return accepted
 
+    def test_hermiticity_edge_is_the_density_matrix_rule(self, rng):
+        """Near TOL_HERM the stack accepts exactly the states `DensityMatrix` accepts.
+
+        Each state is the maximally mixed one with random real off-diagonal
+        entries scaled so that the defect |a01 - a10| lies within a few ulps
+        of TOL_HERM; only the Hermiticity check decides.
+        """
+        n = 20_000
+        z = rng.normal(size=(2, n))
+        z *= TOL_HERM / np.abs(z[0] - z[1])
+        z *= 1.0 + rng.integers(-4, 5, size=n) * 2.0**-53
+        stack = np.zeros((n, 2, 2))
+        stack[:, 0, 0] = stack[:, 1, 1] = 0.5
+        stack[:, 0, 1], stack[:, 1, 0] = z
+        self.decided_alike(stack, "not Hermitian")
+
+    def test_trace_edge_is_the_density_matrix_rule(self, rng):
+        """Near TOL_TRACE the stack accepts exactly the states `DensityMatrix` accepts.
+
+        Each state is diagonal with populations a and 1 - a shifted by
+        TOL_TRACE, either way, and a few ulps of 1; only the trace check decides.
+        """
+        n = 20_000
+        a = rng.uniform(0.01, 0.99, n)
+        shift = rng.choice([-1.0, 1.0], n) * TOL_TRACE + rng.integers(-4, 5, size=n) * 2.0**-53
+        stack = np.zeros((n, 2, 2))
+        stack[:, 0, 0], stack[:, 1, 1] = a, (1.0 - a) + shift
+        self.decided_alike(stack, "trace")
 
     def test_coherent_psd_edge_is_the_density_matrix_rule(self, rng):
         """Near -TOL_PSD the stack accepts exactly the states `DensityMatrix` accepts.
 
-        Each state is diag(-TOL_PSD, 1 + TOL_PSD) in a random basis, exactly
-        Hermitian and of unit trace within an ulp, so only the lowest-eigenvalue
+        Each state is diag(-TOL_PSD, 1 + TOL_PSD) in a random real basis, exactly
+        symmetric and of unit trace within an ulp, so only the lowest-eigenvalue
         check decides.  numpy's lower eigenvalue, mean - radius with both terms
         near 1/2, can be an ulp of 1/2 off the constructor's.
         """
@@ -180,24 +219,14 @@ class TestValidateStateStack:
         theta = rng.uniform(0.0, math.pi, n)
         lo, hi = -TOL_PSD, 1.0 + TOL_PSD
         a = lo * np.cos(theta) ** 2 + hi * np.sin(theta) ** 2
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-        c = (hi - lo) * np.sin(theta) * np.cos(theta) * phase
-        stack = np.empty((n, 2, 2), dtype=complex)
+        c = (hi - lo) * np.sin(theta) * np.cos(theta)
+        stack = np.empty((n, 2, 2))
         stack[:, 0, 0], stack[:, 1, 1] = a, 1.0 - a
-        stack[:, 0, 1], stack[:, 1, 0] = c, np.conj(c)
-        accepted = np.array([_eig_pair(*m.ravel().tolist())[0] >= -TOL_PSD for m in stack])
-        assert 0.2 < accepted.mean() < 0.8
+        stack[:, 0, 1] = stack[:, 1, 0] = c
+        accepted = self.decided_alike(stack, "negative eigenvalue")
         numpy_accepts = _eigvals_stack(stack)[0] >= -TOL_PSD
-        assert (numpy_accepts != accepted).sum() > 1000  # numpy's eigenvalue alone would differ
-        for check in (DensityMatrix, lambda m: validate_state_stack(m[None])):
-            rejected = [rejects_with(check, m, "negative eigenvalue") for m in stack]
-            assert rejected == (~accepted).tolist()
-        # A stack passes exactly when each of its states does.
-        validate_state_stack(stack[accepted])
-        first = int(np.argmin(accepted))
-        with pytest.raises(ValueError,
-                           match=rf"^state {first} of the stack has negative eigenvalue"):
-            validate_state_stack(stack)
+        # numpy's eigenvalue alone would differ: on 437 of these states with the fixture's seed.
+        assert (numpy_accepts != accepted).sum() > 200
 
 class TestApplyUnselectiveStackRejects:
     RHO = mixed_stack()
@@ -214,10 +243,42 @@ class TestApplyUnselectiveStackRejects:
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)],
                              ids=["real", "imag"])
     def test_non_finite_operator(self, bad):
-        kraus = self.KRAUS.astype(complex)  # the channel stacks are real; the bad entry is not
-        kraus[2, 1, 1, 0] = bad
-        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+        kraus, message = with_bad_entry(self.KRAUS, (2, 1, 1, 0), bad)
+        with pytest.raises(ValueError, match=message):
             apply_unselective_stack(kraus, self.RHO)
+
+    def test_completeness_edge_is_the_validate_completeness_rule(self, rng):
+        """Near COMPLETENESS_TOL the stack accepts exactly the sets `validate_completeness` accepts.
+
+        Each set is {U diag(cos t) V, W diag(sin t) V} for random rotations U,
+        W, V, complete in exact arithmetic, times diag(sqrt(1 + e), sqrt(1 - e))
+        with e within a few ulps of 1 of COMPLETENESS_TOL, so that the sum is
+        diag(1 + e, 1 - e) up to roundoff and the outputs keep unit trace.
+        """
+        n = 20_000
+
+        def rotation():
+            angle = rng.uniform(0.0, 2.0 * math.pi, n)
+            cos, sin = np.cos(angle), np.sin(angle)
+            return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+
+        t = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2))
+        e = COMPLETENESS_TOL + rng.integers(-4, 5, size=n) * 2.0**-52
+        scale = np.stack([np.sqrt(1.0 + e), np.sqrt(1.0 - e)], -1)[:, None, :]
+        v = rotation()
+        kraus = np.stack([rotation() @ (np.cos(t)[:, :, None] * v) * scale,
+                          rotation() @ (np.sin(t)[:, :, None] * v) * scale], axis=1)
+        expected = np.array([validate_completeness(KrausSet(tuple(k))).max_deviation
+                             for k in kraus])
+        assert completeness_deviation_stack(kraus).tobytes() == expected.tobytes()
+        accepted = expected <= COMPLETENESS_TOL
+        assert 0.2 < accepted.mean() < 0.8
+        rho = mixed_stack(n)
+        apply_unselective_stack(kraus[accepted], rho[accepted])
+        first = int(np.argmin(accepted))
+        with pytest.raises(IncompleteKrausSetError,
+                           match=rf"^Kraus set {first} of the stack violates completeness"):
+            apply_unselective_stack(kraus, rho)
 
     @pytest.mark.parametrize(("kraus", "message"), [
         (KRAUS[:, 0], r"^expected a \(4, K, 2, 2\) Kraus stack, got shape \(4, 2, 2\)$"),
@@ -271,7 +332,7 @@ class TestIsentropicStrengthStackRejects:
 
 
 class TestEmptyStacks:
-    EMPTY = np.zeros((0, 2, 2), dtype=complex)
+    EMPTY = np.zeros((0, 2, 2))
 
     def test_state_checks_and_kernels(self):
         assert validate_state_stack(self.EMPTY).shape == (0, 2, 2)

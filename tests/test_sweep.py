@@ -75,7 +75,7 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
     assert subset.mode is fresh.mode
-    for name in ("b", "gamma", "r", "x", "th", "thermal", "q"):
+    for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
         column = getattr(subset, name)
         assert column.dtype == getattr(fresh, name).dtype
         assert column.tobytes() == getattr(fresh, name).tobytes(), name
