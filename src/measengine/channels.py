@@ -20,10 +20,15 @@ Two concrete qubit channels drive the engine:
 diagonal populations left by the excitation channel, so the second stroke
 conserves entropy.
 
-`KrausSet` accepts only 2x2 operators (via `linalg.as_square_matrix`), so
-a set and a `DensityMatrix` always agree on dimension.  The functions here
-apply its frozen operators with numpy's `@`, and every application first
-checks completeness on the operators' entries as Python complex numbers.
+`KrausSet` accepts only 2x2 operators (via `linalg._square_entries`, the
+check behind `as_square_matrix`), so a set and a `DensityMatrix` always
+agree on dimension.  Both keep their entries as Python complex numbers.
+Every application first checks completeness on the operators' entries;
+`apply_unselective` then forms sum_n (A_n rho) A_n^dag in Python complex
+arithmetic on the stored entries of the set and the state, and builds
+the output through the `DensityMatrix` constructor, which checks it.
+`measure_selective` and `povm_elements` take numpy's `@` products of the
+frozen operators, as the public `linalg` helpers do.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
 per grid point, float64 only since both channels' operators are real (a
@@ -41,11 +46,11 @@ that has no partner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix_stack, as_square_matrix
+from .linalg import _square_entries, as_matrix_stack
 from .linalg import matmul  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
 from .states import DensityMatrix, validate_state_stack
 
@@ -76,20 +81,30 @@ class NoIsentropicStrengthError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered 2x2 measurement operators."""
+    """Ordered 2x2 measurement operators.
+
+    Construction checks each operator (`linalg.as_square_matrix`), freezes
+    it, and keeps `entries`: per operator, its four entries row by row as
+    Python complex numbers.
+    """
 
     ops: tuple[np.ndarray, ...]
     label: str = ""
+    entries: tuple[tuple[complex, complex, complex, complex], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("Kraus set needs at least one operator")
         frozen = []
+        entries = []
         for op in self.ops:
-            m = as_square_matrix(op).copy()
+            m, flat = _square_entries(op)
+            m = m.copy()
             m.flags.writeable = False
             frozen.append(m)
+            entries.append(tuple(flat))
         object.__setattr__(self, "ops", tuple(frozen))
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -119,8 +134,7 @@ def validate_completeness(k: KrausSet) -> CompletenessReport:
     # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
     # the sum is the conjugate of the (0, 1) entry, so it has the same modulus.
     t00 = t01 = t11 = 0j
-    for op in k.ops:
-        (a, b), (c, d) = op.tolist()
+    for a, b, c, d in k.entries:
         t00 += a.conjugate() * a + c.conjugate() * c
         t01 += a.conjugate() * b + c.conjugate() * d
         t11 += b.conjugate() * b + d.conjugate() * d
@@ -140,10 +154,20 @@ def _require_complete(k: KrausSet) -> None:
 def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
     _require_complete(k)
-    out = np.zeros((2, 2), dtype=complex)
-    for op in k.ops:
-        out += op @ rho.mat @ op.conj().T
-    return DensityMatrix(out)
+    r00, r01, r10, r11 = rho.entries
+    o00 = o01 = o10 = o11 = 0j
+    for a, b, c, d in k.entries:
+        # B = A rho, then (B A^dag)_im = B_i0 conj(A_m0) + B_i1 conj(A_m1).
+        b00 = a * r00 + b * r10
+        b01 = a * r01 + b * r11
+        b10 = c * r00 + d * r10
+        b11 = c * r01 + d * r11
+        a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        o00 += b00 * a + b01 * b
+        o01 += b00 * c + b01 * d
+        o10 += b10 * a + b11 * b
+        o11 += b10 * c + b11 * d
+    return DensityMatrix([[o00, o01], [o10, o11]])
 
 
 def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcome]:
@@ -173,8 +197,8 @@ def first_channel(p: float) -> KrausSet:
     """
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
-    m1 = np.array([[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=complex)
-    m2 = np.array([[0.0, 0.0], [math.sqrt(p), 0.0]], dtype=complex)
+    m1 = [[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]]
+    m2 = [[0.0, 0.0], [math.sqrt(p), 0.0]]
     return KrausSet((m1, m2), label=f"excite(P={p:g})")
 
 
@@ -186,8 +210,8 @@ def second_channel(q: float) -> KrausSet:
     """
     if not math.isfinite(q) or q < 0.0 or q > 1.0:
         raise ValueError(f"damping strength must lie in [0, 1], got {q}")
-    n1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - q)]], dtype=complex)
-    n2 = np.array([[0.0, math.sqrt(q)], [0.0, 0.0]], dtype=complex)
+    n1 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - q)]]
+    n2 = [[0.0, math.sqrt(q)], [0.0, 0.0]]
     return KrausSet((n1, n2), label=f"damp(q={q:g})")
 
 
@@ -271,14 +295,18 @@ def _completeness_deviation(a: np.ndarray) -> np.ndarray:
 def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
-    Both stacks are float64 only; a complex one raises ValueError.  Every
-    set of the (N, K, 2, 2) stack must pass the completeness check of
+    Both stacks are float64 only: a complex one, or a state stack not of
+    shape (N, 2, 2), raises ValueError before any arithmetic.  Every set
+    of the (N, K, 2, 2) stack must pass the completeness check of
     `validate_completeness` (else IncompleteKrausSetError names the first
     that fails), and every output state the `DensityMatrix` checks.  On
     coherence-free states and the engine's channels each output entry is
     the same IEEE result as `apply_unselective`: every product is formed as
     (A rho) A^T and at most two are non-zero.
     """
+    rho = as_matrix_stack(rho)
+    if rho.ndim != 3:
+        raise ValueError(f"expected a (N, 2, 2) state stack, got shape {rho.shape}")
     k = as_matrix_stack(kraus)
     if k.ndim != 4 or k.shape[0] != rho.shape[0]:
         raise ValueError(f"expected a ({rho.shape[0]}, K, 2, 2) Kraus stack, got shape {k.shape}")

@@ -1,26 +1,31 @@
 """Dense linear algebra for the qubit's 2x2 operator matrices.
 
 Operators are numpy arrays of shape (2, 2), dtype complex128.
-`as_square_matrix` is the one check of that shape: the public functions
-here and the `DensityMatrix`/`KrausSet` constructors all coerce their
-input through it.  Batches of operators, as the grid evaluation uses
-them, are stacks of shape (..., 2, 2) checked by `as_matrix_stack`, and
-they are float64 only: the engine's states and channels are real, and a
-complex stack is refused.
+`_square_entries` is the one check of that shape and of finiteness: it
+coerces the input, reads its four entries once as Python complex numbers
+(one `.tolist()`) and checks each with `cmath.isfinite`.  The public
+functions here coerce their input through it, by way of
+`as_square_matrix`, and the `DensityMatrix`/`KrausSet` constructors call
+it directly and keep the entries.  Batches of operators, as the grid
+evaluation uses them, are stacks of shape (..., 2, 2) checked by
+`as_matrix_stack`, and they are float64 only: the engine's states and
+channels are real, and a complex stack is refused.
 Eigenvalues come from the closed-form quadratic.  `_distinct` is the
 sort-based deduplication the grid code shares (a transcendental or a
 string once per distinct value); one argsort, of no particular kind.
 
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
-construction and freeze their arrays, so math on those arrays uses numpy
-directly and the unchecked kernels `_hermiticity_defect` and `_eig_pair`,
-which take the four entries as Python complex numbers (one `.tolist()`):
-on a 2x2 matrix a numpy call costs more than its arithmetic.
+construction, freeze their arrays and keep their entries, so the scalar
+math (energies, entropies, channel application) runs on those Python
+complex numbers and the unchecked kernels `_hermiticity_defect` and
+`_eig_pair`, without a numpy call: on a 2x2 matrix a numpy call costs
+more than its arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -31,12 +36,18 @@ TOL_HERM = 1e-12  # max entrywise |A - A^dag| accepted as Hermitian
 
 def as_square_matrix(entries) -> np.ndarray:
     """Coerce input to a 2x2 complex matrix, rejecting NaN/Inf entries."""
+    return _square_entries(entries)[0]
+
+
+def _square_entries(entries) -> tuple[np.ndarray, list[complex]]:
+    """`as_square_matrix` and the matrix's four entries, row by row, as Python complex numbers."""
     a = np.asarray(entries, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"expected a square 2x2 qubit matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    flat = a.ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix entries must be finite")
-    return a
+    return a, flat
 
 
 def as_matrix_stack(entries) -> np.ndarray:
@@ -73,7 +84,7 @@ def trace(a: np.ndarray) -> complex:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max entrywise |A - A^dag|; zero for exactly Hermitian input."""
-    return _hermiticity_defect(*as_square_matrix(a).ravel().tolist())
+    return _hermiticity_defect(*_square_entries(a)[1])
 
 
 def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
@@ -90,7 +101,7 @@ def max_offdiag(a: np.ndarray) -> float:
 
 def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending, in closed form."""
-    entries = as_square_matrix(a).ravel().tolist()
+    entries = _square_entries(a)[1]
     defect = _hermiticity_defect(*entries)
     if defect > tol_herm:
         raise ValueError(

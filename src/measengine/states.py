@@ -6,9 +6,12 @@ the only temperature parameter is the dimensionless product b = beta * gap.
 Entropy is reported in nats.
 
 The working substance is a qubit: `Hamiltonian` takes exactly two levels
-and `DensityMatrix` only 2x2 matrices (via `linalg.as_square_matrix`).
-Its constructor runs the Hermiticity, trace and lowest-eigenvalue checks
-on the four entries as Python complex numbers, read once with `.tolist()`.
+and `DensityMatrix` only 2x2 matrices (via `linalg._square_entries`, the
+check behind `as_square_matrix`).  Its constructor runs the Hermiticity,
+trace and lowest-eigenvalue checks on the four entries as Python complex
+numbers, read once with `.tolist()`, and keeps the entries and the
+eigenvalue pair it computed: `mean_energy`, `von_neumann_entropy`,
+`trace_distance` and `DensityMatrix.eigenvalues` read those, not `mat`.
 
 Grid evaluation works on (N, 2, 2) state stacks instead of one
 `DensityMatrix` per point: `validate_state_stack` applies the
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +38,8 @@ from .linalg import (
     _eig_pair,
     _eigvals_stack,
     _hermiticity_defect,
+    _square_entries,
     as_matrix_stack,
-    as_square_matrix,
 )
 
 TOL_TRACE = 1e-12        # |Tr(rho) - 1| accepted
@@ -78,30 +81,40 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     Construction validates all three invariants (tolerances TOL_HERM,
-    TOL_TRACE, TOL_PSD) and freezes the underlying array.
+    TOL_TRACE, TOL_PSD) and freezes the underlying array.  It keeps what
+    the checks read: `entries`, the four entries of `mat` row by row as
+    Python complex numbers, and `eig_pair`, its ascending eigenvalues.
     """
 
     mat: np.ndarray
+    entries: tuple[complex, complex, complex, complex] = field(init=False, repr=False)
+    eig_pair: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = as_square_matrix(self.mat).copy()
-        entries = m.ravel().tolist()
+        m, entries = _square_entries(self.mat)
+        m = m.copy()
         defect = _hermiticity_defect(*entries)
         if defect > TOL_HERM:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
         tr = entries[0] + entries[3]
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"state trace {tr:.15g} is not 1")
-        lo = _eig_pair(*entries)[0]
-        if lo < -TOL_PSD:
-            raise ValueError(f"state has negative eigenvalue {lo:.3e}")
+        eig = _eig_pair(*entries)
+        if eig[0] < -TOL_PSD:
+            raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "eig_pair", eig)
 
     @classmethod
     def from_populations(cls, populations) -> DensityMatrix:
-        """Diagonal state from a probability vector."""
-        return cls(np.diag(np.asarray(populations, dtype=complex)))
+        """Diagonal state from a probability vector of length 2."""
+        n = len(populations)
+        if n != 2:
+            raise ValueError(f"expected 2 populations for a 2x2 qubit state, got {n}")
+        p0, p1 = populations
+        return cls([[p0, 0.0], [0.0, p1]])
 
     @classmethod
     def pure(cls, level: int) -> DensityMatrix:
@@ -120,7 +133,7 @@ class DensityMatrix:
         return np.diag(self.mat).real.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array(_eig_pair(*self.mat.ravel().tolist()))
+        return np.array(self.eig_pair)
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,7 +148,7 @@ def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
     e = np.asarray(h.levels)
     w = np.exp(-b * (e - e.min()))  # shift keeps exp() in range for any b
-    return DensityMatrix.from_populations(w / w.sum())
+    return DensityMatrix.from_populations((w / w.sum()).tolist())
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -145,8 +158,8 @@ def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     operations `mean_energy_stack` makes, in the same order.
     """
     lo, hi = h.levels
-    m = rho.mat
-    val = lo * complex(m[0, 0]) + hi * complex(m[1, 1])
+    rho_00, _, _, rho_11 = rho.entries
+    val = lo * rho_00 + hi * rho_11
     if abs(val.imag) > TOL_ENERGY_IMAG:
         raise ValueError(f"mean energy has imaginary part {val.imag:.3e}")
     return val.real
@@ -155,7 +168,7 @@ def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum(lam * ln(lam)) over eigenvalues, in nats."""
     s = 0.0
-    for lam in _eig_pair(*rho.mat.ravel().tolist()):
+    for lam in rho.eig_pair:
         lam = max(lam, 0.0)  # PSD slack in [-TOL_PSD, 0) must not produce NaN
         if lam < ENTROPY_EIG_FLOOR:
             continue
@@ -165,7 +178,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of (a - b); lies in [0, 1]."""
-    lo, hi = _eig_pair(*(a.mat - b.mat).ravel().tolist())
+    lo, hi = _eig_pair(*(x - y for x, y in zip(a.entries, b.entries)))
     return 0.5 * (abs(lo) + abs(hi))
 
 
@@ -218,12 +231,20 @@ def validate_state_stack(rho) -> np.ndarray:
     return m
 
 
+def _require_float(rho: np.ndarray) -> None:
+    """Refuse a stack that is not floating point; a dtype check, no pass over the entries."""
+    if rho.dtype.kind != "f":
+        raise ValueError("matrix entries must be real")
+
+
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
     """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
 
     rho is a validated float64 (N, 2, 2) stack: a real state has no
     imaginary energy, so `mean_energy`'s TOL_ENERGY_IMAG check has nothing to refuse.
+    A complex stack raises ValueError, as in `as_matrix_stack`.
     """
+    _require_float(rho)
     return (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
 
 
@@ -231,7 +252,9 @@ def entropy_stack(rho: np.ndarray) -> np.ndarray:
     """`von_neumann_entropy` per state of a validated (N, 2, 2) stack.
 
     math.log, the scalar path's logarithm, runs once per distinct eigenvalue.
+    A complex stack raises ValueError, as in `as_matrix_stack`.
     """
+    _require_float(rho)
     lam = np.maximum(np.concatenate(_eigvals_stack(rho)), 0.0)  # PSD slack must not produce NaN
     kept = lam >= ENTROPY_EIG_FLOOR
     values, index = _distinct(lam[kept])

@@ -58,8 +58,14 @@ class TestCompleteness:
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     def test_non_finite_operator_is_rejected(self, bad):
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-                KrausSet(PROJ_Z.ops[:1] + (with_entry(PROJ_Z.ops[1], i, j, bad),))
+            op = with_entry(PROJ_Z.ops[1], i, j, bad)
+            for given in (op, op.tolist()):  # the engine's channels pass nested lists
+                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                    KrausSet(PROJ_Z.ops[:1] + (given,))
+
+    def test_stored_entries_are_those_of_the_operators(self, rng):
+        for k in [random_kraus_set(rng, n) for n in (2, 3, 4)] + [first_channel(0.3), PROJ_Z]:
+            assert k.entries == tuple(tuple(op.ravel().tolist()) for op in k.ops)
 
 
 class TestChannelConstruction:
@@ -132,6 +138,28 @@ class TestApplyUnselective:
             IncompleteKrausSetError, match=r"^Kraus set edge violates completeness by 1\.000e-12$"
         ):
             apply_unselective(beyond, mixed)
+
+    def test_agrees_with_the_matrix_products_on_complex_sets(self, rng):
+        for _ in range(300):
+            k = random_kraus_set(rng, int(rng.integers(2, 5)))
+            rho = random_density_matrix(rng)
+            expected = sum(op @ rho.mat @ op.conj().T for op in k.ops)
+            assert np.max(np.abs(apply_unselective(k, rho).mat - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("channel", [first_channel, second_channel])
+    def test_is_the_matrix_products_bit_for_bit_on_diagonal_states(self, rng, channel):
+        # The engine's case: real operators on coherence-free states.
+        states = [gibbs_state(QUBIT, b) for b in (1e-8, 0.7, 5.0, 700.0)]
+        states += [DensityMatrix.pure(0), DensityMatrix.pure(1), DensityMatrix.maximally_mixed()]
+        states += [DensityMatrix.from_populations([p, 1.0 - p]) for p in rng.uniform(size=50)]
+        strengths = [0.0, 3.0 / 8.0, 1.0, *rng.uniform(size=20)]
+        for rho in states:
+            for strength in strengths:
+                k = channel(strength)
+                expected = np.zeros((2, 2), dtype=complex)
+                for op in k.ops:
+                    expected += op @ rho.mat @ op.conj().T
+                assert apply_unselective(k, rho).mat.tobytes() == expected.tobytes()
 
     def test_random_sets_preserve_trace_and_psd(self, rng):
         for _ in range(150):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -18,7 +19,8 @@ from measengine.engine import (
     run_analytic,
     run_numeric,
 )
-from measengine.states import DensityMatrix, trace_distance, von_neumann_entropy
+from measengine.channels import KrausSet
+from measengine.states import DensityMatrix, gibbs_state, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
@@ -382,3 +384,23 @@ class TestOutputsArePinned:
             _hash_ledger(h, run_numeric(p))
             _hash_ledger(h, run_analytic(p))
         assert h.hexdigest() == self.CYCLE_DIGEST
+
+
+def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
+    # Each construction runs every check, so the count is the cost: the numeric
+    # cycle builds the thermal, QMI and QMII states and the two channels, and the
+    # analytic cycle right after it reuses the cached thermal state.
+    counts = collections.Counter()
+    for cls in (DensityMatrix, KrausSet):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    gibbs_state.cache_clear()
+    p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
+    run_numeric(p)
+    assert (counts["DensityMatrix"], counts["KrausSet"]) == (3, 2)
+    counts.clear()
+    run_analytic(p)
+    assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 0)

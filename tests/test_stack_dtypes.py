@@ -8,6 +8,7 @@ point refuses a complex stack with a ValueError, without casting it.
 import numpy as np
 import pytest
 
+from measengine import channels
 from measengine.channels import (
     apply_unselective_stack,
     completeness_deviation_stack,
@@ -16,7 +17,12 @@ from measengine.channels import (
 )
 from measengine.engine import CycleGrid, run_analytic_grid, run_numeric_grid
 from measengine.linalg import as_matrix_stack
-from measengine.states import population_stack, validate_state_stack
+from measengine.states import (
+    entropy_stack,
+    mean_energy_stack,
+    population_stack,
+    validate_state_stack,
+)
 
 F64 = np.dtype(np.float64)
 STRENGTHS = np.array([0.0, 0.3, 0.7, 1.0])
@@ -61,9 +67,26 @@ def test_every_stack_entry_point_refuses_complex_stacks(make):
     for call in (lambda: validate_state_stack(rho.astype(complex)),
                  lambda: completeness_deviation_stack(kraus.astype(complex)),
                  lambda: apply_unselective_stack(kraus.astype(complex), rho),
-                 lambda: apply_unselective_stack(kraus, rho.astype(complex))):
+                 lambda: apply_unselective_stack(kraus, rho.astype(complex)),
+                 lambda: mean_energy_stack(rho.astype(complex), 1.0),
+                 lambda: entropy_stack(rho.astype(complex))):
         with pytest.raises(ValueError, match=REAL_PATTERN):
             call()
+
+
+def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(monkeypatch):
+    kraus, rho = first_channel_stack(STRENGTHS), population_stack(POPULATIONS)
+    expected = apply_unselective_stack(kraus, rho)
+    assert np.array_equal(apply_unselective_stack(kraus, rho.tolist()), expected)
+
+    def no_arithmetic(a):
+        raise AssertionError("the channel ran on an unchecked state stack")
+
+    monkeypatch.setattr(channels, "_completeness_deviation", no_arithmetic)
+    with pytest.raises(ValueError, match=REAL_PATTERN):
+        apply_unselective_stack(kraus, rho.astype(complex))
+    with pytest.raises(ValueError, match=r"^expected a \(N, 2, 2\) state stack, got shape \(2, 2\)$"):
+        apply_unselective_stack(kraus, rho[0])
 
 
 @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 3.0)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from support import NON_FINITE, random_density_matrix, with_entry
 
 from measengine.engine import CycleParams, run_analytic, run_numeric
-from measengine.linalg import TOL_HERM
+from measengine.linalg import TOL_HERM, _eig_pair
 from measengine.states import (
     TOL_PSD,
     TOL_TRACE,
@@ -73,8 +73,19 @@ class TestDensityMatrixInvariants:
     def test_rejects_non_finite_entries(self, bad):
         mixed = np.eye(2) / 2.0
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-                DensityMatrix(with_entry(mixed, i, j, bad))
+            m = with_entry(mixed, i, j, bad)
+            for given in (m, m.tolist()):  # the channels pass nested lists
+                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                    DensityMatrix(given)
+
+    def test_stored_entries_and_eigenvalues_are_those_of_mat(self, rng):
+        states = [random_density_matrix(rng) for _ in range(200)]
+        states += [gibbs_state(QUBIT, 0.7), DensityMatrix.pure(1), DensityMatrix.maximally_mixed()]
+        for rho in states:
+            entries = rho.mat.ravel().tolist()
+            assert rho.entries == tuple(entries)
+            assert rho.eig_pair == _eig_pair(*entries)
+            assert np.array_equal(rho.eigenvalues(), np.array(rho.eig_pair))
 
 
 def _up(x: float) -> float:
