@@ -21,10 +21,9 @@ that.
 
 The five records hold three distinct states (thermal, after QMI, after
 QMII): the adiabats only relabel the gap, so TP and API share one
-entropy, and QMII and APII another, each computed once.  `gibbs_state`
-keeps the last thermal state, and `_stretched_gap` the last stretched
-Hamiltonian, so `run_analytic(p)` right after `run_numeric(p)` reuses both
-instead of building them again.
+entropy, and QMII and APII another, each computed once.  Both runners
+read the thermal state, x, tanh(b/2) and the two strengths off the
+`CycleParams`, which builds them once, as `CycleGrid` builds its columns.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -81,6 +80,7 @@ from .linalg import _distinct
 from .states import (
     DensityMatrix,
     Hamiltonian,
+    _gibbs_populations,
     entropy_stack,
     gibbs_state,
     mean_energy,
@@ -114,12 +114,22 @@ class CycleMode(str, Enum):
 
 @dataclass(frozen=True)
 class CycleParams:
-    """Cycle control knobs: b = beta*gap, strength fraction gamma, ratio r."""
+    """Cycle control knobs: b = beta*gap, strength fraction gamma, ratio r.
+
+    After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
+    th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
+    state and q, NaN where no partner exists.  Equality, hash and repr ignore them.
+    """
 
     b: float
     gamma: float
     mode: CycleMode
     r: float = 1.0
+    x: float = field(init=False, repr=False, compare=False)
+    th: float = field(init=False, repr=False, compare=False)
+    strength: float = field(init=False, repr=False, compare=False)
+    thermal: DensityMatrix = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", CycleMode(self.mode))
@@ -127,15 +137,16 @@ class CycleParams:
             raise InvalidCycleError(f"b must be finite and positive, got {self.b}")
         if not math.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
             raise InvalidCycleError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not math.isfinite(self.r) or self.r < 1.0:
-            raise InvalidCycleError(f"frequency ratio r must be >= 1, got {self.r}")
-        if self.mode is CycleMode.THREE_STROKE and self.r != 1.0:
-            raise InvalidCycleError(f"three-stroke cycle requires r = 1, got r = {self.r}")
-
-    @property
-    def strength(self) -> float:
-        """Excitation strength P = gamma * (1 - e^-b)."""
-        return _strength(self.gamma, math.exp(-self.b))
+        gamma_bounds(self.mode, self.r)  # refuses a bad r
+        x = math.exp(-self.b)
+        strength = _strength(self.gamma, x)
+        try:
+            q = isentropic_strength(strength, self.b)
+        except NoIsentropicStrengthError:
+            q = math.nan
+        for name, value in (("x", x), ("th", math.tanh(0.5 * self.b)), ("strength", strength),
+                            ("thermal", gibbs_state(_H1, self.b)), ("q", q)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +184,12 @@ class EnergyLedger:
 
 
 def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
-    """Engine-valid gamma range: [1/2, 1] three-stroke, [1/(1+r), 1] five-stroke."""
+    """Engine-valid gamma range: [1/2, 1] three-stroke (r = 1 only), [1/(1+r), 1] five-stroke."""
     mode = CycleMode(mode)
     if not math.isfinite(r) or r < 1.0:
         raise InvalidCycleError(f"frequency ratio r must be >= 1, got {r}")
+    if mode is CycleMode.THREE_STROKE and r != 1.0:
+        raise InvalidCycleError(f"three-stroke cycle requires r = 1, got r = {r}")
     return _gamma_range(mode, r)
 
 
@@ -226,27 +239,21 @@ def _eta_law(mode: CycleMode, gamma, r):
     return (gamma * (1.0 + r) - 1.0) / (gamma * r)
 
 
-def _cycle_strokes(p: CycleParams, thermal: DensityMatrix, rho_m: DensityMatrix,
+def _cycle_strokes(p: CycleParams, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
     """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state."""
-    hr = _stretched_gap(p.r)
-    s_th = von_neumann_entropy(thermal)
+    hr = Hamiltonian.qubit(p.r)
+    s_th = von_neumann_entropy(p.thermal)
     s_n = von_neumann_entropy(rho_n)
     return (
-        StrokeRecord("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
+        StrokeRecord("TP", p.thermal, _H1, mean_energy(p.thermal, _H1), s_th),
         # API stretches the gap and leaves the populations untouched.
-        StrokeRecord("API", thermal, hr, mean_energy(thermal, hr), s_th),
+        StrokeRecord("API", p.thermal, hr, mean_energy(p.thermal, hr), s_th),
         StrokeRecord("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
         StrokeRecord("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
         # APII restores the gap before thermalization.
         StrokeRecord("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _stretched_gap(r: float) -> Hamiltonian:
-    """`Hamiltonian.qubit(r)`, the gap between API and APII; the last r is kept."""
-    return Hamiltonian.qubit(r)
 
 
 def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeRecord, ...]:
@@ -272,12 +279,9 @@ def _require_realizable(p: CycleParams) -> None:
 def run_numeric(p: CycleParams) -> EnergyLedger:
     """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
     _require_realizable(p)
-    rho_th = gibbs_state(_H1, p.b)
-    strength = p.strength
-    rho_m = apply_unselective(first_channel(strength), rho_th)
-    q = isentropic_strength(strength, p.b)
-    rho_n = apply_unselective(second_channel(q), rho_m)
-    strokes = _cycle_strokes(p, rho_th, rho_m, rho_n)
+    rho_m = apply_unselective(first_channel(p.strength), p.thermal)
+    rho_n = apply_unselective(second_channel(p.q), rho_m)
+    strokes = _cycle_strokes(p, rho_m, rho_n)
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(*[rec.energy_after for rec in strokes])
     flags: list[str] = []
     if q_in == 0.0:
@@ -288,7 +292,7 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
     return EnergyLedger(
         params=p, source="numeric", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=q, valid=True, flags=tuple(flags),
+        w_ext=w_ext, eta=eta, q_used=p.q, valid=True, flags=tuple(flags),
     )
 
 
@@ -302,31 +306,25 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
     and the two agree at r = 1 only up to roundoff, so each mode keeps its
     own and the three-stroke CSV keeps its digits.
     """
-    x = math.exp(-p.b)
-    strength = _strength(p.gamma, x)
-    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
-        x, math.tanh(0.5 * p.b), strength, p.r)
+    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(p.x, p.th, p.strength, p.r)
     flags: list[str] = []
     if p.gamma == 0.0:
         flags.append(FLAG_ETA_ZERO_INPUT)
         eta = 0.0
     else:
         eta = _eta_law(p.mode, p.gamma, p.r)
-    try:
-        q_used = isentropic_strength(strength, p.b)
-    except NoIsentropicStrengthError:
+    if math.isnan(p.q):
         flags.append(FLAG_NO_PARTNER)
-        q_used = math.nan
     lo, hi = _gamma_range(p.mode, p.r)
     valid = lo <= p.gamma <= hi
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
-    strokes = _cycle_strokes(p, gibbs_state(_H1, p.b), DensityMatrix.from_populations(m_pops),
+    strokes = _cycle_strokes(p, DensityMatrix.from_populations(m_pops),
                              DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
     return EnergyLedger(
         params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
-        w_ext=w_ext, eta=eta, q_used=q_used, valid=valid, flags=tuple(flags),
+        w_ext=w_ext, eta=eta, q_used=p.q, valid=valid, flags=tuple(flags),
     )
 
 
@@ -362,9 +360,9 @@ class CycleGrid:
     per-point column once, read-only: `x` = e^-b and `th` = tanh(b/2), from
     math.exp and math.tanh once per distinct b; `strength`, the excitation
     strength P = gamma * (1 - e^-b); `thermal`, the validated float64
-    (N, 2, 2) Gibbs state of every point, as `gibbs_state` gives it, from
-    one np.exp over the distinct b; and `q`, the `isentropic_strength_stack`
-    of every point, NaN where no partner exists.
+    (N, 2, 2) Gibbs state of every point, from one `_gibbs_populations`
+    call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
+    `isentropic_strength_stack` of every point, NaN where no partner exists.
     """
 
     b: np.ndarray
@@ -394,9 +392,7 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
-        e = np.asarray(_H1.levels)
-        w = np.exp(-np.multiply.outer(values, e - e.min()))  # as `gibbs_state` weighs each b
-        thermal = validate_state_stack(population_stack(w / w.sum(axis=1, keepdims=True)))
+        thermal = validate_state_stack(population_stack(_gibbs_populations(_H1, values)))
         distinct = values.tolist()
         _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
         _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])

@@ -25,7 +25,6 @@ exact, as the constructor's are on real entries, and they decide alike.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ class Hamiltonian:
             raise ValueError("Hamiltonian levels must be finite")
         if self.levels[0] > self.levels[1]:
             raise ValueError("Hamiltonian levels must be sorted ascending")
-        # A tuple of floats, whatever sequence was passed: hashable, so it can key a cache.
+        # A tuple of floats, whatever sequence was passed, so equal levels compare and hash alike.
         object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
 
     @classmethod
@@ -118,10 +117,10 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, level: int) -> DensityMatrix:
-        """Projector |level><level| in the computational basis."""
-        p = np.zeros(2)
-        p[level] = 1.0
-        return cls.from_populations(p)
+        """Projector |level><level| in the computational basis, level 0 or 1."""
+        if level not in (0, 1):
+            raise ValueError(f"qubit level must be 0 or 1, got {level!r}")
+        return cls.from_populations((1.0, 0.0) if level == 0 else (0.0, 1.0))
 
     @classmethod
     def maximally_mixed(cls) -> DensityMatrix:
@@ -136,19 +135,22 @@ class DensityMatrix:
         return np.array(self.eig_pair)
 
 
-@functools.lru_cache(maxsize=1)
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
     """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0.
 
-    The last (h, b) is cached: a repeated request gets the same validated,
-    read-only state back, so the numeric and analytic ledgers of one
-    cycle build it once.  An invalid b raises on every call.
+    Each call builds and validates a new read-only state; a cycle gets its
+    one thermal state from `CycleParams`.  An invalid b raises ValueError.
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
+    return DensityMatrix.from_populations(_gibbs_populations(h, b).tolist())
+
+
+def _gibbs_populations(h: Hamiltonian, b):
+    """exp(-b H)/Z's populations: (2,) for a float b, (N, 2) for an (N,) array of b."""
     e = np.asarray(h.levels)
-    w = np.exp(-b * (e - e.min()))  # shift keeps exp() in range for any b
-    return DensityMatrix.from_populations((w / w.sum()).tolist())
+    w = np.exp(-np.multiply.outer(b, e - e.min()))  # the shift keeps exp() in range for any b
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:

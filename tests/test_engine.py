@@ -20,7 +20,7 @@ from measengine.engine import (
     run_numeric,
 )
 from measengine.channels import KrausSet
-from measengine.states import DensityMatrix, gibbs_state, trace_distance, von_neumann_entropy
+from measengine.states import DensityMatrix, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
@@ -70,6 +70,13 @@ class TestGammaBounds:
     def test_rejects_small_r(self):
         with pytest.raises(InvalidCycleError):
             gamma_bounds(CycleMode.FIVE_STROKE, 0.9)
+
+    def test_three_stroke_refuses_r_other_than_1_as_cycle_params_does(self):
+        message = r"^three-stroke cycle requires r = 1, got r = 2\.0$"
+        with pytest.raises(InvalidCycleError, match=message):
+            gamma_bounds(CycleMode.THREE_STROKE, 2.0)
+        with pytest.raises(InvalidCycleError, match=message):
+            CycleParams(b=1.0, gamma=0.75, mode=CycleMode.THREE_STROKE, r=2.0)
 
 
 class TestThreeStrokeNumeric:
@@ -387,9 +394,9 @@ class TestOutputsArePinned:
 
 
 def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
-    # Each construction runs every check, so the count is the cost: the numeric
-    # cycle builds the thermal, QMI and QMII states and the two channels, and the
-    # analytic cycle right after it reuses the cached thermal state.
+    # Each construction runs every check, so the count is the cost: the parameters
+    # build the thermal state, the numeric cycle the QMI and QMII states and the two
+    # channels, and the analytic cycle its QMI and QMII states.
     counts = collections.Counter()
     for cls in (DensityMatrix, KrausSet):
         def counted(self, check=cls.__post_init__, name=cls.__name__):
@@ -397,10 +404,11 @@ def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    gibbs_state.cache_clear()
     p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
+    assert (counts["DensityMatrix"], counts["KrausSet"]) == (1, 0)
+    counts.clear()
     run_numeric(p)
-    assert (counts["DensityMatrix"], counts["KrausSet"]) == (3, 2)
+    assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 2)
     counts.clear()
     run_analytic(p)
     assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 0)

@@ -46,12 +46,19 @@ class TestHamiltonian:
         assert h.levels == (-0.5, 0.5)
         assert type(h.levels) is tuple and all(type(e) is float for e in h.levels)
         assert h == QUBIT and hash(h) == hash(QUBIT)
-        # Hashable, so the cached gibbs_state takes it, and gives QUBIT's state.
+        # Equal levels, so gibbs_state gives QUBIT's state.
         b = 0.37
         assert np.array_equal(gibbs_state(h, b).mat, gibbs_state(QUBIT, b).mat)
 
 
 class TestDensityMatrixInvariants:
+    def test_pure_takes_only_the_two_qubit_levels(self):
+        assert np.array_equal(DensityMatrix.pure(0).mat, np.diag([1.0, 0.0]))
+        assert np.array_equal(DensityMatrix.pure(1).mat, np.diag([0.0, 1.0]))
+        for level in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^qubit level must be 0 or 1, got {level}$"):
+                DensityMatrix.pure(level)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
@@ -156,14 +163,12 @@ class TestGibbsState:
         with pytest.raises(ValueError):
             gibbs_state(QUBIT, math.inf)
 
-    def test_repeated_request_returns_the_cached_state(self):
-        rho = gibbs_state(QUBIT, 0.42)
-        assert gibbs_state(QUBIT, 0.42) is rho
-        assert not rho.mat.flags.writeable
-        other = gibbs_state(QUBIT, 0.43)
-        assert other is not rho
-        assert not np.array_equal(other.mat, rho.mat)
-        assert gibbs_state(Hamiltonian.qubit(2.0), 0.43) is not other
+    def test_repeated_request_gives_an_equal_read_only_state(self):
+        first, second = gibbs_state(QUBIT, 0.42), gibbs_state(QUBIT, 0.42)
+        assert np.array_equal(first.mat, second.mat)
+        assert first.entries == second.entries and first.eig_pair == second.eig_pair
+        assert not first.mat.flags.writeable and not second.mat.flags.writeable
+        assert not np.array_equal(gibbs_state(QUBIT, 0.43).mat, first.mat)
 
     def test_invalid_b_raises_on_every_call(self):
         gibbs_state(QUBIT, 1.0)

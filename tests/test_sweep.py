@@ -66,7 +66,9 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
     numeric = run_numeric_grid(grid.subset(realizable))
     for i in range(len(grid)):
         params = grid.point(i)
-        assert same(grid.strength[i], params.strength)
+        for name in ("x", "th", "strength", "q"):
+            assert same(getattr(grid, name)[i], getattr(params, name)), name
+        assert np.array_equal(params.thermal.mat, grid.thermal[i])
         assert grid.realizable[i] == numeric_realizable(params)
         assert_columns_match(analytic, i, run_analytic(params))
     for j, i in enumerate(realizable):
