@@ -20,15 +20,17 @@ Two concrete qubit channels drive the engine:
 diagonal populations left by the excitation channel, so the second stroke
 conserves entropy.
 
-`KrausSet` accepts only 2x2 operators (via `linalg._square_entries`, the
-check behind `as_square_matrix`), so a set and a `DensityMatrix` always
-agree on dimension.  Both keep their entries as Python complex numbers.
-Every application first checks completeness on the operators' entries;
-`apply_unselective` then forms sum_n (A_n rho) A_n^dag in Python complex
-arithmetic on the stored entries of the set and the state, and builds
-the output through the `DensityMatrix` constructor, which checks it.
-`measure_selective` and `povm_elements` take numpy's `@` products of the
-frozen operators, as the public `linalg` helpers do.
+`KrausSet` accepts only 2x2 operators (via `linalg._square_entries`, which
+checks as `as_square_matrix` does), so a set and a `DensityMatrix` always
+agree on dimension.  Both keep their entries as Python complex numbers,
+and build their read-only arrays (`ops`, `mat`) from them only when first
+read.  Every application first checks completeness on the operators'
+entries; `apply_unselective` then forms sum_n (A_n rho) A_n^dag in Python
+complex arithmetic on the stored entries of the set and the state, and
+builds the output, a nested list, through the `DensityMatrix`
+constructor, which checks it without a numpy array.  `measure_selective`
+and `povm_elements` take numpy's `@` products of the read-only operators,
+as the public `linalg` helpers do.
 
 Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
 per grid point, float64 only since both channels' operators are real (a
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _square_entries, as_matrix_stack
+from .linalg import _frozen_matrix, _square_entries, as_matrix_stack
 from .linalg import matmul  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
 from .states import DensityMatrix, validate_state_stack
 
@@ -83,9 +85,11 @@ class NoIsentropicStrengthError(ValueError):
 class KrausSet:
     """Ordered 2x2 measurement operators.
 
-    Construction checks each operator (`linalg.as_square_matrix`), freezes
-    it, and keeps `entries`: per operator, its four entries row by row as
-    Python complex numbers.
+    Construction checks each operator (`linalg.as_square_matrix`'s check)
+    and keeps `entries`: per operator, its four entries row by row as
+    Python complex numbers.  `ops`, a tuple of read-only complex arrays, is
+    built from `entries` when first read, and is the same object on every
+    later read.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -95,19 +99,20 @@ class KrausSet:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("Kraus set needs at least one operator")
-        frozen = []
-        entries = []
-        for op in self.ops:
-            m, flat = _square_entries(op)
-            m = m.copy()
-            m.flags.writeable = False
-            frozen.append(m)
-            entries.append(tuple(flat))
-        object.__setattr__(self, "ops", tuple(frozen))
-        object.__setattr__(self, "entries", tuple(entries))
+        entries = tuple(tuple(_square_entries(op)) for op in self.ops)
+        del self.__dict__["ops"]  # the input; `__getattr__` builds the arrays from the entries
+        object.__setattr__(self, "entries", entries)
+
+    def __getattr__(self, name):
+        # Called only for a name the instance does not hold: `ops` until its first read.
+        if name != "ops":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = tuple(map(_frozen_matrix, self.entries))
+        object.__setattr__(self, "ops", ops)
+        return ops
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.entries)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,12 @@ The five records hold three distinct states (thermal, after QMI, after
 QMII): the adiabats only relabel the gap, so TP and API share one
 entropy, and QMII and APII another, each computed once.  Both runners
 read the thermal state, x, tanh(b/2) and the two strengths off the
-`CycleParams`, which builds them once, as `CycleGrid` builds its columns.
+`CycleParams`, which builds them once, as `CycleGrid` builds its columns,
+and take its TP and API records, which it builds once with the stretched
+`Hamiltonian`; a runner forms only QMI, QMII and APII.  One scalar cycle
+builds no numpy array: its states and Kraus sets are built from Python
+floats and keep their entries, and the one numpy call is the `np.exp`
+of the Gibbs weight.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -118,7 +123,9 @@ class CycleParams:
 
     After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
     th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
-    state and q, NaN where no partner exists.  Equality, hash and repr ignore them.
+    state and q, NaN where no partner exists; so are the TP and API records,
+    which hold the thermal state under the bare and the stretched gap, with
+    their energies and its entropy.  Equality, hash and repr ignore them.
     """
 
     b: float
@@ -130,6 +137,7 @@ class CycleParams:
     strength: float = field(init=False, repr=False, compare=False)
     thermal: DensityMatrix = field(init=False, repr=False, compare=False)
     q: float = field(init=False, repr=False, compare=False)
+    thermal_strokes: tuple[StrokeRecord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", CycleMode(self.mode))
@@ -144,8 +152,16 @@ class CycleParams:
             q = isentropic_strength(strength, self.b)
         except NoIsentropicStrengthError:
             q = math.nan
+        thermal = gibbs_state(_H1, self.b)
+        hr = Hamiltonian.qubit(self.r)
+        s_th = von_neumann_entropy(thermal)
+        strokes = (
+            StrokeRecord("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
+            # API stretches the gap and leaves the populations untouched.
+            StrokeRecord("API", thermal, hr, mean_energy(thermal, hr), s_th),
+        )
         for name, value in (("x", x), ("th", math.tanh(0.5 * self.b)), ("strength", strength),
-                            ("thermal", gibbs_state(_H1, self.b)), ("q", q)):
+                            ("thermal", thermal), ("q", q), ("thermal_strokes", strokes)):
             object.__setattr__(self, name, value)
 
 
@@ -241,14 +257,16 @@ def _eta_law(mode: CycleMode, gamma, r):
 
 def _cycle_strokes(p: CycleParams, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
-    """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state."""
-    hr = Hamiltonian.qubit(p.r)
-    s_th = von_neumann_entropy(p.thermal)
+    """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state.
+
+    TP and API are the point's own records; QMI, QMII and APII are formed here.
+    """
+    tp, api = p.thermal_strokes
+    hr = api.hamiltonian_after
     s_n = von_neumann_entropy(rho_n)
     return (
-        StrokeRecord("TP", p.thermal, _H1, mean_energy(p.thermal, _H1), s_th),
-        # API stretches the gap and leaves the populations untouched.
-        StrokeRecord("API", p.thermal, hr, mean_energy(p.thermal, hr), s_th),
+        tp,
+        api,
         StrokeRecord("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
         StrokeRecord("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
         # APII restores the gap before thermalization.
@@ -392,7 +410,8 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
-        thermal = validate_state_stack(population_stack(_gibbs_populations(_H1, values)))
+        ground, excited = _gibbs_populations(_H1, values)
+        thermal = validate_state_stack(population_stack(np.stack((ground, excited), axis=-1)))
         distinct = values.tolist()
         _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
         _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])

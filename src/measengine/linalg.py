@@ -1,26 +1,30 @@
 """Dense linear algebra for the qubit's 2x2 operator matrices.
 
 Operators are numpy arrays of shape (2, 2), dtype complex128.
-`_square_entries` is the one check of that shape and of finiteness: it
-coerces the input, reads its four entries once as Python complex numbers
-(one `.tolist()`) and checks each with `cmath.isfinite`.  The public
-functions here coerce their input through it, by way of
-`as_square_matrix`, and the `DensityMatrix`/`KrausSet` constructors call
-it directly and keep the entries.  Batches of operators, as the grid
-evaluation uses them, are stacks of shape (..., 2, 2) checked by
-`as_matrix_stack`, and they are float64 only: the engine's states and
-channels are real, and a complex stack is refused.
+`as_square_matrix` is the one check of that shape and of finiteness: it
+coerces the input with numpy, reads its four entries once as Python
+complex numbers (one `.tolist()`) and checks each with `cmath.isfinite`.
+The public functions here coerce their input through it.
+`_square_entries` gives the `DensityMatrix`/`KrausSet` constructors the
+checked entries alone: a 2x2 nested list of Python floats or complex
+numbers, which is what the package's own builders pass, is read without
+numpy, with the same finiteness check; any other input goes through
+`as_square_matrix`, so it is accepted or refused as there.
+`_frozen_matrix` builds the read-only array of four such entries, which
+the two classes do only when their `mat`/`ops` is first read.  Batches of
+operators, as the grid evaluation uses them, are stacks of shape
+(..., 2, 2) checked by `as_matrix_stack`, and they are float64 only: the
+engine's states and channels are real, and a complex stack is refused.
 Eigenvalues come from the closed-form quadratic.  `_distinct` is the
 sort-based deduplication the grid code shares (a transcendental or a
 string once per distinct value); one argsort, of no particular kind.
 
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
-construction, freeze their arrays and keep their entries, so the scalar
-math (energies, entropies, channel application) runs on those Python
-complex numbers and the unchecked kernels `_hermiticity_defect` and
-`_eig_pair`, without a numpy call: on a 2x2 matrix a numpy call costs
-more than its arithmetic.
+construction and keep their entries, so the scalar math (energies,
+entropies, channel application) runs on those Python complex numbers and
+the unchecked kernels `_hermiticity_defect` and `_eig_pair`, without a
+numpy call: on a 2x2 matrix a numpy call costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -33,21 +37,52 @@ import numpy as np
 # Central tolerance for the whole verification stack.
 TOL_HERM = 1e-12  # max entrywise |A - A^dag| accepted as Hermitian
 
+_PYTHON_SCALARS = frozenset((float, complex))  # entry types `_square_entries` reads without numpy
+
 
 def as_square_matrix(entries) -> np.ndarray:
     """Coerce input to a 2x2 complex matrix, rejecting NaN/Inf entries."""
-    return _square_entries(entries)[0]
+    return _coerce(entries)[0]
 
 
-def _square_entries(entries) -> tuple[np.ndarray, list[complex]]:
+def _coerce(entries) -> tuple[np.ndarray, list[complex]]:
     """`as_square_matrix` and the matrix's four entries, row by row, as Python complex numbers."""
     a = np.asarray(entries, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"expected a square 2x2 qubit matrix, got shape {a.shape}")
     flat = a.ravel().tolist()
+    _require_finite(flat)
+    return a, flat
+
+
+def _square_entries(entries) -> list[complex]:
+    """The four entries of `as_square_matrix(entries)`, row by row, as Python complex numbers.
+
+    A list of two lists of two Python floats or complex numbers is read
+    without numpy: complex() of such a value is numpy's complex128 of it,
+    bit for bit.  Anything else is coerced by `as_square_matrix`.
+    """
+    if type(entries) is list and len(entries) == 2:
+        top, bottom = entries
+        if type(top) is list and type(bottom) is list and len(top) == 2 and len(bottom) == 2:
+            flat = top + bottom
+            if _PYTHON_SCALARS.issuperset(map(type, flat)):
+                flat = list(map(complex, flat))
+                _require_finite(flat)
+                return flat
+    return _coerce(entries)[1]
+
+
+def _require_finite(flat: list[complex]) -> None:
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix entries must be finite")
-    return a, flat
+
+
+def _frozen_matrix(flat) -> np.ndarray:
+    """The read-only 2x2 complex matrix of four entries given row by row."""
+    m = np.array(flat, dtype=complex).reshape(2, 2)
+    m.flags.writeable = False
+    return m
 
 
 def as_matrix_stack(entries) -> np.ndarray:
@@ -84,7 +119,7 @@ def trace(a: np.ndarray) -> complex:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max entrywise |A - A^dag|; zero for exactly Hermitian input."""
-    return _hermiticity_defect(*_square_entries(a)[1])
+    return _hermiticity_defect(*_square_entries(a))
 
 
 def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
@@ -101,7 +136,7 @@ def max_offdiag(a: np.ndarray) -> float:
 
 def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending, in closed form."""
-    entries = _square_entries(a)[1]
+    entries = _square_entries(a)
     defect = _hermiticity_defect(*entries)
     if defect > tol_herm:
         raise ValueError(

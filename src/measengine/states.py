@@ -6,12 +6,17 @@ the only temperature parameter is the dimensionless product b = beta * gap.
 Entropy is reported in nats.
 
 The working substance is a qubit: `Hamiltonian` takes exactly two levels
-and `DensityMatrix` only 2x2 matrices (via `linalg._square_entries`, the
-check behind `as_square_matrix`).  Its constructor runs the Hermiticity,
+and `DensityMatrix` only 2x2 matrices (via `linalg._square_entries`, which
+checks as `as_square_matrix` does).  Its constructor runs the Hermiticity,
 trace and lowest-eigenvalue checks on the four entries as Python complex
-numbers, read once with `.tolist()`, and keeps the entries and the
-eigenvalue pair it computed: `mean_energy`, `von_neumann_entropy`,
-`trace_distance` and `DensityMatrix.eigenvalues` read those, not `mat`.
+numbers, and keeps the entries and the eigenvalue pair it computed:
+`mean_energy`, `von_neumann_entropy`, `trace_distance` and
+`DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
+array from a nested list of Python floats, which is what
+`from_populations`, `gibbs_state` and the channels pass; `mat` is built
+from the entries when first read, which a single cycle never does.
+`gibbs_state` weighs the two levels with one `np.exp` on a float (the
+same `_gibbs_populations` weighs a grid's array of b).
 
 Grid evaluation works on (N, 2, 2) state stacks instead of one
 `DensityMatrix` per point: `validate_state_stack` applies the
@@ -36,6 +41,7 @@ from .linalg import (
     _distinct,
     _eig_pair,
     _eigvals_stack,
+    _frozen_matrix,
     _hermiticity_defect,
     _square_entries,
     as_matrix_stack,
@@ -80,9 +86,11 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     Construction validates all three invariants (tolerances TOL_HERM,
-    TOL_TRACE, TOL_PSD) and freezes the underlying array.  It keeps what
-    the checks read: `entries`, the four entries of `mat` row by row as
-    Python complex numbers, and `eig_pair`, its ascending eigenvalues.
+    TOL_TRACE, TOL_PSD) and keeps what the checks read: `entries`, the
+    four entries of `mat` row by row as Python complex numbers, and
+    `eig_pair`, its ascending eigenvalues.  `mat` itself, a read-only
+    complex array, is built from `entries` when first read, and is the
+    same object on every later read.
     """
 
     mat: np.ndarray
@@ -90,8 +98,7 @@ class DensityMatrix:
     eig_pair: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m, entries = _square_entries(self.mat)
-        m = m.copy()
+        entries = _square_entries(self.mat)
         defect = _hermiticity_defect(*entries)
         if defect > TOL_HERM:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
@@ -101,10 +108,17 @@ class DensityMatrix:
         eig = _eig_pair(*entries)
         if eig[0] < -TOL_PSD:
             raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        del self.__dict__["mat"]  # the input; `__getattr__` builds the array from the entries
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "eig_pair", eig)
+
+    def __getattr__(self, name):
+        # Called only for a name the instance does not hold: `mat` until its first read.
+        if name != "mat":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = _frozen_matrix(self.entries)
+        object.__setattr__(self, "mat", mat)
+        return mat
 
     @classmethod
     def from_populations(cls, populations) -> DensityMatrix:
@@ -138,19 +152,34 @@ class DensityMatrix:
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
     """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0.
 
-    Each call builds and validates a new read-only state; a cycle gets its
-    one thermal state from `CycleParams`.  An invalid b raises ValueError.
+    Each call builds and validates a new state; a cycle gets its one
+    thermal state from `CycleParams`.  An invalid b raises ValueError.
+    A gap so wide that b times it leaves the float range gives the ground
+    state, the limit, without a warning.
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
-    return DensityMatrix.from_populations(_gibbs_populations(h, b).tolist())
+    return DensityMatrix.from_populations(_gibbs_populations(h, b))
 
 
 def _gibbs_populations(h: Hamiltonian, b):
-    """exp(-b H)/Z's populations: (2,) for a float b, (N, 2) for an (N,) array of b."""
-    e = np.asarray(h.levels)
-    w = np.exp(-np.multiply.outer(b, e - e.min()))  # the shift keeps exp() in range for any b
-    return w / w.sum(axis=-1, keepdims=True)
+    """The (ground, excited) populations of exp(-b H)/Z, for a float b or an (N,) array of b.
+
+    A float b gives two floats, an array two (N,) arrays.  The weights are
+    taken relative to the ground level, which keeps exp() in range for any b:
+    the ground weight exp(-b*0) is 1 exactly, the excited one w = exp(-b*gap)
+    comes from one np.exp, and Z = 1 + w.  An overflowing gap, or b*gap, is
+    inf (Python floats do not warn; numpy is told not to) and w = exp(-inf) = 0.
+    """
+    lo, hi = h.levels
+    gap = hi - lo
+    if isinstance(b, float):
+        w = float(np.exp(-b * gap))
+    else:
+        with np.errstate(over="ignore"):
+            w = np.exp(-b * gap)
+    z = 1.0 + w
+    return 1.0 / z, w / z
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:

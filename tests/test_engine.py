@@ -20,7 +20,7 @@ from measengine.engine import (
     run_numeric,
 )
 from measengine.channels import KrausSet
-from measengine.states import DensityMatrix, trace_distance, von_neumann_entropy
+from measengine.states import DensityMatrix, Hamiltonian, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
@@ -412,3 +412,47 @@ def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
     counts.clear()
     run_analytic(p)
     assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 0)
+
+
+def test_the_stretched_hamiltonian_is_built_once_per_point(monkeypatch):
+    # The point's TP and API records hold it: both runners reuse them and build no Hamiltonian.
+    built = []
+    check = Hamiltonian.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Hamiltonian, "__post_init__", counted)
+    for mode, r in (("five", 2.0), ("three", 1.0)):
+        p = CycleParams(b=0.7, gamma=0.8, mode=mode, r=r)
+        assert [h.levels for h in built] == [(-0.5 * r, 0.5 * r)]
+        built.clear()
+        numeric, analytic = run_numeric(p), run_analytic(p)
+        assert built == []
+        assert numeric.stroke("TP") is analytic.stroke("TP") is p.thermal_strokes[0]
+
+
+@pytest.mark.parametrize("mode, b, gamma, r", [
+    ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
+    ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6), ("five", 2.0, 0.3, 3.0),
+])
+def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
+    # Only the Gibbs weight's one np.exp, on a float, runs numpy; every matrix is
+    # built from the checked entries when first read.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar cycle built a numpy array")
+
+    with monkeypatch.context() as patch:
+        for name in ("asarray", "array", "zeros", "diag"):
+            patch.setattr(np, name, refuse)
+        p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
+        ledgers = [run_analytic(p)]
+        if numeric_realizable(p):
+            ledgers.append(run_numeric(p))
+    for ledger in ledgers:
+        for rec in ledger.strokes:
+            mat = rec.state_after.mat
+            assert not mat.flags.writeable and mat is rec.state_after.mat
+            expected = np.asarray(rec.state_after.entries, complex).reshape(2, 2)
+            assert mat.tobytes() == expected.tobytes()

@@ -1,18 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import NON_FINITE, random_density_matrix, with_entry
 
+from measengine.channels import KrausSet
 from measengine.engine import CycleParams, run_analytic, run_numeric
-from measengine.linalg import TOL_HERM, _eig_pair
+from measengine.linalg import TOL_HERM, _eig_pair, as_square_matrix
 from measengine.states import (
     TOL_PSD,
     TOL_TRACE,
     DensityMatrix,
     Hamiltonian,
+    _gibbs_populations,
     gibbs_state,
     mean_energy,
     trace_distance,
@@ -183,6 +186,113 @@ class TestGibbsState:
         pops = gibbs_state(QUBIT, b).populations
         assert np.all(pops > 0.0)
         assert abs(pops.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("h, b", [(Hamiltonian((-1e308, 1e308)), 1.0),
+                                      (Hamiltonian.qubit(1e308), 1e10)],
+                             ids=["gap-overflows", "b-times-gap-overflows"])
+    def test_an_overflowing_weight_gives_the_ground_state_without_a_warning(self, h, b):
+        # Any warning is an error under this suite's filterwarnings.
+        assert gibbs_state(h, b).entries == (1.0, 0.0, 0.0, 0.0)
+        ground, excited = _gibbs_populations(h, np.array([b, 2.0 * b]))
+        assert ground.tolist() == [1.0, 1.0] and excited.tolist() == [0.0, 0.0]
+
+    @given(st.floats(min_value=-18.0, max_value=3.0), st.floats(min_value=0.0, max_value=2.0))
+    def test_weighting_is_the_normalized_boltzmann_weights_bit_for_bit(self, log_b, log_f):
+        # The reference is exp(-b (E - E_min)) over its sum, on numpy arrays, for one b.
+        b = 10.0 ** log_b
+        h = Hamiltonian.qubit(10.0 ** log_f)
+        e = np.asarray(h.levels)
+        w = np.exp(-np.multiply.outer(b, e - e.min()))
+        expected = (w / w.sum(axis=-1, keepdims=True)).tolist()
+        pops = _gibbs_populations(h, b)
+        assert all(type(v) is float for v in pops)
+        assert list(pops) == expected
+        ground, excited = _gibbs_populations(h, np.array([b, b]))
+        assert ground.tolist() == [expected[0]] * 2 and excited.tolist() == [expected[1]] * 2
+
+
+def _state_entries(p: float, c: complex) -> list[list[complex]]:
+    return [[complex(p), c], [c.conjugate(), complex(1.0 - p)]]
+
+
+_STATE_ENTRIES = st.builds(_state_entries, st.floats(0.0, 1.0),
+                           st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.6)))
+
+# 2x2 entries as complex numbers: states (diagonal, real or complex coherence, some
+# failing the PSD check), states with one non-finite entry, and arbitrary entries,
+# NaN, infinities and huge values included.
+_ENTRIES = st.one_of(
+    _STATE_ENTRIES,
+    st.builds(lambda m, i, j, bad: with_entry(m, i, j, bad).tolist(), _STATE_ENTRIES,
+              st.integers(0, 1), st.integers(0, 1), st.sampled_from(NON_FINITE)),
+    st.lists(st.complex_numbers(), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
+)
+
+# Each input kind a caller might pass, built from 2x2 complex entries.  The last
+# five are malformed: the wrong shape, or entries that are not numbers (numpy
+# still parses numeric strings, and bools).
+_KINDS = {
+    "float lists": lambda m: [[v.real for v in row] for row in m],
+    "complex lists": lambda m: [list(row) for row in m],
+    "mixed lists": lambda m: [[m[0][0].real, m[0][1]], [m[1][0], m[1][1].real]],
+    "int lists": lambda m: [[int(v.real) if math.isfinite(v.real) else 1 for v in row]
+                            for row in m],
+    "float tuples": lambda m: tuple(tuple(v.real for v in row) for row in m),
+    "complex tuples": lambda m: tuple(tuple(row) for row in m),
+    "np.float64 lists": lambda m: [[np.float64(v.real) for v in row] for row in m],
+    "float64 array": lambda m: np.array([[v.real for v in row] for row in m]),
+    "complex128 array": lambda m: np.array(m, dtype=complex),
+    "3x3 lists": lambda m: [[v.real for v in row] + [0.0] for row in m] + [[0.0, 0.0, 1.0]],
+    "ragged lists": lambda m: [[v.real for v in m[0]], [m[1][0].real]],
+    "flat list": lambda m: [v.real for row in m for v in row],
+    "string lists": lambda m: [[repr(v.real) for v in row] for row in m],
+    "bool lists": lambda m: [[v.real > 0.5 for v in row] for row in m],
+}
+
+_REFUSALS = (ValueError, TypeError, OverflowError)
+
+
+class TestConstructorInputKinds:
+    """`DensityMatrix` and `KrausSet` accept or refuse every kind of input as numpy's coercion does.
+
+    The reference is `as_square_matrix`: numpy's complex coercion, then the shape
+    and finiteness checks.  Nested lists of Python floats and complex numbers are
+    read without numpy, so for them this compares two implementations.
+    """
+
+    @settings(max_examples=400)
+    @given(_ENTRIES, st.sampled_from(sorted(_KINDS)))
+    def test_each_input_is_accepted_or_refused_as_numpy_coerces_it(self, entries, kind):
+        value = _KINDS[kind](entries)
+        try:
+            expected = as_square_matrix(value).copy()
+        except _REFUSALS as refusal:
+            for build in (DensityMatrix, lambda m: KrausSet((m,))):
+                with pytest.raises(type(refusal)) as raised:
+                    build(value)
+                assert type(raised.value) is type(refusal) and str(raised.value) == str(refusal)
+            return
+        k = KrausSet((value, value))
+        assert len(k) == 2 and k.ops is k.ops
+        for op, op_entries in zip(k.ops, k.entries, strict=True):
+            self._assert_built_from(op, op_entries, expected)
+        try:
+            reference = DensityMatrix(expected)  # an ndarray takes numpy's path
+        except ValueError as refusal:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                DensityMatrix(value)
+            return
+        rho = DensityMatrix(value)
+        assert rho.eig_pair == reference.eig_pair
+        assert rho.mat is rho.mat
+        self._assert_built_from(rho.mat, rho.entries, expected)
+
+    @staticmethod
+    def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray) -> None:
+        assert all(type(v) is complex for v in entries)
+        assert np.array(entries, dtype=complex).tobytes() == expected.tobytes()
+        assert mat.dtype == complex and mat.shape == (2, 2) and not mat.flags.writeable
+        assert mat.tobytes() == expected.tobytes()
 
 
 class TestMeanEnergy:
