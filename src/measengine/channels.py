@@ -22,11 +22,12 @@ conserves entropy.
 
 `KrausSet` accepts only 2x2 operators (via `linalg._square_entries`, which
 checks as `as_square_matrix` does), so a set and a `DensityMatrix` always
-agree on dimension.  Both keep their entries as Python complex numbers,
-and build their read-only arrays (`ops`, `mat`) from them only when first
-read.  Every application first checks completeness on the operators'
-entries; `apply_unselective` then forms sum_n (A_n rho) A_n^dag in Python
-complex arithmetic on the stored entries of the set and the state, and
+agree on dimension.  Both keep their entries as Python numbers, floats
+for the engine's real states and channels, and build their read-only
+arrays (`ops`, `mat`) from them only when first read.  Every application
+first checks completeness on the operators' entries; `apply_unselective`
+then forms sum_n (A_n rho) A_n^dag in Python arithmetic on the stored
+entries of the set and the state (float arithmetic on real entries), and
 builds the output, a nested list, through the `DensityMatrix`
 constructor, which checks it without a numpy array.  `measure_selective`
 and `povm_elements` take numpy's `@` products of the read-only operators,
@@ -87,14 +88,15 @@ class KrausSet:
 
     Construction checks each operator (`linalg.as_square_matrix`'s check)
     and keeps `entries`: per operator, its four entries row by row as
-    Python complex numbers.  `ops`, a tuple of read-only complex arrays, is
-    built from `entries` when first read, and is the same object on every
-    later read.
+    Python numbers (each float of a nested list stays a float; other
+    inputs give complex numbers).  `ops`, a tuple of read-only complex
+    arrays, is built from `entries` when first read, and is the same object
+    on every later read.
     """
 
     ops: tuple[np.ndarray, ...]
     label: str = ""
-    entries: tuple[tuple[complex, complex, complex, complex], ...] = field(init=False, repr=False)
+    entries: tuple[tuple[float | complex, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -136,23 +138,27 @@ class MeasurementOutcome:
 
 def validate_completeness(k: KrausSet) -> CompletenessReport:
     """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
+    dev = _max_deviation(k)
+    return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
+
+
+def _max_deviation(k: KrausSet) -> float:
+    """Max entrywise |sum_n A_n^dag A_n - 1|, in the arithmetic of the entries (float or complex)."""
     # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
     # the sum is the conjugate of the (0, 1) entry, so it has the same modulus.
-    t00 = t01 = t11 = 0j
+    t00 = t01 = t11 = 0.0
     for a, b, c, d in k.entries:
         t00 += a.conjugate() * a + c.conjugate() * c
         t01 += a.conjugate() * b + c.conjugate() * d
         t11 += b.conjugate() * b + d.conjugate() * d
-    dev = max(abs(t00 - 1.0), abs(t01), abs(t11 - 1.0))
-    return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
+    return max(abs(t00 - 1.0), abs(t01), abs(t11 - 1.0))
 
 
 def _require_complete(k: KrausSet) -> None:
-    report = validate_completeness(k)
-    if not report.passed:
+    dev = _max_deviation(k)
+    if not dev <= COMPLETENESS_TOL:  # as `validate_completeness` passes: a NaN fails
         raise IncompleteKrausSetError(
-            f"Kraus set {k.label or '<unlabeled>'} violates completeness "
-            f"by {report.max_deviation:.3e}"
+            f"Kraus set {k.label or '<unlabeled>'} violates completeness by {dev:.3e}"
         )
 
 
@@ -160,7 +166,7 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
     """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
     _require_complete(k)
     r00, r01, r10, r11 = rho.entries
-    o00 = o01 = o10 = o11 = 0j
+    o00 = o01 = o10 = o11 = 0.0
     for a, b, c, d in k.entries:
         # B = A rho, then (B A^dag)_im = B_i0 conj(A_m0) + B_i1 conj(A_m1).
         b00 = a * r00 + b * r10
@@ -235,7 +241,11 @@ def isentropic_strength(p: float, b: float) -> float:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
-    x = math.exp(-b)
+    return _isentropic_strength(p, math.exp(-b))
+
+
+def _isentropic_strength(p: float, x: float) -> float:
+    """Unchecked kernel of `isentropic_strength`: p in [0, 1] and x = e^-b given by the caller."""
     threshold = _partner_threshold(x)
     if p >= threshold - _Q_SLACK:  # tested first: at P = 0 and x = 0, q would be 0/0
         q = _swap_strength(p, x)

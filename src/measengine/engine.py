@@ -27,8 +27,9 @@ read the thermal state, x, tanh(b/2) and the two strengths off the
 and take its TP and API records, which it builds once with the stretched
 `Hamiltonian`; a runner forms only QMI, QMII and APII.  One scalar cycle
 builds no numpy array: its states and Kraus sets are built from Python
-floats and keep their entries, and the one numpy call is the `np.exp`
-of the Gibbs weight.
+floats and keep them, so every check and product on their entries is
+float arithmetic, as on the grid's float64 stacks; the one numpy call is
+the `np.exp` of the Gibbs weight.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -72,11 +73,11 @@ import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
+    _isentropic_strength,
     apply_unselective,
     apply_unselective_stack,
     first_channel,
     first_channel_stack,
-    isentropic_strength,
     isentropic_strength_stack,
     second_channel,
     second_channel_stack,
@@ -123,9 +124,10 @@ class CycleParams:
 
     After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
     th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
-    state and q, NaN where no partner exists; so are the TP and API records,
-    which hold the thermal state under the bare and the stretched gap, with
-    their energies and its entropy.  Equality, hash and repr ignore them.
+    state and q (from the same x, NaN where no partner exists); so are the
+    TP and API records, which hold the thermal state under the bare and the
+    stretched gap, with their energies and its entropy.  Equality, hash and
+    repr ignore them.
     """
 
     b: float
@@ -149,7 +151,7 @@ class CycleParams:
         x = math.exp(-self.b)
         strength = _strength(self.gamma, x)
         try:
-            q = isentropic_strength(strength, self.b)
+            q = _isentropic_strength(strength, x)
         except NoIsentropicStrengthError:
             q = math.nan
         thermal = gibbs_state(_H1, self.b)

@@ -8,8 +8,10 @@ The public functions here coerce their input through it.
 `_square_entries` gives the `DensityMatrix`/`KrausSet` constructors the
 checked entries alone: a 2x2 nested list of Python floats or complex
 numbers, which is what the package's own builders pass, is read without
-numpy, with the same finiteness check; any other input goes through
-`as_square_matrix`, so it is accepted or refused as there.
+numpy, with the same finiteness check, and each entry is kept as it was
+given, a float as a float; any other input goes through
+`as_square_matrix`, so it is accepted or refused as there, and gives
+complex numbers.
 `_frozen_matrix` builds the read-only array of four such entries, which
 the two classes do only when their `mat`/`ops` is first read.  Batches of
 operators, as the grid evaluation uses them, are stacks of shape
@@ -22,9 +24,12 @@ string once per distinct value); one argsort, of no particular kind.
 The public functions are the validated boundary for callers outside the
 package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
 construction and keep their entries, so the scalar math (energies,
-entropies, channel application) runs on those Python complex numbers and
-the unchecked kernels `_hermiticity_defect` and `_eig_pair`, without a
-numpy call: on a 2x2 matrix a numpy call costs more than its arithmetic.
+entropies, channel application) runs on those Python numbers and the
+unchecked kernels `_hermiticity_defect` and `_eig_pair`, without a numpy
+call: on a 2x2 matrix a numpy call costs more than its arithmetic.  The
+engine's states and channels are real, so their entries are floats and
+that math is float arithmetic; complex entries go through the same code,
+since a float has `.real`, `.imag` and `.conjugate()` too.
 """
 
 from __future__ import annotations
@@ -55,25 +60,26 @@ def _coerce(entries) -> tuple[np.ndarray, list[complex]]:
     return a, flat
 
 
-def _square_entries(entries) -> list[complex]:
-    """The four entries of `as_square_matrix(entries)`, row by row, as Python complex numbers.
+def _square_entries(entries) -> list[float | complex]:
+    """The four entries of `as_square_matrix(entries)`, row by row, as Python numbers.
 
     A list of two lists of two Python floats or complex numbers is read
-    without numpy: complex() of such a value is numpy's complex128 of it,
-    bit for bit.  Anything else is coerced by `as_square_matrix`.
+    without numpy, and each entry is kept as it was given: a float stays a
+    float, so a real matrix is worked on in float arithmetic, and complex()
+    of either is numpy's complex128 of it, bit for bit.  Anything else is
+    coerced by `as_square_matrix` and gives complex numbers.
     """
     if type(entries) is list and len(entries) == 2:
         top, bottom = entries
         if type(top) is list and type(bottom) is list and len(top) == 2 and len(bottom) == 2:
             flat = top + bottom
             if _PYTHON_SCALARS.issuperset(map(type, flat)):
-                flat = list(map(complex, flat))
                 _require_finite(flat)
                 return flat
     return _coerce(entries)[1]
 
 
-def _require_finite(flat: list[complex]) -> None:
+def _require_finite(flat: list[float | complex]) -> None:
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix entries must be finite")
 

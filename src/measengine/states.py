@@ -8,13 +8,16 @@ Entropy is reported in nats.
 The working substance is a qubit: `Hamiltonian` takes exactly two levels
 and `DensityMatrix` only 2x2 matrices (via `linalg._square_entries`, which
 checks as `as_square_matrix` does).  Its constructor runs the Hermiticity,
-trace and lowest-eigenvalue checks on the four entries as Python complex
-numbers, and keeps the entries and the eigenvalue pair it computed:
+trace and lowest-eigenvalue checks on the four entries as Python numbers
+(floats for a real nested list, complex numbers for a complex one or for
+anything numpy coerces), and keeps the entries and the eigenvalue pair it
+computed:
 `mean_energy`, `von_neumann_entropy`, `trace_distance` and
 `DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
 array from a nested list of Python floats, which is what
-`from_populations`, `gibbs_state` and the channels pass; `mat` is built
-from the entries when first read, which a single cycle never does.
+`from_populations`, `gibbs_state` and the channels pass, so the engine's
+states hold floats and are checked and read in float arithmetic; `mat` is
+built from the entries when first read, which a single cycle never does.
 `gibbs_state` weighs the two levels with one `np.exp` on a float (the
 same `_gibbs_populations` weighs a grid's array of b).
 
@@ -87,14 +90,15 @@ class DensityMatrix:
 
     Construction validates all three invariants (tolerances TOL_HERM,
     TOL_TRACE, TOL_PSD) and keeps what the checks read: `entries`, the
-    four entries of `mat` row by row as Python complex numbers, and
+    four entries of `mat` row by row as Python numbers (each float of a
+    nested list stays a float; other inputs give complex numbers), and
     `eig_pair`, its ascending eigenvalues.  `mat` itself, a read-only
     complex array, is built from `entries` when first read, and is the
     same object on every later read.
     """
 
     mat: np.ndarray
-    entries: tuple[complex, complex, complex, complex] = field(init=False, repr=False)
+    entries: tuple[float | complex, ...] = field(init=False, repr=False)
     eig_pair: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,7 +108,8 @@ class DensityMatrix:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
         tr = entries[0] + entries[3]
         if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"state trace {tr:.15g} is not 1")
+            # complex(): a real trace prints as numpy's complex128 trace does, "1.1+0j"
+            raise ValueError(f"state trace {complex(tr):.15g} is not 1")
         eig = _eig_pair(*entries)
         if eig[0] < -TOL_PSD:
             raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")

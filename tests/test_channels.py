@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measengine.channels import (
@@ -22,7 +23,14 @@ from measengine.channels import (
     validate_completeness,
 )
 from measengine.linalg import adjoint, matmul, max_offdiag, trace
-from measengine.states import DensityMatrix, Hamiltonian, gibbs_state, von_neumann_entropy
+from measengine.states import (
+    DensityMatrix,
+    Hamiltonian,
+    gibbs_state,
+    mean_energy,
+    trace_distance,
+    von_neumann_entropy,
+)
 from support import NON_FINITE, random_density_matrix, random_kraus_set, real_stack, with_entry
 
 QUBIT = Hamiltonian.qubit(1.0)
@@ -362,3 +370,101 @@ class TestCycleStateProperties:
                 rho_n = apply_unselective(second_channel(isentropic_strength(p, b)), rho_m)
                 assert max_offdiag(rho_m.mat) <= 1e-14
                 assert max_offdiag(rho_n.mat) <= 1e-14
+
+
+def _as_complex(rows) -> list[list[complex]]:
+    return [[complex(v) for v in row] for row in rows]
+
+
+def _real_state(p: float, t: float, zero: float) -> list[list[float]]:
+    """[[p, c], [c, 1 - p]] with c = t * sqrt(p (1 - p)), or the signed zero `zero` when t is 0."""
+    c = t * math.sqrt(p * (1.0 - p)) if t else zero
+    return [[p, c], [c, 1.0 - p]]
+
+
+def _rotated(theta: float, s0: float, s1: float) -> list[list[float]]:
+    """R(theta) @ diag(s0, s1)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return [[c * s0, -s * s1], [s * s0, c * s1]]
+
+
+def _complete_pair(theta: float, phi: float, t0: float, t1: float):
+    """A real pair R(theta) diag(cos t) and R(phi) diag(sin t): complete up to roundoff."""
+    return (_rotated(theta, math.cos(t0), math.cos(t1)),
+            _rotated(phi, math.sin(t0), math.sin(t1)))
+
+
+_ZEROS = st.sampled_from((0.0, -0.0))
+_REAL_STATES = st.one_of(
+    st.builds(_real_state, st.floats(0.0, 1.0) | _ZEROS, st.just(0.0), _ZEROS),  # diagonal
+    st.builds(_real_state, st.floats(0.0, 1.0), st.floats(-1.0, 1.0), _ZEROS),
+)
+_ANGLES = st.floats(-math.pi, math.pi)
+_REAL_PAIRS = st.one_of(
+    st.floats(0.0, 1.0).map(lambda p: first_channel(p).entries),
+    st.floats(0.0, 1.0).map(lambda q: second_channel(q).entries),
+    st.builds(_complete_pair, _ANGLES, _ANGLES, _ANGLES, _ANGLES).map(
+        lambda ops: [[v for row in op for v in row] for op in ops]),
+    st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).map(lambda v: [v[:4], v[4:]]),
+)
+
+
+class TestFloatEntriesMatchComplex:
+    """Real entries kept as Python floats give what their complex() gives, under ==.
+
+    The package's builders pass floats, so the scalar cycle runs float
+    arithmetic; the same matrices given as complex numbers run complex
+    arithmetic through the same code.  Each result, refusals included,
+    must be the same number (signed zeros may differ).
+    """
+
+    @staticmethod
+    def _both(build, rows):
+        """build() of the float rows and of their complex(), or the refusal message of each."""
+        out = []
+        for value in (rows, _as_complex(rows)):
+            try:
+                out.append(build(value))
+            except ValueError as refusal:
+                out.append(str(refusal))
+        return out
+
+    @settings(max_examples=300)
+    @given(_REAL_STATES, _REAL_STATES, _REAL_PAIRS, st.floats(0.1, 100.0))
+    def test_every_scalar_function_agrees(self, rows, other_rows, pair, frequency):
+        rho_f, rho_c = self._both(DensityMatrix, rows)
+        sigma_f, sigma_c = self._both(DensityMatrix, other_rows)
+        ops = [[list(op[:2]), list(op[2:])] for op in pair]
+        k_f, k_c = KrausSet(tuple(ops)), KrausSet(tuple(map(_as_complex, ops)))
+        assert all(type(v) is float for op in k_f.entries for v in op)
+        assert validate_completeness(k_f) == validate_completeness(k_c)
+        if isinstance(rho_f, str):
+            assert rho_f == rho_c
+            return
+        assert all(type(v) is float for v in rho_f.entries)
+        assert rho_f.entries == rho_c.entries and rho_f.eig_pair == rho_c.eig_pair
+        h = Hamiltonian.qubit(frequency)
+        assert mean_energy(rho_f, h) == mean_energy(rho_c, h)
+        assert von_neumann_entropy(rho_f) == von_neumann_entropy(rho_c)
+        if not isinstance(sigma_f, str):
+            assert trace_distance(rho_f, sigma_f) == trace_distance(rho_c, sigma_c)
+        try:
+            out_f = apply_unselective(k_f, rho_f)
+        except ValueError as refusal:  # IncompleteKrausSetError is one
+            with pytest.raises(type(refusal), match=f"^{re.escape(str(refusal))}$"):
+                apply_unselective(k_c, rho_c)
+            return
+        out_c = apply_unselective(k_c, rho_c)
+        assert all(type(v) is float for v in out_f.entries)
+        assert out_f.entries == out_c.entries and out_f.eig_pair == out_c.eig_pair
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.6, 0.0], [0.0, 0.5]], "state trace 1.1+0j is not 1"),
+        ([[0.5, 0.0], [0.0, 0.4]], "state trace 0.9+0j is not 1"),
+    ])
+    def test_trace_refusal_reads_as_the_complex_array_gives_it(self, rows, message):
+        # A float trace is formatted as complex, so a real state's message is the same
+        # for every input kind.
+        for value in (np.array(rows, dtype=complex), rows, _as_complex(rows)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DensityMatrix(value)

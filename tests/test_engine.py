@@ -456,3 +456,30 @@ def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
             assert not mat.flags.writeable and mat is rec.state_after.mat
             expected = np.asarray(rec.state_after.entries, complex).reshape(2, 2)
             assert mat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode, b, gamma, r", [
+    ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
+    ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6),
+])
+def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
+    # The engine's states and channels are real, so every entry the cycle builds is a
+    # Python float, and the cycle's arithmetic on them is float arithmetic.
+    built = {DensityMatrix: [], KrausSet: []}
+    for cls in built:
+        def kept(self, check=cls.__post_init__, out=built[cls]):
+            check(self)
+            out.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", kept)
+    p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
+    ledgers = (run_numeric(p), run_analytic(p))
+    assert (len(built[DensityMatrix]), len(built[KrausSet])) == (5, 2)
+    for rho in built[DensityMatrix]:
+        assert all(type(v) is float for v in rho.entries + rho.eig_pair)
+    for k in built[KrausSet]:
+        assert all(type(v) is float for op in k.entries for v in op)
+    for ledger in ledgers:
+        assert all(type(getattr(ledger, name)) is float for name in LEDGER_FIELDS)
+        assert all(type(rec.energy_after) is float and type(rec.entropy_after) is float
+                   for rec in ledger.strokes)

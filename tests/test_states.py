@@ -275,7 +275,7 @@ class TestConstructorInputKinds:
         k = KrausSet((value, value))
         assert len(k) == 2 and k.ops is k.ops
         for op, op_entries in zip(k.ops, k.entries, strict=True):
-            self._assert_built_from(op, op_entries, expected)
+            self._assert_built_from(op, op_entries, expected, value)
         try:
             reference = DensityMatrix(expected)  # an ndarray takes numpy's path
         except ValueError as refusal:
@@ -285,11 +285,18 @@ class TestConstructorInputKinds:
         rho = DensityMatrix(value)
         assert rho.eig_pair == reference.eig_pair
         assert rho.mat is rho.mat
-        self._assert_built_from(rho.mat, rho.entries, expected)
+        self._assert_built_from(rho.mat, rho.entries, expected, value)
 
     @staticmethod
-    def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray) -> None:
-        assert all(type(v) is complex for v in entries)
+    def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray, value) -> None:
+        # Nested lists of Python floats and complex numbers keep their own entries, a
+        # float as a float; every kind that numpy coerces gives complex entries.
+        rows = value if type(value) is list and all(type(row) is list for row in value) else []
+        flat = [v for row in rows for v in row]
+        if flat and {type(v) for v in flat} <= {float, complex}:
+            assert [type(v) for v in entries] == [type(v) for v in flat]
+        else:
+            assert all(type(v) is complex for v in entries)
         assert np.array(entries, dtype=complex).tobytes() == expected.tobytes()
         assert mat.dtype == complex and mat.shape == (2, 2) and not mat.flags.writeable
         assert mat.tobytes() == expected.tobytes()
