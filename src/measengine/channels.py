@@ -102,8 +102,9 @@ class KrausSet:
         if len(self.ops) == 0:
             raise ValueError("Kraus set needs at least one operator")
         entries = tuple(tuple(_square_entries(op)) for op in self.ops)
-        del self.__dict__["ops"]  # the input; `__getattr__` builds the arrays from the entries
-        object.__setattr__(self, "entries", entries)
+        fields = self.__dict__
+        del fields["ops"]  # the input; `__getattr__` builds the arrays from the entries
+        fields["entries"] = entries
 
     def __getattr__(self, name):
         # Called only for a name the instance does not hold: `ops` until its first read.

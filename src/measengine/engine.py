@@ -29,7 +29,11 @@ and take its TP and API records, which it builds once with the stretched
 builds no numpy array: its states and Kraus sets are built from Python
 floats and keep them, so every check and product on their entries is
 float arithmetic, as on the grid's float64 stacks; the one numpy call is
-the `np.exp` of the Gibbs weight.
+the `np.exp` of the Gibbs weight.  Its frozen dataclasses skip
+`object.__setattr__`: `_record` and `_energy_ledger` write every field of
+the check-free `StrokeRecord` and `EnergyLedger` into a new instance's
+`__dict__`, and the checked constructors write what they derive there
+after their checks (`test_engine_built_records_are_whole_and_frozen`).
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -126,8 +130,9 @@ class CycleParams:
     th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
     state and q (from the same x, NaN where no partner exists); so are the
     TP and API records, which hold the thermal state under the bare and the
-    stretched gap, with their energies and its entropy.  Equality, hash and
-    repr ignore them.
+    stretched gap, with their energies and its entropy.  They, and `mode` as
+    a `CycleMode`, are written into the instance's `__dict__` in one update.
+    Equality, hash and repr ignore them.
     """
 
     b: float
@@ -142,29 +147,29 @@ class CycleParams:
     thermal_strokes: tuple[StrokeRecord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", CycleMode(self.mode))
-        if not math.isfinite(self.b) or self.b <= 0:
-            raise InvalidCycleError(f"b must be finite and positive, got {self.b}")
+        mode = CycleMode(self.mode)
+        b = self.b
+        if not math.isfinite(b) or b <= 0:
+            raise InvalidCycleError(f"b must be finite and positive, got {b}")
         if not math.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
             raise InvalidCycleError(f"gamma must lie in [0, 1], got {self.gamma}")
-        gamma_bounds(self.mode, self.r)  # refuses a bad r
-        x = math.exp(-self.b)
+        gamma_bounds(mode, self.r)  # refuses a bad r
+        x = math.exp(-b)
         strength = _strength(self.gamma, x)
         try:
             q = _isentropic_strength(strength, x)
         except NoIsentropicStrengthError:
             q = math.nan
-        thermal = gibbs_state(_H1, self.b)
+        thermal = gibbs_state(_H1, b)
         hr = Hamiltonian.qubit(self.r)
         s_th = von_neumann_entropy(thermal)
         strokes = (
-            StrokeRecord("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
+            _record("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
             # API stretches the gap and leaves the populations untouched.
-            StrokeRecord("API", thermal, hr, mean_energy(thermal, hr), s_th),
+            _record("API", thermal, hr, mean_energy(thermal, hr), s_th),
         )
-        for name, value in (("x", x), ("th", math.tanh(0.5 * self.b)), ("strength", strength),
-                            ("thermal", thermal), ("q", q), ("thermal_strokes", strokes)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(mode=mode, x=x, th=math.tanh(0.5 * b), strength=strength,
+                             thermal=thermal, q=q, thermal_strokes=strokes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +204,29 @@ class EnergyLedger:
             if rec.name == name:
                 return rec
         raise KeyError(f"no stroke named {name!r} in this ledger")
+
+
+def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float,
+            entropy: float) -> StrokeRecord:
+    """`StrokeRecord(name, state, h, energy, entropy)`, its fields written into `__dict__`.
+
+    The record checks nothing; this skips the frozen `__init__`'s `object.__setattr__` per field.
+    """
+    rec = object.__new__(StrokeRecord)
+    fields = rec.__dict__
+    fields["name"] = name
+    fields["state_after"] = state
+    fields["hamiltonian_after"] = h
+    fields["energy_after"] = energy
+    fields["entropy_after"] = entropy
+    return rec
+
+
+def _energy_ledger(**fields) -> EnergyLedger:
+    """`EnergyLedger(**fields)`, all 13 fields given, written into `__dict__` as `_record` does."""
+    ledger = object.__new__(EnergyLedger)
+    ledger.__dict__.update(fields)
+    return ledger
 
 
 def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
@@ -269,17 +297,18 @@ def _cycle_strokes(p: CycleParams, rho_m: DensityMatrix,
     return (
         tp,
         api,
-        StrokeRecord("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
-        StrokeRecord("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
+        _record("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
+        _record("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
         # APII restores the gap before thermalization.
-        StrokeRecord("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
+        _record("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
     )
 
 
 def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeRecord, ...]:
-    """The strokes the mode shows: three-stroke drops the r = 1 adiabats."""
+    """The strokes the mode shows: three-stroke drops the r = 1 adiabats (API and APII)."""
     if p.mode is CycleMode.THREE_STROKE:
-        return tuple(rec for rec in strokes if rec.name not in ("API", "APII"))
+        tp, _, qmi, qmii, _ = strokes
+        return tp, qmi, qmii
     return strokes
 
 
@@ -309,7 +338,7 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
         eta = 0.0
     else:
         eta = w_ext / q_in
-    return EnergyLedger(
+    return _energy_ledger(
         params=p, source="numeric", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=p.q, valid=True, flags=tuple(flags),
@@ -341,7 +370,7 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
         flags.append(FLAG_OUTSIDE_RANGE)
     strokes = _cycle_strokes(p, DensityMatrix.from_populations(m_pops),
                              DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
-    return EnergyLedger(
+    return _energy_ledger(
         params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=p.q, valid=valid, flags=tuple(flags),

@@ -3,7 +3,9 @@
 Operators are numpy arrays of shape (2, 2), dtype complex128.
 `as_square_matrix` is the one check of that shape and of finiteness: it
 coerces the input with numpy, reads its four entries once as Python
-complex numbers (one `.tolist()`) and checks each with `cmath.isfinite`.
+complex numbers (one `.tolist()`) and checks them with one
+`cmath.isfinite` of their sum, entry by entry only when that sum is not
+finite, so it decides exactly as an entrywise `cmath.isfinite` does.
 The public functions here coerce their input through it.
 `_square_entries` gives the `DensityMatrix`/`KrausSet` constructors the
 checked entries alone: a 2x2 nested list of Python floats or complex
@@ -67,7 +69,8 @@ def _square_entries(entries) -> list[float | complex]:
     without numpy, and each entry is kept as it was given: a float stays a
     float, so a real matrix is worked on in float arithmetic, and complex()
     of either is numpy's complex128 of it, bit for bit.  Anything else is
-    coerced by `as_square_matrix` and gives complex numbers.
+    coerced by `as_square_matrix` and gives complex numbers.  Either way the
+    matrix is refused exactly when one entry is not finite (`_require_finite`).
     """
     if type(entries) is list and len(entries) == 2:
         top, bottom = entries
@@ -80,7 +83,9 @@ def _square_entries(entries) -> list[float | complex]:
 
 
 def _require_finite(flat: list[float | complex]) -> None:
-    if not all(map(cmath.isfinite, flat)):
+    # A finite sum has only finite terms; a sum that is not finite (a non-finite
+    # entry, or finite entries that overflow) is decided entry by entry.
+    if not cmath.isfinite(sum(flat)) and not all(map(cmath.isfinite, flat)):
         raise ValueError("matrix entries must be finite")
 
 

@@ -65,12 +65,13 @@ class Hamiltonian:
     def __post_init__(self):
         if len(self.levels) != 2:
             raise ValueError(f"qubit Hamiltonian needs exactly two levels, got {len(self.levels)}")
-        if not all(math.isfinite(e) for e in self.levels):
+        lo, hi = self.levels
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("Hamiltonian levels must be finite")
-        if self.levels[0] > self.levels[1]:
+        if lo > hi:
             raise ValueError("Hamiltonian levels must be sorted ascending")
         # A tuple of floats, whatever sequence was passed, so equal levels compare and hash alike.
-        object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
+        object.__setattr__(self, "levels", (float(lo), float(hi)))
 
     @classmethod
     def qubit(cls, frequency: float = 1.0) -> Hamiltonian:
@@ -113,9 +114,10 @@ class DensityMatrix:
         eig = _eig_pair(*entries)
         if eig[0] < -TOL_PSD:
             raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
-        del self.__dict__["mat"]  # the input; `__getattr__` builds the array from the entries
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "eig_pair", eig)
+        fields = self.__dict__
+        del fields["mat"]  # the input; `__getattr__` builds the array from the entries
+        fields["entries"] = tuple(entries)
+        fields["eig_pair"] = eig
 
     def __getattr__(self, name):
         # Called only for a name the instance does not hold: `mat` until its first read.
@@ -143,7 +145,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls) -> DensityMatrix:
-        return cls.from_populations(np.full(2, 0.5))
+        return cls.from_populations((0.5, 0.5))
 
     @property
     def populations(self) -> np.ndarray:

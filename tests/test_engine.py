@@ -2,7 +2,7 @@ import collections
 import hashlib
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,12 @@ import pytest
 from measengine.engine import (
     CycleMode,
     CycleParams,
+    FLAG_ETA_ZERO_INPUT,
+    FLAG_NO_PARTNER,
+    FLAG_OUTSIDE_RANGE,
     EnergyLedger,
     InvalidCycleError,
+    StrokeRecord,
     UnrealizableChannelError,
     first_law_residual,
     gamma_bounds,
@@ -483,3 +487,73 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
         assert all(type(getattr(ledger, name)) is float for name in LEDGER_FIELDS)
         assert all(type(rec.energy_after) is float and type(rec.entropy_after) is float
                    for rec in ledger.strokes)
+
+
+def _same(a, b) -> bool:
+    """Equal values, NaN matching NaN; tuples entry by entry, states and records by their fields."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, DensityMatrix):
+        return _same(a.entries, b.entries) and _same(a.eig_pair, b.eig_pair)
+    if isinstance(a, StrokeRecord):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
+
+
+def _assert_whole_and_frozen(obj, lazy=()):
+    """`obj` holds every field but the `lazy` ones in its __dict__, and no field can be set.
+
+    It is then rebuilt through its public constructor from its own init fields,
+    which must give the same value in every field.
+    """
+    names = {f.name for f in fields(obj)}
+    assert set(vars(obj)) == names - set(lazy)
+    for name in lazy:
+        getattr(obj, name)
+    assert set(vars(obj)) == names
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    again = type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj) if f.init})
+    for name in names - set(lazy):
+        assert _same(getattr(again, name), getattr(obj, name)), name
+
+
+@pytest.mark.parametrize("mode, b, gamma, r, flags", [
+    ("three", 0.7, 0.8, 1.0, ()),
+    ("five", 0.7, 0.8, 2.0, ()),
+    # Analytic only: outside the engine range [1/3, 1] and without an isentropic partner.
+    ("five", 1.0, 0.3, 2.0, (FLAG_NO_PARTNER, FLAG_OUTSIDE_RANGE)),
+    ("three", 1.0, 0.0, 1.0, (FLAG_ETA_ZERO_INPUT, FLAG_NO_PARTNER, FLAG_OUTSIDE_RANGE)),
+])
+def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, r, flags):
+    # The runners write each record's and ledger's fields straight into its __dict__;
+    # the result must be the frozen dataclass its public constructor gives.
+    built = {DensityMatrix: [], KrausSet: []}
+    for cls in built:
+        def kept(self, check=cls.__post_init__, out=built[cls]):
+            check(self)
+            out.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", kept)
+    p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
+    ledgers = [run_analytic(p)]
+    assert ledgers[0].flags == flags
+    if numeric_realizable(p):
+        ledgers.append(run_numeric(p))
+    assert [ledger.source for ledger in ledgers] == ["analytic", "numeric"][:len(ledgers)]
+    for ledger in ledgers:
+        assert [rec.name for rec in ledger.strokes] == (
+            ["TP", "QMI", "QMII"] if mode == "three" else ["TP", "API", "QMI", "QMII", "APII"])
+        for rec in ledger.strokes:
+            _assert_whole_and_frozen(rec)
+        _assert_whole_and_frozen(ledger)
+    monkeypatch.undo()
+    _assert_whole_and_frozen(p)
+    assert len(built[KrausSet]) == 2 * (len(ledgers) - 1)
+    for rho in built[DensityMatrix]:
+        _assert_whole_and_frozen(rho, lazy=("mat",))
+    for k in built[KrausSet]:
+        _assert_whole_and_frozen(k, lazy=("ops",))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measengine.channels import KrausSet
 from measengine.linalg import (
     _eig_pair,
     _eigvals_stack,
+    _square_entries,
     adjoint,
     as_square_matrix,
     eig_hermitian,
@@ -16,6 +20,7 @@ from measengine.linalg import (
     max_offdiag,
     trace,
 )
+from measengine.states import DensityMatrix
 from support import NON_FINITE, random_givens_unitary, random_hermitian, with_entry
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,6 +65,45 @@ def test_non_finite_entries_are_rejected(check, bad):
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             check(with_entry(EYE2, i, j, bad))
+
+
+POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _float_list(*replaced):
+    """The maximally mixed state as a nested list of Python floats, with (i, j, value) put in."""
+    m = [[0.5, 0.0], [0.0, 0.5]]
+    for i, j, value in replaced:
+        m[i][j] = value
+    return m
+
+
+# The engine's own input: nested lists of Python floats, read without numpy.  One
+# non-finite float or complex entry at each position, and +inf with -inf, whose sum is NaN.
+NON_FINITE_FLOAT_LISTS = [
+    pytest.param(_float_list((i, j, bad)), id=f"{bad!r}@{i}{j}")
+    for bad in (math.nan, math.inf, -math.inf, *NON_FINITE) for i, j in POSITIONS
+] + [
+    pytest.param(_float_list((*a, math.inf), (*b, -math.inf)), id=f"inf@{a}-inf@{b}")
+    for a, b in itertools.permutations(POSITIONS, 2)
+]
+
+
+@pytest.mark.parametrize("entries", NON_FINITE_FLOAT_LISTS)
+@pytest.mark.parametrize("check", [_square_entries, DensityMatrix, lambda m: KrausSet((m,))],
+                         ids=["_square_entries", "DensityMatrix", "KrausSet"])
+def test_non_finite_float_lists_are_rejected(check, entries):
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        check(entries)
+
+
+def test_finite_entries_whose_sum_overflows_are_accepted():
+    # The sum of the four entries is inf, so the finiteness check decides entry by entry.
+    entries = [[1e308, 1e308], [1e308, 1e308]]
+    assert math.isinf(sum(entries[0] + entries[1]))
+    flat = _square_entries(entries)
+    assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
+    assert _square_entries(np.array(entries)) == [complex(1e308)] * 4
 
 
 def test_adjoint_examples():

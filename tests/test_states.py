@@ -74,6 +74,11 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
 
+    def test_maximally_mixed_holds_floats(self):
+        rho = DensityMatrix.maximally_mixed()
+        assert all(type(v) is float for v in rho.entries + rho.eig_pair)
+        assert rho.entries == DensityMatrix.from_populations((0.5, 0.5)).entries
+
     def test_matrix_is_frozen(self):
         rho = DensityMatrix.maximally_mixed()
         with pytest.raises(ValueError):
