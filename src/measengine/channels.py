@@ -266,9 +266,9 @@ def _swap_strength(p, x):
 
 
 def _strength_range(name: str, values: np.ndarray) -> None:
-    bad = ~(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
-    if bad.any():
-        raise ValueError(f"{name} strength must lie in [0, 1], got {values[np.argmax(bad)]}")
+    ok = (values >= 0.0) & (values <= 1.0)  # NaN fails both, and +-inf one of them
+    if not ok.all():
+        raise ValueError(f"{name} strength must lie in [0, 1], got {values[np.argmin(ok)]}")
 
 
 def first_channel_stack(p: np.ndarray) -> np.ndarray:
@@ -305,7 +305,8 @@ def _completeness_deviation(a: np.ndarray) -> np.ndarray:
     """`completeness_deviation_stack` of the Kraus stack whose `_entries` are a."""
     # (sum_k A^T A)_il = sum_k A_0i A_0l + A_1i A_1l
     total = (a[0, :, None] * a[0, None] + a[1, :, None] * a[1, None]).sum(axis=2)
-    return np.abs(total - _IDENTITY).reshape(4, -1).max(axis=0)
+    total -= _IDENTITY
+    return np.abs(total, out=total).max(axis=(0, 1))
 
 
 def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
@@ -348,8 +349,11 @@ def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     as there.
     """
     _strength_range("excitation", p)
-    q = np.full(p.shape, math.nan)
     above = p >= _partner_threshold(x) - _Q_SLACK
-    qa = _swap_strength(p[above], x[above])
-    q[above] = np.where(qa >= -_Q_SLACK, np.minimum(np.maximum(qa, 0.0), 1.0), math.nan)
-    return q
+    if above.all():
+        q = _swap_strength(p, x)
+    else:  # only points with a partner are divided: at P = 0 and x = 0, q would be 0/0
+        q = np.full(p.shape, math.nan)
+        q[above] = _swap_strength(p[above], x[above])
+    q[q < -_Q_SLACK] = math.nan
+    return np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)

@@ -441,8 +441,9 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
-        ground, excited = _gibbs_populations(_H1, values)
-        thermal = validate_state_stack(population_stack(np.stack((ground, excited), axis=-1)))
+        thermal = np.zeros((len(values), 2, 2))  # `population_stack` of the Gibbs populations
+        thermal[:, 0, 0], thermal[:, 1, 1] = _gibbs_populations(_H1, values)
+        thermal = validate_state_stack(thermal)
         distinct = values.tolist()
         _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
         _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])
@@ -554,8 +555,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(
         mean_energy_stack(rho_th, 1.0), mean_energy_stack(rho_th, r), mean_energy_stack(rho_m, r),
         mean_energy_stack(rho_n, r), mean_energy_stack(rho_n, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(q_in == 0.0, 0.0, w_ext / q_in)
+    eta = np.divide(w_ext, q_in, out=np.zeros(len(grid)), where=q_in != 0.0)
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),

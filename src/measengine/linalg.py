@@ -136,7 +136,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
     # |a_ii - conj(a_ii)| = 2|Im a_ii|, and the two off-diagonal entries of
     # A - A^dag are negated conjugates of each other, so they share one modulus.
-    return max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
+    try:
+        off = abs(a01 - a10.conjugate())
+    except OverflowError:  # a complex modulus beyond the float range
+        off = math.inf
+    return max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), off)
 
 
 def max_offdiag(a: np.ndarray) -> float:
@@ -176,12 +180,14 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
     A stack without coherences, as every engine state is, skips the radius.
+    Coherences whose sum overflows give an infinite radius, without a warning.
     """
     p = a[:, 0, 0]
     q = a[:, 1, 1]
-    c = 0.5 * (a[:, 0, 1] + a[:, 1, 0])
-    if not c.any():
+    if not (a[:, 0, 1].any() or a[:, 1, 0].any()):
         return np.minimum(p, q), np.maximum(p, q)
+    with np.errstate(over="ignore"):  # entries near the float limit: c is inf, and so is radius
+        c = 0.5 * (a[:, 0, 1] + a[:, 1, 0])
     diagonal = c == 0.0
     mean = 0.5 * (p + q)
     radius = np.hypot(0.5 * (p - q), c)

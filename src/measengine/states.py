@@ -112,7 +112,7 @@ class DensityMatrix:
             # complex(): a real trace prints as numpy's complex128 trace does, "1.1+0j"
             raise ValueError(f"state trace {complex(tr):.15g} is not 1")
         eig = _eig_pair(*entries)
-        if eig[0] < -TOL_PSD:
+        if not eig[0] >= -TOL_PSD:  # NaN too: complex coherences that overflow, far below 0
             raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
         fields = self.__dict__
         del fields["mat"]  # the input; `__getattr__` builds the array from the entries

@@ -14,11 +14,12 @@ reduction of the five-stroke cycle to the three-stroke one.  `_Checker`
 records the (observed, expected, tol) of every family and decides the
 whole run by one comparison of all their margins with 0.
 
-Failures are collected into a report, never raised.  Only when some check
-fails are the families replayed one by one; the lines of the failing
-points are formatted, and sorted point by point: b, then gamma, then the
-channels, the three-stroke cycle and the five-stroke cycle at each r, each
-in its fixed order of checks.
+Failures are collected into a report, never raised.  A family's points
+(`_Points`) are positions into the flat grid, named only on failure: only
+when some check fails are the families replayed one by one, and each failing
+position worked back into its b, gamma and r, formatted, and sorted point by
+point: b, then gamma, then the channels, the three-stroke cycle and the
+five-stroke cycle at each r, each in its fixed order of checks.
 
 The optional `perturb` hook adds +0.1 to one ledger field of every
 numeric ledger before checking; it exists to prove the suite actually
@@ -68,6 +69,9 @@ LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q
 PERTURBATION = 0.1
 
 _MAXIMALLY_MIXED = 0.5 * np.eye(2)
+_R_ONE = np.ones(1)  # the r axis of the b x gamma grid
+# The order of the checks at one (b, gamma): channels, three-stroke, five-stroke at each r.
+_SECTIONS = {"excite": 0, "damp": 0, "three": 1, "five": 2}
 
 # The fault-injection seam (see the module docstring): CycleGrid -> GridLedger.
 run_five_stroke_numeric = run_numeric_grid
@@ -109,30 +113,34 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class _Points:
-    """Grid points checked together: how failure lines name them, and where they sort.
+    """Grid points checked together, as positions into the flat b x gamma x r grid.
 
-    `section` orders the checks made at one (b, gamma): the channels, then
-    the three-stroke cycle, then the five-stroke cycle at each r in turn.
+    `b`, `gamma` and `r` are the grid's axes (r is (1,) on the b x gamma grid), and position
+    p = (b_index * len(gamma) + gamma_index) * len(r) + r_index.  Selecting points composes
+    positions; only `where` and `key`, which name and sort a failure, read a position's axes.
     """
 
     label: str  # excite, damp, three or five; five also names r
     b: np.ndarray
     gamma: np.ndarray
     r: np.ndarray
-    b_index: np.ndarray
-    gamma_index: np.ndarray
-    section: np.ndarray
+    at: np.ndarray
 
     def __getitem__(self, index) -> _Points:
-        return _Points(self.label, *(getattr(self, name)[index] for name in (
-            "b", "gamma", "r", "b_index", "gamma_index", "section")))
+        return _Points(self.label, self.b, self.gamma, self.r, self.at[index])
+
+    def _indices(self, i: int) -> tuple[int, int, int]:
+        bg, r_index = divmod(int(self.at[i]), len(self.r))
+        return (*divmod(bg, len(self.gamma)), r_index)
 
     def where(self, i: int) -> str:
-        text = f"{self.label} b={float(self.b[i]):g} gamma={float(self.gamma[i]):g}"
-        return text + f" r={float(self.r[i]):g}" if self.label == "five" else text
+        b_index, gamma_index, r_index = self._indices(i)
+        text = f"{self.label} b={float(self.b[b_index]):g} gamma={float(self.gamma[gamma_index]):g}"
+        return text + f" r={float(self.r[r_index]):g}" if self.label == "five" else text
 
     def key(self, i: int) -> tuple[int, int, int]:
-        return int(self.b_index[i]), int(self.gamma_index[i]), int(self.section[i])
+        b_index, gamma_index, r_index = self._indices(i)
+        return b_index, gamma_index, _SECTIONS[self.label] + r_index
 
 
 class _Checker:
@@ -229,7 +237,7 @@ def _offdiag(states: np.ndarray) -> np.ndarray:
 
 def _fields(ledger: GridLedger) -> np.ndarray:
     """The LEDGER_FIELDS columns of a ledger as one (8, N) array."""
-    return np.stack([getattr(ledger, field) for field in LEDGER_FIELDS])
+    return np.array([getattr(ledger, field) for field in LEDGER_FIELDS])
 
 
 def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tuple[str, ...]):
@@ -249,9 +257,10 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
 
 
 def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger):
-    """The three-stroke checks; `numeric` is the (perturbed) ledger of `grid`."""
-    c.close_fields("oracle-equivalence-", points, _fields(numeric),
-                   _fields(run_analytic_grid(grid)), TOL_ORACLE)
+    """Checks `numeric`, the (perturbed) three-stroke ledger of `grid`; returns its `_fields`."""
+    fields = _fields(numeric)
+    c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
+                   TOL_ORACLE)
     entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
     gamma = grid.gamma
     c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
@@ -270,11 +279,12 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
     c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
+    return fields
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
-                three: GridLedger, three_at: np.ndarray):
-    """The five-stroke checks; at r = 1 point i is checked against entry three_at[i] of `three`."""
+                three_fields: np.ndarray, three_at: np.ndarray):
+    """The five-stroke checks; at r = 1 point i is checked against three_fields[:, three_at[i]]."""
     fields = _fields(numeric)
     c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
                    TOL_ORACLE)
@@ -287,7 +297,7 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
     c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 
     at = r == 1.0  # realizable at r = 1 exactly where the three-stroke cycle is
-    c.close_fields("reduction-r1-", points[at], fields[:, at], _fields(three)[:, three_at[at]],
+    c.close_fields("reduction-r1-", points[at], fields[:, at], three_fields[:, three_at[at]],
                    TOL_EXACT)
 
 
@@ -302,34 +312,33 @@ def run_verification(
         perturb = normalize_perturb_field(perturb)
     start = time.perf_counter()
     b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
+    nb, ng, nr = len(b), len(gamma), len(r)
+    # The flat b x gamma grid; a product with ones tiles an axis, and 1.0 * x is x.
+    b2, gamma2 = b.repeat(ng), (np.ones((nb, 1)) * gamma).ravel()
     # The five-stroke grid is built first, in b > gamma > r order, so a bad
     # value raises the error the point-by-point nesting would meet first.
-    bi, gi, ri = (ix.reshape(-1) for ix in np.indices((len(b), len(gamma), len(r))))
-    five = CycleGrid(b[bi], gamma[gi], CycleMode.FIVE_STROKE, r[ri])
-    five_points = _Points("five", five.b, five.gamma, five.r, bi, gi, 2 + ri)
-    bi, gi = (ix.reshape(-1) for ix in np.indices((len(b), len(gamma))))
-    three = CycleGrid(b[bi], gamma[gi], CycleMode.THREE_STROKE, np.ones(len(bi)))
-    points = _Points("excite", three.b, three.gamma, three.r, bi, gi, np.zeros_like(bi))
+    five = CycleGrid(b2.repeat(nr), gamma2.repeat(nr), CycleMode.FIVE_STROKE,
+                     (np.ones((nb * ng, 1)) * r).ravel())
+    three = CycleGrid(b2, gamma2, CycleMode.THREE_STROKE, np.ones(nb * ng))
 
     c = _Checker()
-    c.below("channel-completeness", points, completeness_deviation_stack(
-        first_channel_stack(three.strength)), 0.0, COMPLETENESS_TOL)
-    ok = np.flatnonzero(three.realizable)
-    three, points = three.subset(ok), points[ok]
+    c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, np.arange(nb * ng)),
+            completeness_deviation_stack(first_channel_stack(three.strength)), 0.0,
+            COMPLETENESS_TOL)
+    three_ok = np.flatnonzero(three.realizable)
+    three = three.subset(three_ok)
     three_numeric = run_numeric_grid(three)
-    c.below("channel-completeness", replace(points, label="damp"), completeness_deviation_stack(
-        second_channel_stack(three_numeric.q_used)), 0.0, COMPLETENESS_TOL)
-    three_numeric = _maybe_perturb(three_numeric, perturb)
-    _check_three(c, replace(points, label="three", section=points.section + 1),
-                 three, three_numeric)
+    c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok),
+            completeness_deviation_stack(second_channel_stack(three_numeric.q_used)), 0.0,
+            COMPLETENESS_TOL)
+    three_fields = _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three,
+                                _maybe_perturb(three_numeric, perturb))
 
-    # Position in `three` of each (b, gamma), by its number b_index * len(gamma) + gamma_index.
-    three_at = np.full(len(bi), -1)
-    three_at[ok] = np.arange(len(ok))
     ok = np.flatnonzero(five.realizable)
-    five, five_points = five.subset(ok), five_points[ok]
+    five = five.subset(ok)
     five_numeric = _maybe_perturb(run_five_stroke_numeric(five), perturb)
-    _check_five(c, five_points, five, five_numeric, three_numeric,
-                three_at[five_points.b_index * len(gamma) + five_points.gamma_index])
+    # The position in `three` of each point's (b, gamma), which at r = 1 is realizable there.
+    _check_five(c, _Points("five", b, gamma, r, ok), five, five_numeric, three_fields,
+                np.searchsorted(three_ok, ok // nr))
     elapsed = time.perf_counter() - start
     return VerifyReport(checks_run=c.count, failures=c.failures, elapsed_seconds=elapsed)

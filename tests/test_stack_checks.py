@@ -96,6 +96,13 @@ class TestValidateStateStack:
                                              r"-1\.000e-01$"):
             validate_state_stack(stack)
 
+    def test_coherences_whose_sum_overflows_are_refused_without_a_warning(self):
+        # Hermitian, unit trace, lower eigenvalue 0.5 - 1e308; any warning fails the test.
+        stack = with_states(s1=[[0.5, 1e308], [1e308, 0.5]])
+        with pytest.raises(ValueError, match=r"^state 1 of the stack has negative eigenvalue "
+                                             r"-inf$"):
+            validate_state_stack(stack)
+
     def test_checks_run_in_the_constructor_order(self):
         # Every state fails something; the Hermiticity check runs over the whole stack first.
         stack = with_states(s0=np.diag([1.1, -0.1]), s1=np.diag([0.6, 0.5]),

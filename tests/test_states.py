@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import NON_FINITE, random_density_matrix, with_entry
 
@@ -73,6 +73,21 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
+
+    # Finite entries whose arithmetic leaves the float range (any warning fails the test).
+    _HUGE = 1.3e308 + 1.3e308j  # |_HUGE| overflows, and so does _HUGE + _HUGE
+    _LOWER = 1.2711610061536462e+308 + 1.2711610061536464e+308j
+
+    @pytest.mark.parametrize(("entries", "message"), [
+        # Hermitian, so its lower eigenvalue 0.5 - |_HUGE| is far below 0; `_eig_pair` reads NaN.
+        ([[0.5 + 0j, _HUGE], [_HUGE.conjugate(), 0.5 + 0j]], "state has negative eigenvalue nan"),
+        # |a01 - conj(a10)| is beyond the float range: an infinite Hermiticity defect.
+        ([[0j, 0j], [_LOWER, 0j]], r"state is not Hermitian \(defect inf\)"),
+    ], ids=["hermitian", "lower-triangular"])
+    def test_entries_at_the_float_limit_are_refused(self, entries, message):
+        for given in (entries, np.array(entries)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                DensityMatrix(given)
 
     def test_maximally_mixed_holds_floats(self):
         rho = DensityMatrix.maximally_mixed()
@@ -267,6 +282,8 @@ class TestConstructorInputKinds:
 
     @settings(max_examples=400)
     @given(_ENTRIES, st.sampled_from(sorted(_KINDS)))
+    # Once raised OverflowError, not a refusal, from the Hermiticity check.
+    @example([[0j, 0j], [(1.2711610061536462e+308+1.2711610061536464e+308j), 0j]], "complex lists")
     def test_each_input_is_accepted_or_refused_as_numpy_coerces_it(self, entries, kind):
         value = _KINDS[kind](entries)
         try:

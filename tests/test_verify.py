@@ -110,8 +110,8 @@ def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, mo
 
 
 def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
-    points = verify._Points("five", np.full(3, 1.0), np.array([0.5, 0.6, 0.7]), np.full(3, 2.0),
-                            np.zeros(3, dtype=int), np.arange(3), np.full(3, 2))
+    points = verify._Points("five", np.array([1.0]), np.array([0.5, 0.6, 0.7]), np.array([2.0]),
+                            np.arange(3))
     c = verify._Checker()
     nan = math.nan
     # close passes where both sides are NaN and fails where one is; below fails on NaN.
@@ -128,8 +128,8 @@ def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
 
 def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
     """`close_fields` gives the count and failures of one `close` per field."""
-    points = verify._Points("five", np.full(3, 1.0), np.array([0.5, 0.6, 0.7]), np.full(3, 2.0),
-                            np.zeros(3, dtype=int), np.arange(3), np.full(3, 2))
+    points = verify._Points("five", np.array([1.0]), np.array([0.5, 0.6, 0.7]), np.array([2.0]),
+                            np.arange(3))
     nan, inf = math.nan, math.inf
     observed, expected = np.zeros((8, 3)), np.zeros((8, 3))
     observed[0], expected[0] = [nan, nan, 1.0], [nan, 1.0, nan]  # NaN/NaN passes, NaN/x fails
@@ -162,6 +162,53 @@ def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
     assert (c.count, c.failures) == (24, [])
 
 
+# The section of each label at r_index 0, as the index arrays of the grids gave it.
+SECTIONS = {"excite": 0, "damp": 0, "three": 1, "five": 2}
+
+
+@st.composite
+def selections(draw, n: int):
+    """Up to three numpy indices applied in turn to n points: masks or position lists."""
+    chosen = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            index = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            n = int(index.sum())
+        elif n:
+            index = np.array(draw(st.lists(st.integers(0, n - 1), max_size=6)), dtype=int)
+            n = len(index)
+        else:
+            break
+        chosen.append(index)
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_points_name_and_sort_as_the_grid_index_arrays_do(data):
+    """Positions give each point the values and sort key of the np.indices arrays of its grid."""
+    label = data.draw(st.sampled_from(sorted(SECTIONS)))
+    nb, ng = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    nr = data.draw(st.integers(1, 4)) if label == "five" else 1
+    values = st.floats(1e-9, 1e3)
+    b, gamma, r = (np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+                   for n in (nb, ng, nr))
+    bi, gi, ri = (ix.reshape(-1) for ix in np.indices((nb, ng, nr)))
+    columns = [b[bi], gamma[gi], r[ri], bi, gi, SECTIONS[label] + ri]
+    points = verify._Points(label, b, gamma, r, np.arange(nb * ng * nr))
+    for index in data.draw(selections(nb * ng * nr)):
+        columns = [column[index] for column in columns]
+        points = points[index]
+    b_at, gamma_at, r_at, *key = columns
+    assert len(points.at) == len(b_at)
+    for i in range(len(b_at)):
+        where = f"{label} b={float(b_at[i]):g} gamma={float(gamma_at[i]):g}"
+        if label == "five":
+            where += f" r={float(r_at[i]):g}"
+        assert points.where(i) == where
+        assert points.key(i) == tuple(int(k[i]) for k in key)
+
+
 # Settling all families in one comparison against the rule of each check, point by point.
 EDGES = (0.0, -0.0, 1.0, -2.5, 2.0**-40, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
          2.2250738585072014e-308)  # the last: the smallest normal
@@ -179,12 +226,11 @@ def _near(draw, expected: float, tol: float) -> float:
 def families(draw):
     """(method, name, points, observed, expected, tol, detail) of one family."""
     method = draw(st.sampled_from(("close", "close_fields", "below")))
-    m = draw(st.integers(1, 4))
-    base = verify._Points(
-        draw(st.sampled_from(("five", "three"))), np.linspace(0.1, 1.0, m), np.linspace(0.5, 1.0, m),
-        np.full(m, 2.0), *(np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
-                           for _ in range(3)))
-    index = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)))
+    nb, ng, nr = (draw(st.integers(1, 3)) for _ in range(3))
+    base = verify._Points(draw(st.sampled_from(("five", "three"))), np.linspace(0.1, 1.0, nb),
+                          np.linspace(0.5, 1.0, ng), np.linspace(1.0, 2.0, nr),
+                          np.arange(nb * ng * nr))
+    index = np.array(draw(st.lists(st.integers(0, nb * ng * nr - 1), min_size=1, max_size=4)))
     points = base[index]
     n, tol = len(index), draw(st.sampled_from(TOLS))
     if method == "below":
