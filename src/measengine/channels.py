@@ -349,11 +349,8 @@ def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     as there.
     """
     _strength_range("excitation", p)
+    q = np.full(p.shape, math.nan)
     above = p >= _partner_threshold(x) - _Q_SLACK
-    if above.all():
-        q = _swap_strength(p, x)
-    else:  # only points with a partner are divided: at P = 0 and x = 0, q would be 0/0
-        q = np.full(p.shape, math.nan)
-        q[above] = _swap_strength(p[above], x[above])
+    q[above] = _swap_strength(p[above], x[above])
     q[q < -_Q_SLACK] = math.nan
     return np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)

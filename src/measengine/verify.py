@@ -14,12 +14,11 @@ reduction of the five-stroke cycle to the three-stroke one.  `_Checker`
 records the (observed, expected, tol) of every family and decides the
 whole run by one comparison of all their margins with 0.
 
-Failures are collected into a report, never raised.  A family's points
-(`_Points`) are positions into the flat grid, named only on failure: only
-when some check fails are the families replayed one by one, and each failing
-position worked back into its b, gamma and r, formatted, and sorted point by
-point: b, then gamma, then the channels, the three-stroke cycle and the
-five-stroke cycle at each r, each in its fixed order of checks.
+Failures are collected into a report, never raised.  A family's points are
+positions into the flat grid, named only when some check fails: then the
+families are replayed one by one, and each failing position is worked back
+into its b, gamma and r, formatted, and sorted: b, then gamma, then the
+channels, the three-stroke cycle and the five-stroke cycle at each r.
 
 The optional `perturb` hook adds +0.1 to one ledger field of every
 numeric ledger before checking; it exists to prove the suite actually
@@ -113,11 +112,10 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class _Points:
-    """Grid points checked together, as positions into the flat b x gamma x r grid.
+    """Grid points checked together: positions `at` into the flat b x gamma x r grid.
 
-    `b`, `gamma` and `r` are the grid's axes (r is (1,) on the b x gamma grid), and position
-    p = (b_index * len(gamma) + gamma_index) * len(r) + r_index.  Selecting points composes
-    positions; only `where` and `key`, which name and sort a failure, read a position's axes.
+    r is (1,) on the b x gamma grid.  Selecting points composes positions; only `where`
+    and `key`, which name and sort a failure, work a position back into its axes.
     """
 
     label: str  # excite, damp, three or five; five also names r
@@ -130,8 +128,7 @@ class _Points:
         return _Points(self.label, self.b, self.gamma, self.r, self.at[index])
 
     def _indices(self, i: int) -> tuple[int, int, int]:
-        bg, r_index = divmod(int(self.at[i]), len(self.r))
-        return (*divmod(bg, len(self.gamma)), r_index)
+        return np.unravel_index(self.at[i], (len(self.b), len(self.gamma), len(self.r)))
 
     def where(self, i: int) -> str:
         b_index, gamma_index, r_index = self._indices(i)
@@ -256,9 +253,9 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
     return ledger.entropy_tp, entropy_qmi
 
 
-def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger):
-    """Checks `numeric`, the (perturbed) three-stroke ledger of `grid`; returns its `_fields`."""
-    fields = _fields(numeric)
+def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
+                 fields: np.ndarray):
+    """The three-stroke checks; `numeric` is the (perturbed) ledger of `grid`, with `fields`."""
     c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
                    TOL_ORACLE)
     entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
@@ -279,7 +276,6 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
     c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
-    return fields
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -313,12 +309,11 @@ def run_verification(
     start = time.perf_counter()
     b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
     nb, ng, nr = len(b), len(gamma), len(r)
-    # The flat b x gamma grid; a product with ones tiles an axis, and 1.0 * x is x.
-    b2, gamma2 = b.repeat(ng), (np.ones((nb, 1)) * gamma).ravel()
+    b2, gamma2 = b.repeat(ng), np.tile(gamma, nb)  # the flat b x gamma grid
     # The five-stroke grid is built first, in b > gamma > r order, so a bad
     # value raises the error the point-by-point nesting would meet first.
     five = CycleGrid(b2.repeat(nr), gamma2.repeat(nr), CycleMode.FIVE_STROKE,
-                     (np.ones((nb * ng, 1)) * r).ravel())
+                     np.tile(r, nb * ng))
     three = CycleGrid(b2, gamma2, CycleMode.THREE_STROKE, np.ones(nb * ng))
 
     c = _Checker()
@@ -331,8 +326,10 @@ def run_verification(
     c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok),
             completeness_deviation_stack(second_channel_stack(three_numeric.q_used)), 0.0,
             COMPLETENESS_TOL)
-    three_fields = _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three,
-                                _maybe_perturb(three_numeric, perturb))
+    three_numeric = _maybe_perturb(three_numeric, perturb)
+    three_fields = _fields(three_numeric)  # checked here and again by reduction-r1-
+    _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three, three_numeric,
+                 three_fields)
 
     ok = np.flatnonzero(five.realizable)
     five = five.subset(ok)
