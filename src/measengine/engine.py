@@ -20,12 +20,16 @@ cycle.  They must agree to ~1e-10; the verify suite and tests enforce
 that.
 
 The five records hold three distinct states (thermal, after QMI, after
-QMII): the adiabats only relabel the gap, so TP and API share one
-entropy, and QMII and APII another, each computed once.  Both runners
+QMII): the adiabats only relabel the gap, so TP and API share one state,
+and QMII and APII another.  A record's entropy is its state's, computed
+on first read and kept on the state (`DensityMatrix.entropy`), so each
+distinct state's entropy is computed at most once, and a caller that
+reads only the ledger computes none.  Both runners
 read the thermal state, x, tanh(b/2) and the two strengths off the
 `CycleParams`, which builds them once, as `CycleGrid` builds its columns,
 and take its TP and API records, which it builds once with the stretched
-`Hamiltonian`; a runner forms only QMI, QMII and APII.  One scalar cycle
+`Hamiltonian` (the bare `_H1` at r = 1); a runner forms only QMI, QMII
+and APII.  One scalar cycle
 builds no numpy array: its states and Kraus sets are built from Python
 floats and keep them, so every check and product on their entries is
 float arithmetic, as on the grid's float64 stacks; the one numpy call is
@@ -33,7 +37,8 @@ the `np.exp` of the Gibbs weight.  Its frozen dataclasses skip
 `object.__setattr__`: `_record` and `_energy_ledger` write every field of
 the check-free `StrokeRecord` and `EnergyLedger` into a new instance's
 `__dict__`, and the checked constructors write what they derive there
-after their checks (`test_engine_built_records_are_whole_and_frozen`).
+after their checks (`test_engine_built_records_are_whole_and_frozen`);
+only a record's `entropy_after` is written there on its first read.
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -62,8 +67,9 @@ column equals the scalar field bit for bit.  A grid builds every per-point
 column once, at construction: x, tanh(b/2), the excitation strengths,
 the validated thermal stack and the damping strengths `q`; `subset`
 slices them all, and both grid runners read them.  The analytic runner
-builds and validates its QMI and QMII state stacks only when they, or
-their entropies, are read.
+keeps the two post-QMI population columns, and stacks them and builds and
+validates its QMI and QMII state stacks only when those, or their
+entropies, are read.
 """
 
 from __future__ import annotations
@@ -97,7 +103,6 @@ from .states import (
     mean_energy_stack,
     population_stack,
     validate_state_stack,
-    von_neumann_entropy,
 )
 
 GAMMA_NUMERIC_MIN = 0.5  # below this the population-swapping channel does not exist
@@ -129,10 +134,11 @@ class CycleParams:
     After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
     th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
     state and q (from the same x, NaN where no partner exists); so are the
-    TP and API records, which hold the thermal state under the bare and the
-    stretched gap, with their energies and its entropy.  They, and `mode` as
-    a `CycleMode`, are written into the instance's `__dict__` in one update.
-    Equality, hash and repr ignore them.
+    TP and API records, which hold the thermal state under the bare gap
+    (`_H1`) and the stretched one (`_H1` again at r = 1), with their
+    energies; their entropy is the thermal state's, computed on first read.
+    They, and `mode` as a `CycleMode`, are written into the instance's
+    `__dict__` in one update.  Equality, hash and repr ignore them.
     """
 
     b: float
@@ -148,12 +154,12 @@ class CycleParams:
 
     def __post_init__(self):
         mode = CycleMode(self.mode)
-        b = self.b
+        b, r = self.b, self.r
         if not math.isfinite(b) or b <= 0:
             raise InvalidCycleError(f"b must be finite and positive, got {b}")
         if not math.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
             raise InvalidCycleError(f"gamma must lie in [0, 1], got {self.gamma}")
-        gamma_bounds(mode, self.r)  # refuses a bad r
+        _require_ratio(mode, r)
         x = math.exp(-b)
         strength = _strength(self.gamma, x)
         try:
@@ -161,12 +167,11 @@ class CycleParams:
         except NoIsentropicStrengthError:
             q = math.nan
         thermal = gibbs_state(_H1, b)
-        hr = Hamiltonian.qubit(self.r)
-        s_th = von_neumann_entropy(thermal)
+        hr = _H1 if r == 1.0 else Hamiltonian.qubit(r)
         strokes = (
-            _record("TP", thermal, _H1, mean_energy(thermal, _H1), s_th),
+            _record("TP", thermal, _H1, mean_energy(thermal, _H1)),
             # API stretches the gap and leaves the populations untouched.
-            _record("API", thermal, hr, mean_energy(thermal, hr), s_th),
+            _record("API", thermal, hr, mean_energy(thermal, hr)),
         )
         self.__dict__.update(mode=mode, x=x, th=math.tanh(0.5 * b), strength=strength,
                              thermal=thermal, q=q, thermal_strokes=strokes)
@@ -174,11 +179,25 @@ class CycleParams:
 
 @dataclass(frozen=True, eq=False)
 class StrokeRecord:
+    """One stroke's state, Hamiltonian and energy after it.
+
+    `entropy_after` is the entropy of `state_after`, computed on first read
+    and kept on both the record and the state (`DensityMatrix.entropy`), so
+    records that share a state share one computation.
+    """
+
     name: str  # TP, API, QMI, QMII, APII
     state_after: DensityMatrix
     hamiltonian_after: Hamiltonian
     energy_after: float
-    entropy_after: float
+    entropy_after: float = field(init=False)
+
+    def __getattr__(self, name):
+        # Called only for a name the instance does not hold: `entropy_after` until its first read.
+        if name != "entropy_after":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entropy = self.__dict__["entropy_after"] = self.state_after.entropy
+        return entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +225,8 @@ class EnergyLedger:
         raise KeyError(f"no stroke named {name!r} in this ledger")
 
 
-def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float,
-            entropy: float) -> StrokeRecord:
-    """`StrokeRecord(name, state, h, energy, entropy)`, its fields written into `__dict__`.
+def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float) -> StrokeRecord:
+    """`StrokeRecord(name, state, h, energy)`, its fields written into `__dict__`.
 
     The record checks nothing; this skips the frozen `__init__`'s `object.__setattr__` per field.
     """
@@ -218,7 +236,6 @@ def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float,
     fields["state_after"] = state
     fields["hamiltonian_after"] = h
     fields["energy_after"] = energy
-    fields["entropy_after"] = entropy
     return rec
 
 
@@ -232,11 +249,16 @@ def _energy_ledger(**fields) -> EnergyLedger:
 def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
     """Engine-valid gamma range: [1/2, 1] three-stroke (r = 1 only), [1/(1+r), 1] five-stroke."""
     mode = CycleMode(mode)
+    _require_ratio(mode, r)
+    return _gamma_range(mode, r)
+
+
+def _require_ratio(mode: CycleMode, r: float) -> None:
+    """Refuse an r that is not finite or below 1, or that is not 1 for three-stroke."""
     if not math.isfinite(r) or r < 1.0:
         raise InvalidCycleError(f"frequency ratio r must be >= 1, got {r}")
     if mode is CycleMode.THREE_STROKE and r != 1.0:
         raise InvalidCycleError(f"three-stroke cycle requires r = 1, got r = {r}")
-    return _gamma_range(mode, r)
 
 
 # The arithmetic of both engines: `+ - * /` round floats and float64 arrays alike.
@@ -287,20 +309,19 @@ def _eta_law(mode: CycleMode, gamma, r):
 
 def _cycle_strokes(p: CycleParams, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
-    """Records of the full TP, API, QMI, QMII, APII sequence, one entropy per distinct state.
+    """Records of the full TP, API, QMI, QMII, APII sequence.
 
     TP and API are the point's own records; QMI, QMII and APII are formed here.
     """
     tp, api = p.thermal_strokes
     hr = api.hamiltonian_after
-    s_n = von_neumann_entropy(rho_n)
     return (
         tp,
         api,
-        _record("QMI", rho_m, hr, mean_energy(rho_m, hr), von_neumann_entropy(rho_m)),
-        _record("QMII", rho_n, hr, mean_energy(rho_n, hr), s_n),
+        _record("QMI", rho_m, hr, mean_energy(rho_m, hr)),
+        _record("QMII", rho_n, hr, mean_energy(rho_n, hr)),
         # APII restores the gap before thermalization.
-        _record("APII", rho_n, _H1, mean_energy(rho_n, _H1), s_n),
+        _record("APII", rho_n, _H1, mean_energy(rho_n, _H1)),
     )
 
 
@@ -484,10 +505,11 @@ class GridLedger:
     `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
     float64 states after TP (the thermal state, which API keeps), QMI and QMII.
     The numeric ledger is given all three stacks.  The analytic ledger is
-    given `measured` as the (N, 2) post-QMI populations, and builds and
-    validates the QMI and QMII stacks from them (QMII swaps the two) when
-    they, or their entropies, are first read.  The entropies are computed,
-    all three in one `entropy_stack` pass, when first asked for.
+    given `measured` as the two (N,) post-QMI population columns, ground and
+    excited, and stacks them and builds and validates the QMI and QMII
+    stacks from them (QMII swaps the two) when they, or their entropies,
+    are first read.  The entropies are computed, all three in one
+    `entropy_stack` pass, when first asked for.
     """
 
     q_in: np.ndarray
@@ -500,14 +522,14 @@ class GridLedger:
     q_used: np.ndarray
     valid: np.ndarray
     states_tp: np.ndarray
-    # The (states_qmi, states_qmii) stacks, or the (N, 2) populations after QMI.
-    measured: tuple[np.ndarray, np.ndarray] | np.ndarray = field(repr=False)
+    # The (states_qmi, states_qmii) stacks, or the (ground, excited) populations after QMI.
+    measured: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @functools.cached_property
     def _measured_states(self) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(self.measured, tuple):
+        if self.measured[0].ndim == 3:
             return self.measured
-        m_pops = self.measured
+        m_pops = np.stack(self.measured, axis=-1)
         return (validate_state_stack(population_stack(m_pops)),
                 validate_state_stack(population_stack(m_pops[:, ::-1])))
 
@@ -568,8 +590,9 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
 
     It reads the grid's x, th and q columns.  A subnormal gamma overflows
     1/gamma, so eta is -inf there, as Python's float division gives it in
-    `run_analytic`; numpy is told not to warn.  The QMI and QMII state
-    stacks are built, and validated, when first read.
+    `run_analytic`; numpy is told not to warn.  The post-QMI populations
+    are stacked, and the QMI and QMII state stacks built and validated,
+    when first read.
     """
     gamma, r = grid.gamma, grid.r
     (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
@@ -580,5 +603,5 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=(lo <= gamma) & (gamma <= hi),
-        states_tp=grid.thermal, measured=np.stack(m_pops, axis=-1),
+        states_tp=grid.thermal, measured=m_pops,
     )

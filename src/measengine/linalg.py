@@ -170,7 +170,13 @@ def _eig_pair(a00: complex, a01: complex, a10: complex, a11: complex) -> tuple[f
         # Diagonal case stays exact; the engine's states all live here.
         return (p, q) if p <= q else (q, p)
     mean = 0.5 * (p + q)
-    radius = math.hypot(0.5 * (p - q), abs(c))
+    if cmath.isfinite(c):
+        radius = math.hypot(0.5 * (p - q), abs(c))
+    else:
+        # The sum overflowed (0.5 times a complex inf is NaN): halve each term first.  A modulus
+        # beyond the float range is inf from math.hypot, where abs() of a complex would raise.
+        c = 0.5 * a01 + 0.5 * a10.conjugate()
+        radius = math.hypot(0.5 * (p - q), c.real, c.imag)
     return mean - radius, mean + radius
 
 
@@ -180,14 +186,19 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
     A stack without coherences, as every engine state is, skips the radius.
-    Coherences whose sum overflows give an infinite radius, without a warning.
+    Where the coherences' sum overflows, c is formed from the halved terms,
+    as in `_eig_pair`, without a warning.
     """
     p = a[:, 0, 0]
     q = a[:, 1, 1]
-    if not (a[:, 0, 1].any() or a[:, 1, 0].any()):
+    a01, a10 = a[:, 0, 1], a[:, 1, 0]
+    if not (a01.any() or a10.any()):
         return np.minimum(p, q), np.maximum(p, q)
-    with np.errstate(over="ignore"):  # entries near the float limit: c is inf, and so is radius
-        c = 0.5 * (a[:, 0, 1] + a[:, 1, 0])
+    with np.errstate(over="ignore"):  # entries near the float limit: the sum is inf
+        c = 0.5 * (a01 + a10)
+    over = np.isinf(c)
+    if over.any():
+        c[over] = 0.5 * a01[over] + 0.5 * a10[over]
     diagonal = c == 0.0
     mean = 0.5 * (p + q)
     radius = np.hypot(0.5 * (p - q), c)

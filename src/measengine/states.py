@@ -17,7 +17,9 @@ computed:
 array from a nested list of Python floats, which is what
 `from_populations`, `gibbs_state` and the channels pass, so the engine's
 states hold floats and are checked and read in float arithmetic; `mat` is
-built from the entries when first read, which a single cycle never does.
+built from the entries when first read, which a single cycle never does,
+and `entropy` is computed when first read, which a cycle whose caller
+reads only the ledger never does.
 `gibbs_state` weighs the two levels with one `np.exp` on a float (the
 same `_gibbs_populations` weighs a grid's array of b).
 
@@ -93,14 +95,16 @@ class DensityMatrix:
     TOL_TRACE, TOL_PSD) and keeps what the checks read: `entries`, the
     four entries of `mat` row by row as Python numbers (each float of a
     nested list stays a float; other inputs give complex numbers), and
-    `eig_pair`, its ascending eigenvalues.  `mat` itself, a read-only
-    complex array, is built from `entries` when first read, and is the
-    same object on every later read.
+    `eig_pair`, its ascending eigenvalues.  Two fields are computed on
+    first read and kept, so every later read gives the same object:
+    `mat`, a read-only complex array built from `entries`, and `entropy`,
+    the `von_neumann_entropy` of the state.
     """
 
     mat: np.ndarray
     entries: tuple[float | complex, ...] = field(init=False, repr=False)
     eig_pair: tuple[float, float] = field(init=False, repr=False)
+    entropy: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = _square_entries(self.mat)
@@ -112,7 +116,7 @@ class DensityMatrix:
             # complex(): a real trace prints as numpy's complex128 trace does, "1.1+0j"
             raise ValueError(f"state trace {complex(tr):.15g} is not 1")
         eig = _eig_pair(*entries)
-        if not eig[0] >= -TOL_PSD:  # NaN too: complex coherences that overflow, far below 0
+        if not eig[0] >= -TOL_PSD:  # a NaN would be refused too
             raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
         fields = self.__dict__
         del fields["mat"]  # the input; `__getattr__` builds the array from the entries
@@ -120,12 +124,15 @@ class DensityMatrix:
         fields["eig_pair"] = eig
 
     def __getattr__(self, name):
-        # Called only for a name the instance does not hold: `mat` until its first read.
-        if name != "mat":
+        # Called only for a name the instance does not hold: `mat` or `entropy` until its first read.
+        if name == "entropy":
+            value = von_neumann_entropy(self)
+        elif name == "mat":
+            value = _frozen_matrix(self.entries)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = _frozen_matrix(self.entries)
-        object.__setattr__(self, "mat", mat)
-        return mat
+        self.__dict__[name] = value
+        return value
 
     @classmethod
     def from_populations(cls, populations) -> DensityMatrix:

@@ -23,6 +23,7 @@ from measengine.engine import (
     run_analytic,
     run_numeric,
 )
+from measengine import engine, states
 from measengine.channels import KrausSet
 from measengine.states import DensityMatrix, Hamiltonian, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
@@ -420,6 +421,7 @@ def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
 
 def test_the_stretched_hamiltonian_is_built_once_per_point(monkeypatch):
     # The point's TP and API records hold it: both runners reuse them and build no Hamiltonian.
+    # At r = 1 the stretched gap is the bare one, and no Hamiltonian is built at all.
     built = []
     check = Hamiltonian.__post_init__
 
@@ -428,13 +430,59 @@ def test_the_stretched_hamiltonian_is_built_once_per_point(monkeypatch):
         check(self)
 
     monkeypatch.setattr(Hamiltonian, "__post_init__", counted)
-    for mode, r in (("five", 2.0), ("three", 1.0)):
+    for mode, r in (("five", 2.0), ("three", 1.0), ("five", 1.0)):
         p = CycleParams(b=0.7, gamma=0.8, mode=mode, r=r)
-        assert [h.levels for h in built] == [(-0.5 * r, 0.5 * r)]
+        assert [h.levels for h in built] == ([] if r == 1.0 else [(-0.5 * r, 0.5 * r)])
         built.clear()
         numeric, analytic = run_numeric(p), run_analytic(p)
         assert built == []
         assert numeric.stroke("TP") is analytic.stroke("TP") is p.thermal_strokes[0]
+        if r == 1.0:
+            assert all(rec.hamiltonian_after is engine._H1
+                       for ledger in (numeric, analytic) for rec in ledger.strokes)
+            assert p.thermal_strokes[1].hamiltonian_after is engine._H1
+
+
+@pytest.mark.parametrize("mode, b, gamma, r", [
+    ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
+    ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6), ("five", 2.0, 0.3, 3.0),
+])
+def test_stroke_entropies_are_computed_on_first_read_once_per_state(monkeypatch, mode, b, gamma,
+                                                                     r):
+    # A request that reads only the ledger computes no entropy.  Reading every record computes
+    # one per distinct state: the thermal state, which TP and API share across both ledgers,
+    # and each ledger's QMI and QMII states, QMII's shared with APII.
+    computed = []
+
+    def counted(rho, compute=states.von_neumann_entropy):
+        computed.append(rho)
+        return compute(rho)
+
+    monkeypatch.setattr(states, "von_neumann_entropy", counted)
+    p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
+    ledgers = [run_analytic(p)]
+    if numeric_realizable(p):
+        ledgers.append(run_numeric(p))
+    assert all(type(ledger.eta) is float for ledger in ledgers)
+    assert computed == []
+    for ledger in ledgers:
+        for rec in ledger.strokes:
+            assert type(rec.entropy_after) is float
+    assert len(computed) == len({id(rho) for rho in computed}) == 1 + 2 * len(ledgers)
+    for ledger in ledgers:
+        for rec in ledger.strokes:  # read again: nothing more is computed
+            assert rec.entropy_after is rec.state_after.entropy
+    assert len(computed) == 1 + 2 * len(ledgers)
+    monkeypatch.undo()
+    tp, api = p.thermal_strokes
+    assert api.entropy_after == tp.entropy_after
+    for ledger in ledgers:
+        assert ledger.stroke("TP").entropy_after == tp.entropy_after
+        if mode == "five":
+            assert ledger.stroke("APII").entropy_after == ledger.stroke("QMII").entropy_after
+        for rec in ledger.strokes:
+            expected = von_neumann_entropy(rec.state_after)
+            assert rec.entropy_after.hex() == expected.hex() == rec.state_after.entropy.hex()
 
 
 @pytest.mark.parametrize("mode, b, gamma, r", [
@@ -547,8 +595,12 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
     for ledger in ledgers:
         assert [rec.name for rec in ledger.strokes] == (
             ["TP", "QMI", "QMII"] if mode == "three" else ["TP", "API", "QMI", "QMII", "APII"])
-        for rec in ledger.strokes:
-            _assert_whole_and_frozen(rec)
+    # Each record once, before the ledgers compare them: both ledgers hold the point's TP
+    # record.  Reading a record's entropy reads its state's, so every state below holds its
+    # entropy too.
+    for rec in {id(rec): rec for ledger in ledgers for rec in ledger.strokes}.values():
+        _assert_whole_and_frozen(rec, lazy=("entropy_after",))
+    for ledger in ledgers:
         _assert_whole_and_frozen(ledger)
     monkeypatch.undo()
     _assert_whole_and_frozen(p)

@@ -141,6 +141,24 @@ def test_eig_examples():
     assert np.array_equal(got, [5.0 / 12.0, 7.0 / 12.0])
 
 
+# Hermitian matrices whose coherence sum a01 + conj(a10) = 2c leaves the float range.
+@pytest.mark.parametrize("c", [1e308 + 1e307j, 1e308], ids=["complex", "real"])
+def test_eig_of_coherences_whose_sum_overflows_is_finite(c):
+    # |c| is in range, so the eigenvalues 0.5 -+ |c| are finite.
+    diagonal = 0.5 + 0j if isinstance(c, complex) else 0.5
+    got = eig_hermitian([[diagonal, c], [c.conjugate(), diagonal]])
+    assert np.isfinite(got).all()
+    assert got.tolist() == [0.5 - abs(c), 0.5 + abs(c)]
+    if isinstance(c, float):  # the stack kernel forms c alike
+        lo, hi = _eigvals_stack(np.array([[[0.5, c], [c, 0.5]]]))
+        assert (lo.tolist(), hi.tolist()) == ([0.5 - c], [0.5 + c])
+
+
+def test_eig_of_a_coherence_beyond_the_float_range_is_infinite_not_nan():
+    c = 1.3e308 + 1.3e308j  # 0.5 -+ |c|, |c| = 1.84e308, lie beyond the float range
+    assert eig_hermitian([[0.5 + 0j, c], [c.conjugate(), 0.5 + 0j]]).tolist() == [-math.inf, math.inf]
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))

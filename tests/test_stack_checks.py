@@ -100,7 +100,7 @@ class TestValidateStateStack:
         # Hermitian, unit trace, lower eigenvalue 0.5 - 1e308; any warning fails the test.
         stack = with_states(s1=[[0.5, 1e308], [1e308, 0.5]])
         with pytest.raises(ValueError, match=r"^state 1 of the stack has negative eigenvalue "
-                                             r"-inf$"):
+                                             r"-1\.000e\+308$"):
             validate_state_stack(stack)
 
     def test_checks_run_in_the_constructor_order(self):

@@ -79,8 +79,8 @@ class TestDensityMatrixInvariants:
     _LOWER = 1.2711610061536462e+308 + 1.2711610061536464e+308j
 
     @pytest.mark.parametrize(("entries", "message"), [
-        # Hermitian, so its lower eigenvalue 0.5 - |_HUGE| is far below 0; `_eig_pair` reads NaN.
-        ([[0.5 + 0j, _HUGE], [_HUGE.conjugate(), 0.5 + 0j]], "state has negative eigenvalue nan"),
+        # Hermitian, so its lower eigenvalue 0.5 - |_HUGE| is far below 0, beyond the float range.
+        ([[0.5 + 0j, _HUGE], [_HUGE.conjugate(), 0.5 + 0j]], "state has negative eigenvalue -inf"),
         # |a01 - conj(a10)| is beyond the float range: an infinite Hermiticity defect.
         ([[0j, 0j], [_LOWER, 0j]], r"state is not Hermitian \(defect inf\)"),
     ], ids=["hermitian", "lower-triangular"])
