@@ -20,27 +20,38 @@ Two concrete qubit channels drive the engine:
 diagonal populations left by the excitation channel, so the second stroke
 conserves entropy.
 
-`KrausSet` accepts only 2x2 operators (via `linalg._square_entries`, which
-checks as `as_square_matrix` does), so a set and a `DensityMatrix` always
-agree on dimension.  Both keep their entries as Python numbers, floats
-for the engine's real states and channels, and build their read-only
-arrays (`ops`, `mat`) from them only when first read.  Every application
-first checks completeness on the operators' entries; `apply_unselective`
-then forms sum_n (A_n rho) A_n^dag in Python arithmetic on the stored
-entries of the set and the state (float arithmetic on real entries), and
-builds the output, a nested list, through the `DensityMatrix`
-constructor, which checks it without a numpy array.  `measure_selective`
-and `povm_elements` take numpy's `@` products of the read-only operators,
-as the public `linalg` helpers do.
+One channel format and one kernel serve both engines.  A channel is K
+operators, each the tuple of its four entries row by row, and an entry is
+a Python number (one set) or an (N,) float64 array (one set per grid
+point).  `_excitation` and `_damping` write the two engine channels in
+that format once, taking the square root as an argument: `math.sqrt` for
+one strength, `np.sqrt` for a column of them; the fixed entries are the
+Python floats 0.0 and 1.0 either way.  All channel arithmetic is in two
+functions that run alike on floats, complex numbers and arrays:
+`_completeness_terms` forms sum_n A_n^dag A_n - 1, and `_evolve` forms
+sum_n (A_n rho) A_n^dag, entry by entry.  Around them each engine keeps
+its own checks:
 
-Grid evaluation uses Kraus stacks of shape (N, K, 2, 2), one K-operator set
-per grid point, float64 only since both channels' operators are real (a
-complex stack is refused): `first_channel_stack` / `second_channel_stack`
-build them; `completeness_deviation_stack` is `validate_completeness` per
-set, summed in the same order, so on real entries it gives the same bits;
-`apply_unselective_stack` checks it (COMPLETENESS_TOL) on every set and
-applies each set to its state with elementwise arithmetic on the four
-entries of the operators, each a (K, N) array; and
+* One set.  `KrausSet` accepts only 2x2 operators (via
+  `linalg._square_entries`, which checks as `as_square_matrix` does), so a
+  set and a `DensityMatrix` always agree on dimension; both keep their
+  entries as Python numbers, floats for real operators and states, and
+  build their read-only arrays (`ops`, `mat`) only when first read.
+  `apply_unselective` refuses an incomplete set (the largest deviation,
+  NaN if any deviation is NaN, above COMPLETENESS_TOL), evolves the
+  state's entries and builds the output through the `DensityMatrix`
+  constructor, which checks it without a numpy array.  The scalar cycle
+  hands the same application its channels' entries directly, with no
+  `KrausSet`.  `measure_selective` and `povm_elements` take numpy's `@`
+  products of the read-only operators, as the public `linalg` helpers do.
+* A grid.  `first_channel_stack` / `second_channel_stack` check the
+  strengths and give the channels' entries, the varying ones as (N,)
+  columns; `completeness_deviation_stack` is `validate_completeness`'s
+  deviation per set, the same bits on real entries;
+  `apply_unselective_stack` refuses the first set whose deviation is
+  above COMPLETENESS_TOL or NaN, evolves the (N,) columns of a real
+  (N, 2, 2) state stack and checks the output with `validate_state_stack`.
+
 `isentropic_strength_stack` is `isentropic_strength` per point, through
 the same `_partner_threshold` and `_swap_strength`, with NaN for a point
 that has no partner.
@@ -60,7 +71,6 @@ from .states import DensityMatrix, validate_state_stack
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
 _Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and below q = 0
-_IDENTITY = np.eye(2).reshape(2, 2, 1)  # broadcasts over the N axis of (2, 2, N) entries
 
 
 class IncompleteKrausSetError(ValueError):
@@ -139,52 +149,70 @@ class MeasurementOutcome:
 
 def validate_completeness(k: KrausSet) -> CompletenessReport:
     """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
-    dev = _max_deviation(k)
+    dev = _max_deviation(k.entries)
     return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
 
 
-def _max_deviation(k: KrausSet) -> float:
-    """Max entrywise |sum_n A_n^dag A_n - 1|, in the arithmetic of the entries (float or complex)."""
+def _completeness_terms(ops):
+    """sum_n A_n^dag A_n - 1 as its (0, 0), (0, 1) and (1, 1) entries, in the entries' type."""
     # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
     # the sum is the conjugate of the (0, 1) entry, so it has the same modulus.
+    # Each sum is rebound, not updated in place, so a complex array may follow a real one.
     t00 = t01 = t11 = 0.0
-    for a, b, c, d in k.entries:
-        t00 += a.conjugate() * a + c.conjugate() * c
-        t01 += a.conjugate() * b + c.conjugate() * d
-        t11 += b.conjugate() * b + d.conjugate() * d
-    return max(abs(t00 - 1.0), abs(t01), abs(t11 - 1.0))
+    for a, b, c, d in ops:
+        t00 = t00 + (a.conjugate() * a + c.conjugate() * c)
+        t01 = t01 + (a.conjugate() * b + c.conjugate() * d)
+        t11 = t11 + (b.conjugate() * b + d.conjugate() * d)
+    return t00 - 1.0, t01, t11 - 1.0
 
 
-def _require_complete(k: KrausSet) -> None:
-    dev = _max_deviation(k)
-    if not dev <= COMPLETENESS_TOL:  # as `validate_completeness` passes: a NaN fails
-        raise IncompleteKrausSetError(
-            f"Kraus set {k.label or '<unlabeled>'} violates completeness by {dev:.3e}"
-        )
-
-
-def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
-    _require_complete(k)
-    r00, r01, r10, r11 = rho.entries
-    o00 = o01 = o10 = o11 = 0.0
-    for a, b, c, d in k.entries:
+def _evolve(ops, r00, r01, r10, r11):
+    """The four entries, row by row, of sum_n (A_n rho) A_n^dag, in the entries' type."""
+    o00 = o01 = o10 = o11 = 0.0  # rebound, as the sums of `_completeness_terms` are
+    for a, b, c, d in ops:
         # B = A rho, then (B A^dag)_im = B_i0 conj(A_m0) + B_i1 conj(A_m1).
         b00 = a * r00 + b * r10
         b01 = a * r01 + b * r11
         b10 = c * r00 + d * r10
         b11 = c * r01 + d * r11
         a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        o00 += b00 * a + b01 * b
-        o01 += b00 * c + b01 * d
-        o10 += b10 * a + b11 * b
-        o11 += b10 * c + b11 * d
+        o00 = o00 + (b00 * a + b01 * b)
+        o01 = o01 + (b00 * c + b01 * d)
+        o10 = o10 + (b10 * a + b11 * b)
+        o11 = o11 + (b10 * c + b11 * d)
+    return o00, o01, o10, o11
+
+
+def _max_deviation(ops) -> float:
+    """Max entrywise |sum_n A_n^dag A_n - 1| of one set's entries, NaN if one deviation is."""
+    deviations = tuple(map(abs, _completeness_terms(ops)))
+    total = sum(deviations)  # NaN exactly when a deviation is, since none is negative
+    return total if total != total else max(deviations)
+
+
+def _require_complete(ops, label: str) -> None:
+    dev = _max_deviation(ops)
+    if not dev <= COMPLETENESS_TOL:  # as `validate_completeness` passes: a NaN fails
+        raise IncompleteKrausSetError(
+            f"Kraus set {label or '<unlabeled>'} violates completeness by {dev:.3e}"
+        )
+
+
+def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
+    """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
+    return _apply(k.entries, rho, k.label)
+
+
+def _apply(ops, rho: DensityMatrix, label: str) -> DensityMatrix:
+    """`apply_unselective` of the set whose entries are `ops`, named `label` if it is incomplete."""
+    _require_complete(ops, label)
+    o00, o01, o10, o11 = _evolve(ops, *rho.entries)
     return DensityMatrix([[o00, o01], [o10, o11]])
 
 
 def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcome]:
     """All outcomes in Kraus order, with Born probabilities and post-states."""
-    _require_complete(k)
+    _require_complete(k.entries, k.label)
     outcomes = []
     for op in k.ops:
         raw = op @ rho.mat @ op.conj().T
@@ -201,17 +229,28 @@ def povm_elements(k: KrausSet) -> list[np.ndarray]:
     return [op.conj().T @ op for op in k.ops]
 
 
+def _excitation(p, sqrt):
+    """The excitation channel's M1 and M2, entries row by row; `sqrt` suits p's type."""
+    return (sqrt(1.0 - p), 0.0, 0.0, 1.0), (0.0, 0.0, sqrt(p), 0.0)
+
+
+def _damping(q, sqrt):
+    """The damping channel's N1 and N2, entries row by row; `sqrt` suits q's type."""
+    return (1.0, 0.0, 0.0, sqrt(1.0 - q)), (0.0, sqrt(q), 0.0, 0.0)
+
+
+def _kraus_set(ops, label: str) -> KrausSet:
+    return KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in ops), label=label)
+
+
 def first_channel(p: float) -> KrausSet:
     """Excitation channel of strength p in [0, 1].
 
     p = 0 leaves any state untouched; p = 1 pumps the full ground
     population into the excited state (projective strength).
     """
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
-    m1 = [[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]]
-    m2 = [[0.0, 0.0], [math.sqrt(p), 0.0]]
-    return KrausSet((m1, m2), label=f"excite(P={p:g})")
+    _require_strength("excitation", p)
+    return _kraus_set(_excitation(p, math.sqrt), f"excite(P={p:g})")
 
 
 def second_channel(q: float) -> KrausSet:
@@ -220,11 +259,8 @@ def second_channel(q: float) -> KrausSet:
     q = 0 is the identity channel; q = 1 drops the full excited
     population into the ground state.
     """
-    if not math.isfinite(q) or q < 0.0 or q > 1.0:
-        raise ValueError(f"damping strength must lie in [0, 1], got {q}")
-    n1 = [[1.0, 0.0], [0.0, math.sqrt(1.0 - q)]]
-    n2 = [[0.0, math.sqrt(q)], [0.0, 0.0]]
-    return KrausSet((n1, n2), label=f"damp(q={q:g})")
+    _require_strength("damping", q)
+    return _kraus_set(_damping(q, math.sqrt), f"damp(q={q:g})")
 
 
 def isentropic_strength(p: float, b: float) -> float:
@@ -240,8 +276,7 @@ def isentropic_strength(p: float, b: float) -> float:
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"excitation strength must lie in [0, 1], got {p}")
+    _require_strength("excitation", p)
     return _isentropic_strength(p, math.exp(-b))
 
 
@@ -265,80 +300,61 @@ def _swap_strength(p, x):
     return (2.0 * p - 1.0 + x) / (p + x)
 
 
+def _require_strength(name: str, s: float) -> None:
+    if not 0.0 <= s <= 1.0:  # a NaN fails too, and so does +-inf
+        raise ValueError(f"{name} strength must lie in [0, 1], got {s}")
+
+
 def _strength_range(name: str, values: np.ndarray) -> None:
     ok = (values >= 0.0) & (values <= 1.0)  # NaN fails both, and +-inf one of them
     if not ok.all():
         raise ValueError(f"{name} strength must lie in [0, 1], got {values[np.argmin(ok)]}")
 
 
-def first_channel_stack(p: np.ndarray) -> np.ndarray:
-    """Excitation channels of strengths p, as a real (N, 2, 2, 2) Kraus stack."""
+def first_channel_stack(p: np.ndarray):
+    """Excitation channels of strengths p: `_excitation`'s entries, the varying ones (N,) arrays."""
     _strength_range("excitation", p)
-    k = np.zeros(p.shape + (2, 2, 2))
-    k[:, 0, 0, 0] = np.sqrt(1.0 - p)
-    k[:, 0, 1, 1] = 1.0
-    k[:, 1, 1, 0] = np.sqrt(p)
-    return k
+    return _excitation(p, np.sqrt)
 
 
-def second_channel_stack(q: np.ndarray) -> np.ndarray:
-    """Damping channels of strengths q, as a real (N, 2, 2, 2) Kraus stack."""
+def second_channel_stack(q: np.ndarray):
+    """Damping channels of strengths q: `_damping`'s entries, the varying ones (N,) arrays."""
     _strength_range("damping", q)
-    k = np.zeros(q.shape + (2, 2, 2))
-    k[:, 0, 0, 0] = 1.0
-    k[:, 0, 1, 1] = np.sqrt(1.0 - q)
-    k[:, 1, 0, 1] = np.sqrt(q)
-    return k
+    return _damping(q, np.sqrt)
 
 
-def _entries(kraus: np.ndarray) -> np.ndarray:
-    """A (N, K, 2, 2) Kraus stack as a contiguous (2, 2, K, N) array: [i, j] is every A_nk[i, j]."""
-    return np.ascontiguousarray(kraus.transpose(2, 3, 1, 0))
+def completeness_deviation_stack(ops) -> np.ndarray:
+    """`validate_completeness(...).max_deviation` of every set of a grid channel (NaN kept)."""
+    d00, d01, d11 = map(np.abs, _completeness_terms(ops))
+    return np.maximum(np.maximum(d00, d01), d11)
 
 
-def completeness_deviation_stack(kraus) -> np.ndarray:
-    """`validate_completeness(...).max_deviation` of every set of a float64 (N, K, 2, 2) stack."""
-    return _completeness_deviation(_entries(as_matrix_stack(kraus)))
-
-
-def _completeness_deviation(a: np.ndarray) -> np.ndarray:
-    """`completeness_deviation_stack` of the Kraus stack whose `_entries` are a."""
-    # (sum_k A^T A)_il = sum_k A_0i A_0l + A_1i A_1l
-    total = (a[0, :, None] * a[0, None] + a[1, :, None] * a[1, None]).sum(axis=2)
-    total -= _IDENTITY
-    return np.abs(total, out=total).max(axis=(0, 1))
-
-
-def apply_unselective_stack(kraus, rho: np.ndarray) -> np.ndarray:
+def apply_unselective_stack(ops, rho) -> np.ndarray:
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
-    Both stacks are float64 only: a complex one, or a state stack not of
-    shape (N, 2, 2), raises ValueError before any arithmetic.  Every set
-    of the (N, K, 2, 2) stack must pass the completeness check of
-    `validate_completeness` (else IncompleteKrausSetError names the first
-    that fails), and every output state the `DensityMatrix` checks.  On
-    coherence-free states and the engine's channels each output entry is
-    the same IEEE result as `apply_unselective`: every product is formed as
-    (A rho) A^T and at most two are non-zero.
+    `ops` is a grid channel, as `first_channel_stack` gives it.  The state
+    stack must be a real (N, 2, 2) stack, else ValueError before any
+    arithmetic.  Every set must pass the completeness check of
+    `validate_completeness`, a NaN deviation failing (else
+    IncompleteKrausSetError names the first that fails), and every output
+    state the `DensityMatrix` checks.  The evolution is `_evolve` on the
+    (N,) columns of the entries, so each output entry is the IEEE result
+    `apply_unselective` gives on the same real entries.
     """
     rho = as_matrix_stack(rho)
     if rho.ndim != 3:
         raise ValueError(f"expected a (N, 2, 2) state stack, got shape {rho.shape}")
-    k = as_matrix_stack(kraus)
-    if k.ndim != 4 or k.shape[0] != rho.shape[0]:
-        raise ValueError(f"expected a ({rho.shape[0]}, K, 2, 2) Kraus stack, got shape {k.shape}")
-    a = _entries(k)
-    dev = _completeness_deviation(a)
-    if (dev > COMPLETENESS_TOL).any():
-        i = int(np.argmax(dev > COMPLETENESS_TOL))
+    dev = completeness_deviation_stack(ops)
+    ok = dev <= COMPLETENESS_TOL  # as `validate_completeness` passes: a NaN fails
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise IncompleteKrausSetError(
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
-    r = np.ascontiguousarray(rho.transpose(1, 2, 0))[:, :, None]  # [i, j] is rho_ij as (1, N)
-    # (A rho)_il = A_i0 rho_0l + A_i1 rho_1l, then ((A rho) A^T)_im summed over k
-    b = a[:, None, 0] * r[None, 0] + a[:, None, 1] * r[None, 1]
-    out = (b[:, None, 0] * a[None, :, 0] + b[:, None, 1] * a[None, :, 1]).sum(axis=2)
-    return validate_state_stack(out.transpose(2, 0, 1))
+    # Each entry of every state as one contiguous (N,) row, and the output the same way:
+    # its (N, 2, 2) view keeps every entry column contiguous for the next stroke.
+    out = np.array(_evolve(ops, *rho.transpose(1, 2, 0).reshape(4, -1)))
+    return validate_state_stack(out.reshape(2, 2, -1).transpose(2, 0, 1))
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -30,9 +30,10 @@ read the thermal state, x, tanh(b/2) and the two strengths off the
 and take its TP and API records, which it builds once with the stretched
 `Hamiltonian` (the bare `_H1` at r = 1); a runner forms only QMI, QMII
 and APII.  One scalar cycle
-builds no numpy array: its states and Kraus sets are built from Python
-floats and keep them, so every check and product on their entries is
-float arithmetic, as on the grid's float64 stacks; the one numpy call is
+builds no numpy array and no `KrausSet`: its states are built from Python
+floats and keep them, and it hands the channel kernel the excitation and
+damping entries as Python floats, so every check and product on them is
+float arithmetic, as on the grid's float64 columns; the one numpy call is
 the `np.exp` of the Gibbs weight.  Its frozen dataclasses skip
 `object.__setattr__`: `_record` and `_energy_ledger` write every field of
 the check-free `StrokeRecord` and `EnergyLedger` into a new instance's
@@ -54,15 +55,18 @@ state.
 
 `CycleGrid` holds many parameter points as flat arrays, and
 `run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
-the numeric side evolves (N, 2, 2) state stacks through (N, 2, 2, 2) Kraus
-stacks, the analytic side evaluates the closed form on arrays.  The two
-engines share `_strength`, `_gamma_range`, `_ledger`, `_closed_form` and
-`_eta_law`, which take Python floats or float64 arrays alike, and the
-channel helpers that give q.  The state evolution stays per type and makes
-the same operations on the diagonal states; each transcendental comes from
-the same function (`np.exp` for the Gibbs weights, one call over all
-distinct b; `math.exp`/`math.tanh` for the closed form, once per distinct
-b; `math.log` for the entropy, once per distinct eigenvalue).  So each
+the numeric side evolves (N, 2, 2) state stacks through grid channels,
+the analytic side evaluates the closed form on arrays.  The two engines
+share `_strength`, `_gamma_range`, `_ledger`, `_closed_form` and
+`_eta_law`, which take Python floats or float64 arrays alike, the channel
+helpers that give q, and the channels themselves: one format (each
+operator's four entries, Python floats for one point, (N,) columns where
+they vary over a grid) and one kernel (`channels._completeness_terms` and
+`channels._evolve`), so the state evolution is one arithmetic on floats
+and arrays.  Each transcendental comes from the same function (`np.exp`
+for the Gibbs weights, one call over all distinct b; `math.exp`/`math.tanh`
+for the closed form, once per distinct b; `math.log` for the entropy, once
+per distinct eigenvalue).  So each
 column equals the scalar field bit for bit.  A grid builds every per-point
 column once, at construction: x, tanh(b/2), the excitation strengths,
 the validated thermal stack and the damping strengths `q`; `subset`
@@ -83,13 +87,14 @@ import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
+    _apply,
+    _damping,
+    _excitation,
     _isentropic_strength,
-    apply_unselective,
+    _require_strength,
     apply_unselective_stack,
-    first_channel,
     first_channel_stack,
     isentropic_strength_stack,
-    second_channel,
     second_channel_stack,
 )
 from .linalg import _distinct
@@ -347,10 +352,16 @@ def _require_realizable(p: CycleParams) -> None:
 
 
 def run_numeric(p: CycleParams) -> EnergyLedger:
-    """Evolve the cycle numerically, stroke by stroke, and ledger the energies."""
+    """Evolve the cycle numerically, stroke by stroke, and ledger the energies.
+
+    Each channel is applied on its entries, as `apply_unselective` applies a
+    `KrausSet`'s: completeness is checked on every application, and q's range before
+    the damping channel is built.
+    """
     _require_realizable(p)
-    rho_m = apply_unselective(first_channel(p.strength), p.thermal)
-    rho_n = apply_unselective(second_channel(p.q), rho_m)
+    rho_m = _apply(_excitation(p.strength, math.sqrt), p.thermal, "excite")
+    _require_strength("damping", p.q)
+    rho_n = _apply(_damping(p.q, math.sqrt), rho_m, "damp")
     strokes = _cycle_strokes(p, rho_m, rho_n)
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(*[rec.energy_after for rec in strokes])
     flags: list[str] = []
@@ -562,7 +573,7 @@ class GridLedger:
 
 
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
-    """`run_numeric` at every point of the grid, on state and Kraus stacks.
+    """`run_numeric` at every point of the grid, on state stacks and grid channels.
 
     Raises the error `run_numeric` raises for the first unrealizable point.
     """

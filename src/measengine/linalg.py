@@ -16,7 +16,7 @@ given, a float as a float; any other input goes through
 complex numbers.
 `_frozen_matrix` builds the read-only array of four such entries, which
 the two classes do only when their `mat`/`ops` is first read.  Batches of
-operators, as the grid evaluation uses them, are stacks of shape
+states, as the grid evaluation uses them, are stacks of shape
 (..., 2, 2) checked by `as_matrix_stack`, and they are float64 only: the
 engine's states and channels are real, and a complex stack is refused.
 Eigenvalues come from the closed-form quadratic.  `_distinct` is the

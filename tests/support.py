@@ -82,3 +82,11 @@ def with_entry(base, i: int, j: int, value: complex) -> np.ndarray:
     out = np.array(base, dtype=complex)
     out[i, j] = value
     return out
+
+
+def grid_channel(kraus) -> tuple[tuple[np.ndarray, ...], ...]:
+    """A (N, K, 2, 2) stack of real Kraus sets in the grid-channel form: per operator, its four
+    entries row by row, each the (N,) column of that entry over the sets."""
+    kraus = np.asarray(kraus)
+    n, k = kraus.shape[:2]
+    return tuple(map(tuple, np.moveaxis(kraus, 0, -1).reshape(k, 4, n)))

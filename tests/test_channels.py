@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measengine import channels
 from measengine.channels import (
     COMPLETENESS_TOL,
     IncompleteKrausSetError,
@@ -15,11 +16,13 @@ from measengine.channels import (
     apply_unselective_stack,
     completeness_deviation_stack,
     first_channel,
+    first_channel_stack,
     isentropic_strength,
     isentropic_strength_stack,
     measure_selective,
     povm_elements,
     second_channel,
+    second_channel_stack,
     validate_completeness,
 )
 from measengine.linalg import adjoint, matmul, max_offdiag, trace
@@ -31,7 +34,14 @@ from measengine.states import (
     trace_distance,
     von_neumann_entropy,
 )
-from support import NON_FINITE, random_density_matrix, random_kraus_set, real_stack, with_entry
+from support import (
+    NON_FINITE,
+    grid_channel,
+    random_density_matrix,
+    random_kraus_set,
+    real_stack,
+    with_entry,
+)
 
 QUBIT = Hamiltonian.qubit(1.0)
 PROJ_Z = KrausSet(
@@ -103,6 +113,16 @@ class TestChannelConstruction:
         assert np.allclose(k.ops[0], np.diag([1.0, math.sqrt(5.0 / 7.0)]), atol=1e-15)
         assert np.allclose(k.ops[1], [[0.0, math.sqrt(2.0 / 7.0)], [0.0, 0.0]], atol=1e-15)
 
+    @pytest.mark.parametrize(("scalar", "stack"), [(first_channel, first_channel_stack),
+                                                   (second_channel, second_channel_stack)])
+    def test_a_grid_channel_holds_the_scalar_entries_of_each_point(self, scalar, stack):
+        # One channel format: per point, the columns are the set's own entries, bit for bit.
+        strengths = np.array([0.0, 3.0 / 8.0, 0.5, 0.9, 1.0])
+        ops = stack(strengths)
+        for i, strength in enumerate(strengths.tolist()):
+            point = tuple(tuple(v if type(v) is float else float(v[i]) for v in op) for op in ops)
+            assert scalar(strength).entries == point
+
     @pytest.mark.parametrize("strength", [-0.1, 1.1, math.nan])
     def test_strength_out_of_range(self, strength):
         with pytest.raises(ValueError):
@@ -127,6 +147,15 @@ class TestApplyUnselective:
         bad = KrausSet((np.eye(2, dtype=complex) / math.sqrt(2.0),))
         with pytest.raises(IncompleteKrausSetError):
             apply_unselective(bad, DensityMatrix.maximally_mixed())
+
+    def test_a_nan_deviation_is_refused(self):
+        # A NaN q leaves the (0, 0) entry of sum A^dag A - 1 at 0 and the others NaN: the
+        # deviation is NaN, which fails, where a plain max() would keep the 0, which passes.
+        ops = channels._damping(math.nan, math.sqrt)
+        assert max(map(abs, channels._completeness_terms(ops))) == 0.0
+        with pytest.raises(IncompleteKrausSetError,
+                           match=r"^Kraus set damp violates completeness by nan$"):
+            channels._apply(ops, DensityMatrix.maximally_mixed(), "damp")
 
     @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "imag"])
     def test_completeness_edge(self, unit):
@@ -179,28 +208,35 @@ class TestApplyUnselective:
 
 
 class TestApplyUnselectiveStack:
-    """The stacked channel against the scalar one on real states with coherences."""
+    """The grid channel against the scalar one on real states with coherences."""
 
     @staticmethod
     def random_stack(rng, n_ops: int, n: int = 40):
+        """Real sets and states, the scalar ones holding float entries, and their (N, K, 2, 2)
+        and (N, 2, 2) stacks."""
         sets = [random_kraus_set(rng, n_ops, real=True) for _ in range(n)]
-        states = [random_density_matrix(rng, real=True) for _ in range(n)]
+        sets = [KrausSet(tuple(op.real.tolist() for op in k.ops)) for k in sets]
+        states = [DensityMatrix(random_density_matrix(rng, real=True).mat.real.tolist())
+                  for _ in range(n)]
         return (sets, states, real_stack([k.ops for k in sets]),
                 real_stack([rho.mat for rho in states]))
 
     @pytest.mark.parametrize("n_ops", [2, 3, 4])
     def test_matches_the_scalar_channel_entrywise(self, rng, n_ops):
+        # One kernel: the grid runs `apply_unselective`'s float arithmetic on (N,) columns.
         for _ in range(10):
             sets, states, kraus, rho = self.random_stack(rng, n_ops)
-            out = apply_unselective_stack(kraus, rho)
+            out = apply_unselective_stack(grid_channel(kraus), rho)
             for k, state, got in zip(sets, states, out, strict=True):
-                assert np.max(np.abs(got - apply_unselective(k, state).mat)) <= 1e-15
+                expected = apply_unselective(k, state).entries
+                assert all(type(v) is float for v in expected)
+                assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("n_ops", [2, 3, 4])
     def test_completeness_deviation_matches_validate_completeness(self, rng, n_ops):
         sets, _, kraus, _ = self.random_stack(rng, n_ops)
         kraus[::3] *= 1.0 + rng.uniform(1e-13, 1e-3, size=(len(kraus[::3]), 1, 1, 1))
-        dev = completeness_deviation_stack(kraus)
+        dev = completeness_deviation_stack(grid_channel(kraus))
         for i, got in enumerate(dev):
             # Real entries: the same sums in the same order, and an exact modulus.
             assert got == validate_completeness(KrausSet(tuple(kraus[i]))).max_deviation
@@ -211,7 +247,7 @@ class TestApplyUnselectiveStack:
         kraus[7] *= 1.01  # worse, but later: the message names set 4
         expected = validate_completeness(KrausSet(tuple(kraus[4]))).max_deviation
         with pytest.raises(IncompleteKrausSetError, match=rf"^Kraus set 4 .* by {expected:.3e}$"):
-            apply_unselective_stack(kraus, rho)
+            apply_unselective_stack(grid_channel(kraus), rho)
 
 
 class TestMeasureSelective:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from measengine.engine import (
+    CycleGrid,
     CycleMode,
     CycleParams,
     FLAG_ETA_ZERO_INPUT,
@@ -22,9 +23,16 @@ from measengine.engine import (
     numeric_realizable,
     run_analytic,
     run_numeric,
+    run_numeric_grid,
 )
-from measengine import engine, states
-from measengine.channels import KrausSet
+from measengine import channels, engine, states
+from measengine.channels import (
+    IncompleteKrausSetError,
+    KrausSet,
+    apply_unselective,
+    first_channel,
+    second_channel,
+)
 from measengine.states import DensityMatrix, Hamiltonian, trace_distance, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
 
@@ -400,8 +408,8 @@ class TestOutputsArePinned:
 
 def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
     # Each construction runs every check, so the count is the cost: the parameters
-    # build the thermal state, the numeric cycle the QMI and QMII states and the two
-    # channels, and the analytic cycle its QMI and QMII states.
+    # build the thermal state, each cycle its QMI and QMII states.  The numeric cycle
+    # applies its two channels on their entries, and builds no `KrausSet`.
     counts = collections.Counter()
     for cls in (DensityMatrix, KrausSet):
         def counted(self, check=cls.__post_init__, name=cls.__name__):
@@ -413,7 +421,7 @@ def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
     assert (counts["DensityMatrix"], counts["KrausSet"]) == (1, 0)
     counts.clear()
     run_numeric(p)
-    assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 2)
+    assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 0)
     counts.clear()
     run_analytic(p)
     assert (counts["DensityMatrix"], counts["KrausSet"]) == (2, 0)
@@ -515,8 +523,9 @@ def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
     ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6),
 ])
 def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
-    # The engine's states and channels are real, so every entry the cycle builds is a
-    # Python float, and the cycle's arithmetic on them is float arithmetic.
+    # The engine's states and channels are real, so every entry the cycle builds or hands
+    # the channel kernel is a Python float, and the cycle's arithmetic on them is float
+    # arithmetic.
     built = {DensityMatrix: [], KrausSet: []}
     for cls in built:
         def kept(self, check=cls.__post_init__, out=built[cls]):
@@ -524,17 +533,52 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
             out.append(self)
 
         monkeypatch.setattr(cls, "__post_init__", kept)
+    evolved = []
+
+    def evolve(ops, *rho, kernel=channels._evolve):
+        evolved.append((ops, rho))
+        return kernel(ops, *rho)
+
+    monkeypatch.setattr(channels, "_evolve", evolve)
     p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
     ledgers = (run_numeric(p), run_analytic(p))
-    assert (len(built[DensityMatrix]), len(built[KrausSet])) == (5, 2)
+    assert (len(built[DensityMatrix]), len(built[KrausSet]), len(evolved)) == (5, 0, 2)
     for rho in built[DensityMatrix]:
         assert all(type(v) is float for v in rho.entries + rho.eig_pair)
-    for k in built[KrausSet]:
-        assert all(type(v) is float for op in k.entries for v in op)
+    for ops, rho in evolved:
+        assert len(ops) == 2 and all(len(op) == 4 for op in ops)
+        assert all(type(v) is float for op in ops for v in op + rho)
     for ledger in ledgers:
         assert all(type(getattr(ledger, name)) is float for name in LEDGER_FIELDS)
         assert all(type(rec.energy_after) is float and type(rec.entropy_after) is float
                    for rec in ledger.strokes)
+
+
+def test_a_nan_damping_strength_is_refused_with_the_channel_message():
+    # A NaN q has a NaN completeness deviation too; the range check names it first.
+    p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
+    p.__dict__["q"] = math.nan
+    with pytest.raises(ValueError, match=r"^damping strength must lie in \[0, 1\], got nan$"):
+        run_numeric(p)
+
+
+def test_an_incomplete_channel_is_refused_by_both_engines(monkeypatch):
+    # One fault in the excitation entries both engines share: every application refuses it.
+    def scaled(p, sqrt, entries=channels._excitation):
+        return tuple(tuple(1.001 * v for v in op) for op in entries(p, sqrt))
+
+    for module in (channels, engine):
+        monkeypatch.setattr(module, "_excitation", scaled)
+    p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
+    message = r"violates completeness by 2\.001e-03$"
+    with pytest.raises(IncompleteKrausSetError, match=r"^Kraus set excite " + message):
+        run_numeric(p)
+    with pytest.raises(IncompleteKrausSetError, match=r"^Kraus set excite\(P=0\.4\d*\) " + message):
+        apply_unselective(first_channel(p.strength), p.thermal)
+    grid = CycleGrid(np.array([0.7, 1.0, 2.0]), np.array([0.8, 0.9, 1.0]), "five", np.full(3, 2.0))
+    with pytest.raises(IncompleteKrausSetError, match=r"^Kraus set 0 of the stack " + message):
+        run_numeric_grid(grid)
+    run_analytic(p)  # the closed form applies no channel
 
 
 def _same(a, b) -> bool:
@@ -604,8 +648,8 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
         _assert_whole_and_frozen(ledger)
     monkeypatch.undo()
     _assert_whole_and_frozen(p)
-    assert len(built[KrausSet]) == 2 * (len(ledgers) - 1)
+    assert not built[KrausSet]  # the numeric cycle applies its channels on their entries
     for rho in built[DensityMatrix]:
         _assert_whole_and_frozen(rho, lazy=("mat",))
-    for k in built[KrausSet]:
+    for k in (first_channel(p.strength), second_channel(0.25)):
         _assert_whole_and_frozen(k, lazy=("ops",))

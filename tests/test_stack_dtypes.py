@@ -1,8 +1,10 @@
 """The dtype contract of the stack path: float64 only, complex input refused.
 
 Both engine channels have real Kraus operators and the cycle never makes
-a coherence, so the grid engine's stacks are float64.  Every stack entry
-point refuses a complex stack with a ValueError, without casting it.
+a coherence, so the grid engine's stacks and channel columns are float64.
+Every state-stack entry point refuses a complex stack with a ValueError,
+without casting it; a complex channel gives a complex output, which the
+same check refuses.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 from measengine import channels
 from measengine.channels import (
     apply_unselective_stack,
-    completeness_deviation_stack,
     first_channel_stack,
     second_channel_stack,
 )
@@ -56,17 +57,24 @@ def test_as_matrix_stack_refuses_complex_input(entries):
 
 def test_builders_are_float64():
     assert population_stack(POPULATIONS).dtype == F64
-    assert first_channel_stack(STRENGTHS).dtype == F64
-    assert second_channel_stack(STRENGTHS).dtype == F64
+    # A grid channel's varying entries are float64 columns, its fixed ones the floats 0.0 and 1.0.
+    for make in (first_channel_stack, second_channel_stack):
+        entries = [v for op in make(STRENGTHS) for v in op]
+        assert [v.dtype for v in entries if type(v) is not float] == [F64] * 2
+        assert {v for v in entries if type(v) is float} == {0.0, 1.0}
+
+
+def _complex(ops):
+    return tuple(tuple(np.asarray(v, dtype=complex) for v in op) for op in ops)
 
 
 @pytest.mark.parametrize("make", [first_channel_stack, second_channel_stack])
 def test_every_stack_entry_point_refuses_complex_stacks(make):
+    # A complex channel passes completeness where its values are real, and its output is refused.
     kraus, rho = make(STRENGTHS), population_stack(POPULATIONS)
     assert apply_unselective_stack(kraus, rho).dtype == F64
     for call in (lambda: validate_state_stack(rho.astype(complex)),
-                 lambda: completeness_deviation_stack(kraus.astype(complex)),
-                 lambda: apply_unselective_stack(kraus.astype(complex), rho),
+                 lambda: apply_unselective_stack(_complex(kraus), rho),
                  lambda: apply_unselective_stack(kraus, rho.astype(complex)),
                  lambda: mean_energy_stack(rho.astype(complex), 1.0),
                  lambda: entropy_stack(rho.astype(complex))):
@@ -79,10 +87,11 @@ def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(mo
     expected = apply_unselective_stack(kraus, rho)
     assert np.array_equal(apply_unselective_stack(kraus, rho.tolist()), expected)
 
-    def no_arithmetic(a):
+    def no_arithmetic(*args):
         raise AssertionError("the channel ran on an unchecked state stack")
 
-    monkeypatch.setattr(channels, "_completeness_deviation", no_arithmetic)
+    monkeypatch.setattr(channels, "_completeness_terms", no_arithmetic)
+    monkeypatch.setattr(channels, "_evolve", no_arithmetic)
     with pytest.raises(ValueError, match=REAL_PATTERN):
         apply_unselective_stack(kraus, rho.astype(complex))
     with pytest.raises(ValueError, match=r"^expected a \(N, 2, 2\) state stack, got shape \(2, 2\)$"):

@@ -262,7 +262,7 @@ def _states_with(index, value):
 
 
 def _scaled_kraus(p):
-    return 1.001 * first_channel_stack(p)
+    return tuple(tuple(1.001 * v for v in op) for op in first_channel_stack(p))
 
 
 @pytest.mark.parametrize(
