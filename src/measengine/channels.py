@@ -40,17 +40,20 @@ its own checks:
   `apply_unselective` refuses an incomplete set (the largest deviation,
   NaN if any deviation is NaN, above COMPLETENESS_TOL), evolves the
   state's entries and builds the output through the `DensityMatrix`
-  constructor, which checks it without a numpy array.  The scalar cycle
-  hands the same application its channels' entries directly, with no
-  `KrausSet`.  `measure_selective` and `povm_elements` take numpy's `@`
-  products of the read-only operators, as the public `linalg` helpers do.
+  constructor, which checks it without a numpy array.  `_excite` and
+  `_damp` are that application on the engine's channels: each checks its
+  strength, writes the entries with `math.sqrt` and applies them, with no
+  `KrausSet`; the scalar cycle makes one such call per stroke.
+  `measure_selective` and `povm_elements` take numpy's `@` products of
+  the read-only operators, as the public `linalg` helpers do.
 * A grid.  `first_channel_stack` / `second_channel_stack` check the
   strengths and give the channels' entries, the varying ones as (N,)
   columns; `completeness_deviation_stack` is `validate_completeness`'s
   deviation per set, the same bits on real entries;
-  `apply_unselective_stack` refuses the first set whose deviation is
-  above COMPLETENESS_TOL or NaN, evolves the (N,) columns of a real
-  (N, 2, 2) state stack and checks the output with `validate_state_stack`.
+  `apply_unselective_stack` checks that every column has one entry per
+  state, refuses the first set whose deviation is above COMPLETENESS_TOL
+  or NaN, evolves the (N,) columns of a real (N, 2, 2) state stack and
+  checks the output with `validate_state_stack`.
 
 `isentropic_strength_stack` is `isentropic_strength` per point, through
 the same `_partner_threshold` and `_swap_strength`, with NaN for a point
@@ -239,6 +242,16 @@ def _damping(q, sqrt):
     return (1.0, 0.0, 0.0, sqrt(1.0 - q)), (0.0, sqrt(q), 0.0, 0.0)
 
 
+def _excite(p: float, rho: DensityMatrix) -> DensityMatrix:
+    """`apply_unselective(first_channel(p), rho)`, named `excite`, without a `KrausSet`."""
+    return _apply(_excitation(_valid_strength("excitation", p), math.sqrt), rho, "excite")
+
+
+def _damp(q: float, rho: DensityMatrix) -> DensityMatrix:
+    """`apply_unselective(second_channel(q), rho)`, named `damp`, without a `KrausSet`."""
+    return _apply(_damping(_valid_strength("damping", q), math.sqrt), rho, "damp")
+
+
 def _kraus_set(ops, label: str) -> KrausSet:
     return KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in ops), label=label)
 
@@ -249,8 +262,7 @@ def first_channel(p: float) -> KrausSet:
     p = 0 leaves any state untouched; p = 1 pumps the full ground
     population into the excited state (projective strength).
     """
-    _require_strength("excitation", p)
-    return _kraus_set(_excitation(p, math.sqrt), f"excite(P={p:g})")
+    return _kraus_set(_excitation(_valid_strength("excitation", p), math.sqrt), f"excite(P={p:g})")
 
 
 def second_channel(q: float) -> KrausSet:
@@ -259,8 +271,7 @@ def second_channel(q: float) -> KrausSet:
     q = 0 is the identity channel; q = 1 drops the full excited
     population into the ground state.
     """
-    _require_strength("damping", q)
-    return _kraus_set(_damping(q, math.sqrt), f"damp(q={q:g})")
+    return _kraus_set(_damping(_valid_strength("damping", q), math.sqrt), f"damp(q={q:g})")
 
 
 def isentropic_strength(p: float, b: float) -> float:
@@ -276,8 +287,7 @@ def isentropic_strength(p: float, b: float) -> float:
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
-    _require_strength("excitation", p)
-    return _isentropic_strength(p, math.exp(-b))
+    return _isentropic_strength(_valid_strength("excitation", p), math.exp(-b))
 
 
 def _isentropic_strength(p: float, x: float) -> float:
@@ -300,9 +310,11 @@ def _swap_strength(p, x):
     return (2.0 * p - 1.0 + x) / (p + x)
 
 
-def _require_strength(name: str, s: float) -> None:
+def _valid_strength(name: str, s: float) -> float:
+    """s, refused unless it lies in [0, 1]: the scalar form of `_strength_range`."""
     if not 0.0 <= s <= 1.0:  # a NaN fails too, and so does +-inf
         raise ValueError(f"{name} strength must lie in [0, 1], got {s}")
+    return s
 
 
 def _strength_range(name: str, values: np.ndarray) -> None:
@@ -324,8 +336,13 @@ def second_channel_stack(q: np.ndarray):
 
 
 def completeness_deviation_stack(ops) -> np.ndarray:
-    """`validate_completeness(...).max_deviation` of every set of a grid channel (NaN kept)."""
-    d00, d01, d11 = map(np.abs, _completeness_terms(ops))
+    """`validate_completeness(...).max_deviation` of every set of a grid channel (NaN kept).
+
+    A set with an infinite entry, or one whose products overflow, reads NaN or inf
+    without a warning, as the scalar's Python arithmetic gives it; both fail the check.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        d00, d01, d11 = map(np.abs, _completeness_terms(ops))
     return np.maximum(np.maximum(d00, d01), d11)
 
 
@@ -333,7 +350,8 @@ def apply_unselective_stack(ops, rho) -> np.ndarray:
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
     `ops` is a grid channel, as `first_channel_stack` gives it.  The state
-    stack must be a real (N, 2, 2) stack, else ValueError before any
+    stack must be a real (N, 2, 2) stack, and every array entry of `ops` an
+    (N,) column, at least one of them, else ValueError before any
     arithmetic.  Every set must pass the completeness check of
     `validate_completeness`, a NaN deviation failing (else
     IncompleteKrausSetError names the first that fails), and every output
@@ -344,6 +362,9 @@ def apply_unselective_stack(ops, rho) -> np.ndarray:
     rho = as_matrix_stack(rho)
     if rho.ndim != 3:
         raise ValueError(f"expected a (N, 2, 2) state stack, got shape {rho.shape}")
+    columns = [v.shape for op in ops for v in op if isinstance(v, np.ndarray)]
+    if not columns or columns.count(rho.shape[:1]) != len(columns):
+        raise ValueError(f"expected a channel of ({len(rho)},) columns, got shapes {columns}")
     dev = completeness_deviation_stack(ops)
     ok = dev <= COMPLETENESS_TOL  # as `validate_completeness` passes: a NaN fails
     if not ok.all():

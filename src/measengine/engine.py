@@ -87,11 +87,9 @@ import numpy as np
 
 from .channels import (
     NoIsentropicStrengthError,
-    _apply,
-    _damping,
-    _excitation,
+    _damp,
+    _excite,
     _isentropic_strength,
-    _require_strength,
     apply_unselective_stack,
     first_channel_stack,
     isentropic_strength_stack,
@@ -354,14 +352,13 @@ def _require_realizable(p: CycleParams) -> None:
 def run_numeric(p: CycleParams) -> EnergyLedger:
     """Evolve the cycle numerically, stroke by stroke, and ledger the energies.
 
-    Each channel is applied on its entries, as `apply_unselective` applies a
-    `KrausSet`'s: completeness is checked on every application, and q's range before
-    the damping channel is built.
+    Each channel is applied on its entries by `channels._excite` / `_damp`, as
+    `apply_unselective` applies a `KrausSet`'s: every application checks its
+    strength's range, then completeness.
     """
     _require_realizable(p)
-    rho_m = _apply(_excitation(p.strength, math.sqrt), p.thermal, "excite")
-    _require_strength("damping", p.q)
-    rho_n = _apply(_damping(p.q, math.sqrt), rho_m, "damp")
+    rho_m = _excite(p.strength, p.thermal)
+    rho_n = _damp(p.q, rho_m)
     strokes = _cycle_strokes(p, rho_m, rho_n)
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(*[rec.energy_after for rec in strokes])
     flags: list[str] = []

@@ -554,11 +554,12 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
                    for rec in ledger.strokes)
 
 
-def test_a_nan_damping_strength_is_refused_with_the_channel_message():
-    # A NaN q has a NaN completeness deviation too; the range check names it first.
+@pytest.mark.parametrize("name, channel", [("strength", "excitation"), ("q", "damping")])
+def test_a_nan_strength_is_refused_with_the_channel_message(name, channel):
+    # A NaN strength has a NaN completeness deviation too; the range check names it first.
     p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
-    p.__dict__["q"] = math.nan
-    with pytest.raises(ValueError, match=r"^damping strength must lie in \[0, 1\], got nan$"):
+    p.__dict__[name] = math.nan
+    with pytest.raises(ValueError, match=rf"^{channel} strength must lie in \[0, 1\], got nan$"):
         run_numeric(p)
 
 
@@ -567,8 +568,7 @@ def test_an_incomplete_channel_is_refused_by_both_engines(monkeypatch):
     def scaled(p, sqrt, entries=channels._excitation):
         return tuple(tuple(1.001 * v for v in op) for op in entries(p, sqrt))
 
-    for module in (channels, engine):
-        monkeypatch.setattr(module, "_excitation", scaled)
+    monkeypatch.setattr(channels, "_excitation", scaled)
     p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
     message = r"violates completeness by 2\.001e-03$"
     with pytest.raises(IncompleteKrausSetError, match=r"^Kraus set excite " + message):

@@ -17,6 +17,7 @@ from measengine.channels import (
     NoIsentropicStrengthError,
     apply_unselective_stack,
     completeness_deviation_stack,
+    first_channel,
     first_channel_stack,
     isentropic_strength,
     isentropic_strength_stack,
@@ -246,9 +247,12 @@ class TestApplyUnselectiveStackRejects:
                                                           r"completeness by 2\.001e-03$"):
             apply_unselective_stack(ops, self.RHO)
 
-    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)], ids=["real", "imag"])
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf),
+                                     math.inf, complex(0.0, math.nan)],
+                             ids=["real", "imag", "real-inf", "imag-nan"])
     def test_non_finite_operator(self, bad):
-        # A NaN deviation fails the check, as in `validate_completeness`.
+        # The deviation is NaN (inf * 0.0 in the (0, 1) term), which fails the check, as in
+        # `validate_completeness`, and numpy warns of nothing on the way.
         (m1, (a, b, c, d)) = first_channel_stack(self.P)
         c = c.astype(type(bad))
         c[2] = bad
@@ -288,6 +292,19 @@ class TestApplyUnselectiveStackRejects:
         with pytest.raises(IncompleteKrausSetError,
                            match=rf"^Kraus set {first} of the stack violates completeness"):
             apply_unselective_stack(grid_channel(kraus), rho)
+
+    @pytest.mark.parametrize(("ops", "message"), [
+        (first_channel_stack(np.full(3, 0.3)), r"\[\(3,\), \(3,\)\]"),
+        (first_channel_stack(np.full(1, 0.3)), r"\[\(1,\), \(1,\)\]"),
+        (first_channel(0.3).entries, r"\[\]"),
+        (second_channel_stack(np.full(4, 0.3))[:1] + second_channel_stack(np.full(1, 0.3))[1:],
+         r"\[\(4,\), \(1,\)\]"),
+    ], ids=["too-few-sets", "columns-of-one", "no-columns", "one-column-of-one"])
+    def test_wrong_shape(self, ops, message):
+        # One set per state, or none is applied: no column broadcasts across the stack.
+        pattern = r"^expected a channel of \(4,\) columns, got shapes " + message + "$"
+        with pytest.raises(ValueError, match=pattern):
+            apply_unselective_stack(ops, self.RHO)
 
     def test_invalid_output_names_the_first_state(self):
         rho = with_states(s1=np.diag([1.1, -0.1]), s3=np.diag([2.0, -1.0]))

@@ -65,7 +65,8 @@ def test_builders_are_float64():
 
 
 def _complex(ops):
-    return tuple(tuple(np.asarray(v, dtype=complex) for v in op) for op in ops)
+    return tuple(tuple(v.astype(complex) if type(v) is np.ndarray else complex(v) for v in op)
+                 for op in ops)
 
 
 @pytest.mark.parametrize("make", [first_channel_stack, second_channel_stack])
