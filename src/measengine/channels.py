@@ -22,12 +22,20 @@ conserves entropy.
 
 One channel format and one kernel serve both engines.  A channel is K
 operators, each the tuple of its four entries row by row, and an entry is
-a Python number (one set) or an (N,) float64 array (one set per grid
-point).  `_excitation` and `_damping` write the two engine channels in
-that format once, taking the square root as an argument: `math.sqrt` for
-one strength, `np.sqrt` for a column of them; the fixed entries are the
-Python floats 0.0 and 1.0 either way.  All channel arithmetic is in two
-functions that run alike on floats, complex numbers and arrays:
+a Python number (one set), an (N,) float64 array (one set per grid
+point), or `_ZERO`, an exact zero that only the grid builders emit.
+`_excitation` and `_damping` write the two engine channels in that format
+once, taking the square root and the zero as arguments: `math.sqrt` and
+the float 0.0 for one strength, `np.sqrt` and `_ZERO` for a column of
+them; the fixed one is the float 1.0 either way.  A product with `_ZERO`
+is `_ZERO` and a sum with it the other term, and an ndarray hands it every
+such operation (NEP 13), so a grid channel's fixed zeros reach no numpy
+call.  The grid evolves only finite states through complete, so finite,
+sets: each product `_ZERO` stands for is +-0, and the kernel's sums, which
+start at the float 0.0 and so never hold -0.0, are the same bits without
+it.  On one set, Python floats are cheaper than `_ZERO`'s methods, so the
+scalar entries keep 0.0.  All channel arithmetic is in two functions that
+run alike on floats, complex numbers, arrays and `_ZERO`:
 `_completeness_terms` forms sum_n A_n^dag A_n - 1, and `_evolve` forms
 sum_n (A_n rho) A_n^dag, entry by entry.  Around them each engine keeps
 its own checks:
@@ -48,8 +56,9 @@ its own checks:
   the read-only operators, as the public `linalg` helpers do.
 * A grid.  `first_channel_stack` / `second_channel_stack` check the
   strengths and give the channels' entries, the varying ones as (N,)
-  columns; `completeness_deviation_stack` is `validate_completeness`'s
-  deviation per set, the same bits on real entries;
+  columns and the fixed zeros `_ZERO`; `completeness_deviation_stack` is
+  `validate_completeness`'s deviation per set, the same bits on finite
+  real entries;
   `apply_unselective_stack` checks that every column has one entry per
   state, refuses the first set whose deviation is above COMPLETENESS_TOL
   or NaN, evolves the (N,) columns of a real (N, 2, 2) state stack and
@@ -232,24 +241,51 @@ def povm_elements(k: KrausSet) -> list[np.ndarray]:
     return [op.conj().T @ op for op in k.ops]
 
 
-def _excitation(p, sqrt):
-    """The excitation channel's M1 and M2, entries row by row; `sqrt` suits p's type."""
-    return (sqrt(1.0 - p), 0.0, 0.0, 1.0), (0.0, 0.0, sqrt(p), 0.0)
+class _Zero:
+    """An exact zero entry: its products are itself and its sums the other term.
+
+    Under NEP 13 (`__array_ufunc__ = None`) an ndarray hands `column * _ZERO`
+    to `__rmul__`, so a grid channel's fixed zeros reach no numpy call.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def conjugate(self):
+        return self
 
 
-def _damping(q, sqrt):
-    """The damping channel's N1 and N2, entries row by row; `sqrt` suits q's type."""
-    return (1.0, 0.0, 0.0, sqrt(1.0 - q)), (0.0, sqrt(q), 0.0, 0.0)
+_ZERO = _Zero()
+
+
+def _excitation(p, sqrt, zero):
+    """The excitation channel's M1 and M2, entries row by row; `sqrt` and `zero` suit p's type."""
+    return (sqrt(1.0 - p), zero, zero, 1.0), (zero, zero, sqrt(p), zero)
+
+
+def _damping(q, sqrt, zero):
+    """The damping channel's N1 and N2, entries row by row; `sqrt` and `zero` suit q's type."""
+    return (1.0, zero, zero, sqrt(1.0 - q)), (zero, sqrt(q), zero, zero)
 
 
 def _excite(p: float, rho: DensityMatrix) -> DensityMatrix:
     """`apply_unselective(first_channel(p), rho)`, named `excite`, without a `KrausSet`."""
-    return _apply(_excitation(_valid_strength("excitation", p), math.sqrt), rho, "excite")
+    return _apply(_excitation(_valid_strength("excitation", p), math.sqrt, 0.0), rho, "excite")
 
 
 def _damp(q: float, rho: DensityMatrix) -> DensityMatrix:
     """`apply_unselective(second_channel(q), rho)`, named `damp`, without a `KrausSet`."""
-    return _apply(_damping(_valid_strength("damping", q), math.sqrt), rho, "damp")
+    return _apply(_damping(_valid_strength("damping", q), math.sqrt, 0.0), rho, "damp")
 
 
 def _kraus_set(ops, label: str) -> KrausSet:
@@ -262,7 +298,9 @@ def first_channel(p: float) -> KrausSet:
     p = 0 leaves any state untouched; p = 1 pumps the full ground
     population into the excited state (projective strength).
     """
-    return _kraus_set(_excitation(_valid_strength("excitation", p), math.sqrt), f"excite(P={p:g})")
+    return _kraus_set(
+        _excitation(_valid_strength("excitation", p), math.sqrt, 0.0), f"excite(P={p:g})"
+    )
 
 
 def second_channel(q: float) -> KrausSet:
@@ -271,7 +309,7 @@ def second_channel(q: float) -> KrausSet:
     q = 0 is the identity channel; q = 1 drops the full excited
     population into the ground state.
     """
-    return _kraus_set(_damping(_valid_strength("damping", q), math.sqrt), f"damp(q={q:g})")
+    return _kraus_set(_damping(_valid_strength("damping", q), math.sqrt, 0.0), f"damp(q={q:g})")
 
 
 def isentropic_strength(p: float, b: float) -> float:
@@ -326,20 +364,21 @@ def _strength_range(name: str, values: np.ndarray) -> None:
 def first_channel_stack(p: np.ndarray):
     """Excitation channels of strengths p: `_excitation`'s entries, the varying ones (N,) arrays."""
     _strength_range("excitation", p)
-    return _excitation(p, np.sqrt)
+    return _excitation(p, np.sqrt, _ZERO)
 
 
 def second_channel_stack(q: np.ndarray):
     """Damping channels of strengths q: `_damping`'s entries, the varying ones (N,) arrays."""
     _strength_range("damping", q)
-    return _damping(q, np.sqrt)
+    return _damping(q, np.sqrt, _ZERO)
 
 
 def completeness_deviation_stack(ops) -> np.ndarray:
     """`validate_completeness(...).max_deviation` of every set of a grid channel (NaN kept).
 
     A set with an infinite entry, or one whose products overflow, reads NaN or inf
-    without a warning, as the scalar's Python arithmetic gives it; both fail the check.
+    without a warning, and either fails the check.  On a builder's channel an infinite
+    entry reads inf: its exact zeros form no inf * 0.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         d00, d01, d11 = map(np.abs, _completeness_terms(ops))
@@ -357,7 +396,7 @@ def apply_unselective_stack(ops, rho) -> np.ndarray:
     IncompleteKrausSetError names the first that fails), and every output
     state the `DensityMatrix` checks.  The evolution is `_evolve` on the
     (N,) columns of the entries, so each output entry is the IEEE result
-    `apply_unselective` gives on the same real entries.
+    `apply_unselective` gives on the same real entries, `_ZERO` read as 0.0.
     """
     rho = as_matrix_stack(rho)
     if rho.ndim != 3:

@@ -60,8 +60,9 @@ the analytic side evaluates the closed form on arrays.  The two engines
 share `_strength`, `_gamma_range`, `_ledger`, `_closed_form` and
 `_eta_law`, which take Python floats or float64 arrays alike, the channel
 helpers that give q, and the channels themselves: one format (each
-operator's four entries, Python floats for one point, (N,) columns where
-they vary over a grid) and one kernel (`channels._completeness_terms` and
+operator's four entries: Python floats for one point; over a grid, (N,)
+columns where they vary, the exact zero `channels._ZERO` for the fixed
+zeros and the float 1.0) and one kernel (`channels._completeness_terms` and
 `channels._evolve`), so the state evolution is one arithmetic on floats
 and arrays.  Each transcendental comes from the same function (`np.exp`
 for the Gibbs weights, one call over all distinct b; `math.exp`/`math.tanh`

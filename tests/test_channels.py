@@ -116,11 +116,13 @@ class TestChannelConstruction:
     @pytest.mark.parametrize(("scalar", "stack"), [(first_channel, first_channel_stack),
                                                    (second_channel, second_channel_stack)])
     def test_a_grid_channel_holds_the_scalar_entries_of_each_point(self, scalar, stack):
-        # One channel format: per point, the columns are the set's own entries, bit for bit.
+        # One channel format: per point, the columns are the set's own entries, bit for bit,
+        # and the grid's exact zero stands where the set holds 0.0.
         strengths = np.array([0.0, 3.0 / 8.0, 0.5, 0.9, 1.0])
         ops = stack(strengths)
         for i, strength in enumerate(strengths.tolist()):
-            point = tuple(tuple(v if type(v) is float else float(v[i]) for v in op) for op in ops)
+            point = tuple(tuple(0.0 if v is channels._ZERO else v if type(v) is float
+                                else float(v[i]) for v in op) for op in ops)
             assert scalar(strength).entries == point
 
     @pytest.mark.parametrize("strength", [-0.1, 1.1, math.nan])
@@ -151,7 +153,7 @@ class TestApplyUnselective:
     def test_a_nan_deviation_is_refused(self):
         # A NaN q leaves the (0, 0) entry of sum A^dag A - 1 at 0 and the others NaN: the
         # deviation is NaN, which fails, where a plain max() would keep the 0, which passes.
-        ops = channels._damping(math.nan, math.sqrt)
+        ops = channels._damping(math.nan, math.sqrt, 0.0)
         assert max(map(abs, channels._completeness_terms(ops))) == 0.0
         with pytest.raises(IncompleteKrausSetError,
                            match=r"^Kraus set damp violates completeness by nan$"):
@@ -248,6 +250,92 @@ class TestApplyUnselectiveStack:
         expected = validate_completeness(KrausSet(tuple(kraus[4]))).max_deviation
         with pytest.raises(IncompleteKrausSetError, match=rf"^Kraus set 4 .* by {expected:.3e}$"):
             apply_unselective_stack(grid_channel(kraus), rho)
+
+
+def _float_zeros(ops):
+    """A grid channel with each exact zero written as the Python float 0.0."""
+    return tuple(tuple(0.0 if v is channels._ZERO else v for v in op) for op in ops)
+
+
+def _signed_zero_states(rng, n: int) -> list[list[list[float]]]:
+    """Real states: half with coherences, a quarter with a +-0.0 coherence, and a quarter
+    pure, with +-0.0 for the empty population and the coherence."""
+
+    def signed_zero():
+        return -0.0 if rng.integers(2) else 0.0
+
+    states = []
+    for kind in rng.integers(4, size=n).tolist():
+        if kind == 3:
+            z, c = signed_zero(), signed_zero()
+            states.append([[1.0, c], [c, z]] if rng.integers(2) else [[z, c], [c, 1.0]])
+        else:
+            p = float(rng.uniform(0.0, 1.0))
+            c = signed_zero() if kind == 2 else rng.uniform(-1.0, 1.0) * math.sqrt(p * (1.0 - p))
+            states.append([[p, c], [c, 1.0 - p]])
+    return states
+
+
+class TestExactZero:
+    """A grid builder's fixed zeros are `channels._ZERO`: the same bits, fewer numpy calls."""
+
+    CHANNELS = [(first_channel, first_channel_stack), (second_channel, second_channel_stack)]
+
+    @staticmethod
+    def strengths(rng, n: int) -> np.ndarray:
+        # The ends 0 and 1 give 0.0 columns beside the exact zeros.
+        s = rng.uniform(0.0, 1.0, n)
+        s[rng.random(n) < 0.2] = 0.0
+        s[rng.random(n) < 0.2] = 1.0
+        return s
+
+    @pytest.mark.parametrize("n", [1, 20, 512])
+    @pytest.mark.parametrize(("scalar", "stack"), CHANNELS, ids=["first", "second"])
+    def test_the_same_bits_as_float_zeros_and_as_each_point(self, rng, scalar, stack, n):
+        for _ in range(3):
+            strengths = self.strengths(rng, n)
+            states = _signed_zero_states(rng, n)
+            rho = np.array(states)
+            ops = stack(strengths)
+            out = apply_unselective_stack(ops, rho)
+            assert out.tobytes() == apply_unselective_stack(_float_zeros(ops), rho).tobytes()
+            dev = completeness_deviation_stack(ops)
+            assert dev.shape == (n,)
+            assert dev.tobytes() == completeness_deviation_stack(_float_zeros(ops)).tobytes()
+            for i, strength in enumerate(strengths.tolist()):
+                k = scalar(strength)
+                expected = apply_unselective(k, DensityMatrix(states[i])).entries
+                assert out[i].tobytes() == np.array(expected).tobytes()
+                assert dev[i] == validate_completeness(k).max_deviation
+
+    @pytest.mark.parametrize("stack", [first_channel_stack, second_channel_stack],
+                             ids=["first", "second"])
+    def test_numpy_calls_per_application(self, rng, stack):
+        """On (N,) columns the kernel forms 16 numpy products and sums, and the completeness
+        terms 5; with the zeros as 0.0, every zero entry's product is a numpy call too."""
+
+        class Counted(np.ndarray):
+            calls = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Counted.calls += 1
+                plain = (x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs)
+                return getattr(ufunc, method)(*plain, **kwargs).view(Counted)
+
+        def calls(kernel, ops, *args):
+            ops = tuple(tuple(v.view(Counted) if isinstance(v, np.ndarray) else v for v in op)
+                        for op in ops)
+            Counted.calls = 0
+            kernel(ops, *args)
+            return Counted.calls
+
+        ops = stack(self.strengths(rng, 20))
+        rows = np.array(_signed_zero_states(rng, 20)).transpose(1, 2, 0).reshape(4, -1)
+        columns = tuple(row.view(Counted) for row in rows)
+        assert calls(channels._evolve, ops, *columns) == 16
+        assert calls(channels._completeness_terms, ops) == 5
+        assert calls(channels._evolve, _float_zeros(ops), *columns) == 56
+        assert calls(channels._completeness_terms, _float_zeros(ops)) == 13
 
 
 class TestMeasureSelective:

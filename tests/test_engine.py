@@ -565,8 +565,8 @@ def test_a_nan_strength_is_refused_with_the_channel_message(name, channel):
 
 def test_an_incomplete_channel_is_refused_by_both_engines(monkeypatch):
     # One fault in the excitation entries both engines share: every application refuses it.
-    def scaled(p, sqrt, entries=channels._excitation):
-        return tuple(tuple(1.001 * v for v in op) for op in entries(p, sqrt))
+    def scaled(p, sqrt, zero, entries=channels._excitation):
+        return tuple(tuple(1.001 * v for v in op) for op in entries(p, sqrt, zero))
 
     monkeypatch.setattr(channels, "_excitation", scaled)
     p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)

@@ -247,17 +247,27 @@ class TestApplyUnselectiveStackRejects:
                                                           r"completeness by 2\.001e-03$"):
             apply_unselective_stack(ops, self.RHO)
 
-    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf),
-                                     math.inf, complex(0.0, math.nan)],
-                             ids=["real", "imag", "real-inf", "imag-nan"])
-    def test_non_finite_operator(self, bad):
-        # The deviation is NaN (inf * 0.0 in the (0, 1) term), which fails the check, as in
-        # `validate_completeness`, and numpy warns of nothing on the way.
-        (m1, (a, b, c, d)) = first_channel_stack(self.P)
+    @pytest.mark.parametrize(("bad", "exact_zeros", "deviation"), [
+        (math.nan, True, "nan"),
+        (complex(0.0, math.inf), True, "inf"),
+        (math.inf, True, "inf"),
+        (complex(0.0, math.nan), True, "nan"),
+        (complex(0.0, math.inf), False, "nan"),
+        (math.inf, False, "nan"),
+    ], ids=["real", "imag", "real-inf", "imag-nan", "imag-float-zeros", "real-inf-float-zeros"])
+    def test_non_finite_operator(self, bad, exact_zeros, deviation):
+        # The builder's fixed zeros are exact, so an infinite entry forms no inf * 0 and reads
+        # inf; written as float columns, inf * 0.0 in the (0, 1) term reads NaN.  Either fails
+        # the check, as in `validate_completeness`, and numpy warns of nothing on the way.
+        if exact_zeros:
+            m1, (a, b, c, d) = first_channel_stack(self.P)
+        else:
+            m1, (a, b, c, d) = grid_channel(
+                np.array([first_channel(0.3).entries] * len(self.P)).reshape(-1, 2, 2, 2))
         c = c.astype(type(bad))
         c[2] = bad
         with pytest.raises(IncompleteKrausSetError, match=r"^Kraus set 2 of the stack violates "
-                                                          r"completeness by nan$"):
+                                                          rf"completeness by {deviation}$"):
             apply_unselective_stack((m1, (a, b, c, d)), self.RHO)
 
     def test_completeness_edge_is_the_validate_completeness_rule(self, rng):

@@ -57,15 +57,19 @@ def test_as_matrix_stack_refuses_complex_input(entries):
 
 def test_builders_are_float64():
     assert population_stack(POPULATIONS).dtype == F64
-    # A grid channel's varying entries are float64 columns, its fixed ones the floats 0.0 and 1.0.
+    # A grid channel's varying entries are float64 columns, its fixed zeros the exact zero
+    # `_ZERO` and its fixed one the float 1.0.
     for make in (first_channel_stack, second_channel_stack):
         entries = [v for op in make(STRENGTHS) for v in op]
-        assert [v.dtype for v in entries if type(v) is not float] == [F64] * 2
-        assert {v for v in entries if type(v) is float} == {0.0, 1.0}
+        assert [v.dtype for v in entries if type(v) is np.ndarray] == [F64] * 2
+        assert [v for v in entries if type(v) is float] == [1.0]
+        assert sum(v is channels._ZERO for v in entries) == 5
 
 
 def _complex(ops):
-    return tuple(tuple(v.astype(complex) if type(v) is np.ndarray else complex(v) for v in op)
+    """The channel with complex columns and numbers; the exact zero is kept as it is."""
+    return tuple(tuple(v if v is channels._ZERO else
+                       v.astype(complex) if type(v) is np.ndarray else complex(v) for v in op)
                  for op in ops)
 
 
