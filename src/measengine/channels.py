@@ -385,7 +385,7 @@ def completeness_deviation_stack(ops) -> np.ndarray:
     return np.maximum(np.maximum(d00, d01), d11)
 
 
-def apply_unselective_stack(ops, rho) -> np.ndarray:
+def apply_unselective_stack(ops, rho, return_deviation: bool = False):
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
     `ops` is a grid channel, as `first_channel_stack` gives it.  The state
@@ -397,6 +397,8 @@ def apply_unselective_stack(ops, rho) -> np.ndarray:
     state the `DensityMatrix` checks.  The evolution is `_evolve` on the
     (N,) columns of the entries, so each output entry is the IEEE result
     `apply_unselective` gives on the same real entries, `_ZERO` read as 0.0.
+    With `return_deviation`, the states come with the checked deviations,
+    `completeness_deviation_stack(ops)`.
     """
     rho = as_matrix_stack(rho)
     if rho.ndim != 3:
@@ -414,7 +416,8 @@ def apply_unselective_stack(ops, rho) -> np.ndarray:
     # Each entry of every state as one contiguous (N,) row, and the output the same way:
     # its (N, 2, 2) view keeps every entry column contiguous for the next stroke.
     out = np.array(_evolve(ops, *rho.transpose(1, 2, 0).reshape(4, -1)))
-    return validate_state_stack(out.reshape(2, 2, -1).transpose(2, 0, 1))
+    out = validate_state_stack(out.reshape(2, 2, -1).transpose(2, 0, 1))
+    return (out, dev) if return_deviation else out
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:

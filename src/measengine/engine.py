@@ -57,24 +57,16 @@ state.
 `run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
 the numeric side evolves (N, 2, 2) state stacks through grid channels,
 the analytic side evaluates the closed form on arrays.  The two engines
-share `_strength`, `_gamma_range`, `_ledger`, `_closed_form` and
-`_eta_law`, which take Python floats or float64 arrays alike, the channel
-helpers that give q, and the channels themselves: one format (each
-operator's four entries: Python floats for one point; over a grid, (N,)
-columns where they vary, the exact zero `channels._ZERO` for the fixed
-zeros and the float 1.0) and one kernel (`channels._completeness_terms` and
-`channels._evolve`), so the state evolution is one arithmetic on floats
-and arrays.  Each transcendental comes from the same function (`np.exp`
-for the Gibbs weights, one call over all distinct b; `math.exp`/`math.tanh`
-for the closed form, once per distinct b; `math.log` for the entropy, once
-per distinct eigenvalue).  So each
-column equals the scalar field bit for bit.  A grid builds every per-point
-column once, at construction: x, tanh(b/2), the excitation strengths,
-the validated thermal stack and the damping strengths `q`; `subset`
-slices them all, and both grid runners read them.  The analytic runner
-keeps the two post-QMI population columns, and stacks them and builds and
-validates its QMI and QMII state stacks only when those, or their
-entropies, are read.
+share `_strength`, `_gamma_range`, `_ledger`, `_closed_form`, `_eta_law`,
+the q helpers and the channel kernel (`channels._completeness_terms` and
+`_evolve`), which take Python floats or float64 columns alike, and each
+transcendental comes from the same function (`np.exp` for the Gibbs
+weights, `math.exp`/`math.tanh` once per distinct b, `math.log` once per
+distinct eigenvalue), so each column equals the scalar field bit for bit
+(`tests/test_sweep.py`).  A grid builds every per-point column once, at
+construction, and evolves its states once, on first read; neither depends
+on r, so `stretched` repeats them over r instead of building them again.
+The analytic runner builds its QMI and QMII stacks only when read.
 """
 
 from __future__ import annotations
@@ -425,9 +417,14 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
 _GRID_COLUMNS = ("b", "gamma", "r", "x", "th", "strength", "thermal", "q")
 
 
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def _set_column(grid: CycleGrid, name: str, column: np.ndarray) -> None:
-    column.flags.writeable = False
-    object.__setattr__(grid, name, column)
+    object.__setattr__(grid, name, *_read_only(column))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,6 +439,7 @@ class CycleGrid:
     (N, 2, 2) Gibbs state of every point, from one `_gibbs_populations`
     call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
     `isentropic_strength_stack` of every point, NaN where no partner exists.
+    `evolved` is kept once read, and carried by `subset` and `stretched`.
     """
 
     b: np.ndarray
@@ -490,21 +488,47 @@ class CycleGrid:
                            mode=self.mode, r=float(self.r[i]))
 
     def subset(self, index) -> CycleGrid:
-        """The points selected by a numpy index (mask, slice or positions), in order.
-
-        The points are validated already, so nothing is checked or derived
-        again: every column is sliced.
-        """
+        """The points selected by a numpy index (mask, slice or positions), in order, sliced."""
         grid = object.__new__(CycleGrid)
         object.__setattr__(grid, "mode", self.mode)
         for name in _GRID_COLUMNS:
             _set_column(grid, name, getattr(self, name)[index])
+        if "evolved" in self.__dict__:
+            grid.__dict__["evolved"] = _read_only(*(states[index] for states in self.evolved))
+        return grid
+
+    def stretched(self, r) -> CycleGrid:
+        """The five-stroke grid of every point at each ratio of r: point i at r[k] is i*len(r) + k.
+
+        Only r is checked; the states do not depend on r, so the rest is repeated, not rebuilt.
+        """
+        r = np.array(r, dtype=float)
+        ok = np.isfinite(r) & (r >= 1.0)
+        if len(self) and not ok.all():
+            _require_ratio(CycleMode.FIVE_STROKE, float(r[np.argmin(ok)]))
+        grid = self.subset(np.arange(len(self)).repeat(len(r)))
+        object.__setattr__(grid, "mode", CycleMode.FIVE_STROKE)
+        _set_column(grid, "r", np.tile(r, len(self)))
         return grid
 
     @property
     def realizable(self) -> np.ndarray:
         """`numeric_realizable` per point."""
         return self.gamma >= GAMMA_NUMERIC_MIN
+
+    @functools.cached_property
+    def evolved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The state stacks after QMI and QMII and the damping channel's completeness deviation.
+
+        Raises the error `run_numeric` raises for the first unrealizable point.
+        """
+        realizable = self.realizable
+        if not realizable.all():
+            _require_realizable(self.point(int(np.argmin(realizable))))
+        rho_m = apply_unselective_stack(first_channel_stack(self.strength), self.thermal)
+        rho_n, deviation = apply_unselective_stack(second_channel_stack(self.q), rho_m,
+                                                   return_deviation=True)
+        return _read_only(rho_m, rho_n, deviation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,18 +595,9 @@ class GridLedger:
 
 
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
-    """`run_numeric` at every point of the grid, on state stacks and grid channels.
-
-    Raises the error `run_numeric` raises for the first unrealizable point.
-    """
-    realizable = grid.realizable
-    if not realizable.all():
-        _require_realizable(grid.point(int(np.argmin(realizable))))
-    rho_th = grid.thermal
-    rho_m = apply_unselective_stack(first_channel_stack(grid.strength), rho_th)
-    rho_n = apply_unselective_stack(second_channel_stack(grid.q), rho_m)
-
-    r = grid.r
+    """`run_numeric` at every point of the grid: the energies and eta of its `evolved` states."""
+    rho_m, rho_n, _ = grid.evolved
+    rho_th, r = grid.thermal, grid.r
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(
         mean_energy_stack(rho_th, 1.0), mean_energy_stack(rho_th, r), mean_energy_stack(rho_m, r),
         mean_energy_stack(rho_n, r), mean_energy_stack(rho_n, 1.0))

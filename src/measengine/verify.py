@@ -1,10 +1,10 @@
 """Self-check suite: every closed-form result against the numeric evolution.
 
-This is the machinery behind `measengine verify`.  It lays the b x gamma
-grid out as one three-stroke `CycleGrid` and the b x gamma x r grid as one
-five-stroke `CycleGrid`, restricts each to the points whose cycle is
-realizable, and evaluates each twice: by `run_numeric_grid` (Kraus-channel
-evolution of state stacks) and by `run_analytic_grid` (the closed form).
+This is the machinery behind `measengine verify`.  It builds the b x gamma
+grid as one three-stroke `CycleGrid`, evolves its realizable points once,
+and stretches them over r into the five-stroke grid, which carries those
+states.  Each grid is evaluated twice: by `run_numeric_grid` (its evolved
+state stacks) and by `run_analytic_grid` (the closed form).
 Each check family is one rule at every point it applies to: channel
 completeness, oracle equivalence per ledger field, entropy equality,
 population swap, coherence-free states per stroke, the efficiency law,
@@ -24,9 +24,8 @@ The optional `perturb` hook adds +0.1 to one ledger field of every
 numeric ledger before checking; it exists to prove the suite actually
 bites (a perturbed build must fail).
 
-The five-stroke numeric ledger comes from a single call of
-`run_five_stroke_numeric`, which takes the realizable five-stroke
-`CycleGrid` and returns its `GridLedger` (it is `run_numeric_grid`).
+The five-stroke numeric ledger comes from one call of
+`run_five_stroke_numeric(five_grid) -> GridLedger` (`run_numeric_grid`).
 Replacing that name injects a fault into the five-stroke ledgers alone;
 the three-stroke ledger, the r = 1 reduction's reference, is computed
 without it.
@@ -42,11 +41,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channels import (COMPLETENESS_TOL, completeness_deviation_stack, first_channel_stack,
-                       second_channel_stack)
+from .channels import COMPLETENESS_TOL, completeness_deviation_stack, first_channel_stack
 from .engine import (
     CycleGrid,
     CycleMode,
+    CycleParams,
     GridLedger,
     first_law_residual,
     run_analytic_grid,
@@ -310,32 +309,31 @@ def run_verification(
     b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
     nb, ng, nr = len(b), len(gamma), len(r)
     b2, gamma2 = b.repeat(ng), np.tile(gamma, nb)  # the flat b x gamma grid
-    # The five-stroke grid is built first, in b > gamma > r order, so a bad
-    # value raises the error the point-by-point nesting would meet first.
-    five = CycleGrid(b2.repeat(nr), gamma2.repeat(nr), CycleMode.FIVE_STROKE,
-                     np.tile(r, nb * ng))
-    three = CycleGrid(b2, gamma2, CycleMode.THREE_STROKE, np.ones(nb * ng))
+    bad_r = [v for v in r.tolist() if not 1.0 <= v < math.inf]
+    if bad_r and nb * ng:  # b > gamma > r order meets a bad r at the first (b, gamma)
+        CycleParams(float(b2[0]), float(gamma2[0]), CycleMode.FIVE_STROKE, bad_r[0])
+    grid = CycleGrid(b2, gamma2, CycleMode.THREE_STROKE, np.ones(nb * ng))
 
     c = _Checker()
     c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, np.arange(nb * ng)),
-            completeness_deviation_stack(first_channel_stack(three.strength)), 0.0,
+            completeness_deviation_stack(first_channel_stack(grid.strength)), 0.0,
             COMPLETENESS_TOL)
-    three_ok = np.flatnonzero(three.realizable)
-    three = three.subset(three_ok)
+    three_ok = np.flatnonzero(grid.realizable)
+    three = grid.subset(three_ok)
     three_numeric = run_numeric_grid(three)
-    c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok),
-            completeness_deviation_stack(second_channel_stack(three_numeric.q_used)), 0.0,
-            COMPLETENESS_TOL)
+    _, _, damp_deviation = three.evolved  # formed by the damping channel's application
+    c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok), damp_deviation,
+            0.0, COMPLETENESS_TOL)
     three_numeric = _maybe_perturb(three_numeric, perturb)
     three_fields = _fields(three_numeric)  # checked here and again by reduction-r1-
     _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three, three_numeric,
                  three_fields)
 
-    ok = np.flatnonzero(five.realizable)
-    five = five.subset(ok)
+    five = three.stretched(r)  # carries the states `three` evolved
     five_numeric = _maybe_perturb(run_five_stroke_numeric(five), perturb)
-    # The position in `three` of each point's (b, gamma), which at r = 1 is realizable there.
+    # Each point's position in the flat b x gamma x r grid, and in `three` (r = 1 reduction).
+    ok = (three_ok[:, None] * nr + np.arange(nr)).ravel()
     _check_five(c, _Points("five", b, gamma, r, ok), five, five_numeric, three_fields,
-                np.searchsorted(three_ok, ok // nr))
+                np.arange(len(three_ok)).repeat(nr))
     elapsed = time.perf_counter() - start
     return VerifyReport(checks_run=c.count, failures=c.failures, elapsed_seconds=elapsed)

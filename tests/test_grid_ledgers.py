@@ -2,9 +2,12 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measengine import channels, engine, states
 from measengine.cli import main
@@ -73,11 +76,16 @@ def _count_calls(monkeypatch, name: str) -> list[None]:
 def test_default_verify_builds_each_state_stack_and_q_once(monkeypatch, capsys):
     validations = _count_calls(monkeypatch, "validate_state_stack")
     strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
+    applications = _count_calls(monkeypatch, "apply_unselective_stack")
+    completeness = _count_calls(monkeypatch, "_completeness_terms")
     assert main(["verify"]) == 0
     capsys.readouterr()
-    # Each grid's thermal stack and both numeric stacks of each runner; one q per grid.  The
-    # analytic runner's QMI and QMII stacks are never read, so never built.
-    assert (len(validations), len(strengths)) == (6, 2)
+    # One b x gamma grid: its thermal stack and the two evolved stacks, which the five-stroke
+    # grid repeats over r; one q.  The analytic QMI and QMII stacks are never read, so never
+    # built.  Completeness is formed by each application and by the excite family, which
+    # covers the unrealizable points too; the damp family reads the application's deviation.
+    assert (len(validations), len(strengths)) == (3, 1)
+    assert (len(applications), len(completeness)) == (2, 3)
 
 
 def test_q_is_computed_once_and_sliced_by_subset(monkeypatch):
@@ -88,6 +96,60 @@ def test_q_is_computed_once_and_sliced_by_subset(monkeypatch):
     assert len(strengths) == 1
     assert analytic.q_used is grid.q and not grid.q.flags.writeable
     assert numeric.q_used.tobytes() == grid.q[3:].tobytes()
+
+
+log_b = st.floats(math.log(1e-8), math.log(700.0)).map(math.exp)
+log_r = st.floats(0.0, math.log(1e6)).map(math.exp)
+realizable_points = st.lists(st.tuples(log_b, st.floats(0.5, 1.0)), min_size=1, max_size=8)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=realizable_points, r=st.lists(log_r, min_size=1, max_size=4),
+       mode=st.sampled_from(list(CycleMode)), read_first=st.booleans(), base_r=log_r)
+def test_stretched_grid_is_the_directly_built_five_stroke_grid(points, r, mode, read_first,
+                                                               base_r):
+    """The states depend on (b, gamma) alone, so repeating them over r builds nothing again."""
+    b, gamma = (np.array(axis) for axis in zip(*points))
+    grid = CycleGrid(b, gamma, mode, np.full(len(b), 1.0 if mode is CycleMode.THREE_STROKE
+                                             else base_r))
+    if read_first:
+        grid.evolved
+    stretched = grid.stretched(r)
+    direct = CycleGrid(b.repeat(len(r)), gamma.repeat(len(r)), CycleMode.FIVE_STROKE,
+                       np.tile(r, len(b)))
+    assert stretched.mode is direct.mode and ("evolved" in stretched.__dict__) == read_first
+    for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
+        assert _same_bits(getattr(stretched, name), getattr(direct, name)), name
+        assert not getattr(stretched, name).flags.writeable, name
+    numeric, expected = run_numeric_grid(stretched), run_numeric_grid(direct)
+    for name in GRID_LEDGER_VALUES:
+        assert _same_bits(np.asarray(getattr(numeric, name)),
+                          np.asarray(getattr(expected, name))), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=realizable_points, data=st.data())
+def test_subset_after_the_states_are_read_is_the_subset_before(points, data):
+    b, gamma = (np.array(axis) for axis in zip(*points))
+    grid = CycleGrid(b, gamma, CycleMode.THREE_STROKE, np.ones_like(b))
+    n = len(grid)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    start, stop = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    positions = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    indices = (mask, slice(start, stop), positions)
+    before = [grid.subset(index) for index in indices]
+    grid.evolved
+    for index, early in zip(indices, before):
+        late = grid.subset(index)
+        assert "evolved" in late.__dict__ and "evolved" not in early.__dict__
+        for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
+            assert _same_bits(getattr(late, name), getattr(early, name)), name
+        for kept, evolved in zip(late.evolved, early.evolved, strict=True):
+            assert _same_bits(kept, evolved) and not kept.flags.writeable
 
 
 def _negative_population(monkeypatch):

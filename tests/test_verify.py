@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+from collections import Counter
 from operator import itemgetter
 
 import numpy as np
@@ -89,6 +90,46 @@ def test_wide_range_fault_fails_through_the_per_family_replay(capsys):
     # Recorded while each check family was settled by its own comparison.
     assert hashlib.sha256(stripped.encode()).hexdigest() == (
         "85d27a462fbfa00f00ef33a19a0bd58b6f32aa2c2279fd307e0372b68b3249cf")
+
+
+# A bad grid is refused with the `CycleParams` error of its first bad point in the flat
+# b > gamma > r order: a bad r is met at the first (b, gamma), before a later bad b or gamma.
+@pytest.mark.parametrize(("argv", "message"), [
+    (["--grid-b", "1,-1", "--grid-r", "0.5"], "frequency ratio r must be >= 1, got 0.5"),
+    (["--grid-gamma", "0.6,2", "--grid-r", "0.5"], "frequency ratio r must be >= 1, got 0.5"),
+    (["--grid-b=-1,1", "--grid-r", "0.5"], "b must be finite and positive, got -1.0"),
+    (["--grid-gamma=2,0.6", "--grid-r", "0.5"], "gamma must lie in [0, 1], got 2.0"),
+    (["--grid-b", "1,-1"], "b must be finite and positive, got -1.0"),
+    (["--grid-r", "1,inf,0.5"], "frequency ratio r must be >= 1, got inf"),
+], ids=lambda value: value if isinstance(value, str) else " ".join(value))
+def test_a_bad_grid_is_refused_with_its_first_bad_point_error(capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"invalid cycle: {message}\n")
+
+
+# The whole physical range: b 1e-8..700, gamma 1/2..1, r 1..1e6.  The failures are the known
+# small-b and large-r precision defects (ROADMAP items 4 and 8), pinned so that they show: only
+# a change that says it changes numerics may move these counts or the digest.
+DENSE_AXES = (np.logspace(-8, np.log10(700), 200).tolist(), np.linspace(0.5, 1, 50).tolist(),
+              np.logspace(0, 6, 10).tolist())
+DENSE_FAILURES = {
+    "first-law": 6859, "oracle-equivalence-eta": 4605, "efficiency-law": 4605,
+    "oracle-equivalence-delta": 1394, "oracle-equivalence-q_in": 814,
+    "oracle-equivalence-w_ext": 814, "oracle-equivalence-w_apii": 658, "entropy-ordering": 74,
+    "oracle-equivalence-w_api": 50,
+}
+# sha256 of the sorted FAIL lines joined by newlines, recorded before verify shared one
+# evolution of each (b, gamma) point between its three- and five-stroke ledgers.
+DENSE_FAILURES_DIGEST = "ef0345b5ce07d0b2ff3a79c5f16fae0b3e459b670a61e4b60480dbd7421fc65f"
+
+
+def test_dense_whole_range_run_keeps_its_pinned_failures():
+    report = verify.run_verification(*DENSE_AXES)
+    assert report.checks_run == 2_160_600
+    assert Counter(failure.check for failure in report.failures) == DENSE_FAILURES
+    assert sum(DENSE_FAILURES.values()) == 19_873
+    lines = "\n".join(sorted(map(str, report.failures)))
+    assert hashlib.sha256(lines.encode()).hexdigest() == DENSE_FAILURES_DIGEST
 
 
 def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, monkeypatch):
