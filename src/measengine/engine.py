@@ -64,9 +64,11 @@ transcendental comes from the same function (`np.exp` for the Gibbs
 weights, `math.exp`/`math.tanh` once per distinct b, `math.log` once per
 distinct eigenvalue), so each column equals the scalar field bit for bit
 (`tests/test_sweep.py`).  A grid builds every per-point column once, at
-construction, and evolves its states once, on first read; neither depends
-on r, so `stretched` repeats them over r instead of building them again.
-The analytic runner builds its QMI and QMII stacks only when read.
+construction, and evolves its states and their entropies once, on first
+read; none depends on r, so `stretched` repeats them over r instead of
+building them again.  Both `verify` and `sweep` evaluate a b x gamma grid
+(`CycleGrid.product`) stretched over their r axis this way.  The analytic
+runner builds its QMI and QMII stacks only when read.
 """
 
 from __future__ import annotations
@@ -257,6 +259,13 @@ def _require_ratio(mode: CycleMode, r: float) -> None:
         raise InvalidCycleError(f"three-stroke cycle requires r = 1, got r = {r}")
 
 
+def _ratios_ok(mode: CycleMode, r: np.ndarray) -> np.ndarray:
+    """Per entry of an r array, whether `_require_ratio` accepts it."""
+    if mode is CycleMode.THREE_STROKE:
+        return r == 1.0
+    return np.isfinite(r) & (r >= 1.0)
+
+
 # The arithmetic of both engines: `+ - * /` round floats and float64 arrays alike.
 
 def _strength(gamma, x):
@@ -439,7 +448,7 @@ class CycleGrid:
     (N, 2, 2) Gibbs state of every point, from one `_gibbs_populations`
     call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
     `isentropic_strength_stack` of every point, NaN where no partner exists.
-    `evolved` is kept once read, and carried by `subset` and `stretched`.
+    `evolved` and `entropies` are kept once read, and carried by `subset` and `stretched`.
     """
 
     b: np.ndarray
@@ -463,9 +472,7 @@ class CycleGrid:
         if b.ndim != 1:
             raise ValueError(f"grid arrays must be flat, got shape {b.shape}")
         ok = (np.isfinite(b) & (b > 0) & np.isfinite(gamma) & (gamma >= 0.0)
-              & (gamma <= 1.0) & np.isfinite(r) & (r >= 1.0))
-        if self.mode is CycleMode.THREE_STROKE:
-            ok &= r == 1.0
+              & (gamma <= 1.0) & _ratios_ok(self.mode, r))
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
@@ -478,6 +485,22 @@ class CycleGrid:
         _set_column(self, "strength", _strength(gamma, self.x))
         _set_column(self, "thermal", thermal[index])
         _set_column(self, "q", isentropic_strength_stack(self.strength, self.x))
+
+    @classmethod
+    def product(cls, b, gamma, r, mode: CycleMode | str) -> CycleGrid:
+        """The b x gamma points (b outer) of the b x gamma x r product in `mode`, at r = 1.
+
+        Raises the `CycleParams` error of the product's first bad point in its flat
+        b > gamma > r order: a bad r meets the first (b, gamma), before a later bad b or
+        gamma.  The grid is three-stroke; `stretched(r, mode)` gives the product's points.
+        """
+        b, gamma, r = (np.array(axis, dtype=float) for axis in (b, gamma, r))
+        mode = CycleMode(mode)
+        ok = _ratios_ok(mode, r)
+        if len(b) * len(gamma) and not ok.all():
+            CycleParams(float(b[0]), float(gamma[0]), mode, float(r[np.argmin(ok)]))  # raises
+        return cls(b.repeat(len(gamma)), np.tile(gamma, len(b)), CycleMode.THREE_STROKE,
+                   np.ones(len(b) * len(gamma)))
 
     def __len__(self) -> int:
         return len(self.b)
@@ -493,21 +516,26 @@ class CycleGrid:
         object.__setattr__(grid, "mode", self.mode)
         for name in _GRID_COLUMNS:
             _set_column(grid, name, getattr(self, name)[index])
-        if "evolved" in self.__dict__:
+        kept = self.__dict__
+        if "evolved" in kept:
             grid.__dict__["evolved"] = _read_only(*(states[index] for states in self.evolved))
+        if "entropies" in kept:
+            grid.__dict__["entropies"] = _read_only(self.entropies[:, index])[0]
         return grid
 
-    def stretched(self, r) -> CycleGrid:
-        """The five-stroke grid of every point at each ratio of r: point i at r[k] is i*len(r) + k.
+    def stretched(self, r, mode: CycleMode | str = CycleMode.FIVE_STROKE) -> CycleGrid:
+        """The `mode` grid of every point at each ratio of r: point i at r[k] is i*len(r) + k.
 
-        Only r is checked; the states do not depend on r, so the rest is repeated, not rebuilt.
+        Only r is checked, as `CycleParams` checks it in `mode`; the states and their
+        entropies do not depend on r, so the rest is repeated, not rebuilt.
         """
+        mode = CycleMode(mode)
         r = np.array(r, dtype=float)
-        ok = np.isfinite(r) & (r >= 1.0)
+        ok = _ratios_ok(mode, r)
         if len(self) and not ok.all():
-            _require_ratio(CycleMode.FIVE_STROKE, float(r[np.argmin(ok)]))
+            _require_ratio(mode, float(r[np.argmin(ok)]))
         grid = self.subset(np.arange(len(self)).repeat(len(r)))
-        object.__setattr__(grid, "mode", CycleMode.FIVE_STROKE)
+        object.__setattr__(grid, "mode", mode)
         _set_column(grid, "r", np.tile(r, len(self)))
         return grid
 
@@ -530,6 +558,17 @@ class CycleGrid:
                                                    return_deviation=True)
         return _read_only(rho_m, rho_n, deviation)
 
+    @functools.cached_property
+    def entropies(self) -> np.ndarray:
+        """The (3, N) entropies of `thermal` and of the two `evolved` stacks."""
+        rho_m, rho_n, _ = self.evolved
+        return _entropies(self.thermal, rho_m, rho_n)
+
+
+def _entropies(*stacks: np.ndarray) -> np.ndarray:
+    """The read-only (len(stacks), N) entropies of (N, 2, 2) stacks: one `entropy_stack` pass."""
+    return _read_only(entropy_stack(np.concatenate(stacks)).reshape(len(stacks), -1))[0]
+
 
 @dataclass(frozen=True, eq=False)
 class GridLedger:
@@ -537,11 +576,12 @@ class GridLedger:
 
     `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
     float64 states after TP (the thermal state, which API keeps), QMI and QMII.
-    The numeric ledger is given all three stacks.  The analytic ledger is
+    The numeric ledger is given all three stacks and `evolved_on`, its grid,
+    whose `entropies` it reads.  The analytic ledger is
     given `measured` as the two (N,) post-QMI population columns, ground and
     excited, and stacks them and builds and validates the QMI and QMII
     stacks from them (QMII swaps the two) when they, or their entropies,
-    are first read.  The entropies are computed, all three in one
+    are first read.  Its entropies are computed, all three in one
     `entropy_stack` pass, when first asked for.
     """
 
@@ -557,6 +597,7 @@ class GridLedger:
     states_tp: np.ndarray
     # The (states_qmi, states_qmii) stacks, or the (ground, excited) populations after QMI.
     measured: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    evolved_on: CycleGrid | None = field(default=None, repr=False)  # the numeric ledger's grid
 
     @functools.cached_property
     def _measured_states(self) -> tuple[np.ndarray, np.ndarray]:
@@ -576,10 +617,9 @@ class GridLedger:
 
     @functools.cached_property
     def _entropies(self) -> np.ndarray:
-        states = np.concatenate((self.states_tp, *self._measured_states))
-        entropies = entropy_stack(states).reshape(3, -1)
-        entropies.flags.writeable = False
-        return entropies
+        if self.evolved_on is not None:
+            return self.evolved_on.entropies
+        return _entropies(self.states_tp, *self._measured_states)
 
     @property
     def entropy_tp(self) -> np.ndarray:
@@ -605,7 +645,7 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     return GridLedger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),
-        states_tp=rho_th, measured=(rho_m, rho_n),
+        states_tp=rho_th, measured=(rho_m, rho_n), evolved_on=grid,
     )
 
 

@@ -3,8 +3,9 @@
 This is the machinery behind `measengine verify`.  It builds the b x gamma
 grid as one three-stroke `CycleGrid`, evolves its realizable points once,
 and stretches them over r into the five-stroke grid, which carries those
-states.  Each grid is evaluated twice: by `run_numeric_grid` (its evolved
-state stacks) and by `run_analytic_grid` (the closed form).
+states and their entropies.  Each grid is evaluated twice: by
+`run_numeric_grid` (its evolved state stacks) and by `run_analytic_grid`
+(the closed form).
 Each check family is one rule at every point it applies to: channel
 completeness, oracle equivalence per ledger field, entropy equality,
 population swap, coherence-free states per stroke, the efficiency law,
@@ -45,7 +46,6 @@ from .channels import COMPLETENESS_TOL, completeness_deviation_stack, first_chan
 from .engine import (
     CycleGrid,
     CycleMode,
-    CycleParams,
     GridLedger,
     first_law_residual,
     run_analytic_grid,
@@ -308,11 +308,7 @@ def run_verification(
     start = time.perf_counter()
     b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
     nb, ng, nr = len(b), len(gamma), len(r)
-    b2, gamma2 = b.repeat(ng), np.tile(gamma, nb)  # the flat b x gamma grid
-    bad_r = [v for v in r.tolist() if not 1.0 <= v < math.inf]
-    if bad_r and nb * ng:  # b > gamma > r order meets a bad r at the first (b, gamma)
-        CycleParams(float(b2[0]), float(gamma2[0]), CycleMode.FIVE_STROKE, bad_r[0])
-    grid = CycleGrid(b2, gamma2, CycleMode.THREE_STROKE, np.ones(nb * ng))
+    grid = CycleGrid.product(b, gamma, r, CycleMode.FIVE_STROKE)
 
     c = _Checker()
     c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, np.arange(nb * ng)),
@@ -329,7 +325,7 @@ def run_verification(
     _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three, three_numeric,
                  three_fields)
 
-    five = three.stretched(r)  # carries the states `three` evolved
+    five = three.stretched(r)  # carries the states `three` evolved and their entropies
     five_numeric = _maybe_perturb(run_five_stroke_numeric(five), perturb)
     # Each point's position in the flat b x gamma x r grid, and in `three` (r = 1 reduction).
     ok = (three_ok[:, None] * nr + np.arange(nr)).ravel()

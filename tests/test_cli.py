@@ -218,19 +218,37 @@ class TestSweepCommand:
         assert code == 1
         assert "io error" in err
 
+    # The error of the first bad point in the flat b > gamma > r order, as first recorded: a
+    # bad r meets the first (b, gamma), before a later bad b or gamma.
     @pytest.mark.parametrize(
-        "grid",
+        ("grid", "message"),
         [
-            ["--mode", "three", "--b-values", "1", "--gamma-values", "0.6,0.75", "--r-values", "1,2"],
-            ["--mode", "five", "--b-values", "1,-1", "--gamma-values", "0.75"],
+            (["--mode", "three", "--b-values", "1", "--gamma-values", "0.6,0.75", "--r-values", "1,2"],
+             "three-stroke cycle requires r = 1, got r = 2.0"),
+            (["--mode", "five", "--b-values", "1,-1", "--gamma-values", "0.75"],
+             "b must be finite and positive, got -1.0"),
+            (["--mode", "three", "--b-values", "1,-1", "--gamma-values", "0.75", "--r-values", "2"],
+             "three-stroke cycle requires r = 1, got r = 2.0"),
+            (["--mode", "three", "--b-values", "1", "--gamma-values", "0.75,2", "--r-values", "2"],
+             "three-stroke cycle requires r = 1, got r = 2.0"),
+            (["--mode", "three", "--b-values=-1,1", "--gamma-values", "0.75", "--r-values", "2"],
+             "b must be finite and positive, got -1.0"),
+            (["--mode", "five", "--b-values", "1,-1", "--gamma-values", "0.75", "--r-values", "0.5"],
+             "frequency ratio r must be >= 1, got 0.5"),
+            (["--mode", "five", "--b-values", "1", "--gamma-values", "0.75,2", "--r-values", "0.5"],
+             "frequency ratio r must be >= 1, got 0.5"),
+            (["--mode", "five", "--b-values=-1,1", "--gamma-values", "0.75", "--r-values", "0.5"],
+             "b must be finite and positive, got -1.0"),
         ],
-        ids=["three-stroke-r2", "negative-b"],
+        ids=["three-stroke-r2", "negative-b",
+             "three-bad-r-then-bad-b", "three-bad-r-then-bad-gamma", "three-bad-b-and-bad-r",
+             "five-bad-r-then-bad-b", "five-bad-r-then-bad-gamma", "five-bad-b-and-bad-r"],
     )
-    def test_invalid_grid_point_leaves_no_file(self, capsys, tmp_path, grid):
+    def test_invalid_grid_point_leaves_no_file(self, capsys, tmp_path, grid, message):
         out_path = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "sweep", *grid, "--out", str(out_path))
         assert code == 2
-        assert "invalid cycle" in err
+        assert err == f"invalid cycle: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     # sha256 of each CSV as first recorded: a change to the cycle core or to
@@ -248,8 +266,14 @@ class TestSweepCommand:
                  "--gamma-values", "0,0.2,0.4,0.5,0.75,1", "--r-values", "1,2,5"],
                 "af509878da86ec15fbe8e73f0533403de8e85113fba5ee6563be4f15d7124f04",
             ),
+            (
+                # every row twice
+                ["--mode", "three", "--b-values", "0.1,1,5", "--gamma-values", "0.3,0.5,1",
+                 "--r-values", "1,1"],
+                "1da21a684544c4ed9ff7ff3e226cebc94d35954f0fa7b869295760f2391786f9",
+            ),
         ],
-        ids=["three", "five"],
+        ids=["three", "five", "three-duplicate-r"],
     )
     def test_csv_digest_is_pinned(self, capsys, tmp_path, grid, digest):
         out_path = tmp_path / "pinned.csv"

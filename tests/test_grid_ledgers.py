@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from measengine import channels, engine, states
 from measengine.cli import main
 from measengine.engine import CycleGrid, CycleMode, run_analytic_grid, run_numeric_grid
+from measengine.sweep import SweepSpec, run_sweep
 from measengine.verify import DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID
 
 GRID_LEDGER_VALUES = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used",
@@ -58,13 +59,13 @@ def test_grid_ledgers_digest_is_pinned():
     assert h.hexdigest() == GRID_LEDGERS_DIGEST
 
 
-def _count_calls(monkeypatch, name: str) -> list[None]:
-    """Patch every binding of a stack function in the package; one entry per call is appended."""
+def _count_calls(monkeypatch, name: str, home=channels) -> list[int]:
+    """Patch every binding of a stack function in the package; each call appends len(args[0])."""
     calls = []
-    original = getattr(channels, name)
+    original = getattr(home, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(len(args[0]))
         return original(*args, **kwargs)
 
     for module in (states, channels, engine):
@@ -78,14 +79,34 @@ def test_default_verify_builds_each_state_stack_and_q_once(monkeypatch, capsys):
     strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
     applications = _count_calls(monkeypatch, "apply_unselective_stack")
     completeness = _count_calls(monkeypatch, "_completeness_terms")
+    entropies = _count_calls(monkeypatch, "entropy_stack", home=states)
     assert main(["verify"]) == 0
     capsys.readouterr()
     # One b x gamma grid: its thermal stack and the two evolved stacks, which the five-stroke
     # grid repeats over r; one q.  The analytic QMI and QMII stacks are never read, so never
     # built.  Completeness is formed by each application and by the excite family, which
     # covers the unrealizable points too; the damp family reads the application's deviation.
+    # The entropies of the 3 x 20 three-stroke states are the five-stroke ones, repeated.
     assert (len(validations), len(strengths)) == (3, 1)
     assert (len(applications), len(completeness)) == (2, 3)
+    assert entropies == [3 * 20]
+
+
+def test_sweep_evolves_each_b_gamma_point_once(monkeypatch, tmp_path):
+    """The benchmark's 20 b x 25 gamma x 4 r sweep, 7 gamma below 1/2: 360 realizable points."""
+    validations = _count_calls(monkeypatch, "validate_state_stack")
+    strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
+    applications = _count_calls(monkeypatch, "apply_unselective_stack")
+    entropies = _count_calls(monkeypatch, "entropy_stack", home=states)
+    b = np.logspace(np.log10(0.05), 1.0, 20).tolist()
+    gamma = np.linspace(0.3, 1.0, 25).tolist()
+    spec = SweepSpec("five", b, gamma, str(tmp_path / "grid.csv"), r_values=(1.0, 2.0, 5.0, 20.0))
+    assert run_sweep(spec) == 2000
+    # The thermal stack of the 20 b, the two evolved stacks of the 360 realizable (b, gamma)
+    # points and the analytic QMI and QMII stacks of all 500, whose entropies are the CSV's.
+    assert validations == [20, 360, 360, 500, 500]
+    assert (len(applications), strengths) == (2, [500])
+    assert entropies == [2 * 500]
 
 
 def test_q_is_computed_once_and_sliced_by_subset(monkeypatch):
@@ -117,11 +138,12 @@ def test_stretched_grid_is_the_directly_built_five_stroke_grid(points, r, mode, 
     grid = CycleGrid(b, gamma, mode, np.full(len(b), 1.0 if mode is CycleMode.THREE_STROKE
                                              else base_r))
     if read_first:
-        grid.evolved
+        grid.entropies  # and so the evolved states
     stretched = grid.stretched(r)
     direct = CycleGrid(b.repeat(len(r)), gamma.repeat(len(r)), CycleMode.FIVE_STROKE,
                        np.tile(r, len(b)))
-    assert stretched.mode is direct.mode and ("evolved" in stretched.__dict__) == read_first
+    assert stretched.mode is direct.mode
+    assert ("evolved" in stretched.__dict__) == ("entropies" in stretched.__dict__) == read_first
     for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
         assert _same_bits(getattr(stretched, name), getattr(direct, name)), name
         assert not getattr(stretched, name).flags.writeable, name
@@ -142,13 +164,15 @@ def test_subset_after_the_states_are_read_is_the_subset_before(points, data):
     positions = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
     indices = (mask, slice(start, stop), positions)
     before = [grid.subset(index) for index in indices]
-    grid.evolved
+    grid.entropies  # and so the evolved states
     for index, early in zip(indices, before):
         late = grid.subset(index)
-        assert "evolved" in late.__dict__ and "evolved" not in early.__dict__
+        for name in ("evolved", "entropies"):
+            assert name in late.__dict__ and name not in early.__dict__
         for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
             assert _same_bits(getattr(late, name), getattr(early, name)), name
-        for kept, evolved in zip(late.evolved, early.evolved, strict=True):
+        for kept, evolved in zip((*late.evolved, late.entropies),
+                                 (*early.evolved, early.entropies), strict=True):
             assert _same_bits(kept, evolved) and not kept.flags.writeable
 
 

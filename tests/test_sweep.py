@@ -1,6 +1,7 @@
 """The batched grid path against the scalar runners it must reproduce bit for bit."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -241,10 +242,17 @@ def test_chunk_boundaries_leave_the_csv_unchanged(tmp_path, monkeypatch):
     spec = SweepSpec("five", (0.05, 1.0, 50.0), (0.0, 0.3, 0.5, 0.8, 1.0),
                      str(tmp_path / "default.csv"), r_values=(1.0, 3.0))
     assert run_sweep(spec) == 30
-    monkeypatch.setattr(sweep, "CHUNK_ROWS", 7)  # 7, 7, 7, 7 and 2 rows
-    assert run_sweep(replace(spec, output_path=str(tmp_path / "seven.csv"))) == 30
-    text = (tmp_path / "seven.csv").read_text()
-    assert text == (tmp_path / "default.csv").read_text()
+    data = (tmp_path / "default.csv").read_bytes()
+    # Engine batches of one (b, gamma) point (BATCH_ROWS = len(r), and 1 < len(r)), of two
+    # points (5 rows), and of the whole grid; each formatted in 512-row slices and in slices
+    # of 7 (7, 7, 7, 7 and 2 rows from the whole grid).
+    for batch_rows, chunk_rows in itertools.product((2, 1, 5, 30), (512, 7)):
+        monkeypatch.setattr(sweep, "BATCH_ROWS", batch_rows)
+        monkeypatch.setattr(sweep, "CHUNK_ROWS", chunk_rows)
+        path = tmp_path / f"{batch_rows}-{chunk_rows}.csv"
+        assert run_sweep(replace(spec, output_path=str(path))) == 30
+        assert path.read_bytes() == data, (batch_rows, chunk_rows)
+    text = data.decode("ascii")
     points = [(b, g, r) for b in spec.b_values for g in spec.gamma_values for r in spec.r_values]
     for line, (b, g, r) in zip(text.splitlines()[1:], points, strict=True):
         assert sweep_row(CycleParams(b=b, gamma=g, mode="five", r=r)) == line
