@@ -1,18 +1,11 @@
 """Measurement-driven single-qubit engine simulator and verification harness."""
 
 from .channels import (
-    CompletenessReport,
     IncompleteKrausSetError,
     KrausSet,
-    MeasurementOutcome,
     NoIsentropicStrengthError,
     apply_unselective,
     first_channel,
-    isentropic_strength,
-    measure_selective,
-    povm_elements,
-    second_channel,
-    validate_completeness,
 )
 from .engine import (
     CycleGrid,
@@ -36,7 +29,6 @@ from .states import (
     Hamiltonian,
     gibbs_state,
     mean_energy,
-    trace_distance,
     von_neumann_entropy,
 )
 from .sweep import SweepSpec, run_sweep
@@ -45,7 +37,6 @@ from .verify import VerifyReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompletenessReport",
     "CycleGrid",
     "CycleMode",
     "CycleParams",
@@ -56,7 +47,6 @@ __all__ = [
     "IncompleteKrausSetError",
     "InvalidCycleError",
     "KrausSet",
-    "MeasurementOutcome",
     "NoIsentropicStrengthError",
     "StrokeRecord",
     "SweepSpec",
@@ -67,19 +57,13 @@ __all__ = [
     "first_law_residual",
     "gamma_bounds",
     "gibbs_state",
-    "isentropic_strength",
     "mean_energy",
-    "measure_selective",
     "numeric_realizable",
-    "povm_elements",
     "run_analytic",
     "run_analytic_grid",
     "run_numeric",
     "run_numeric_grid",
     "run_sweep",
     "run_verification",
-    "second_channel",
-    "trace_distance",
-    "validate_completeness",
     "von_neumann_entropy",
 ]

@@ -1,13 +1,9 @@
-"""Generalized measurements in Kraus form.
+"""The engine's two measurement channels in Kraus form, for one point and for a grid.
 
-A measurement with outcomes n = 1..N is a set of operators {A_n} obeying
-the completeness relation sum_n A_n^dag A_n = 1.  Outcome n occurs with
-probability p_n = Tr(A_n^dag A_n rho) and leaves the system in
-A_n rho A_n^dag / p_n; averaging over outcomes gives the unselective
-channel rho -> sum_n A_n rho A_n^dag, which is the only evolution the
-engine cycle uses (selective mode is a diagnostic).
-
-Two concrete qubit channels drive the engine:
+A measurement is a set of operators {A_n} obeying the completeness
+relation sum_n A_n^dag A_n = 1; each stroke applies its outcome-averaged
+(unselective) channel rho -> sum_n A_n rho A_n^dag.  Two qubit channels
+drive the engine:
 
 * the excitation channel, strength P: partially pumps ground population
   into the excited state,
@@ -16,9 +12,11 @@ Two concrete qubit channels drive the engine:
   into the ground state,
       N1 = [[1, 0], [0, sqrt(1-q)]],   N2 = [[0, sqrt(q)], [0, 0]]
 
-`isentropic_strength` picks the damping strength that exactly swaps the
+`_isentropic_strength` picks the damping strength that exactly swaps the
 diagonal populations left by the excitation channel, so the second stroke
-conserves entropy.
+conserves entropy; `isentropic_strength_stack` does so per grid point,
+through the same `_partner_threshold` and `_swap_strength`, with NaN for a
+point that has no partner.
 
 One channel format and one kernel serve both engines.  A channel is K
 operators, each the tuple of its four entries row by row, and an entry is
@@ -40,33 +38,25 @@ run alike on floats, complex numbers, arrays and `_ZERO`:
 sum_n (A_n rho) A_n^dag, entry by entry.  Around them each engine keeps
 its own checks:
 
-* One set.  `KrausSet` accepts only 2x2 operators (via
-  `linalg._square_entries`, which checks as `as_square_matrix` does), so a
-  set and a `DensityMatrix` always agree on dimension; both keep their
-  entries as Python numbers, floats for real operators and states, and
-  build their read-only arrays (`ops`, `mat`) only when first read.
-  `apply_unselective` refuses an incomplete set (the largest deviation,
-  NaN if any deviation is NaN, above COMPLETENESS_TOL), evolves the
-  state's entries and builds the output through the `DensityMatrix`
-  constructor, which checks it without a numpy array.  `_excite` and
-  `_damp` are that application on the engine's channels: each checks its
-  strength, writes the entries with `math.sqrt` and applies them, with no
-  `KrausSet`; the scalar cycle makes one such call per stroke.
-  `measure_selective` and `povm_elements` take numpy's `@` products of
-  the read-only operators, as the public `linalg` helpers do.
+* One point.  `_excite` and `_damp` check the strength, write the
+  channel's entries with `math.sqrt` and apply them (`_apply`): a set whose
+  largest deviation (`_max_deviation`, NaN if any deviation is NaN) is
+  above COMPLETENESS_TOL is refused, and the output is built through the
+  `DensityMatrix` constructor, which checks it without a numpy array.  The
+  scalar cycle makes one such call per stroke.
 * A grid.  `first_channel_stack` / `second_channel_stack` check the
   strengths and give the channels' entries, the varying ones as (N,)
   columns and the fixed zeros `_ZERO`; `completeness_deviation_stack` is
-  `validate_completeness`'s deviation per set, the same bits on finite
-  real entries;
+  `_max_deviation` per set, the same bits on finite real entries;
   `apply_unselective_stack` checks that every column has one entry per
   state, refuses the first set whose deviation is above COMPLETENESS_TOL
   or NaN, evolves the (N,) columns of a real (N, 2, 2) state stack and
   checks the output with `validate_state_stack`.
 
-`isentropic_strength_stack` is `isentropic_strength` per point, through
-the same `_partner_threshold` and `_swap_strength`, with NaN for a point
-that has no partner.
+`KrausSet` (any 2x2 operators, checked as `DensityMatrix` checks a state,
+kept as entries, `ops` built on first read), `first_channel` and
+`apply_unselective` (`_apply` on a set's entries) serve no engine path:
+they remain because `bench/` times them, until ROADMAP item 1b repoints it.
 """
 
 from __future__ import annotations
@@ -81,7 +71,6 @@ from .linalg import matmul  # noqa: F401  (bench/test_bench.py checks the tracer
 from .states import DensityMatrix, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
-NEGLIGIBLE_PROB = 1e-15      # selective outcomes below this are not normalized
 _Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and below q = 0
 
 
@@ -140,31 +129,6 @@ class KrausSet:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    passed: bool
-    max_deviation: float
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    """One selective outcome: its probability and normalized post-state.
-
-    `post_state` is None (and `negligible` True) when the probability is
-    below NEGLIGIBLE_PROB, where normalizing would divide 0 by 0.
-    """
-
-    probability: float
-    post_state: DensityMatrix | None
-    negligible: bool = False
-
-
-def validate_completeness(k: KrausSet) -> CompletenessReport:
-    """Check sum_n A_n^dag A_n == 1 entrywise within COMPLETENESS_TOL."""
-    dev = _max_deviation(k.entries)
-    return CompletenessReport(passed=dev <= COMPLETENESS_TOL, max_deviation=dev)
-
-
 def _completeness_terms(ops):
     """sum_n A_n^dag A_n - 1 as its (0, 0), (0, 1) and (1, 1) entries, in the entries' type."""
     # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
@@ -204,7 +168,7 @@ def _max_deviation(ops) -> float:
 
 def _require_complete(ops, label: str) -> None:
     dev = _max_deviation(ops)
-    if not dev <= COMPLETENESS_TOL:  # as `validate_completeness` passes: a NaN fails
+    if not dev <= COMPLETENESS_TOL:  # a NaN fails too
         raise IncompleteKrausSetError(
             f"Kraus set {label or '<unlabeled>'} violates completeness by {dev:.3e}"
         )
@@ -216,29 +180,10 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _apply(ops, rho: DensityMatrix, label: str) -> DensityMatrix:
-    """`apply_unselective` of the set whose entries are `ops`, named `label` if it is incomplete."""
+    """rho -> sum_n A_n rho A_n^dag for the set of entries `ops`, named `label` if incomplete."""
     _require_complete(ops, label)
     o00, o01, o10, o11 = _evolve(ops, *rho.entries)
     return DensityMatrix([[o00, o01], [o10, o11]])
-
-
-def measure_selective(k: KrausSet, rho: DensityMatrix) -> list[MeasurementOutcome]:
-    """All outcomes in Kraus order, with Born probabilities and post-states."""
-    _require_complete(k.entries, k.label)
-    outcomes = []
-    for op in k.ops:
-        raw = op @ rho.mat @ op.conj().T
-        p = complex(raw.trace()).real
-        if p < NEGLIGIBLE_PROB:
-            outcomes.append(MeasurementOutcome(p, None, negligible=True))
-        else:
-            outcomes.append(MeasurementOutcome(p, DensityMatrix(raw / p)))
-    return outcomes
-
-
-def povm_elements(k: KrausSet) -> list[np.ndarray]:
-    """Effect operators E_n = A_n^dag A_n; Hermitian, PSD, summing to 1."""
-    return [op.conj().T @ op for op in k.ops]
 
 
 class _Zero:
@@ -279,17 +224,13 @@ def _damping(q, sqrt, zero):
 
 
 def _excite(p: float, rho: DensityMatrix) -> DensityMatrix:
-    """`apply_unselective(first_channel(p), rho)`, named `excite`, without a `KrausSet`."""
+    """The excitation channel of strength p applied to rho, named `excite` if incomplete."""
     return _apply(_excitation(_valid_strength("excitation", p), math.sqrt, 0.0), rho, "excite")
 
 
 def _damp(q: float, rho: DensityMatrix) -> DensityMatrix:
-    """`apply_unselective(second_channel(q), rho)`, named `damp`, without a `KrausSet`."""
+    """The damping channel of strength q applied to rho, named `damp` if incomplete."""
     return _apply(_damping(_valid_strength("damping", q), math.sqrt, 0.0), rho, "damp")
-
-
-def _kraus_set(ops, label: str) -> KrausSet:
-    return KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in ops), label=label)
 
 
 def first_channel(p: float) -> KrausSet:
@@ -298,38 +239,22 @@ def first_channel(p: float) -> KrausSet:
     p = 0 leaves any state untouched; p = 1 pumps the full ground
     population into the excited state (projective strength).
     """
-    return _kraus_set(
-        _excitation(_valid_strength("excitation", p), math.sqrt, 0.0), f"excite(P={p:g})"
-    )
-
-
-def second_channel(q: float) -> KrausSet:
-    """Damping channel of strength q in [0, 1].
-
-    q = 0 is the identity channel; q = 1 drops the full excited
-    population into the ground state.
-    """
-    return _kraus_set(_damping(_valid_strength("damping", q), math.sqrt, 0.0), f"damp(q={q:g})")
-
-
-def isentropic_strength(p: float, b: float) -> float:
-    """Damping strength q that exactly swaps the post-excitation populations.
-
-        q = (2*P - 1 + e^-b) / (P + e^-b)
-
-    Defined only for P >= (1 - e^-b)/2; below that no q in [0, 1] swaps
-    the populations and NoIsentropicStrengthError is raised (clamping
-    would silently leave the stroke entropy-increasing).  Roundoff is
-    allowed for: a partner exists when P is at least the threshold less
-    _Q_SLACK and q is at least -_Q_SLACK, and q is then clamped to [0, 1].
-    """
-    if not math.isfinite(b) or b <= 0:
-        raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
-    return _isentropic_strength(_valid_strength("excitation", p), math.exp(-b))
+    ops = _excitation(_valid_strength("excitation", p), math.sqrt, 0.0)
+    return KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in ops), label=f"excite(P={p:g})")
 
 
 def _isentropic_strength(p: float, x: float) -> float:
-    """Unchecked kernel of `isentropic_strength`: p in [0, 1] and x = e^-b given by the caller."""
+    """Damping strength q that exactly swaps the populations P leaves, x = e^-b.
+
+        q = (2*P - 1 + x) / (P + x)
+
+    Defined only for P >= (1 - x)/2; below that no q in [0, 1] swaps the
+    populations and NoIsentropicStrengthError is raised (clamping would
+    silently leave the stroke entropy-increasing).  Roundoff is allowed
+    for: a partner exists when P is at least the threshold less _Q_SLACK
+    and q is at least -_Q_SLACK, and q is then clamped to [0, 1].
+    Unchecked: the caller gives p in [0, 1] and x in [0, 1).
+    """
     threshold = _partner_threshold(x)
     if p >= threshold - _Q_SLACK:  # tested first: at P = 0 and x = 0, q would be 0/0
         q = _swap_strength(p, x)
@@ -374,7 +299,7 @@ def second_channel_stack(q: np.ndarray):
 
 
 def completeness_deviation_stack(ops) -> np.ndarray:
-    """`validate_completeness(...).max_deviation` of every set of a grid channel (NaN kept).
+    """`_max_deviation` of every set of a grid channel (NaN kept).
 
     A set with an infinite entry, or one whose products overflow, reads NaN or inf
     without a warning, and either fails the check.  On a builder's channel an infinite
@@ -391,12 +316,12 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
     `ops` is a grid channel, as `first_channel_stack` gives it.  The state
     stack must be a real (N, 2, 2) stack, and every array entry of `ops` an
     (N,) column, at least one of them, else ValueError before any
-    arithmetic.  Every set must pass the completeness check of
-    `validate_completeness`, a NaN deviation failing (else
-    IncompleteKrausSetError names the first that fails), and every output
-    state the `DensityMatrix` checks.  The evolution is `_evolve` on the
-    (N,) columns of the entries, so each output entry is the IEEE result
-    `apply_unselective` gives on the same real entries, `_ZERO` read as 0.0.
+    arithmetic.  Every set must pass `_require_complete`'s check, a NaN
+    deviation failing (else IncompleteKrausSetError names the first that
+    fails), and every output state the `DensityMatrix` checks.  The
+    evolution is `_evolve` on the (N,) columns of the entries, so each
+    output entry is the IEEE result `_apply` gives on the same real
+    entries, `_ZERO` read as 0.0.
     With `return_deviation`, the states come with the checked deviations,
     `completeness_deviation_stack(ops)`.
     """
@@ -407,7 +332,7 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
     if not columns or columns.count(rho.shape[:1]) != len(columns):
         raise ValueError(f"expected a channel of ({len(rho)},) columns, got shapes {columns}")
     dev = completeness_deviation_stack(ops)
-    ok = dev <= COMPLETENESS_TOL  # as `validate_completeness` passes: a NaN fails
+    ok = dev <= COMPLETENESS_TOL  # as `_require_complete` passes: a NaN fails
     if not ok.all():
         i = int(np.argmin(ok))
         raise IncompleteKrausSetError(
@@ -421,11 +346,10 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`isentropic_strength` per point, with x = e^-b computed by the caller.
+    """`_isentropic_strength` per point, with x = e^-b computed by the caller.
 
     A point without a partner gets NaN where the scalar raises
-    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError,
-    as there.
+    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError.
     """
     _strength_range("excitation", p)
     q = np.full(p.shape, math.nan)

@@ -354,9 +354,8 @@ def _require_realizable(p: CycleParams) -> None:
 def run_numeric(p: CycleParams) -> EnergyLedger:
     """Evolve the cycle numerically, stroke by stroke, and ledger the energies.
 
-    Each channel is applied on its entries by `channels._excite` / `_damp`, as
-    `apply_unselective` applies a `KrausSet`'s: every application checks its
-    strength's range, then completeness.
+    Each channel is applied on its entries by `channels._excite` / `_damp`:
+    every application checks its strength's range, then completeness.
     """
     _require_realizable(p)
     rho_m = _excite(p.strength, p.thermal)

@@ -1,37 +1,35 @@
 """Dense linear algebra for the qubit's 2x2 operator matrices.
 
-Operators are numpy arrays of shape (2, 2), dtype complex128.
-`as_square_matrix` is the one check of that shape and of finiteness: it
-coerces the input with numpy, reads its four entries once as Python
-complex numbers (one `.tolist()`) and checks them with one
-`cmath.isfinite` of their sum, entry by entry only when that sum is not
-finite, so it decides exactly as an entrywise `cmath.isfinite` does.
-The public functions here coerce their input through it.
-`_square_entries` gives the `DensityMatrix`/`KrausSet` constructors the
-checked entries alone: a 2x2 nested list of Python floats or complex
+`as_square_matrix` is the one check of a single matrix: it coerces the
+input with numpy to a (2, 2) complex128 array, reads its four entries once
+as Python complex numbers (one `.tolist()`) and refuses the matrix when
+one is not finite (one `cmath.isfinite` of their sum, entry by entry only
+when that sum is not finite, so it decides exactly as an entrywise check).
+`_square_entries` gives the `DensityMatrix` and `KrausSet` constructors
+the checked entries alone: a 2x2 nested list of Python floats or complex
 numbers, which is what the package's own builders pass, is read without
-numpy, with the same finiteness check, and each entry is kept as it was
-given, a float as a float; any other input goes through
-`as_square_matrix`, so it is accepted or refused as there, and gives
-complex numbers.
-`_frozen_matrix` builds the read-only array of four such entries, which
-the two classes do only when their `mat`/`ops` is first read.  Batches of
-states, as the grid evaluation uses them, are stacks of shape
-(..., 2, 2) checked by `as_matrix_stack`, and they are float64 only: the
-engine's states and channels are real, and a complex stack is refused.
-Eigenvalues come from the closed-form quadratic.  `_distinct` is the
-sort-based deduplication the grid code shares (a transcendental or a
-string once per distinct value); one argsort, of no particular kind.
+numpy and each entry kept as given, a float as a float; any other input
+goes through `as_square_matrix`, so it is accepted or refused as there,
+and gives complex numbers.  `_frozen_matrix` builds the read-only array of
+four such entries, when a state's `mat` or a set's `ops` is first read.
 
-The public functions are the validated boundary for callers outside the
-package.  Inside it, `DensityMatrix` and `KrausSet` validate once at
-construction and keep their entries, so the scalar math (energies,
-entropies, channel application) runs on those Python numbers and the
-unchecked kernels `_hermiticity_defect` and `_eig_pair`, without a numpy
-call: on a 2x2 matrix a numpy call costs more than its arithmetic.  The
-engine's states and channels are real, so their entries are floats and
-that math is float arithmetic; complex entries go through the same code,
-since a float has `.real`, `.imag` and `.conjugate()` too.
+The scalar math runs on those Python numbers, without a numpy call (on a
+2x2 matrix a numpy call costs more than its arithmetic), through two
+unchecked kernels: `_hermiticity_defect` and `_eig_pair`, the closed-form
+ascending eigenvalues of a Hermitian matrix.  The engine's states and
+channels are real, so that is float arithmetic; complex entries go
+through the same code, since a float has `.real`, `.imag` and
+`.conjugate()` too.
+
+Batches of states, as the grid evaluation uses them, are stacks of shape
+(..., 2, 2) checked by `as_matrix_stack`, float64 only: a complex stack is
+refused.  `_eigvals_stack` is `_eig_pair` over a stack, and `_distinct`
+the sort-based deduplication the grid code shares (a transcendental or a
+string once per distinct value).
+
+`matmul` (two checked matrices' product) and `eig_hermitian` (`_eig_pair`
+behind the Hermiticity check) serve no engine path: they remain because
+`bench/` times and traces them, until ROADMAP item 1b repoints it.
 """
 
 from __future__ import annotations
@@ -118,22 +116,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return as_square_matrix(a) @ as_square_matrix(b)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_square_matrix(a).conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(as_square_matrix(a)))
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max entrywise |A - A^dag|; zero for exactly Hermitian input."""
-    return _hermiticity_defect(*_square_entries(a))
-
-
 def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) -> float:
+    """Max entrywise |A - A^dag| of the four entries; zero for exactly Hermitian input."""
     # |a_ii - conj(a_ii)| = 2|Im a_ii|, and the two off-diagonal entries of
     # A - A^dag are negated conjugates of each other, so they share one modulus.
     try:
@@ -141,12 +125,6 @@ def _hermiticity_defect(a00: complex, a01: complex, a10: complex, a11: complex) 
     except OverflowError:  # a complex modulus beyond the float range
         off = math.inf
     return max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), off)
-
-
-def max_offdiag(a: np.ndarray) -> float:
-    """Largest off-diagonal magnitude, max(|a_01|, |a_10|)."""
-    a = as_square_matrix(a)
-    return float(max(abs(a[0, 1]), abs(a[1, 0])))
 
 
 def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:

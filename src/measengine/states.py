@@ -11,15 +11,15 @@ checks as `as_square_matrix` does).  Its constructor runs the Hermiticity,
 trace and lowest-eigenvalue checks on the four entries as Python numbers
 (floats for a real nested list, complex numbers for a complex one or for
 anything numpy coerces), and keeps the entries and the eigenvalue pair it
-computed:
-`mean_energy`, `von_neumann_entropy`, `trace_distance` and
+computed: `mean_energy`, `von_neumann_entropy` and
 `DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
 array from a nested list of Python floats, which is what
 `from_populations`, `gibbs_state` and the channels pass, so the engine's
 states hold floats and are checked and read in float arithmetic; `mat` is
 built from the entries when first read, which a single cycle never does,
 and `entropy` is computed when first read, which a cycle whose caller
-reads only the ledger never does.
+reads only the ledger never does.  Complex input is still accepted, since
+`bench/` times the constructor on complex arrays (ROADMAP item 16b).
 `gibbs_state` weighs the two levels with one `np.exp` on a float (the
 same `_gibbs_populations` weighs a grid's array of b).
 
@@ -219,12 +219,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
             continue
         s -= lam * math.log(lam)
     return s
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of (a - b); lies in [0, 1]."""
-    lo, hi = _eig_pair(*(x - y for x, y in zip(a.entries, b.entries)))
-    return 0.5 * (abs(lo) + abs(hi))
 
 
 def population_stack(populations: np.ndarray) -> np.ndarray:

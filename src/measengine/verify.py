@@ -227,7 +227,7 @@ def _maybe_perturb(ledger: GridLedger, field: str | None) -> GridLedger:
 
 
 def _offdiag(states: np.ndarray) -> np.ndarray:
-    """`linalg.max_offdiag` of every state of a (N, 2, 2) stack."""
+    """The largest off-diagonal magnitude, max(|a_01|, |a_10|), of every state of a stack."""
     return np.maximum(np.abs(states[:, 0, 1]), np.abs(states[:, 1, 0]))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from measengine.channels import KrausSet
+from measengine.linalg import _eig_pair
 from measengine.states import DensityMatrix
 
 
@@ -23,6 +24,12 @@ def random_density_matrix(rng: np.random.Generator, real: bool = False) -> Densi
     g = _gaussian(rng, real)
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of a - b, from `linalg._eig_pair` of the entry difference."""
+    lo, hi = _eig_pair(*(x - y for x, y in zip(a.entries, b.entries, strict=True)))
+    return 0.5 * (abs(lo) + abs(hi))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -8,14 +8,8 @@ import math
 
 import numpy as np
 
-from measengine.channels import (
-    apply_unselective,
-    first_channel,
-    isentropic_strength,
-    measure_selective,
-    second_channel,
-    validate_completeness,
-)
+from measengine import channels
+from measengine.channels import apply_unselective
 from measengine.cli import main
 from measengine.engine import (
     CycleMode,
@@ -25,8 +19,8 @@ from measengine.engine import (
     run_analytic,
     run_numeric,
 )
-from measengine.states import DensityMatrix, trace_distance
-from support import random_density_matrix, random_kraus_set
+from measengine.states import DensityMatrix
+from support import random_density_matrix, random_kraus_set, trace_distance
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -177,14 +171,14 @@ def test_criterion_10_channel_soundness():
     failures = []
     for b in B_GRID:
         for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-            strength = gamma * (1.0 - math.exp(-b))
-            rep = validate_completeness(first_channel(strength))
-            if rep.max_deviation > 1e-12:
-                failures.append(f"excite b={b} gamma={gamma}: {rep.max_deviation}")
-            if gamma >= 0.5:
-                rep = validate_completeness(second_channel(isentropic_strength(strength, b)))
-                if rep.max_deviation > 1e-12:
-                    failures.append(f"damp b={b} gamma={gamma}: {rep.max_deviation}")
+            p = three(b, gamma)
+            dev = channels._max_deviation(channels._excitation(p.strength, math.sqrt, 0.0))
+            if dev > 1e-12:
+                failures.append(f"excite b={b} gamma={gamma}: {dev}")
+            if gamma >= 0.5:  # the isentropic partner exists
+                dev = channels._max_deviation(channels._damping(p.q, math.sqrt, 0.0))
+                if dev > 1e-12:
+                    failures.append(f"damp b={b} gamma={gamma}: {dev}")
 
     rng = np.random.default_rng(20250811)
     for trial in range(1000):
@@ -195,11 +189,14 @@ def test_criterion_10_channel_soundness():
             failures.append(f"trace trial {trial}")
         if out.eigenvalues()[0] < -1e-12:
             failures.append(f"psd trial {trial}")
-        rebuilt = sum(
-            o.probability * o.post_state.mat
-            for o in measure_selective(k, rho)
-            if not o.negligible
-        )
+        # Selective outcome n: probability p_n = Tr(A_n rho A_n^dag), post-state
+        # A_n rho A_n^dag / p_n, left out below probability 1e-15.
+        rebuilt = 0.0
+        for op in k.ops:
+            raw = op @ rho.mat @ op.conj().T
+            p = complex(raw.trace()).real
+            if p >= 1e-15:
+                rebuilt = rebuilt + p * (raw / p)
         if np.max(np.abs(rebuilt - out.mat)) > 1e-13:
             failures.append(f"selective-sum trial {trial}")
     report(10, "completeness (1e-12); 1000 random channels preserve trace/PSD; "

@@ -17,21 +17,14 @@ from measengine.channels import (
     completeness_deviation_stack,
     first_channel,
     first_channel_stack,
-    isentropic_strength,
     isentropic_strength_stack,
-    measure_selective,
-    povm_elements,
-    second_channel,
     second_channel_stack,
-    validate_completeness,
 )
-from measengine.linalg import adjoint, matmul, max_offdiag, trace
 from measengine.states import (
     DensityMatrix,
     Hamiltonian,
     gibbs_state,
     mean_energy,
-    trace_distance,
     von_neumann_entropy,
 )
 from support import (
@@ -40,6 +33,7 @@ from support import (
     random_density_matrix,
     random_kraus_set,
     real_stack,
+    trace_distance,
     with_entry,
 )
 
@@ -48,23 +42,31 @@ PROJ_Z = KrausSet(
     (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
     label="projective-z",
 )
+_max_deviation = channels._max_deviation
+
+
+def _excitation(p: float):
+    """The scalar excitation channel's entries, as `channels._excite` applies them."""
+    return channels._excitation(p, math.sqrt, 0.0)
+
+
+def _damping(q: float):
+    """The scalar damping channel's entries, as `channels._damp` applies them."""
+    return channels._damping(q, math.sqrt, 0.0)
 
 
 class TestCompleteness:
     def test_projective_set_passes(self):
-        report = validate_completeness(PROJ_Z)
-        assert report.passed
-        assert report.max_deviation == 0.0
+        assert _max_deviation(PROJ_Z.entries) == 0.0
 
     def test_single_scaled_identity_fails(self):
-        report = validate_completeness(KrausSet((np.eye(2, dtype=complex) / math.sqrt(2.0),)))
-        assert not report.passed
-        assert report.max_deviation == pytest.approx(0.5, abs=1e-15)
+        deviation = _max_deviation(KrausSet((np.eye(2, dtype=complex) / math.sqrt(2.0),)).entries)
+        assert deviation > COMPLETENESS_TOL
+        assert deviation == pytest.approx(0.5, abs=1e-15)
 
     def test_first_channel_passes_at_p03(self):
         # sum M^dag M puts (1-P)+P on |0><0| and 1 on |1><1|.
-        report = validate_completeness(first_channel(0.3))
-        assert report.passed
+        assert _max_deviation(first_channel(0.3).entries) <= COMPLETENESS_TOL
 
     def test_mismatched_dims_rejected(self):
         # Kraus operators are qubit operators; a 3x3 one is refused at construction.
@@ -104,17 +106,17 @@ class TestChannelConstruction:
 
     def test_second_channel_endpoints(self, rng):
         rho = random_density_matrix(rng)
-        assert np.allclose(apply_unselective(second_channel(0.0), rho).mat, rho.mat, atol=1e-15)
-        out = apply_unselective(second_channel(1.0), rho)
+        assert np.allclose(channels._damp(0.0, rho).mat, rho.mat, atol=1e-15)
+        out = channels._damp(1.0, rho)
         assert np.allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_second_channel_matrix_entries(self):
-        k = second_channel(2.0 / 7.0)
-        assert np.allclose(k.ops[0], np.diag([1.0, math.sqrt(5.0 / 7.0)]), atol=1e-15)
-        assert np.allclose(k.ops[1], [[0.0, math.sqrt(2.0 / 7.0)], [0.0, 0.0]], atol=1e-15)
+        n1, n2 = (np.reshape(op, (2, 2)) for op in _damping(2.0 / 7.0))
+        assert np.allclose(n1, np.diag([1.0, math.sqrt(5.0 / 7.0)]), atol=1e-15)
+        assert np.allclose(n2, [[0.0, math.sqrt(2.0 / 7.0)], [0.0, 0.0]], atol=1e-15)
 
-    @pytest.mark.parametrize(("scalar", "stack"), [(first_channel, first_channel_stack),
-                                                   (second_channel, second_channel_stack)])
+    @pytest.mark.parametrize(("scalar", "stack"), [(_excitation, first_channel_stack),
+                                                   (_damping, second_channel_stack)])
     def test_a_grid_channel_holds_the_scalar_entries_of_each_point(self, scalar, stack):
         # One channel format: per point, the columns are the set's own entries, bit for bit,
         # and the grid's exact zero stands where the set holds 0.0.
@@ -123,14 +125,15 @@ class TestChannelConstruction:
         for i, strength in enumerate(strengths.tolist()):
             point = tuple(tuple(0.0 if v is channels._ZERO else v if type(v) is float
                                 else float(v[i]) for v in op) for op in ops)
-            assert scalar(strength).entries == point
+            assert scalar(strength) == point
 
     @pytest.mark.parametrize("strength", [-0.1, 1.1, math.nan])
     def test_strength_out_of_range(self, strength):
-        with pytest.raises(ValueError):
-            first_channel(strength)
-        with pytest.raises(ValueError):
-            second_channel(strength)
+        rho = DensityMatrix.maximally_mixed()
+        for build in (first_channel, lambda s: channels._excite(s, rho),
+                      lambda s: channels._damp(s, rho)):
+            with pytest.raises(ValueError, match=r"strength must lie in \[0, 1\]"):
+                build(strength)
 
 
 class TestApplyUnselective:
@@ -185,8 +188,10 @@ class TestApplyUnselective:
             expected = sum(op @ rho.mat @ op.conj().T for op in k.ops)
             assert np.max(np.abs(apply_unselective(k, rho).mat - expected)) <= 1e-15
 
-    @pytest.mark.parametrize("channel", [first_channel, second_channel])
-    def test_is_the_matrix_products_bit_for_bit_on_diagonal_states(self, rng, channel):
+    @pytest.mark.parametrize(("entries", "apply"), [(_excitation, channels._excite),
+                                                    (_damping, channels._damp)],
+                             ids=["first", "second"])
+    def test_is_the_matrix_products_bit_for_bit_on_diagonal_states(self, rng, entries, apply):
         # The engine's case: real operators on coherence-free states.
         states = [gibbs_state(QUBIT, b) for b in (1e-8, 0.7, 5.0, 700.0)]
         states += [DensityMatrix.pure(0), DensityMatrix.pure(1), DensityMatrix.maximally_mixed()]
@@ -194,11 +199,11 @@ class TestApplyUnselective:
         strengths = [0.0, 3.0 / 8.0, 1.0, *rng.uniform(size=20)]
         for rho in states:
             for strength in strengths:
-                k = channel(strength)
                 expected = np.zeros((2, 2), dtype=complex)
-                for op in k.ops:
+                for op in entries(strength):
+                    op = np.array(op, dtype=complex).reshape(2, 2)
                     expected += op @ rho.mat @ op.conj().T
-                assert apply_unselective(k, rho).mat.tobytes() == expected.tobytes()
+                assert apply(strength, rho).mat.tobytes() == expected.tobytes()
 
     def test_random_sets_preserve_trace_and_psd(self, rng):
         for _ in range(150):
@@ -235,19 +240,19 @@ class TestApplyUnselectiveStack:
                 assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("n_ops", [2, 3, 4])
-    def test_completeness_deviation_matches_validate_completeness(self, rng, n_ops):
+    def test_completeness_deviation_is_the_scalar_one(self, rng, n_ops):
         sets, _, kraus, _ = self.random_stack(rng, n_ops)
         kraus[::3] *= 1.0 + rng.uniform(1e-13, 1e-3, size=(len(kraus[::3]), 1, 1, 1))
         dev = completeness_deviation_stack(grid_channel(kraus))
         for i, got in enumerate(dev):
             # Real entries: the same sums in the same order, and an exact modulus.
-            assert got == validate_completeness(KrausSet(tuple(kraus[i]))).max_deviation
+            assert got == _max_deviation(KrausSet(tuple(kraus[i])).entries)
 
     def test_incomplete_set_is_refused_by_its_index(self, rng):
         _, _, kraus, rho = self.random_stack(rng, 2, n=10)
         kraus[4] *= 1.001
         kraus[7] *= 1.01  # worse, but later: the message names set 4
-        expected = validate_completeness(KrausSet(tuple(kraus[4]))).max_deviation
+        expected = _max_deviation(KrausSet(tuple(kraus[4])).entries)
         with pytest.raises(IncompleteKrausSetError, match=rf"^Kraus set 4 .* by {expected:.3e}$"):
             apply_unselective_stack(grid_channel(kraus), rho)
 
@@ -279,7 +284,8 @@ def _signed_zero_states(rng, n: int) -> list[list[list[float]]]:
 class TestExactZero:
     """A grid builder's fixed zeros are `channels._ZERO`: the same bits, fewer numpy calls."""
 
-    CHANNELS = [(first_channel, first_channel_stack), (second_channel, second_channel_stack)]
+    CHANNELS = [(_excitation, channels._excite, first_channel_stack),
+                (_damping, channels._damp, second_channel_stack)]
 
     @staticmethod
     def strengths(rng, n: int) -> np.ndarray:
@@ -290,8 +296,8 @@ class TestExactZero:
         return s
 
     @pytest.mark.parametrize("n", [1, 20, 512])
-    @pytest.mark.parametrize(("scalar", "stack"), CHANNELS, ids=["first", "second"])
-    def test_the_same_bits_as_float_zeros_and_as_each_point(self, rng, scalar, stack, n):
+    @pytest.mark.parametrize(("entries", "apply", "stack"), CHANNELS, ids=["first", "second"])
+    def test_the_same_bits_as_float_zeros_and_as_each_point(self, rng, entries, apply, stack, n):
         for _ in range(3):
             strengths = self.strengths(rng, n)
             states = _signed_zero_states(rng, n)
@@ -303,10 +309,9 @@ class TestExactZero:
             assert dev.shape == (n,)
             assert dev.tobytes() == completeness_deviation_stack(_float_zeros(ops)).tobytes()
             for i, strength in enumerate(strengths.tolist()):
-                k = scalar(strength)
-                expected = apply_unselective(k, DensityMatrix(states[i])).entries
+                expected = apply(strength, DensityMatrix(states[i])).entries
                 assert out[i].tobytes() == np.array(expected).tobytes()
-                assert dev[i] == validate_completeness(k).max_deviation
+                assert dev[i] == _max_deviation(entries(strength))
 
     @pytest.mark.parametrize("stack", [first_channel_stack, second_channel_stack],
                              ids=["first", "second"])
@@ -339,80 +344,31 @@ class TestExactZero:
 
 
 class TestMeasureSelective:
-    def test_projective_on_diagonal_state(self):
-        rho = DensityMatrix.from_populations([2.0 / 3.0, 1.0 / 3.0])
-        outcomes = measure_selective(PROJ_Z, rho)
-        assert outcomes[0].probability == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert outcomes[1].probability == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert np.allclose(outcomes[0].post_state.mat, np.diag([1.0, 0.0]), atol=1e-15)
-        assert np.allclose(outcomes[1].post_state.mat, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_pump_outcome_probability(self):
-        # Second outcome has effect P|0><0|: probability P * <0|rho|0> = (3/8)(2/3) = 1/4.
-        outcomes = measure_selective(first_channel(3.0 / 8.0), gibbs_state(QUBIT, math.log(2.0)))
-        assert outcomes[1].probability == pytest.approx(0.25, abs=1e-15)
-        assert np.allclose(outcomes[1].post_state.mat, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_probabilities_sum_to_one(self, rng):
-        for _ in range(50):
-            k = random_kraus_set(rng, int(rng.integers(2, 5)))
-            rho = random_density_matrix(rng)
-            total = sum(o.probability for o in measure_selective(k, rho))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
     def test_selective_outcomes_rebuild_unselective_state(self, rng):
+        # Outcome n has probability p_n = Tr(A_n rho A_n^dag) and post-state A_n rho A_n^dag / p_n;
+        # averaged over the outcomes they are the unselective channel's output.
         for _ in range(50):
             k = random_kraus_set(rng, int(rng.integers(2, 5)))
             rho = random_density_matrix(rng)
             unselective = apply_unselective(k, rho)
-            rebuilt = sum(o.probability * o.post_state.mat for o in measure_selective(k, rho))
+            raw = [op @ rho.mat @ op.conj().T for op in k.ops]
+            probabilities = [np.trace(r).real for r in raw]
+            assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
+            rebuilt = sum(p * (r / p) for p, r in zip(probabilities, raw, strict=True))
             assert np.max(np.abs(rebuilt - unselective.mat)) <= 1e-13
-
-    def test_outcomes_are_the_checked_linalg_products_bit_for_bit(self, rng):
-        for _ in range(50):
-            k = random_kraus_set(rng, int(rng.integers(2, 5)))
-            rho = random_density_matrix(rng)
-            for op, outcome in zip(k.ops, measure_selective(k, rho), strict=True):
-                raw = matmul(matmul(op, rho.mat), adjoint(op))
-                assert outcome.probability == trace(raw).real
-                assert np.array_equal(outcome.post_state.mat, raw / trace(raw).real)
-
-    def test_zero_probability_outcome_is_flagged(self):
-        outcomes = measure_selective(first_channel(0.0), DensityMatrix.maximally_mixed())
-        assert outcomes[1].negligible
-        assert outcomes[1].post_state is None
-        assert outcomes[1].probability == pytest.approx(0.0, abs=1e-15)
 
 
 class TestPovmElements:
-    def test_first_channel_effects(self):
-        p = 0.3
-        e1, e2 = povm_elements(first_channel(p))
-        assert np.allclose(e1, np.diag([1.0 - p, 1.0]), atol=1e-15)
-        assert np.allclose(e2, np.diag([p, 0.0]), atol=1e-15)
-
-    def test_projectors_are_their_own_effects(self):
-        effects = povm_elements(PROJ_Z)
-        for effect, op in zip(effects, PROJ_Z.ops):
-            assert np.array_equal(effect, op)
-
-    def test_second_channel_effects(self):
-        q = 2.0 / 7.0
-        e1, e2 = povm_elements(second_channel(q))
-        assert np.allclose(e1, np.diag([1.0, 1.0 - q]), atol=1e-15)
-        assert np.allclose(e2, np.diag([0.0, q]), atol=1e-15)
-
-    def test_effects_are_the_checked_linalg_products_bit_for_bit(self, rng):
-        for _ in range(50):
-            k = random_kraus_set(rng, int(rng.integers(2, 5)))
-            for effect, op in zip(povm_elements(k), k.ops, strict=True):
-                assert np.array_equal(effect, matmul(adjoint(op), op))
-
     def test_effects_sum_to_identity(self, rng):
+        # The effects E_n = A_n^dag A_n sum to 1: `_completeness_terms` forms that sum less 1.
         for _ in range(50):
             k = random_kraus_set(rng, int(rng.integers(2, 5)))
-            total = sum(povm_elements(k))
-            assert np.max(np.abs(total - np.eye(2))) <= 1e-12
+            assert max(map(abs, channels._completeness_terms(k.entries))) <= 1e-12
+
+
+def isentropic_strength(p: float, b: float) -> float:
+    """The scalar cycle's partner strength of p at inverse temperature b (x = e^-b)."""
+    return channels._isentropic_strength(p, math.exp(-b))
 
 
 class TestIsentropicStrength:
@@ -437,14 +393,11 @@ class TestIsentropicStrength:
 
     @pytest.mark.parametrize(("p", "b"), [(-1e-13, 1e-13), (-0.5, 1.0)])
     def test_negative_strength_is_out_of_range(self, p, b):
-        # Scalar and batched solvers alike: a range error, not a threshold refusal.
-        for solve in (
-            lambda: isentropic_strength(p, b),
-            lambda: isentropic_strength_stack(np.array([p]), np.array([math.exp(-b)])),
-        ):
-            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as exc:
-                solve()
-            assert not isinstance(exc.value, NoIsentropicStrengthError)
+        # A range error, not a threshold refusal.  The scalar kernel takes its strength as
+        # checked: `CycleParams` forms it from a gamma it has checked to lie in [0, 1].
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as exc:
+            isentropic_strength_stack(np.array([p]), np.array([math.exp(-b)]))
+        assert not isinstance(exc.value, NoIsentropicStrengthError)
 
     @given(
         st.floats(min_value=0.5, max_value=1.0),
@@ -460,21 +413,21 @@ class TestCycleStateProperties:
 
     def _pumped(self, b, gamma):
         p = gamma * (1.0 - math.exp(-b))
-        return p, apply_unselective(first_channel(p), gibbs_state(QUBIT, b))
+        return p, channels._excite(p, gibbs_state(QUBIT, b))
 
     def test_population_swap_under_isentropic_strength(self):
         for b in self.B_GRID:
             for gamma in (0.5, 0.6, 0.75, 0.9, 1.0):
                 p, rho_m = self._pumped(b, gamma)
                 q = isentropic_strength(p, b)
-                rho_n = apply_unselective(second_channel(q), rho_m)
+                rho_n = channels._damp(q, rho_m)
                 assert np.max(np.abs(rho_n.populations - rho_m.populations[::-1])) <= 1e-12
 
     def test_entropy_equality_across_valid_grid(self):
         for b in self.B_GRID:
             for gamma in (0.5, 0.6, 0.75, 0.9, 1.0):
                 p, rho_m = self._pumped(b, gamma)
-                rho_n = apply_unselective(second_channel(isentropic_strength(p, b)), rho_m)
+                rho_n = channels._damp(isentropic_strength(p, b), rho_m)
                 assert abs(von_neumann_entropy(rho_m) - von_neumann_entropy(rho_n)) <= 1e-12
 
     def test_entropy_ordering_against_thermal(self):
@@ -491,9 +444,9 @@ class TestCycleStateProperties:
         for b in self.B_GRID:
             for gamma in (0.5, 0.75, 1.0):
                 p, rho_m = self._pumped(b, gamma)
-                rho_n = apply_unselective(second_channel(isentropic_strength(p, b)), rho_m)
-                assert max_offdiag(rho_m.mat) <= 1e-14
-                assert max_offdiag(rho_n.mat) <= 1e-14
+                rho_n = channels._damp(isentropic_strength(p, b), rho_m)
+                for rho in (rho_m, rho_n):
+                    assert max(abs(rho.entries[1]), abs(rho.entries[2])) <= 1e-14
 
 
 def _as_complex(rows) -> list[list[complex]]:
@@ -525,8 +478,8 @@ _REAL_STATES = st.one_of(
 )
 _ANGLES = st.floats(-math.pi, math.pi)
 _REAL_PAIRS = st.one_of(
-    st.floats(0.0, 1.0).map(lambda p: first_channel(p).entries),
-    st.floats(0.0, 1.0).map(lambda q: second_channel(q).entries),
+    st.floats(0.0, 1.0).map(_excitation),
+    st.floats(0.0, 1.0).map(_damping),
     st.builds(_complete_pair, _ANGLES, _ANGLES, _ANGLES, _ANGLES).map(
         lambda ops: [[v for row in op for v in row] for op in ops]),
     st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).map(lambda v: [v[:4], v[4:]]),
@@ -561,7 +514,7 @@ class TestFloatEntriesMatchComplex:
         ops = [[list(op[:2]), list(op[2:])] for op in pair]
         k_f, k_c = KrausSet(tuple(ops)), KrausSet(tuple(map(_as_complex, ops)))
         assert all(type(v) is float for op in k_f.entries for v in op)
-        assert validate_completeness(k_f) == validate_completeness(k_c)
+        assert _max_deviation(k_f.entries) == _max_deviation(k_c.entries)
         if isinstance(rho_f, str):
             assert rho_f == rho_c
             return

@@ -26,15 +26,10 @@ from measengine.engine import (
     run_numeric_grid,
 )
 from measengine import channels, engine, states
-from measengine.channels import (
-    IncompleteKrausSetError,
-    KrausSet,
-    apply_unselective,
-    first_channel,
-    second_channel,
-)
-from measengine.states import DensityMatrix, Hamiltonian, trace_distance, von_neumann_entropy
+from measengine.channels import IncompleteKrausSetError, KrausSet, apply_unselective, first_channel
+from measengine.states import DensityMatrix, Hamiltonian, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
+from support import trace_distance
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -651,5 +646,7 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
     assert not built[KrausSet]  # the numeric cycle applies its channels on their entries
     for rho in built[DensityMatrix]:
         _assert_whole_and_frozen(rho, lazy=("mat",))
-    for k in (first_channel(p.strength), second_channel(0.25)):
+    damping = channels._damping(0.25, math.sqrt, 0.0)
+    damp = KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in damping))
+    for k in (first_channel(p.strength), damp):
         _assert_whole_and_frozen(k, lazy=("ops",))

@@ -1,0 +1,66 @@
+"""The package's public surface: `__all__` is exactly the kept names, and deleted names stay out.
+
+The single-set API that no engine, CLI, sweep or verify path ran was deleted
+(ROADMAP item 16a); a change that exports one of its names again fails here.
+"""
+
+import measengine
+from measengine import channels, linalg, states
+
+PUBLIC = [
+    "CycleGrid",
+    "CycleMode",
+    "CycleParams",
+    "DensityMatrix",
+    "EnergyLedger",
+    "GridLedger",
+    "Hamiltonian",
+    "IncompleteKrausSetError",
+    "InvalidCycleError",
+    "KrausSet",
+    "NoIsentropicStrengthError",
+    "StrokeRecord",
+    "SweepSpec",
+    "UnrealizableChannelError",
+    "VerifyReport",
+    "apply_unselective",
+    "first_channel",
+    "first_law_residual",
+    "gamma_bounds",
+    "gibbs_state",
+    "mean_energy",
+    "numeric_realizable",
+    "run_analytic",
+    "run_analytic_grid",
+    "run_numeric",
+    "run_numeric_grid",
+    "run_sweep",
+    "run_verification",
+    "von_neumann_entropy",
+]
+
+DELETED = {
+    channels: (
+        "CompletenessReport",
+        "MeasurementOutcome",
+        "NEGLIGIBLE_PROB",
+        "isentropic_strength",
+        "measure_selective",
+        "povm_elements",
+        "second_channel",
+        "validate_completeness",
+    ),
+    linalg: ("adjoint", "hermiticity_defect", "max_offdiag", "trace"),
+    states: ("trace_distance",),
+}
+
+
+def test_all_is_exactly_the_kept_names():
+    assert measengine.__all__ == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(measengine, name)] == []
+
+
+def test_deleted_names_are_gone_from_the_package_and_their_modules():
+    present = [f"{module.__name__}.{name}" for module, names in DELETED.items() for name in names
+               if hasattr(module, name) or hasattr(measengine, name)]
+    assert present == []

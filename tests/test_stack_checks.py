@@ -10,19 +10,17 @@ import numpy as np
 import pytest
 from support import NON_FINITE, grid_channel
 
+from measengine import channels
 from measengine.channels import (
     COMPLETENESS_TOL,
     IncompleteKrausSetError,
-    KrausSet,
     NoIsentropicStrengthError,
     apply_unselective_stack,
     completeness_deviation_stack,
     first_channel,
     first_channel_stack,
-    isentropic_strength,
     isentropic_strength_stack,
     second_channel_stack,
-    validate_completeness,
 )
 from measengine.engine import CycleGrid, run_analytic_grid, run_numeric_grid
 from measengine.linalg import TOL_HERM, _eigvals_stack
@@ -258,7 +256,7 @@ class TestApplyUnselectiveStackRejects:
     def test_non_finite_operator(self, bad, exact_zeros, deviation):
         # The builder's fixed zeros are exact, so an infinite entry forms no inf * 0 and reads
         # inf; written as float columns, inf * 0.0 in the (0, 1) term reads NaN.  Either fails
-        # the check, as in `validate_completeness`, and numpy warns of nothing on the way.
+        # the check, as one set's `_max_deviation` does, and numpy warns of nothing on the way.
         if exact_zeros:
             m1, (a, b, c, d) = first_channel_stack(self.P)
         else:
@@ -270,8 +268,8 @@ class TestApplyUnselectiveStackRejects:
                                                           rf"completeness by {deviation}$"):
             apply_unselective_stack((m1, (a, b, c, d)), self.RHO)
 
-    def test_completeness_edge_is_the_validate_completeness_rule(self, rng):
-        """Near COMPLETENESS_TOL the stack accepts exactly the sets `validate_completeness` accepts.
+    def test_completeness_edge_is_the_scalar_rule(self, rng):
+        """Near COMPLETENESS_TOL the stack accepts exactly the sets one set's check accepts.
 
         Each set is {U diag(cos t) V, W diag(sin t) V} for random rotations U,
         W, V, complete in exact arithmetic, times diag(sqrt(1 + e), sqrt(1 - e))
@@ -291,8 +289,8 @@ class TestApplyUnselectiveStackRejects:
         v = rotation()
         kraus = np.stack([rotation() @ (np.cos(t)[:, :, None] * v) * scale,
                           rotation() @ (np.sin(t)[:, :, None] * v) * scale], axis=1)
-        expected = np.array([validate_completeness(KrausSet(tuple(k))).max_deviation
-                             for k in kraus])
+        # `channels._max_deviation`, the scalar cycle's check, on each set's entries row by row.
+        expected = np.array([channels._max_deviation(k.reshape(2, 4).tolist()) for k in kraus])
         assert completeness_deviation_stack(grid_channel(kraus)).tobytes() == expected.tobytes()
         accepted = expected <= COMPLETENESS_TOL
         assert 0.2 < accepted.mean() < 0.8
@@ -344,7 +342,7 @@ class TestIsentropicStrengthStackRejects:
         assert q[0] == (2.0 * 0.3 - 1.0 + 0.5) / (0.3 + 0.5) and np.isnan(q[1:]).all()
         for i in (1, 3):
             with pytest.raises(NoIsentropicStrengthError):
-                isentropic_strength(float(p[i]), -math.log(x[i]))
+                channels._isentropic_strength(float(p[i]), float(x[i]))
 
     def test_below_threshold_is_nan(self):
         q = isentropic_strength_stack(np.array([0.2, 0.9]), np.array([0.5, 0.5]))

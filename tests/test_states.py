@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import NON_FINITE, random_density_matrix, with_entry
+from support import NON_FINITE, random_density_matrix, trace_distance, with_entry
 
 from measengine.channels import KrausSet
 from measengine.engine import CycleParams, run_analytic, run_numeric
@@ -18,7 +18,6 @@ from measengine.states import (
     _gibbs_populations,
     gibbs_state,
     mean_energy,
-    trace_distance,
     von_neumann_entropy,
 )
 
@@ -401,6 +400,8 @@ class TestVonNeumannEntropy:
 
 
 class TestTraceDistance:
+    """The tests' trace distance (`support.trace_distance`): `_eig_pair` of an entry difference."""
+
     def test_identical_states(self):
         rho = DensityMatrix.maximally_mixed()
         assert trace_distance(rho, rho) == 0.0
