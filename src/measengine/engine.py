@@ -66,9 +66,13 @@ distinct eigenvalue), so each column equals the scalar field bit for bit
 (`tests/test_sweep.py`).  A grid builds every per-point column once, at
 construction, and evolves its states and their entropies once, on first
 read; none depends on r, so `stretched` repeats them over r instead of
-building them again.  Both `verify` and `sweep` evaluate a b x gamma grid
-(`CycleGrid.product`) stretched over their r axis this way.  The analytic
-runner builds its QMI and QMII stacks only when read.
+building them again; `evolved` also keeps the deviation each channel
+application checked.  Both `verify` and `sweep` evaluate a b x gamma grid
+(`CycleGrid.product`) stretched over their r axis this way; `verify`
+evolves its `realizable_part`, the grid itself when every point is
+realizable.  The analytic runner builds its QMI and QMII stacks only when
+read.  A grid's read-only columns
+and a `GridLedger`'s fields are written into `__dict__`, as `_record` does.
 """
 
 from __future__ import annotations
@@ -422,17 +426,13 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
 
 
-_GRID_COLUMNS = ("b", "gamma", "r", "x", "th", "strength", "thermal", "q")
+_TAKEN_COLUMNS = ("b", "gamma", "x", "th", "strength", "thermal", "q")  # `_taken` is given r
 
 
 def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
     for column in columns:
         column.flags.writeable = False
     return columns
-
-
-def _set_column(grid: CycleGrid, name: str, column: np.ndarray) -> None:
-    object.__setattr__(grid, name, *_read_only(column))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,12 +461,13 @@ class CycleGrid:
     q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", CycleMode(self.mode))
+        fields = self.__dict__  # every field is written here, as `_taken` writes them
+        fields["mode"] = CycleMode(self.mode)
         for name in ("b", "gamma", "r"):
-            column = np.array(getattr(self, name), dtype=float)
+            column = np.array(fields[name], dtype=float)
             if column.shape != np.shape(self.b):
                 raise ValueError(f"{name} has shape {column.shape}, b has {np.shape(self.b)}")
-            _set_column(self, name, column)
+            fields[name] = column
         b, gamma, r = self.b, self.gamma, self.r
         if b.ndim != 1:
             raise ValueError(f"grid arrays must be flat, got shape {b.shape}")
@@ -479,11 +480,12 @@ class CycleGrid:
         thermal[:, 0, 0], thermal[:, 1, 1] = _gibbs_populations(_H1, values)
         thermal = validate_state_stack(thermal)
         distinct = values.tolist()
-        _set_column(self, "x", np.array([math.exp(-v) for v in distinct])[index])
-        _set_column(self, "th", np.array([math.tanh(0.5 * v) for v in distinct])[index])
-        _set_column(self, "strength", _strength(gamma, self.x))
-        _set_column(self, "thermal", thermal[index])
-        _set_column(self, "q", isentropic_strength_stack(self.strength, self.x))
+        x = np.array([math.exp(-v) for v in distinct])[index]
+        strength = _strength(gamma, x)
+        fields.update(x=x, th=np.array([math.tanh(0.5 * v) for v in distinct])[index],
+                      strength=strength, thermal=thermal[index],
+                      q=isentropic_strength_stack(strength, x))
+        _read_only(*(fields[name] for name in ("r", *_TAKEN_COLUMNS)))
 
     @classmethod
     def product(cls, b, gamma, r, mode: CycleMode | str) -> CycleGrid:
@@ -511,16 +513,12 @@ class CycleGrid:
 
     def subset(self, index) -> CycleGrid:
         """The points selected by a numpy index (mask, slice or positions), in order, sliced."""
-        grid = object.__new__(CycleGrid)
-        object.__setattr__(grid, "mode", self.mode)
-        for name in _GRID_COLUMNS:
-            _set_column(grid, name, getattr(self, name)[index])
-        kept = self.__dict__
-        if "evolved" in kept:
-            grid.__dict__["evolved"] = _read_only(*(states[index] for states in self.evolved))
-        if "entropies" in kept:
-            grid.__dict__["entropies"] = _read_only(self.entropies[:, index])[0]
-        return grid
+        return self._taken(index, self.mode, self.r[index])
+
+    def realizable_part(self) -> CycleGrid:
+        """The `realizable` points: the grid itself where every point is, else their subset."""
+        realizable = self.realizable
+        return self if realizable.all() else self.subset(realizable)
 
     def stretched(self, r, mode: CycleMode | str = CycleMode.FIVE_STROKE) -> CycleGrid:
         """The `mode` grid of every point at each ratio of r: point i at r[k] is i*len(r) + k.
@@ -533,9 +531,20 @@ class CycleGrid:
         ok = _ratios_ok(mode, r)
         if len(self) and not ok.all():
             _require_ratio(mode, float(r[np.argmin(ok)]))
-        grid = self.subset(np.arange(len(self)).repeat(len(r)))
-        object.__setattr__(grid, "mode", mode)
-        _set_column(grid, "r", np.tile(r, len(self)))
+        return self._taken(np.arange(len(self)).repeat(len(r)), mode, np.tile(r, len(self)))
+
+    def _taken(self, index, mode: CycleMode, r: np.ndarray) -> CycleGrid:
+        """The points at `index` in `mode` with ratios r, and the kept `evolved` and `entropies`."""
+        kept = self.__dict__
+        grid = object.__new__(CycleGrid)
+        fields = grid.__dict__
+        fields["mode"] = mode
+        fields.update(zip(("r", *_TAKEN_COLUMNS),
+                          _read_only(r, *(kept[name][index] for name in _TAKEN_COLUMNS))))
+        if "evolved" in kept:
+            fields["evolved"] = _read_only(*(column[index] for column in kept["evolved"]))
+        if "entropies" in kept:
+            fields["entropies"] = _read_only(kept["entropies"][:, index])[0]
         return grid
 
     @property
@@ -544,23 +553,24 @@ class CycleGrid:
         return self.gamma >= GAMMA_NUMERIC_MIN
 
     @functools.cached_property
-    def evolved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The state stacks after QMI and QMII and the damping channel's completeness deviation.
+    def evolved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rho_m, rho_n, excite, damp): the QMI and QMII states, each application's deviation.
 
         Raises the error `run_numeric` raises for the first unrealizable point.
         """
         realizable = self.realizable
         if not realizable.all():
             _require_realizable(self.point(int(np.argmin(realizable))))
-        rho_m = apply_unselective_stack(first_channel_stack(self.strength), self.thermal)
-        rho_n, deviation = apply_unselective_stack(second_channel_stack(self.q), rho_m,
-                                                   return_deviation=True)
-        return _read_only(rho_m, rho_n, deviation)
+        rho_m, excite = apply_unselective_stack(first_channel_stack(self.strength), self.thermal,
+                                                return_deviation=True)
+        rho_n, damp = apply_unselective_stack(second_channel_stack(self.q), rho_m,
+                                              return_deviation=True)
+        return _read_only(rho_m, rho_n, excite, damp)
 
     @functools.cached_property
     def entropies(self) -> np.ndarray:
         """The (3, N) entropies of `thermal` and of the two `evolved` stacks."""
-        rho_m, rho_n, _ = self.evolved
+        rho_m, rho_n, _, _ = self.evolved
         return _entropies(self.thermal, rho_m, rho_n)
 
 
@@ -633,15 +643,22 @@ class GridLedger:
         return self._entropies[2]
 
 
+def _grid_ledger(**fields) -> GridLedger:
+    """`GridLedger(**fields)`, all 12 fields given, written into `__dict__` (`_energy_ledger`)."""
+    ledger = object.__new__(GridLedger)
+    ledger.__dict__.update(fields)
+    return ledger
+
+
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     """`run_numeric` at every point of the grid: the energies and eta of its `evolved` states."""
-    rho_m, rho_n, _ = grid.evolved
+    rho_m, rho_n, _, _ = grid.evolved
     rho_th, r = grid.thermal, grid.r
     w_api, q_in, delta, w_apii, q_out, w_ext = _ledger(
         mean_energy_stack(rho_th, 1.0), mean_energy_stack(rho_th, r), mean_energy_stack(rho_m, r),
         mean_energy_stack(rho_n, r), mean_energy_stack(rho_n, 1.0))
     eta = np.divide(w_ext, q_in, out=np.zeros(len(grid)), where=q_in != 0.0)
-    return GridLedger(
+    return _grid_ledger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),
         states_tp=rho_th, measured=(rho_m, rho_n), evolved_on=grid,
@@ -663,8 +680,8 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
     lo, hi = _gamma_range(grid.mode, r)
-    return GridLedger(
+    return _grid_ledger(
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=(lo <= gamma) & (gamma <= hi),
-        states_tp=grid.thermal, measured=m_pops,
+        states_tp=grid.thermal, measured=m_pops, evolved_on=None,
     )

@@ -1,19 +1,23 @@
 """Self-check suite: every closed-form result against the numeric evolution.
 
 This is the machinery behind `measengine verify`.  It builds the b x gamma
-grid as one three-stroke `CycleGrid`, evolves its realizable points once,
-and stretches them over r into the five-stroke grid, which carries those
-states and their entropies.  Each grid is evaluated twice: by
-`run_numeric_grid` (its evolved state stacks) and by `run_analytic_grid`
-(the closed form).
+grid as one three-stroke `CycleGrid`, evolves its realizable points once
+(the grid itself when every point is, as on the default grid, else a
+subset), and stretches them over r into the five-stroke grid, which
+carries those states and their entropies.  Each grid is evaluated twice:
+by `run_numeric_grid` (its evolved state stacks) and by
+`run_analytic_grid` (the closed form).
 Each check family is one rule at every point it applies to: channel
 completeness, oracle equivalence per ledger field, entropy equality,
 population swap, coherence-free states per stroke, the efficiency law,
 the first law, adiabat isentropy, the special points gamma = 1/2 and
 gamma = 1 (and the entropy ordering between them), and the r = 1
-reduction of the five-stroke cycle to the three-stroke one.  `_Checker`
-records the (observed, expected, tol) of every family and decides the
-whole run by one comparison of all their margins with 0.
+reduction of the five-stroke cycle to the three-stroke one.  The two
+completeness families read the deviations that the evolution's two channel
+applications checked (`CycleGrid.evolved`); only the excitation channels
+of the points it skips (gamma < 1/2) are formed for the `excite` family
+alone.  `_Checker` records the (observed, expected, tol) of every family
+and decides the whole run by one comparison of all their margins with 0.
 
 Failures are collected into a report, never raised.  A family's points are
 positions into the flat grid, named only when some check fails: then the
@@ -124,7 +128,11 @@ class _Points:
     at: np.ndarray
 
     def __getitem__(self, index) -> _Points:
-        return _Points(self.label, self.b, self.gamma, self.r, self.at[index])
+        points = object.__new__(_Points)  # the fields written into `__dict__`, as `_record` does
+        fields = points.__dict__
+        fields.update(self.__dict__)
+        fields["at"] = self.at[index]
+        return points
 
     def _indices(self, i: int) -> tuple[int, int, int]:
         return np.unravel_index(self.at[i], (len(self.b), len(self.gamma), len(self.r)))
@@ -142,16 +150,19 @@ class _Points:
 class _Checker:
     """Records check families, then settles them all at the first read of `count` or `failures`.
 
-    A family checks one rule at every point given.  Settling computes each
-    family's margin, |observed - expected| - tol for `close` and
-    `close_fields`, value - (bound + tol) for `below`, and decides the run
-    with one comparison of all of them with 0: a margin is <= 0 exactly
-    when its check passes (with gradual underflow a - t <= 0 iff a <= t),
-    and NaN and inf fail it.  Only when some check fails are the families
-    replayed one by one, under the NaN rule of `close`, to name the failing
-    points.  Families are recorded in the order the checks run at one
-    point, so the call number sorts the failures within a point's section.
-    Every family must be recorded before the first read.
+    A family checks one rule at every point given; `observed` holds one value
+    per check.  Each check's margin is |observed - expected| - tol for `close`
+    and `close_fields`, value - (bound + tol) for `below`; a margin is <= 0
+    exactly when its check passes (with gradual underflow a - t <= 0 iff
+    a <= t), and NaN and inf fail it.  Settling forms every margin with one
+    difference per family (none where the expected value is the scalar 0.0,
+    as o - 0.0 is o; for `below` with another bound, the whole margin), one
+    concatenation, one repeat of the tolerances and one of the rule, and
+    decides the run with one comparison.  Only when some check fails are
+    the families replayed one by one, under the NaN rule of `close`, to
+    name the failing points.  Families are recorded in the order the checks
+    run at one point, so the call number sorts the failures within a
+    point's section.  Every family must be recorded before the first read.
     """
 
     def __init__(self):
@@ -178,22 +189,34 @@ class _Checker:
 
     def below(self, check: str, points: _Points, value, bound: float, tol: float = 0.0,
               detail: str = ""):
-        """value <= bound + tol; a NaN value fails."""
+        """value <= bound + tol, for a finite bound; a NaN value fails."""
         self._families.append(((check,), points, value, bound, tol, detail, True))
 
     @functools.cached_property
     def _settled(self) -> tuple[int, list[CheckFailure]]:
+        differences, tols, rules = [], [], []
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            margins = [observed - (expected + tol) if below else np.abs(observed - expected) - tol
-                       for _, _, observed, expected, tol, _, below in self._families]
-            passed = np.concatenate(margins, axis=None) <= 0.0
+            for _, _, observed, expected, tol, _, below in self._families:
+                zero = isinstance(expected, float) and expected == 0.0
+                if below and not zero:
+                    observed, tol = observed - (expected + tol), 0.0  # the margin itself
+                elif not zero:
+                    observed = observed - expected
+                differences.append(observed)
+                tols.append(tol)
+                rules.append(below)
+            sizes = [difference.size for difference in differences]
+            flat = np.concatenate(differences, axis=None)
+            margins = np.where(np.repeat(rules, sizes), flat, np.abs(flat)) - np.repeat(tols, sizes)
+        passed = margins <= 0.0
         if passed.all():
             return passed.size, []
         failures = []
-        family = 0
-        for (checks, points, observed, expected, tol, detail, below), margin in zip(
-                self._families, margins):
-            ok = margin <= 0.0
+        family = end = 0
+        for (checks, points, observed, expected, tol, detail, below), difference in zip(
+                self._families, differences):
+            start, end = end, end + difference.size
+            ok = passed[start:end].reshape(difference.shape)
             if not below and not ok.all():  # a NaN fails <=, so only then can the NaN rule act
                 nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
                 ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
@@ -262,15 +285,16 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
 
     at = gamma == 0.5
-    lo, hi = _eigvals_stack(numeric.states_qmi[at] - _MAXIMALLY_MIXED)
-    c.below("special-maximal-mixing", points[at], 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
-    c.close("special-zero-energy", points[at],
-            mean_energy_stack(numeric.states_qmi[at], 1.0), 0.0, TOL_EXACT)
+    special, states = points[at], numeric.states_qmi[at]
+    lo, hi = _eigvals_stack(states - _MAXIMALLY_MIXED)
+    c.below("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
+    c.close("special-zero-energy", special, mean_energy_stack(states, 1.0), 0.0, TOL_EXACT)
 
     at = gamma == 1.0
-    c.close("special-entropy-crossover", points[at], entropy_qmi[at], entropy_tp[at], TOL_EXACT)
-    c.close("special-crossover-heat", points[at], numeric.q_in[at], grid.th[at], TOL_EXACT)
-    c.close("special-zero-dissipation", points[at], numeric.q_out[at], 0.0, TOL_EXACT)
+    special = points[at]
+    c.close("special-entropy-crossover", special, entropy_qmi[at], entropy_tp[at], TOL_EXACT)
+    c.close("special-crossover-heat", special, numeric.q_in[at], grid.th[at], TOL_EXACT)
+    c.close("special-zero-dissipation", special, numeric.q_out[at], 0.0, TOL_EXACT)
 
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
@@ -307,17 +331,24 @@ def run_verification(
         perturb = normalize_perturb_field(perturb)
     start = time.perf_counter()
     b, gamma, r = (np.array(axis, dtype=float) for axis in (b_grid, gamma_grid, r_grid))
-    nb, ng, nr = len(b), len(gamma), len(r)
+    nr = len(r)
     grid = CycleGrid.product(b, gamma, r, CycleMode.FIVE_STROKE)
 
     c = _Checker()
-    c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, np.arange(nb * ng)),
-            completeness_deviation_stack(first_channel_stack(grid.strength)), 0.0,
-            COMPLETENESS_TOL)
-    three_ok = np.flatnonzero(grid.realizable)
-    three = grid.subset(three_ok)
+    realizable = grid.realizable
+    three_ok = np.flatnonzero(realizable)
+    three = grid.realizable_part()  # the grid itself by default
     three_numeric = run_numeric_grid(three)
-    _, _, damp_deviation = three.evolved  # formed by the damping channel's application
+    # Each application's deviation, as it checked it; the unevolved points' formed here.
+    _, _, excite_deviation, damp_deviation = three.evolved
+    excite_at = three_ok
+    if len(three_ok) < len(grid):
+        skipped = np.flatnonzero(~realizable)
+        excite_at = np.concatenate((three_ok, skipped))
+        excite_deviation = np.concatenate((excite_deviation, completeness_deviation_stack(
+            first_channel_stack(grid.strength[skipped]))))
+    c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, excite_at),
+            excite_deviation, 0.0, COMPLETENESS_TOL)
     c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok), damp_deviation,
             0.0, COMPLETENESS_TOL)
     three_numeric = _maybe_perturb(three_numeric, perturb)

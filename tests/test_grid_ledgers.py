@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measengine import channels, engine, states
+from measengine import channels, engine, states, verify
 from measengine.cli import main
 from measengine.engine import CycleGrid, CycleMode, run_analytic_grid, run_numeric_grid
 from measengine.sweep import SweepSpec, run_sweep
@@ -68,9 +68,22 @@ def _count_calls(monkeypatch, name: str, home=channels) -> list[int]:
         calls.append(len(args[0]))
         return original(*args, **kwargs)
 
-    for module in (states, channels, engine):
+    for module in (states, channels, engine, verify):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _count_subsets(monkeypatch) -> list[int]:
+    """Patch `CycleGrid.subset`; each call appends the length of the grid it selects from."""
+    calls = []
+    subset = CycleGrid.subset
+
+    def counted(grid, index):
+        calls.append(len(grid))
+        return subset(grid, index)
+
+    monkeypatch.setattr(CycleGrid, "subset", counted)
     return calls
 
 
@@ -79,17 +92,35 @@ def test_default_verify_builds_each_state_stack_and_q_once(monkeypatch, capsys):
     strengths = _count_calls(monkeypatch, "isentropic_strength_stack")
     applications = _count_calls(monkeypatch, "apply_unselective_stack")
     completeness = _count_calls(monkeypatch, "_completeness_terms")
+    excitations = _count_calls(monkeypatch, "first_channel_stack")
     entropies = _count_calls(monkeypatch, "entropy_stack", home=states)
+    subsets = _count_subsets(monkeypatch)
     assert main(["verify"]) == 0
     capsys.readouterr()
+    # Every point is realizable: the b x gamma grid itself is evolved, not a copy of it.
+    assert (excitations, subsets) == ([20], [])
     # One b x gamma grid: its thermal stack and the two evolved stacks, which the five-stroke
     # grid repeats over r; one q.  The analytic QMI and QMII stacks are never read, so never
-    # built.  Completeness is formed by each application and by the excite family, which
-    # covers the unrealizable points too; the damp family reads the application's deviation.
+    # built.  Completeness is formed by each application only: every default point is
+    # realizable, so both completeness families read the deviations the applications checked.
     # The entropies of the 3 x 20 three-stroke states are the five-stroke ones, repeated.
     assert (len(validations), len(strengths)) == (3, 1)
-    assert (len(applications), len(completeness)) == (2, 3)
+    assert (len(applications), len(completeness)) == (2, 2)
     assert entropies == [3 * 20]
+
+
+def test_mixed_verify_forms_the_excitation_channels_of_unevolved_points_only(monkeypatch,
+                                                                             capsys):
+    completeness = _count_calls(monkeypatch, "_completeness_terms")
+    excitations = _count_calls(monkeypatch, "first_channel_stack")
+    subsets = _count_subsets(monkeypatch)
+    assert main(["verify", "--grid-b", "0.1,1", "--grid-gamma", "0.3,0.5,0.75",
+                 "--grid-r", "1,2"]) == 0
+    capsys.readouterr()
+    # The 4 realizable of the 6 b x gamma points are selected once and evolved; the
+    # excitation channels of the 2 at gamma 0.3 are formed for the excite family alone.
+    assert (subsets, excitations) == ([6], [4, 2])
+    assert len(completeness) == 3
 
 
 def test_sweep_evolves_each_b_gamma_point_once(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 from collections import Counter
@@ -9,11 +10,13 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measengine import verify
+from measengine.channels import COMPLETENESS_TOL, completeness_deviation_stack, first_channel_stack
 from measengine.cli import main
+from measengine.engine import CycleGrid, CycleMode
 
 # stdout digests (elapsed seconds stripped), exit codes, check and failure
 # counts, recorded from the point-by-point implementation on scalar
@@ -44,6 +47,17 @@ RECORDED = [
      "b985a09315d807c99ea7def7f9aa84f4ea62b3cd05f684d46c8b9d2bb917867e"),
     (["--grid-b", "0.05,3", "--grid-gamma", "0.2,0.5,0.7", "--grid-r", "1,1.5"], 0, 260, 0,
      "7f490f411383ce2d4b18adad055719a80b1c286ed5c2845d611f1e723d83d8d1"),
+    # Mixed grids, gamma below 1/2 at some points: recorded before verify evolved the b x gamma
+    # grid itself wherever every point is realizable.
+    (["--grid-b", "0.1,1", "--grid-gamma", "0.3,0.5,0.75", "--grid-r", "1,2"], 0, 260, 0,
+     "7f490f411383ce2d4b18adad055719a80b1c286ed5c2845d611f1e723d83d8d1"),
+    (["--grid-b", "0.1,1", "--grid-gamma", "0.3,0.5,0.75", "--grid-r", "1,2",
+      "--perturb", "w_ext"], 3, 260, 12,
+     "b2047ffaf1e63fbe5876a51ef8850cf0b070fb606a9c8c8162ea6d636238f25f"),
+    (["--grid-b", "10", "--grid-gamma", "0.4999999999995,0.5"], 0, 85, 0,
+     "3a15a9b02b6ae32e624e43fc04cad913da16516f281259bf56410a74c0531605"),
+    (["--grid-b", "10", "--grid-gamma", "0.4999999999995,0.5", "--perturb", "q_out"], 3, 85, 7,
+     "e04f5acce541b1f745d6a5200716c060631777872d658446f214b6510bc5ded4"),
     # No realizable point: only the excitation channels are checked, every stack is empty.
     (["--grid-gamma", "0.3,0.4"], 0, 8, 0,
      "84962861e9cc668a14080863de2139ef8abc471015d5ac71b3c4debdec667f8f"),
@@ -148,6 +162,35 @@ def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, mo
     assert not [line for line in failed if "[three " in line]
     # 60 five-stroke points fail oracle and first law, the 20 at r = 1 the reduction too.
     assert summary_counts(out) == (1672, 140)
+
+
+@pytest.mark.parametrize("axes", [
+    (verify.DEFAULT_B_GRID, verify.DEFAULT_GAMMA_GRID, verify.DEFAULT_R_GRID),
+    ((0.1, 1.0), (0.3, 0.5, 0.75), (1.0, 2.0)),
+    ((0.05, 3.0), (0.2, 0.5, 0.7), (1.0, 1.5)),
+    ((10.0,), (0.4999999999995, 0.5), (1.0,)),
+    ((1.0, 700.0), (0.0, 0.3, 0.4), (1.0,)),
+], ids=["default", "mixed", "mixed-low-b", "just-below-half", "none-realizable"])
+def test_excite_family_is_the_excitation_deviation_of_every_point(monkeypatch, axes):
+    """Read from the evolution where a point is evolved and formed for it where not, bit for bit."""
+    checkers = []
+
+    class Kept(verify._Checker):
+        def __init__(self):
+            super().__init__()
+            checkers.append(self)
+
+    monkeypatch.setattr(verify, "_Checker", Kept)
+    assert verify.run_verification(*axes).passed
+    (family,) = [family for family in checkers[0]._families if family[1].label == "excite"]
+    checks, points, deviation, bound, tol, _, below = family
+    assert (checks, bound, tol, below) == (("channel-completeness",), 0.0, COMPLETENESS_TOL, True)
+    grid = CycleGrid.product(*axes, CycleMode.FIVE_STROKE)
+    assert sorted(points.at.tolist()) == list(range(len(grid)))
+    got = np.empty(len(grid))
+    got[points.at] = deviation
+    expected = completeness_deviation_stack(first_channel_stack(grid.strength))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
@@ -274,20 +317,60 @@ def families(draw):
     index = np.array(draw(st.lists(st.integers(0, nb * ng * nr - 1), min_size=1, max_size=4)))
     points = base[index]
     n, tol = len(index), draw(st.sampled_from(TOLS))
+    anything = st.sampled_from(EDGES) | st.floats(-10.0, 10.0)
     if method == "below":
-        bound = draw(st.sampled_from((0.0, 1.0, -2.5)))
-        value = np.array([_near(draw, bound, tol) for _ in range(n)])
+        if draw(st.booleans()):  # a finite bound per point
+            bound = np.array([draw(st.sampled_from(EDGES[:5] + EDGES[8:]) | st.floats(-10.0, 10.0))
+                              for _ in range(n)])
+            value = np.array([_near(draw, e, tol) for e in bound.tolist()])
+        else:
+            bound = draw(st.sampled_from((0.0, -0.0, 1.0, -2.5)))
+            value = np.array([_near(draw, bound, tol) for _ in range(n)])
         return method, "bound", points, value, bound, tol, " level=1"
     rows = len(verify.LEDGER_FIELDS) if method == "close_fields" else 1
-    expected = np.array([[draw(st.sampled_from(EDGES) | st.floats(-10.0, 10.0)) for _ in range(n)]
-                         for _ in range(rows)])
+    expected = np.array([[draw(anything) for _ in range(n)] for _ in range(rows)])
+    if method == "close":  # a scalar expected value, broadcast over the points, zero most often
+        scalar = draw(st.none() | st.sampled_from((0.0, -0.0)) | anything)
+        if scalar is not None:
+            expected[0] = scalar
     observed = np.array([[_near(draw, e, tol) for e in row.tolist()] for row in expected])
     if method == "close_fields":
         return method, "field-", points, observed, expected, tol, ""
-    if draw(st.booleans()):  # a scalar expected value, broadcast over the points
-        expected[0] = expected[0, 0]
-        return method, "close", points, observed[0], float(expected[0, 0]), tol, ""
+    if scalar is not None:
+        return method, "close", points, observed[0], scalar, tol, ""
     return method, "close", points, observed[0], expected[0], tol, ""
+
+
+PAIRED = (0.0, -0.0, 1.0, -1.0, 1e-12, 5e-324, math.inf, -math.inf, math.nan)
+
+
+def _every_pair() -> list[tuple]:
+    """Families that meet every pair of edge values, with tolerance 0 and not.
+
+    Each value of PAIRED is observed against each as an array expected value and against
+    each finite one as a below bound per point, and against the scalar expected values 0.0,
+    -0.0 and 1.0 and the scalar bounds 0.0, -0.0 and -2.5.
+    """
+    n = len(PAIRED)
+    points = verify._Points("five", np.array([0.1]), np.linspace(0.5, 1.0, n * n),
+                            np.array([1.0, 2.0]), np.arange(0, 2 * n * n, 2))  # r = 1
+    observed, expected = (np.array(pair) for pair in zip(*itertools.product(PAIRED, PAIRED)))
+    finite = np.isfinite(expected)
+    alone = np.array(PAIRED)
+    recorded = []
+    for tol in (0.0, 1e-12):
+        recorded += [
+            ("close", "pair", points, observed, expected, tol, ""),
+            ("below", "pair-bound", points[finite], observed[finite], expected[finite], tol, ""),
+            ("close_fields", "field-", points, np.roll(np.tile(observed, (8, 1)), 1, axis=1),
+             np.tile(expected, (8, 1)), tol, ""),
+        ]
+        for scalar in (0.0, -0.0, 1.0):
+            recorded.append(("close", "scalar", points[:n], alone, scalar, tol, f" at={scalar}"))
+        for bound in (0.0, -0.0, -2.5):
+            recorded.append(("below", "bound", points[:n], alone, bound, tol, f" at={bound}"))
+    return recorded
+
 
 
 def _per_check(recorded) -> tuple[int, list[str]]:
@@ -317,6 +400,7 @@ def _per_check(recorded) -> tuple[int, list[str]]:
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(families(), min_size=1, max_size=6))
+@example(_every_pair())
 def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recorded):
     c = verify._Checker()
     for method, name, points, observed, expected, tol, detail in recorded:
