@@ -12,6 +12,10 @@ drive the engine:
   into the ground state,
       N1 = [[1, 0], [0, sqrt(1-q)]],   N2 = [[0, sqrt(q)], [0, 0]]
 
+Every operator and state is real, so A^dag is A^T: complex operators and
+states are refused where they enter (`KrausSet`, `DensityMatrix`, the
+stack checks), and all channel arithmetic is real.
+
 `_isentropic_strength` picks the damping strength that exactly swaps the
 diagonal populations left by the excitation channel, so the second stroke
 conserves entropy; `isentropic_strength_stack` does so per grid point,
@@ -20,8 +24,8 @@ point that has no partner.
 
 One channel format and one kernel serve both engines.  A channel is K
 operators, each the tuple of its four entries row by row, and an entry is
-a Python number (one set), an (N,) float64 array (one set per grid
-point), or `_ZERO`, an exact zero that only the grid builders emit.
+a Python float (one set), an (N,) float64 array (one set per grid point),
+or `_ZERO`, an exact zero that only the grid builders emit.
 `_excitation` and `_damping` write the two engine channels in that format
 once, taking the square root and the zero as arguments: `math.sqrt` and
 the float 0.0 for one strength, `np.sqrt` and `_ZERO` for a column of
@@ -33,10 +37,9 @@ sets: each product `_ZERO` stands for is +-0, and the kernel's sums, which
 start at the float 0.0 and so never hold -0.0, are the same bits without
 it.  On one set, Python floats are cheaper than `_ZERO`'s methods, so the
 scalar entries keep 0.0.  All channel arithmetic is in two functions that
-run alike on floats, complex numbers, arrays and `_ZERO`:
-`_completeness_terms` forms sum_n A_n^dag A_n - 1, and `_evolve` forms
-sum_n (A_n rho) A_n^dag, entry by entry.  Around them each engine keeps
-its own checks:
+run alike on floats, arrays and `_ZERO`: `_completeness_terms` forms
+sum_n A_n^T A_n - 1, and `_evolve` forms sum_n (A_n rho) A_n^T, entry by
+entry.  Around them each engine keeps its own checks:
 
 * One point.  `_excite` and `_damp` check the strength, write the
   channel's entries with `math.sqrt` and apply them (`_apply`): a set whose
@@ -47,16 +50,16 @@ its own checks:
 * A grid.  `first_channel_stack` / `second_channel_stack` check the
   strengths and give the channels' entries, the varying ones as (N,)
   columns and the fixed zeros `_ZERO`; `completeness_deviation_stack` is
-  `_max_deviation` per set, the same bits on finite real entries;
+  `_max_deviation` per set, the same bits on finite entries;
   `apply_unselective_stack` checks that every column has one entry per
   state, refuses the first set whose deviation is above COMPLETENESS_TOL
   or NaN, evolves the (N,) columns of a real (N, 2, 2) state stack and
   checks the output with `validate_state_stack`.
 
-`KrausSet` (any 2x2 operators, checked as `DensityMatrix` checks a state,
-kept as entries, `ops` built on first read), `first_channel` and
+`KrausSet` (any real 2x2 operators, checked as `DensityMatrix` checks a
+state, kept as entries, `ops` built on first read), `first_channel` and
 `apply_unselective` (`_apply` on a set's entries) serve no engine path:
-they remain because `bench/` times them, until ROADMAP item 1b repoints it.
+they remain because `bench/` times them.
 """
 
 from __future__ import annotations
@@ -97,17 +100,16 @@ class NoIsentropicStrengthError(ValueError):
 class KrausSet:
     """Ordered 2x2 measurement operators.
 
-    Construction checks each operator (`linalg.as_square_matrix`'s check)
-    and keeps `entries`: per operator, its four entries row by row as
-    Python numbers (each float of a nested list stays a float; other
-    inputs give complex numbers).  `ops`, a tuple of read-only complex
-    arrays, is built from `entries` when first read, and is the same object
-    on every later read.
+    Construction checks each operator as a real 2x2 matrix (`linalg._square_entries`;
+    complex operators are refused) and keeps `entries`: per operator, its
+    four entries row by row as Python floats.  `ops`, a tuple of read-only
+    float64 arrays, is built from `entries` when first read, and is the
+    same object on every later read.
     """
 
     ops: tuple[np.ndarray, ...]
     label: str = ""
-    entries: tuple[tuple[float | complex, ...], ...] = field(init=False, repr=False)
+    entries: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -130,28 +132,27 @@ class KrausSet:
 
 
 def _completeness_terms(ops):
-    """sum_n A_n^dag A_n - 1 as its (0, 0), (0, 1) and (1, 1) entries, in the entries' type."""
-    # (A^dag A)_il = conj(A_0i) A_0l + conj(A_1i) A_1l; the (1, 0) entry of
-    # the sum is the conjugate of the (0, 1) entry, so it has the same modulus.
-    # Each sum is rebound, not updated in place, so a complex array may follow a real one.
+    """sum_n A_n^T A_n - 1 as its (0, 0), (0, 1) and (1, 1) entries, in the entries' type."""
+    # (A^T A)_il = A_0i A_0l + A_1i A_1l; the sum is symmetric, so its (1, 0)
+    # entry is the (0, 1) entry.  Each sum is rebound, not updated in place,
+    # so an (N,) column may follow a float.
     t00 = t01 = t11 = 0.0
     for a, b, c, d in ops:
-        t00 = t00 + (a.conjugate() * a + c.conjugate() * c)
-        t01 = t01 + (a.conjugate() * b + c.conjugate() * d)
-        t11 = t11 + (b.conjugate() * b + d.conjugate() * d)
+        t00 = t00 + (a * a + c * c)
+        t01 = t01 + (a * b + c * d)
+        t11 = t11 + (b * b + d * d)
     return t00 - 1.0, t01, t11 - 1.0
 
 
 def _evolve(ops, r00, r01, r10, r11):
-    """The four entries, row by row, of sum_n (A_n rho) A_n^dag, in the entries' type."""
+    """The four entries, row by row, of sum_n (A_n rho) A_n^T, in the entries' type."""
     o00 = o01 = o10 = o11 = 0.0  # rebound, as the sums of `_completeness_terms` are
     for a, b, c, d in ops:
-        # B = A rho, then (B A^dag)_im = B_i0 conj(A_m0) + B_i1 conj(A_m1).
+        # B = A rho, then (B A^T)_im = B_i0 A_m0 + B_i1 A_m1.
         b00 = a * r00 + b * r10
         b01 = a * r01 + b * r11
         b10 = c * r00 + d * r10
         b11 = c * r01 + d * r11
-        a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
         o00 = o00 + (b00 * a + b01 * b)
         o01 = o01 + (b00 * c + b01 * d)
         o10 = o10 + (b10 * a + b11 * b)
@@ -160,7 +161,7 @@ def _evolve(ops, r00, r01, r10, r11):
 
 
 def _max_deviation(ops) -> float:
-    """Max entrywise |sum_n A_n^dag A_n - 1| of one set's entries, NaN if one deviation is."""
+    """Max entrywise |sum_n A_n^T A_n - 1| of one set's entries, NaN if one deviation is."""
     deviations = tuple(map(abs, _completeness_terms(ops)))
     total = sum(deviations)  # NaN exactly when a deviation is, since none is negative
     return total if total != total else max(deviations)
@@ -175,12 +176,12 @@ def _require_complete(ops, label: str) -> None:
 
 
 def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Outcome-averaged channel: rho -> sum_n A_n rho A_n^dag."""
+    """Outcome-averaged channel: rho -> sum_n A_n rho A_n^T."""
     return _apply(k.entries, rho, k.label)
 
 
 def _apply(ops, rho: DensityMatrix, label: str) -> DensityMatrix:
-    """rho -> sum_n A_n rho A_n^dag for the set of entries `ops`, named `label` if incomplete."""
+    """rho -> sum_n A_n rho A_n^T for the set of entries `ops`, named `label` if incomplete."""
     _require_complete(ops, label)
     o00, o01, o10, o11 = _evolve(ops, *rho.entries)
     return DensityMatrix([[o00, o01], [o10, o11]])
@@ -205,9 +206,6 @@ class _Zero:
         return other
 
     __radd__ = __add__
-
-    def conjugate(self):
-        return self
 
 
 _ZERO = _Zero()

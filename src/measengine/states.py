@@ -5,21 +5,17 @@ so every energy is a pure number (multiples of the bare level spacing) and
 the only temperature parameter is the dimensionless product b = beta * gap.
 Entropy is reported in nats.
 
-The working substance is a qubit: `Hamiltonian` takes exactly two levels
-and `DensityMatrix` only 2x2 matrices (via `linalg._square_entries`, which
-checks as `as_square_matrix` does).  Its constructor runs the Hermiticity,
-trace and lowest-eigenvalue checks on the four entries as Python numbers
-(floats for a real nested list, complex numbers for a complex one or for
-anything numpy coerces), and keeps the entries and the eigenvalue pair it
-computed: `mean_energy`, `von_neumann_entropy` and
-`DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
-array from a nested list of Python floats, which is what
-`from_populations`, `gibbs_state` and the channels pass, so the engine's
-states hold floats and are checked and read in float arithmetic; `mat` is
-built from the entries when first read, which a single cycle never does,
-and `entropy` is computed when first read, which a cycle whose caller
-reads only the ledger never does.  Complex input is still accepted, since
-`bench/` times the constructor on complex arrays (ROADMAP item 16b).
+The working substance is a qubit with real states: `Hamiltonian` takes
+exactly two levels and `DensityMatrix` only real 2x2 matrices (via
+`linalg._square_entries`; complex input is refused).  Its constructor runs
+the symmetry, trace and lowest-eigenvalue checks on the four entries as
+Python floats, and keeps the entries and the eigenvalue pair it computed:
+`mean_energy`, `von_neumann_entropy` and `DensityMatrix.eigenvalues` read
+those.  The constructor builds no numpy array from a nested list of Python
+floats, which is what `from_populations`, `gibbs_state` and the channels
+pass; `mat` (read-only float64) is built from the entries when first read,
+which a single cycle never does, and `entropy` is computed when first read,
+which a cycle whose caller reads only the ledger never does.
 `gibbs_state` weighs the two levels with one `np.exp` on a float (the
 same `_gibbs_populations` weighs a grid's array of b).
 
@@ -28,9 +24,9 @@ Grid evaluation works on (N, 2, 2) state stacks instead of one
 constructor's checks with the same tolerances to every state of a stack,
 and `mean_energy_stack` / `entropy_stack` give, state by state, the same
 bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
-Stacks are float64 only (`population_stack` builds them; a complex one
-is refused), so every difference and modulus the stack checks take is
-exact, as the constructor's are on real entries, and they decide alike.
+Stacks are float64 (`population_stack` builds them), so every difference
+and modulus the stack checks take is exact, as the constructor's are, and
+they decide alike.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .linalg import (
     _eig_pair,
     _eigvals_stack,
     _frozen_matrix,
-    _hermiticity_defect,
     _square_entries,
     as_matrix_stack,
 )
@@ -55,7 +50,6 @@ from .linalg import (
 TOL_TRACE = 1e-12        # |Tr(rho) - 1| accepted
 TOL_PSD = 1e-12          # eigenvalues >= -TOL_PSD accepted, clamped to 0 for entropy
 ENTROPY_EIG_FLOOR = 1e-15  # eigenvalues below this contribute exactly 0 to S
-TOL_ENERGY_IMAG = 1e-10  # max |Im Tr(H rho)| before mean_energy refuses
 
 
 @dataclass(frozen=True)
@@ -84,36 +78,38 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.levels, dtype=complex))
+        """The read-only float64 diagonal matrix of the two levels."""
+        lo, hi = self.levels
+        return _frozen_matrix((lo, 0.0, 0.0, hi))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
-    Construction validates all three invariants (tolerances TOL_HERM,
-    TOL_TRACE, TOL_PSD) and keeps what the checks read: `entries`, the
-    four entries of `mat` row by row as Python numbers (each float of a
-    nested list stays a float; other inputs give complex numbers), and
+    The input is a real 2x2 matrix (`linalg._square_entries`; complex input
+    is refused).  Construction validates all three invariants (tolerances
+    TOL_HERM, TOL_TRACE, TOL_PSD) and keeps what the checks read:
+    `entries`, the four entries of `mat` row by row as Python floats, and
     `eig_pair`, its ascending eigenvalues.  Two fields are computed on
     first read and kept, so every later read gives the same object:
-    `mat`, a read-only complex array built from `entries`, and `entropy`,
+    `mat`, a read-only float64 array built from `entries`, and `entropy`,
     the `von_neumann_entropy` of the state.
     """
 
     mat: np.ndarray
-    entries: tuple[float | complex, ...] = field(init=False, repr=False)
+    entries: tuple[float, ...] = field(init=False, repr=False)
     eig_pair: tuple[float, float] = field(init=False, repr=False)
     entropy: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = _square_entries(self.mat)
-        defect = _hermiticity_defect(*entries)
+        defect = abs(entries[1] - entries[2])
         if defect > TOL_HERM:
             raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
         tr = entries[0] + entries[3]
         if abs(tr - 1.0) > TOL_TRACE:
-            # complex(): a real trace prints as numpy's complex128 trace does, "1.1+0j"
+            # complex(): the trace prints as a complex number, "1.1+0j", as a stack's does
             raise ValueError(f"state trace {complex(tr):.15g} is not 1")
         eig = _eig_pair(*entries)
         if not eig[0] >= -TOL_PSD:  # a NaN would be refused too
@@ -156,8 +152,8 @@ class DensityMatrix:
 
     @property
     def populations(self) -> np.ndarray:
-        """Real diagonal of the state."""
-        return np.diag(self.mat).real.copy()
+        """Diagonal of the state, a new float64 array."""
+        return np.diag(self.mat).copy()
 
     def eigenvalues(self) -> np.ndarray:
         return np.array(self.eig_pair)
@@ -197,17 +193,13 @@ def _gibbs_populations(h: Hamiltonian, b):
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Tr(H rho); refuses if the imaginary part exceeds TOL_ENERGY_IMAG.
+    """Tr(H rho), a float: H is diagonal, so lo * rho_00 + hi * rho_11.
 
-    H is diagonal, so Tr(H rho) = lo * rho_00 + hi * rho_11: the
-    operations `mean_energy_stack` makes, in the same order.
+    These are the operations `mean_energy_stack` makes, in the same order.
     """
     lo, hi = h.levels
     rho_00, _, _, rho_11 = rho.entries
-    val = lo * rho_00 + hi * rho_11
-    if abs(val.imag) > TOL_ENERGY_IMAG:
-        raise ValueError(f"mean energy has imaginary part {val.imag:.3e}")
-    return val.real
+    return lo * rho_00 + hi * rho_11
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -279,9 +271,8 @@ def _require_float(rho: np.ndarray) -> None:
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
     """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
 
-    rho is a validated float64 (N, 2, 2) stack: a real state has no
-    imaginary energy, so `mean_energy`'s TOL_ENERGY_IMAG check has nothing to refuse.
-    A complex stack raises ValueError, as in `as_matrix_stack`.
+    rho is a validated float64 (N, 2, 2) stack; each state gives `mean_energy`'s
+    bits.  A complex stack raises ValueError, as in `as_matrix_stack`.
     """
     _require_float(rho)
     return (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]

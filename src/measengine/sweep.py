@@ -100,7 +100,7 @@ def _rows(mode: CycleMode, b, gamma, r) -> Iterator[str]:
     """
     grid = CycleGrid.product(b, gamma, r, mode)
     ready = np.flatnonzero(grid.realizable)
-    evolved = grid.subset(ready)
+    evolved = grid.realizable_part()
     evolved.evolved  # evolved once, here: every batch's numeric grid carries these states
     analytic = run_analytic_grid(grid)
     entropies = _entropies(analytic.states_qmi, analytic.states_qmii)

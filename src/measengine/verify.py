@@ -152,13 +152,12 @@ class _Checker:
 
     A family checks one rule at every point given; `observed` holds one value
     per check.  Each check's margin is |observed - expected| - tol for `close`
-    and `close_fields`, value - (bound + tol) for `below`; a margin is <= 0
-    exactly when its check passes (with gradual underflow a - t <= 0 iff
-    a <= t), and NaN and inf fail it.  Settling forms every margin with one
-    difference per family (none where the expected value is the scalar 0.0,
-    as o - 0.0 is o; for `below` with another bound, the whole margin), one
-    concatenation, one repeat of the tolerances and one of the rule, and
-    decides the run with one comparison.  Only when some check fails are
+    and `close_fields`, value - tol for `below`, whose expected value is 0; a
+    margin is <= 0 exactly when its check passes (with gradual underflow
+    a - t <= 0 iff a <= t), and NaN and inf fail it.  Settling forms every
+    margin with one difference per family (none where the expected value is
+    the scalar 0.0, as o - 0.0 is o), one concatenation, one repeat of the
+    tolerances and one of the rule, and decides the run with one comparison.  Only when some check fails are
     the families replayed one by one, under the NaN rule of `close`, to
     name the failing points.  Families are recorded in the order the checks
     run at one point, so the call number sorts the failures within a
@@ -187,20 +186,16 @@ class _Checker:
         checks = tuple(prefix + field for field in LEDGER_FIELDS)
         self._families.append((checks, points, observed, expected, tol, "", False))
 
-    def below(self, check: str, points: _Points, value, bound: float, tol: float = 0.0,
-              detail: str = ""):
-        """value <= bound + tol, for a finite bound; a NaN value fails."""
-        self._families.append(((check,), points, value, bound, tol, detail, True))
+    def below(self, check: str, points: _Points, value, tol: float = 0.0, detail: str = ""):
+        """value <= tol; a NaN value fails."""
+        self._families.append(((check,), points, value, 0.0, tol, detail, True))
 
     @functools.cached_property
     def _settled(self) -> tuple[int, list[CheckFailure]]:
         differences, tols, rules = [], [], []
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
             for _, _, observed, expected, tol, _, below in self._families:
-                zero = isinstance(expected, float) and expected == 0.0
-                if below and not zero:
-                    observed, tol = observed - (expected + tol), 0.0  # the margin itself
-                elif not zero:
+                if not (isinstance(expected, float) and expected == 0.0):
                     observed = observed - expected
                 differences.append(observed)
                 tols.append(tol)
@@ -271,7 +266,7 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
     # Each adiabat relabels the state before it without touching it.
     offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}
     for name in strokes:
-        c.below("coherence-free", points, offdiag[name], 0.0, TOL_COHERENCE, f" stroke={name}")
+        c.below("coherence-free", points, offdiag[name], TOL_COHERENCE, f" stroke={name}")
     return ledger.entropy_tp, entropy_qmi
 
 
@@ -287,7 +282,7 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     at = gamma == 0.5
     special, states = points[at], numeric.states_qmi[at]
     lo, hi = _eigvals_stack(states - _MAXIMALLY_MIXED)
-    c.below("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), 0.0, TOL_EXACT)
+    c.below("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), TOL_EXACT)
     c.close("special-zero-energy", special, mean_energy_stack(states, 1.0), 0.0, TOL_EXACT)
 
     at = gamma == 1.0
@@ -298,7 +293,7 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
 
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
-    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at], 0.0, 0.0)
+    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at])
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -348,9 +343,9 @@ def run_verification(
         excite_deviation = np.concatenate((excite_deviation, completeness_deviation_stack(
             first_channel_stack(grid.strength[skipped]))))
     c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, excite_at),
-            excite_deviation, 0.0, COMPLETENESS_TOL)
+            excite_deviation, COMPLETENESS_TOL)
     c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok), damp_deviation,
-            0.0, COMPLETENESS_TOL)
+            COMPLETENESS_TOL)
     three_numeric = _maybe_perturb(three_numeric, perturb)
     three_fields = _fields(three_numeric)  # checked here and again by reduction-r1-
     _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three, three_numeric,

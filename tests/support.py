@@ -1,4 +1,4 @@
-"""Shared test helpers: random qubit states, channels, and unitaries.
+"""Shared test helpers: random real qubit states, channels, and rotations.
 
 numpy.linalg is used freely here as the independent oracle side; the
 package's own eigensolver is what these helpers help to check.
@@ -13,17 +13,11 @@ from measengine.linalg import _eig_pair
 from measengine.states import DensityMatrix
 
 
-def _gaussian(rng: np.random.Generator, real: bool) -> np.ndarray:
-    """A 2x2 matrix of standard normal entries, complex unless `real`."""
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+    """Random real state, with a coherence almost surely."""
     g = rng.normal(size=(2, 2))
-    return g if real else g + 1j * rng.normal(size=(2, 2))
-
-
-def random_density_matrix(rng: np.random.Generator, real: bool = False) -> DensityMatrix:
-    """Random state; `real` gives a real symmetric one."""
-    g = _gaussian(rng, real)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    m = g @ g.T
+    return DensityMatrix(m / np.trace(m))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -33,38 +27,39 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix."""
+    """Principal square root of a real symmetric PSD matrix."""
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)) @ v.T
 
 
-def random_kraus_set(rng: np.random.Generator, n_ops: int, real: bool = False) -> KrausSet:
-    """Random valid set: n_ops - 1 scaled contractions plus the completion; `real` ones if asked."""
+def random_kraus_set(rng: np.random.Generator, n_ops: int) -> KrausSet:
+    """Random valid real set: n_ops - 1 scaled contractions plus the completion."""
     assert n_ops >= 2
-    raw = [_gaussian(rng, real) for _ in range(n_ops - 1)]
-    total = sum(g.conj().T @ g for g in raw)
+    raw = [rng.normal(size=(2, 2)) for _ in range(n_ops - 1)]
+    total = sum(g.T @ g for g in raw)
     scale = np.sqrt(0.9 / np.linalg.eigvalsh(total)[-1])  # remainder stays PSD
     ops = [scale * g for g in raw]
-    remainder = np.eye(2) - sum(g.conj().T @ g for g in ops)
+    remainder = np.eye(2) - sum(g.T @ g for g in ops)
     ops.append(psd_sqrt(remainder))
     return KrausSet(tuple(ops), label=f"random(n={n_ops})")
 
 
-def random_givens_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Complex Givens rotation of the qubit's two levels."""
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Real rotation of the qubit's two levels."""
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s * np.exp(1j * phi)], [s * np.exp(-1j * phi), c]])
+    return np.array([[c, -s], [s, c]])
 
 
-def random_hermitian(rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return 0.5 * (g + g.conj().T)
+def random_symmetric(rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(2, 2))
+    return 0.5 * (g + g.T)
 
 
-# Non-finite entries, each in the real part or the imaginary part alone, and in both.
+# Non-finite values: the first three are real (a zero imaginary part), and an entry of
+# one makes a real matrix that is refused as not finite; each of the others has an
+# imaginary part, so an entry of one makes a complex matrix, refused as not real.
 NON_FINITE = (
     complex(np.inf, 0.0),
     complex(-np.inf, 0.0),
@@ -77,17 +72,20 @@ NON_FINITE = (
 )
 
 
-def real_stack(matrices) -> np.ndarray:
-    """The float64 stack of matrices whose entries are real (complex-typed ones included)."""
-    stack = np.array(matrices)
-    assert not np.imag(stack).any()
-    return np.real(stack).astype(float)
+def is_real(value: complex) -> bool:
+    return value.imag == 0.0
+
+
+def refusal(value: complex) -> str:
+    """The message that refuses a matrix holding the non-finite `value`, anchored."""
+    return f"^matrix entries must be {'finite' if is_real(value) else 'real'}$"
 
 
 def with_entry(base, i: int, j: int, value: complex) -> np.ndarray:
-    """Complex copy of `base` with entry [i, j] replaced by `value`."""
-    out = np.array(base, dtype=complex)
-    out[i, j] = value
+    """Copy of `base` with entry [i, j] replaced by `value`: float64 if the value is real,
+    else complex128."""
+    out = np.array(base, dtype=float if is_real(value) else complex)
+    out[i, j] = value.real if is_real(value) else value
     return out
 
 

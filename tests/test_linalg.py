@@ -12,27 +12,27 @@ from measengine.channels import KrausSet
 from measengine.linalg import (
     _eig_pair,
     _eigvals_stack,
-    _hermiticity_defect,
     _square_entries,
     as_square_matrix,
     eig_hermitian,
     matmul,
 )
 from measengine.states import DensityMatrix
-from support import NON_FINITE, random_givens_unitary, random_hermitian, with_entry
+from support import NON_FINITE, is_real, random_rotation, random_symmetric, refusal, with_entry
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-EYE2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+EYE2 = np.eye(2)
 
 
 def test_matmul_identity_leaves_input(rng):
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    x = rng.normal(size=(2, 2))
     assert np.array_equal(matmul(EYE2, x), x)
 
 
 def test_matmul_diagonal_algebra():
-    out = matmul(np.diag([2.0, 3.0]).astype(complex), np.diag([5.0, 7.0]).astype(complex))
+    out = matmul(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
+    assert out.dtype == np.float64
     assert np.array_equal(out, np.diag([10.0, 21.0]))
 
 
@@ -43,9 +43,9 @@ def test_matmul_pauli_involution():
 def test_matmul_dimension_mismatch():
     # Only qubit operators pass the boundary; a 3x3 factor is refused.
     with pytest.raises(ValueError, match="2x2"):
-        matmul(EYE2, np.eye(3, dtype=complex))
+        matmul(EYE2, np.eye(3))
     with pytest.raises(ValueError, match="2x2"):
-        as_square_matrix(np.eye(3, dtype=complex))
+        as_square_matrix(np.eye(3))
 
 
 def test_as_square_matrix_rejects_bad_input():
@@ -61,7 +61,7 @@ def test_as_square_matrix_rejects_bad_input():
 @pytest.mark.parametrize("check", [as_square_matrix, eig_hermitian], ids=lambda f: f.__name__)
 def test_non_finite_entries_are_rejected(check, bad):
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        with pytest.raises(ValueError, match=refusal(bad)):
             check(with_entry(EYE2, i, j, bad))
 
 
@@ -77,22 +77,57 @@ def _float_list(*replaced):
 
 
 # The engine's own input: nested lists of Python floats, read without numpy.  One
-# non-finite float or complex entry at each position, and +inf with -inf, whose sum is NaN.
+# non-finite entry at each position, and +inf with -inf, whose sum is NaN; a NON_FINITE
+# value with an imaginary part makes the list complex, which numpy coerces and refuses.
 NON_FINITE_FLOAT_LISTS = [
-    pytest.param(_float_list((i, j, bad)), id=f"{bad!r}@{i}{j}")
-    for bad in (math.nan, math.inf, -math.inf, *NON_FINITE) for i, j in POSITIONS
+    pytest.param(_float_list((i, j, bad)), refusal(bad), id=f"{bad!r}@{i}{j}")
+    for bad in (math.nan, math.inf, -math.inf) for i, j in POSITIONS
 ] + [
-    pytest.param(_float_list((*a, math.inf), (*b, -math.inf)), id=f"inf@{a}-inf@{b}")
+    pytest.param(_float_list((i, j, bad.real if is_real(bad) else bad)), refusal(bad),
+                 id=f"{bad!r}@{i}{j}")
+    for bad in NON_FINITE for i, j in POSITIONS
+] + [
+    pytest.param(_float_list((*a, math.inf), (*b, -math.inf)), refusal(math.inf),
+                 id=f"inf@{a}-inf@{b}")
     for a, b in itertools.permutations(POSITIONS, 2)
 ]
 
 
-@pytest.mark.parametrize("entries", NON_FINITE_FLOAT_LISTS)
+@pytest.mark.parametrize(("entries", "message"), NON_FINITE_FLOAT_LISTS)
 @pytest.mark.parametrize("check", [_square_entries, DensityMatrix, lambda m: KrausSet((m,))],
                          ids=["_square_entries", "DensityMatrix", "KrausSet"])
-def test_non_finite_float_lists_are_rejected(check, entries):
-    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+def test_non_finite_float_lists_are_rejected(check, entries, message):
+    with pytest.raises(ValueError, match=message):
         check(entries)
+
+
+# Complex input, with imaginary parts and with zero ones: nested lists (one complex entry
+# among floats too), tuples and complex arrays.
+COMPLEX_INPUTS = {
+    "list": [[0.5 + 0j, 0j], [0j, 0.5 + 0j]],
+    "list-one-entry": [[0.5, 0.0], [0j, 0.5]],
+    "list-imag": [[0.5, 0.1j], [-0.1j, 0.5]],
+    "tuple": ((0.5 + 0j, 0j), (0j, 0.5 + 0j)),
+    "tuple-imag": ((0.5, 0.1j), (-0.1j, 0.5)),
+    "complex128": np.eye(2, dtype=complex) / 2.0,
+    "complex128-imag": np.array([[0.5, 0.1j], [-0.1j, 0.5]]),
+    "complex64": np.eye(2, dtype=np.complex64) / 2.0,
+}
+REAL_ONLY = {
+    "DensityMatrix": DensityMatrix,
+    "KrausSet": lambda m: KrausSet((np.eye(2), m)),
+    "as_square_matrix": as_square_matrix,
+    "eig_hermitian": eig_hermitian,
+    "matmul-left": lambda m: matmul(m, EYE2),
+    "matmul-right": lambda m: matmul(EYE2, m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLEX_INPUTS))
+@pytest.mark.parametrize("check", sorted(REAL_ONLY))
+def test_complex_input_is_refused(check, kind):
+    with pytest.raises(ValueError, match="^matrix entries must be real$"):
+        REAL_ONLY[check](COMPLEX_INPUTS[kind])
 
 
 def test_finite_entries_whose_sum_overflows_are_accepted():
@@ -101,72 +136,75 @@ def test_finite_entries_whose_sum_overflows_are_accepted():
     assert math.isinf(sum(entries[0] + entries[1]))
     flat = _square_entries(entries)
     assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
-    assert _square_entries(np.array(entries)) == [complex(1e308)] * 4
+    flat = _square_entries(np.array(entries))
+    assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
 
 
 def test_trace_is_cyclic(rng):
     for _ in range(60):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a = rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2))
         assert abs(np.trace(matmul(a, b)) - np.trace(matmul(b, a))) <= 1e-13
 
 
 def test_eig_examples():
     assert np.allclose(eig_hermitian(EYE2), [1.0, 1.0])
     assert np.allclose(eig_hermitian(SIGMA_X), [-1.0, 1.0])
-    got = eig_hermitian(np.diag([5.0 / 12.0, 7.0 / 12.0]).astype(complex))
+    got = eig_hermitian(np.diag([5.0 / 12.0, 7.0 / 12.0]))
     assert np.array_equal(got, [5.0 / 12.0, 7.0 / 12.0])
 
 
-# Hermitian matrices whose coherence sum a01 + conj(a10) = 2c leaves the float range.
-@pytest.mark.parametrize("c", [1e308 + 1e307j, 1e308], ids=["complex", "real"])
+# Symmetric matrices whose coherence sum a01 + a10 = 2c leaves the float range.
+@pytest.mark.parametrize("c", [1e308], ids=["real"])
 def test_eig_of_coherences_whose_sum_overflows_is_finite(c):
-    # |c| is in range, so the eigenvalues 0.5 -+ |c| are finite.
-    diagonal = 0.5 + 0j if isinstance(c, complex) else 0.5
-    got = eig_hermitian([[diagonal, c], [c.conjugate(), diagonal]])
+    # c is in range, so the eigenvalues 0.5 -+ c are finite.
+    got = eig_hermitian([[0.5, c], [c, 0.5]])
     assert np.isfinite(got).all()
-    assert got.tolist() == [0.5 - abs(c), 0.5 + abs(c)]
-    if isinstance(c, float):  # the stack kernel forms c alike
-        lo, hi = _eigvals_stack(np.array([[[0.5, c], [c, 0.5]]]))
-        assert (lo.tolist(), hi.tolist()) == ([0.5 - c], [0.5 + c])
+    assert got.tolist() == [0.5 - c, 0.5 + c]
+    lo, hi = _eigvals_stack(np.array([[[0.5, c], [c, 0.5]]]))  # the stack kernel forms c alike
+    assert (lo.tolist(), hi.tolist()) == ([0.5 - c], [0.5 + c])
 
 
 def test_eig_of_a_coherence_beyond_the_float_range_is_infinite_not_nan():
-    c = 1.3e308 + 1.3e308j  # 0.5 -+ |c|, |c| = 1.84e308, lie beyond the float range
-    assert eig_hermitian([[0.5 + 0j, c], [c.conjugate(), 0.5 + 0j]]).tolist() == [-math.inf, math.inf]
+    # The coherence sum overflows, and so does the radius hypot(1.5e308, 1.5e308) = 2.1e308.
+    c = 1.5e308
+    assert eig_hermitian([[c, c], [c, -c]]).tolist() == [-math.inf, math.inf]
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_sum_matches_trace(rng):
     for _ in range(75):
-        a = random_hermitian(rng)
-        assert abs(np.sum(eig_hermitian(a)) - np.trace(a).real) <= 1e-12
+        a = random_symmetric(rng)
+        assert abs(np.sum(eig_hermitian(a)) - np.trace(a)) <= 1e-12
 
 
 def test_eig_invariant_under_givens_similarity(rng):
     for _ in range(75):
         levels = np.sort(rng.uniform(-2.0, 2.0, size=2))
-        u = random_givens_unitary(rng)
-        rotated = u @ np.diag(levels).astype(complex) @ u.conj().T
+        u = random_rotation(rng)
+        rotated = u @ np.diag(levels) @ u.T
         assert np.max(np.abs(eig_hermitian(rotated) - levels)) <= 1e-10
 
 
 def test_eig_matches_numpy_oracle(rng):
     # Independent oracle for the closed form, the only eigen path: numpy's eigvalsh.
     for _ in range(75):
-        a = random_hermitian(rng)
+        a = random_symmetric(rng)
         assert a[0, 1] != 0.0  # non-diagonal, so the quadratic branch runs
         assert np.max(np.abs(eig_hermitian(a) - np.linalg.eigvalsh(a))) <= 1e-12
 
 
 def test_hermiticity_defect_and_offdiag():
-    # The constructors' Hermiticity kernel, and the coherence `verify` reads off a state stack.
-    assert _hermiticity_defect(*_square_entries(SIGMA_X)) == 0.0
-    assert verify._offdiag(np.array([np.diag([1.0, 2.0]), SIGMA_X.real])).tolist() == [0.0, 1.0]
+    # The constructors' symmetry defect |a01 - a10|, and the coherence `verify` reads off a
+    # state stack.
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: defect 2\.000e\+00 "):
+        eig_hermitian([[0.0, 1.0], [-1.0, 0.0]])
+    assert eig_hermitian(SIGMA_X).tolist() == [-1.0, 1.0]
+    assert verify._offdiag(np.array([np.diag([1.0, 2.0]), SIGMA_X])).tolist() == [0.0, 1.0]
 
 
 entries = st.floats(-1e3, 1e3)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from support import NON_FINITE, grid_channel
+from support import NON_FINITE, grid_channel, is_real, refusal
 
 from measengine import channels
 from measengine.channels import (
@@ -47,10 +47,9 @@ def with_bad_entry(stack: np.ndarray, index: tuple, bad: complex) -> tuple[np.nd
     A value with an imaginary part makes the stack complex, which is refused
     before its values are looked at.
     """
-    real = bad.imag == 0.0
-    out = stack.astype(float if real else complex)
-    out[index] = bad.real if real else bad
-    return out, rf"^matrix entries must be {'finite' if real else 'real'}$"
+    out = stack.astype(float if is_real(bad) else complex)
+    out[index] = bad.real if is_real(bad) else bad
+    return out, refusal(bad)
 
 
 def with_states(**states) -> np.ndarray:
@@ -150,14 +149,15 @@ class TestValidateStateStack:
             validate_state_stack(with_states(s0=np.diag([0.5 - (below + 1) * 2.0**-53, 0.5])))
 
     def test_imaginary_trace_edge(self):
-        # `DensityMatrix` accepts an imaginary trace within TOL_TRACE; a stack must be real.
+        # An imaginary trace within TOL_TRACE is complex input: a stack and `DensityMatrix`
+        # refuse it alike, before any check.
         h = 0.5 * TOL_TRACE
         state = np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]])
-        DensityMatrix(state)
         stack = mixed_stack().astype(complex)
         stack[3] = state
-        with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
-            validate_state_stack(stack)
+        for check, given in ((validate_state_stack, stack), (DensityMatrix, state)):
+            with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
+                check(given)
 
     def test_lowest_eigenvalue_edge(self):
         validate_state_stack(with_states(s2=np.diag([1.0 + TOL_PSD, -TOL_PSD])))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import NON_FINITE, random_density_matrix, trace_distance, with_entry
+from support import NON_FINITE, random_density_matrix, refusal, trace_distance, with_entry
 
 from measengine.channels import KrausSet
 from measengine.engine import CycleParams, run_analytic, run_numeric
@@ -63,25 +63,24 @@ class TestDensityMatrixInvariants:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
+            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.diag([0.5, 0.6]).astype(complex))
+            DensityMatrix(np.diag([0.5, 0.6]))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
+            DensityMatrix(np.diag([1.1, -0.1]))
 
     # Finite entries whose arithmetic leaves the float range (any warning fails the test).
-    _HUGE = 1.3e308 + 1.3e308j  # |_HUGE| overflows, and so does _HUGE + _HUGE
-    _LOWER = 1.2711610061536462e+308 + 1.2711610061536464e+308j
+    _HUGE = 1.3e308  # _HUGE + _HUGE overflows
 
     @pytest.mark.parametrize(("entries", "message"), [
-        # Hermitian, so its lower eigenvalue 0.5 - |_HUGE| is far below 0, beyond the float range.
-        ([[0.5 + 0j, _HUGE], [_HUGE.conjugate(), 0.5 + 0j]], "state has negative eigenvalue -inf"),
-        # |a01 - conj(a10)| is beyond the float range: an infinite Hermiticity defect.
-        ([[0j, 0j], [_LOWER, 0j]], r"state is not Hermitian \(defect inf\)"),
+        # Symmetric, so its lower eigenvalue is 0.5 - _HUGE, from the halved coherence terms.
+        ([[0.5, _HUGE], [_HUGE, 0.5]], r"state has negative eigenvalue -1\.300e\+308"),
+        # |a01 - a10| is beyond the float range: an infinite Hermiticity defect.
+        ([[0.0, -_HUGE], [_HUGE, 0.0]], r"state is not Hermitian \(defect inf\)"),
     ], ids=["hermitian", "lower-triangular"])
     def test_entries_at_the_float_limit_are_refused(self, entries, message):
         for given in (entries, np.array(entries)):
@@ -98,13 +97,22 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.7
 
+    def test_matrices_are_read_only_float64(self, rng):
+        rho = DensityMatrix(random_density_matrix(rng).mat.tolist())
+        k = KrausSet(([[1.0, 0.0], [0.0, 0.6]], np.array([[0.0, 0.8], [0.0, 0.0]])))
+        for mat in (rho.mat, *k.ops, QUBIT.matrix, Hamiltonian.qubit(2.0).matrix):
+            assert mat.dtype == np.float64 and mat.shape == (2, 2)
+            assert not mat.flags.writeable
+        assert QUBIT.matrix.tolist() == [[-0.5, 0.0], [0.0, 0.5]]
+        assert rho.populations.dtype == np.float64 and rho.populations.flags.writeable
+
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     def test_rejects_non_finite_entries(self, bad):
         mixed = np.eye(2) / 2.0
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             m = with_entry(mixed, i, j, bad)
             for given in (m, m.tolist()):  # the channels pass nested lists
-                with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                with pytest.raises(ValueError, match=refusal(bad)):
                     DensityMatrix(given)
 
     def test_stored_entries_and_eigenvalues_are_those_of_mat(self, rng):
@@ -129,40 +137,39 @@ class TestDensityMatrixToleranceEdges:
 
     @pytest.mark.parametrize(
         "entries",
-        [
-            lambda t: [[0.5, t], [0.0, 0.5]],
-            lambda t: [[0.5, 1j * t], [0.0, 0.5]],
-            lambda t: [[0.5 + 0.5j * t, 0.0], [0.0, 0.5]],
-            lambda t: [[0.5, 0.0], [0.0, 0.5 - 0.5j * t]],
-        ],
-        ids=["off-diagonal-real", "off-diagonal-imag", "diagonal-0", "diagonal-1"],
+        [lambda t: [[0.5, t], [0.0, 0.5]]],
+        ids=["off-diagonal-real"],
     )
     def test_hermiticity_edge(self, entries):
-        DensityMatrix(np.array(entries(TOL_HERM), dtype=complex))
+        DensityMatrix(np.array(entries(TOL_HERM)))
         with pytest.raises(ValueError, match=r"^state is not Hermitian \(defect 1\.000e-12\)$"):
-            DensityMatrix(np.array(entries(_up(TOL_HERM)), dtype=complex))
+            DensityMatrix(np.array(entries(_up(TOL_HERM))))
 
     def test_trace_edges(self):
         # Real traces move on the float grid around 1: steps of 2^-52 above, 2^-53 below.
         above = math.floor(TOL_TRACE / 2.0**-52)
         below = math.floor(TOL_TRACE / 2.0**-53)
-        DensityMatrix(np.diag([0.5 + above * 2.0**-52, 0.5]).astype(complex))
-        DensityMatrix(np.diag([0.5 - below * 2.0**-53, 0.5]).astype(complex))
+        DensityMatrix(np.diag([0.5 + above * 2.0**-52, 0.5]))
+        DensityMatrix(np.diag([0.5 - below * 2.0**-53, 0.5]))
         with pytest.raises(ValueError, match=r"^state trace 1\.000000000001\+0j is not 1$"):
-            DensityMatrix(np.diag([0.5 + (above + 1) * 2.0**-52, 0.5]).astype(complex))
+            DensityMatrix(np.diag([0.5 + (above + 1) * 2.0**-52, 0.5]))
         with pytest.raises(ValueError, match=r"^state trace 0\.999999999999\+0j is not 1$"):
-            DensityMatrix(np.diag([0.5 - (below + 1) * 2.0**-53, 0.5]).astype(complex))
+            DensityMatrix(np.diag([0.5 - (below + 1) * 2.0**-53, 0.5]))
 
     def test_imaginary_trace_edge(self):
-        # Im Tr = TOL_TRACE exactly, with the Hermiticity defect at its edge too.
+        # Im Tr = TOL_TRACE exactly, with the Hermiticity defect at its edge too: complex input,
+        # refused before any check, as a complex stack is.
         h = 0.5 * TOL_TRACE
         assert 2.0 * h == TOL_HERM
-        DensityMatrix(np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]]))
+        for state in ([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]],
+                      np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]])):
+            with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
+                DensityMatrix(state)
 
     def test_lowest_eigenvalue_edge(self):
-        DensityMatrix(np.diag([1.0 + TOL_PSD, -TOL_PSD]).astype(complex))
+        DensityMatrix(np.diag([1.0 + TOL_PSD, -TOL_PSD]))
         with pytest.raises(ValueError, match=r"^state has negative eigenvalue -1\.000e-12$"):
-            DensityMatrix(np.diag([1.0 + TOL_PSD, -_up(TOL_PSD)]).astype(complex))
+            DensityMatrix(np.diag([1.0 + TOL_PSD, -_up(TOL_PSD)]))
 
 
 class TestGibbsState:
@@ -230,42 +237,42 @@ class TestGibbsState:
         assert ground.tolist() == [expected[0]] * 2 and excited.tolist() == [expected[1]] * 2
 
 
-def _state_entries(p: float, c: complex) -> list[list[complex]]:
-    return [[complex(p), c], [c.conjugate(), complex(1.0 - p)]]
+def _state_entries(p: float, c: float) -> list[list[float]]:
+    return [[p, c], [c, 1.0 - p]]
+
+
+def _with(m: list[list[float]], i: int, j: int, value: float) -> list[list[float]]:
+    m[i][j] = value
+    return m
 
 
 _STATE_ENTRIES = st.builds(_state_entries, st.floats(0.0, 1.0),
-                           st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.6)))
+                           st.one_of(st.just(0.0), st.floats(-0.6, 0.6)))
 
-# 2x2 entries as complex numbers: states (diagonal, real or complex coherence, some
-# failing the PSD check), states with one non-finite entry, and arbitrary entries,
-# NaN, infinities and huge values included.
+# 2x2 real entries: states (diagonal, or with a coherence, some failing the PSD check),
+# states with one non-finite entry, and arbitrary entries, NaN, infinities and huge values
+# included.
 _ENTRIES = st.one_of(
     _STATE_ENTRIES,
-    st.builds(lambda m, i, j, bad: with_entry(m, i, j, bad).tolist(), _STATE_ENTRIES,
-              st.integers(0, 1), st.integers(0, 1), st.sampled_from(NON_FINITE)),
-    st.lists(st.complex_numbers(), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
+    st.builds(_with, _STATE_ENTRIES, st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from((math.inf, -math.inf, math.nan))),
+    st.lists(st.floats(), min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]]),
 )
 
-# Each input kind a caller might pass, built from 2x2 complex entries.  The last
-# five are malformed: the wrong shape, or entries that are not numbers (numpy
-# still parses numeric strings, and bools).
+# Each real input kind a caller might pass, built from 2x2 float entries.  The last
+# five are malformed: the wrong shape, or entries that are not numbers (numpy holds
+# numeric strings as strings, refused as not real, and bools as bools, accepted).
 _KINDS = {
-    "float lists": lambda m: [[v.real for v in row] for row in m],
-    "complex lists": lambda m: [list(row) for row in m],
-    "mixed lists": lambda m: [[m[0][0].real, m[0][1]], [m[1][0], m[1][1].real]],
-    "int lists": lambda m: [[int(v.real) if math.isfinite(v.real) else 1 for v in row]
-                            for row in m],
-    "float tuples": lambda m: tuple(tuple(v.real for v in row) for row in m),
-    "complex tuples": lambda m: tuple(tuple(row) for row in m),
-    "np.float64 lists": lambda m: [[np.float64(v.real) for v in row] for row in m],
-    "float64 array": lambda m: np.array([[v.real for v in row] for row in m]),
-    "complex128 array": lambda m: np.array(m, dtype=complex),
-    "3x3 lists": lambda m: [[v.real for v in row] + [0.0] for row in m] + [[0.0, 0.0, 1.0]],
-    "ragged lists": lambda m: [[v.real for v in m[0]], [m[1][0].real]],
-    "flat list": lambda m: [v.real for row in m for v in row],
-    "string lists": lambda m: [[repr(v.real) for v in row] for row in m],
-    "bool lists": lambda m: [[v.real > 0.5 for v in row] for row in m],
+    "float lists": lambda m: [list(row) for row in m],
+    "int lists": lambda m: [[int(v) if math.isfinite(v) else 1 for v in row] for row in m],
+    "float tuples": lambda m: tuple(tuple(row) for row in m),
+    "np.float64 lists": lambda m: [[np.float64(v) for v in row] for row in m],
+    "float64 array": lambda m: np.array(m),
+    "3x3 lists": lambda m: [list(row) + [0.0] for row in m] + [[0.0, 0.0, 1.0]],
+    "ragged lists": lambda m: [list(m[0]), [m[1][0]]],
+    "flat list": lambda m: [v for row in m for v in row],
+    "string lists": lambda m: [[repr(v) for v in row] for row in m],
+    "bool lists": lambda m: [[v > 0.5 for v in row] for row in m],
 }
 
 _REFUSALS = (ValueError, TypeError, OverflowError)
@@ -274,15 +281,16 @@ _REFUSALS = (ValueError, TypeError, OverflowError)
 class TestConstructorInputKinds:
     """`DensityMatrix` and `KrausSet` accept or refuse every kind of input as numpy's coercion does.
 
-    The reference is `as_square_matrix`: numpy's complex coercion, then the shape
-    and finiteness checks.  Nested lists of Python floats and complex numbers are
-    read without numpy, so for them this compares two implementations.
+    The reference is `as_square_matrix`: the shape check, then numpy's coercion
+    under `as_matrix_stack`'s rule (real entries only, all finite).  Nested lists of
+    Python floats are read without numpy, so for them this compares two
+    implementations.
     """
 
     @settings(max_examples=400)
     @given(_ENTRIES, st.sampled_from(sorted(_KINDS)))
-    # Once raised OverflowError, not a refusal, from the Hermiticity check.
-    @example([[0j, 0j], [(1.2711610061536462e+308+1.2711610061536464e+308j), 0j]], "complex lists")
+    # A Hermiticity defect beyond the float range.
+    @example([[0.0, -1.3e308], [1.3e308, 0.0]], "float lists")
     def test_each_input_is_accepted_or_refused_as_numpy_coerces_it(self, entries, kind):
         value = _KINDS[kind](entries)
         try:
@@ -310,16 +318,14 @@ class TestConstructorInputKinds:
 
     @staticmethod
     def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray, value) -> None:
-        # Nested lists of Python floats and complex numbers keep their own entries, a
-        # float as a float; every kind that numpy coerces gives complex entries.
+        # Every kind gives Python float entries; a nested list of Python floats keeps its own.
+        assert all(type(v) is float for v in entries)
         rows = value if type(value) is list and all(type(row) is list for row in value) else []
         flat = [v for row in rows for v in row]
-        if flat and {type(v) for v in flat} <= {float, complex}:
-            assert [type(v) for v in entries] == [type(v) for v in flat]
-        else:
-            assert all(type(v) is complex for v in entries)
-        assert np.array(entries, dtype=complex).tobytes() == expected.tobytes()
-        assert mat.dtype == complex and mat.shape == (2, 2) and not mat.flags.writeable
+        if flat and all(type(v) is float for v in flat):
+            assert np.array(entries).tobytes() == np.array(flat).tobytes()
+        assert np.array(entries).tobytes() == expected.tobytes()
+        assert mat.dtype == np.float64 and mat.shape == (2, 2) and not mat.flags.writeable
         assert mat.tobytes() == expected.tobytes()
 
 
@@ -355,7 +361,7 @@ class TestMeanEnergy:
         for _ in range(200):
             rho = random_density_matrix(rng)
             assert abs(rho.mat[0, 1]) > 0.0
-            assert mean_energy(rho, h) == complex(np.trace(h.matrix @ rho.mat)).real
+            assert mean_energy(rho, h) == float(np.trace(h.matrix @ rho.mat))
 
     @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 3.0)])
     @pytest.mark.parametrize("b", [1e-7, math.log(2.0), 5.0, 700.0])
@@ -364,13 +370,13 @@ class TestMeanEnergy:
         for ledger in (run_numeric(p), run_analytic(p)):
             for rec in ledger.strokes:
                 h, rho = rec.hamiltonian_after, rec.state_after
-                assert rec.energy_after == complex(np.trace(h.matrix @ rho.mat)).real
+                assert rec.energy_after == float(np.trace(h.matrix @ rho.mat))
 
     def test_dimension_mismatch(self):
         # Only qubits pass the boundary: neither a 3x3 state nor a three-level
         # Hamiltonian can be built, so mean_energy never sees a mismatch.
         with pytest.raises(ValueError, match="2x2"):
-            DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+            DensityMatrix(np.eye(3) / 3.0)
         with pytest.raises(ValueError, match="exactly two levels"):
             Hamiltonian((-1.0, 0.0, 1.0))
 

@@ -183,8 +183,8 @@ def test_excite_family_is_the_excitation_deviation_of_every_point(monkeypatch, a
     monkeypatch.setattr(verify, "_Checker", Kept)
     assert verify.run_verification(*axes).passed
     (family,) = [family for family in checkers[0]._families if family[1].label == "excite"]
-    checks, points, deviation, bound, tol, _, below = family
-    assert (checks, bound, tol, below) == (("channel-completeness",), 0.0, COMPLETENESS_TOL, True)
+    checks, points, deviation, _, tol, _, below = family
+    assert (checks, tol, below) == (("channel-completeness",), COMPLETENESS_TOL, True)
     grid = CycleGrid.product(*axes, CycleMode.FIVE_STROKE)
     assert sorted(points.at.tolist()) == list(range(len(grid)))
     got = np.empty(len(grid))
@@ -200,7 +200,7 @@ def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
     nan = math.nan
     # close passes where both sides are NaN and fails where one is; below fails on NaN.
     c.close("close", points, np.array([nan, nan, 1.0]), np.array([nan, 1.0, nan]), 1e-12)
-    c.below("below", points, np.array([nan, 0.0, 1.0]), 0.0)
+    c.below("below", points, np.array([nan, 0.0, 1.0]))
     assert c.count == 6
     assert [(f.check, f.where) for f in c.failures] == [
         ("below", "five b=1 gamma=0.5 r=2"),
@@ -221,12 +221,12 @@ def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
     observed[6, 1] = 1.0
     stacked, separate = verify._Checker(), verify._Checker()
     for c in (stacked, separate):
-        c.below("before", points, np.array([0.0, 1.0, 0.0]), 0.0)
+        c.below("before", points, np.array([0.0, 1.0, 0.0]))
     stacked.close_fields("field-", points, observed, expected, 1e-12)
     for field, obs, exp in zip(verify.LEDGER_FIELDS, observed, expected, strict=True):
         separate.close("field-" + field, points, obs, exp, 1e-12)
     for c in (stacked, separate):
-        c.below("after", points, np.array([nan, 1.0, 0.0]), 0.0)
+        c.below("after", points, np.array([nan, 1.0, 0.0]))
     assert stacked.count == separate.count == 3 + 24 + 3
     assert [str(f) for f in stacked.failures] == [str(f) for f in separate.failures]
     assert [(f.check, f.where) for f in stacked.failures] == [
@@ -318,15 +318,9 @@ def families(draw):
     points = base[index]
     n, tol = len(index), draw(st.sampled_from(TOLS))
     anything = st.sampled_from(EDGES) | st.floats(-10.0, 10.0)
-    if method == "below":
-        if draw(st.booleans()):  # a finite bound per point
-            bound = np.array([draw(st.sampled_from(EDGES[:5] + EDGES[8:]) | st.floats(-10.0, 10.0))
-                              for _ in range(n)])
-            value = np.array([_near(draw, e, tol) for e in bound.tolist()])
-        else:
-            bound = draw(st.sampled_from((0.0, -0.0, 1.0, -2.5)))
-            value = np.array([_near(draw, bound, tol) for _ in range(n)])
-        return method, "bound", points, value, bound, tol, " level=1"
+    if method == "below":  # value <= tol: the expected value is 0
+        value = np.array([_near(draw, 0.0, tol) for _ in range(n)])
+        return method, "bound", points, value, 0.0, tol, " level=1"
     rows = len(verify.LEDGER_FIELDS) if method == "close_fields" else 1
     expected = np.array([[draw(anything) for _ in range(n)] for _ in range(rows)])
     if method == "close":  # a scalar expected value, broadcast over the points, zero most often
@@ -347,28 +341,24 @@ PAIRED = (0.0, -0.0, 1.0, -1.0, 1e-12, 5e-324, math.inf, -math.inf, math.nan)
 def _every_pair() -> list[tuple]:
     """Families that meet every pair of edge values, with tolerance 0 and not.
 
-    Each value of PAIRED is observed against each as an array expected value and against
-    each finite one as a below bound per point, and against the scalar expected values 0.0,
-    -0.0 and 1.0 and the scalar bounds 0.0, -0.0 and -2.5.
+    Each value of PAIRED is observed against each as an array expected value, against
+    the scalar expected values 0.0, -0.0 and 1.0, and as a below value.
     """
     n = len(PAIRED)
     points = verify._Points("five", np.array([0.1]), np.linspace(0.5, 1.0, n * n),
                             np.array([1.0, 2.0]), np.arange(0, 2 * n * n, 2))  # r = 1
     observed, expected = (np.array(pair) for pair in zip(*itertools.product(PAIRED, PAIRED)))
-    finite = np.isfinite(expected)
     alone = np.array(PAIRED)
     recorded = []
     for tol in (0.0, 1e-12):
         recorded += [
             ("close", "pair", points, observed, expected, tol, ""),
-            ("below", "pair-bound", points[finite], observed[finite], expected[finite], tol, ""),
+            ("below", "bound", points[:n], alone, 0.0, tol, ""),
             ("close_fields", "field-", points, np.roll(np.tile(observed, (8, 1)), 1, axis=1),
              np.tile(expected, (8, 1)), tol, ""),
         ]
         for scalar in (0.0, -0.0, 1.0):
             recorded.append(("close", "scalar", points[:n], alone, scalar, tol, f" at={scalar}"))
-        for bound in (0.0, -0.0, -2.5):
-            recorded.append(("below", "bound", points[:n], alone, bound, tol, f" at={bound}"))
     return recorded
 
 
@@ -406,6 +396,8 @@ def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recorded
     for method, name, points, observed, expected, tol, detail in recorded:
         if method == "close_fields":
             c.close_fields(name, points, observed, expected, tol)
+        elif method == "below":
+            c.below(name, points, observed, tol, detail)
         else:
-            getattr(c, method)(name, points, observed, expected, tol, detail)
+            c.close(name, points, observed, expected, tol, detail)
     assert (c.count, [str(f) for f in c.failures]) == _per_check(recorded)
