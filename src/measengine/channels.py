@@ -53,8 +53,9 @@ entry.  Around them each engine keeps its own checks:
   `_max_deviation` per set, the same bits on finite entries;
   `apply_unselective_stack` checks that every column has one entry per
   state, refuses the first set whose deviation is above COMPLETENESS_TOL
-  or NaN, evolves the (N,) columns of a real (N, 2, 2) state stack and
-  checks the output with `validate_state_stack`.
+  or NaN, evolves a real (4, N) state stack (the layout of `states`:
+  one (N,) row per entry, which `_evolve` takes as it is) and checks the
+  output with `validate_state_stack`.
 
 `KrausSet` (any real 2x2 operators, checked as `DensityMatrix` checks a
 state, kept as entries, `ops` built on first read), `first_channel` and
@@ -312,23 +313,21 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
     """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
 
     `ops` is a grid channel, as `first_channel_stack` gives it.  The state
-    stack must be a real (N, 2, 2) stack, and every array entry of `ops` an
-    (N,) column, at least one of them, else ValueError before any
-    arithmetic.  Every set must pass `_require_complete`'s check, a NaN
-    deviation failing (else IncompleteKrausSetError names the first that
-    fails), and every output state the `DensityMatrix` checks.  The
-    evolution is `_evolve` on the (N,) columns of the entries, so each
-    output entry is the IEEE result `_apply` gives on the same real
-    entries, `_ZERO` read as 0.0.
+    stack must be a real (4, N) stack, as `as_matrix_stack` coerces it, and
+    every array entry of `ops` an (N,) column, at least one of them, else
+    ValueError before any arithmetic.  Every set must pass
+    `_require_complete`'s check, a NaN deviation failing (else
+    IncompleteKrausSetError names the first that fails), and every output
+    state the `DensityMatrix` checks.  The evolution is `_evolve` on the
+    stack's rows, so each output entry is the IEEE result `_apply` gives on
+    the same real entries, `_ZERO` read as 0.0.
     With `return_deviation`, the states come with the checked deviations,
     `completeness_deviation_stack(ops)`.
     """
     rho = as_matrix_stack(rho)
-    if rho.ndim != 3:
-        raise ValueError(f"expected a (N, 2, 2) state stack, got shape {rho.shape}")
     columns = [v.shape for op in ops for v in op if isinstance(v, np.ndarray)]
-    if not columns or columns.count(rho.shape[:1]) != len(columns):
-        raise ValueError(f"expected a channel of ({len(rho)},) columns, got shapes {columns}")
+    if not columns or columns.count(rho.shape[1:]) != len(columns):
+        raise ValueError(f"expected a channel of ({rho.shape[1]},) columns, got shapes {columns}")
     dev = completeness_deviation_stack(ops)
     ok = dev <= COMPLETENESS_TOL  # as `_require_complete` passes: a NaN fails
     if not ok.all():
@@ -336,10 +335,7 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
         raise IncompleteKrausSetError(
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
-    # Each entry of every state as one contiguous (N,) row, and the output the same way:
-    # its (N, 2, 2) view keeps every entry column contiguous for the next stroke.
-    out = np.array(_evolve(ops, *rho.transpose(1, 2, 0).reshape(4, -1)))
-    out = validate_state_stack(out.reshape(2, 2, -1).transpose(2, 0, 1))
+    out = validate_state_stack(np.array(_evolve(ops, *rho)))
     return (out, dev) if return_deviation else out
 
 

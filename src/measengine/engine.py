@@ -55,8 +55,9 @@ state.
 
 `CycleGrid` holds many parameter points as flat arrays, and
 `run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
-the numeric side evolves (N, 2, 2) state stacks through grid channels,
-the analytic side evaluates the closed form on arrays.  The two engines
+the numeric side evolves (4, N) state stacks (laid out as `states` sets
+out) through grid channels, the analytic side evaluates the closed form
+on arrays.  The two engines
 share `_strength`, `_gamma_range`, `_ledger`, `_closed_form`, `_eta_law`,
 the q helpers and the channel kernel (`channels._completeness_terms` and
 `_evolve`), which take Python floats or float64 columns alike, and each
@@ -103,7 +104,6 @@ from .states import (
     gibbs_state,
     mean_energy,
     mean_energy_stack,
-    population_stack,
     validate_state_stack,
 )
 
@@ -443,11 +443,12 @@ class CycleGrid:
     the error `CycleParams` raises for the first bad one, and builds every
     per-point column once, read-only: `x` = e^-b and `th` = tanh(b/2), from
     math.exp and math.tanh once per distinct b; `strength`, the excitation
-    strength P = gamma * (1 - e^-b); `thermal`, the validated float64
-    (N, 2, 2) Gibbs state of every point, from one `_gibbs_populations`
+    strength P = gamma * (1 - e^-b); `thermal`, the validated (4, N) state
+    stack of every point's Gibbs state, from one `_gibbs_populations`
     call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
     `isentropic_strength_stack` of every point, NaN where no partner exists.
     `evolved` and `entropies` are kept once read, and carried by `subset` and `stretched`.
+    Every kept array has the point axis last, so one index rule, `[..., index]`, takes points.
     """
 
     b: np.ndarray
@@ -476,14 +477,14 @@ class CycleGrid:
         if not ok.all():
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
-        thermal = np.zeros((len(values), 2, 2))  # `population_stack` of the Gibbs populations
-        thermal[:, 0, 0], thermal[:, 1, 1] = _gibbs_populations(_H1, values)
-        thermal = validate_state_stack(thermal)
+        ground, excited = _gibbs_populations(_H1, values)
+        zero = np.zeros(len(values))
+        thermal = validate_state_stack(np.array((ground, zero, zero, excited)))
         distinct = values.tolist()
         x = np.array([math.exp(-v) for v in distinct])[index]
         strength = _strength(gamma, x)
         fields.update(x=x, th=np.array([math.tanh(0.5 * v) for v in distinct])[index],
-                      strength=strength, thermal=thermal[index],
+                      strength=strength, thermal=thermal[:, index],
                       q=isentropic_strength_stack(strength, x))
         _read_only(*(fields[name] for name in ("r", *_TAKEN_COLUMNS)))
 
@@ -540,11 +541,11 @@ class CycleGrid:
         fields = grid.__dict__
         fields["mode"] = mode
         fields.update(zip(("r", *_TAKEN_COLUMNS),
-                          _read_only(r, *(kept[name][index] for name in _TAKEN_COLUMNS))))
+                          _read_only(r, *(kept[name][..., index] for name in _TAKEN_COLUMNS))))
         if "evolved" in kept:
-            fields["evolved"] = _read_only(*(column[index] for column in kept["evolved"]))
+            fields["evolved"] = _read_only(*(array[..., index] for array in kept["evolved"]))
         if "entropies" in kept:
-            fields["entropies"] = _read_only(kept["entropies"][:, index])[0]
+            fields["entropies"] = _read_only(kept["entropies"][..., index])[0]
         return grid
 
     @property
@@ -575,23 +576,22 @@ class CycleGrid:
 
 
 def _entropies(*stacks: np.ndarray) -> np.ndarray:
-    """The read-only (len(stacks), N) entropies of (N, 2, 2) stacks: one `entropy_stack` pass."""
-    return _read_only(entropy_stack(np.concatenate(stacks)).reshape(len(stacks), -1))[0]
+    """The read-only (len(stacks), N) entropies of (4, N) stacks: one `entropy_stack` pass."""
+    return _read_only(entropy_stack(np.hstack(stacks)).reshape(len(stacks), -1))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class GridLedger:
     """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
 
-    `states_tp` / `states_qmi` / `states_qmii` are the validated (N, 2, 2)
-    float64 states after TP (the thermal state, which API keeps), QMI and QMII.
+    `states_tp` / `states_qmi` / `states_qmii` are the validated (4, N)
+    state stacks after TP (the thermal state, which API keeps), QMI and QMII.
     The numeric ledger is given all three stacks and `evolved_on`, its grid,
-    whose `entropies` it reads.  The analytic ledger is
-    given `measured` as the two (N,) post-QMI population columns, ground and
-    excited, and stacks them and builds and validates the QMI and QMII
-    stacks from them (QMII swaps the two) when they, or their entropies,
-    are first read.  Its entropies are computed, all three in one
-    `entropy_stack` pass, when first asked for.
+    whose `entropies` it reads.  The analytic ledger is given `measured` as
+    the two (N,) post-QMI population columns, ground and excited, and builds
+    and validates the QMI and QMII stacks from them (QMII swaps the two)
+    when they, or their entropies, are first read.  Its entropies are
+    computed, all three in one `entropy_stack` pass, when first asked for.
     """
 
     q_in: np.ndarray
@@ -610,11 +610,12 @@ class GridLedger:
 
     @functools.cached_property
     def _measured_states(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.measured[0].ndim == 3:
+        if self.measured[0].ndim == 2:
             return self.measured
-        m_pops = np.stack(self.measured, axis=-1)
-        return (validate_state_stack(population_stack(m_pops)),
-                validate_state_stack(population_stack(m_pops[:, ::-1])))
+        ground, excited = self.measured
+        zero = np.zeros(len(ground))
+        return (validate_state_stack(np.array((ground, zero, zero, excited))),
+                validate_state_stack(np.array((excited, zero, zero, ground))))
 
     @property
     def states_qmi(self) -> np.ndarray:
@@ -670,9 +671,9 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
 
     It reads the grid's x, th and q columns.  A subnormal gamma overflows
     1/gamma, so eta is -inf there, as Python's float division gives it in
-    `run_analytic`; numpy is told not to warn.  The post-QMI populations
-    are stacked, and the QMI and QMII state stacks built and validated,
-    when first read.
+    `run_analytic`; numpy is told not to warn.  The QMI and QMII state
+    stacks are built from the post-QMI populations and validated when
+    first read.
     """
     gamma, r = grid.gamma, grid.r
     (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(

@@ -3,9 +3,10 @@
 Every matrix is real: the engine's states and Kraus operators have real
 entries, so complex input, even with zero imaginary parts, is refused with
 `matrix entries must be real`, and so is an object or string array.
-`as_matrix_stack` is the one coercion rule, for a float64 (..., 2, 2)
-stack; `as_square_matrix` checks the (2, 2) shape and then applies it to
-one matrix.  `_square_entries` gives the `DensityMatrix` and `KrausSet`
+`as_matrix_stack` is the one coercion rule, for a float64 (4, N) grid
+state stack (the layout is set out in `states`); `as_square_matrix`
+checks the (2, 2) shape and then applies it to the matrix's four entries
+as one column.  `_square_entries` gives the `DensityMatrix` and `KrausSet`
 constructors the checked entries as four Python floats: a 2x2 nested list
 of Python floats, which is what the package's own builders pass, is read
 without numpy; any other input goes through `as_square_matrix`.
@@ -37,13 +38,14 @@ TOL_HERM = 1e-12  # max entrywise |A - A^dag| accepted as Hermitian
 def as_square_matrix(entries) -> np.ndarray:
     """Coerce real input to a 2x2 float64 matrix, refusing complex and NaN/Inf entries.
 
-    The shape is checked first, then `as_matrix_stack`'s rule applies, so a
-    complex matrix is refused whatever its imaginary parts.
+    The shape is checked first, then `as_matrix_stack`'s rule applies to the
+    four entries as one column, so a complex matrix is refused whatever its
+    imaginary parts.
     """
     a = np.asarray(entries)
     if a.shape != (2, 2):
         raise ValueError(f"expected a square 2x2 qubit matrix, got shape {a.shape}")
-    return as_matrix_stack(a)
+    return as_matrix_stack(a.reshape(4, 1)).reshape(2, 2)
 
 
 def _square_entries(entries) -> list[float]:
@@ -75,17 +77,18 @@ def _frozen_matrix(flat) -> np.ndarray:
 
 
 def as_matrix_stack(entries) -> np.ndarray:
-    """Coerce real numeric input to a float64 (..., 2, 2) stack, rejecting NaN/Inf entries.
+    """Coerce real numeric input to a float64 (4, N) state stack, rejecting NaN/Inf entries.
 
-    Complex input, even with zero imaginary parts, and object arrays are
-    refused, not cast.
+    The checks run in this order: the dtype (complex input, even with zero
+    imaginary parts, and object arrays are refused, not cast), the shape,
+    then finiteness.
     """
     a = np.asarray(entries)
     if a.dtype.kind not in "biuf":
         raise ValueError("matrix entries must be real")
     a = a.astype(float, copy=False)
-    if a.ndim < 2 or a.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a stack of 2x2 qubit matrices, got shape {a.shape}")
+    if a.ndim != 2 or len(a) != 4:
+        raise ValueError(f"expected a (4, N) state stack, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -122,7 +125,7 @@ def _eig_pair(a00: float, a01: float, a10: float, a11: float) -> tuple[float, fl
 
 
 def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_eig_pair` over a float64 (N, 2, 2) stack: the (N,) lower and upper eigenvalues.
+    """`_eig_pair` over a float64 (4, N) stack: the (N,) lower and upper eigenvalues.
 
     Diagonal entries give the same bits as `_eig_pair`; the others can
     differ from it in the last place (numpy's hypot is not math.hypot).
@@ -130,9 +133,7 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Where the coherences' sum overflows, c is formed from the halved terms,
     as in `_eig_pair`, without a warning.
     """
-    p = a[:, 0, 0]
-    q = a[:, 1, 1]
-    a01, a10 = a[:, 0, 1], a[:, 1, 0]
+    p, a01, a10, q = a
     if not (a01.any() or a10.any()):
         return np.minimum(p, q), np.maximum(p, q)
     with np.errstate(over="ignore"):  # entries near the float limit: the sum is inf

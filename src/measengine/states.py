@@ -19,14 +19,19 @@ which a cycle whose caller reads only the ledger never does.
 `gibbs_state` weighs the two levels with one `np.exp` on a float (the
 same `_gibbs_populations` weighs a grid's array of b).
 
-Grid evaluation works on (N, 2, 2) state stacks instead of one
-`DensityMatrix` per point: `validate_state_stack` applies the
-constructor's checks with the same tolerances to every state of a stack,
-and `mean_energy_stack` / `entropy_stack` give, state by state, the same
-bits as `mean_energy` / `von_neumann_entropy` on coherence-free states.
-Stacks are float64 (`population_stack` builds them), so every difference
-and modulus the stack checks take is exact, as the constructor's are, and
-they decide alike.
+Grid evaluation holds the states of N points as one state stack instead
+of one `DensityMatrix` per point.  A state stack is a float64 (4, N)
+array, read-only wherever a grid holds one, whose rows are the entries
+(r00, r01, r10, r11) in the order of `DensityMatrix.entries`: column i
+is the state of point i, and each row is the (N,) column of one entry
+over the points, which is what the channel kernel (`channels._evolve`)
+takes and returns.
+`validate_state_stack` applies the constructor's checks with the same
+tolerances to every state of a stack, and `mean_energy_stack` /
+`entropy_stack` give, state by state, the same bits as `mean_energy` /
+`von_neumann_entropy` on coherence-free states.  On float64 entries
+every difference and modulus the stack checks take is exact, as the
+constructor's are, so they decide alike.
 """
 
 from __future__ import annotations
@@ -213,41 +218,32 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return s
 
 
-def population_stack(populations: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) real diagonal state stack from (N, 2) populations, as `from_populations`."""
-    populations = np.asarray(populations)
-    out = np.zeros(populations.shape[:-1] + (2, 2))
-    out[..., 0, 0] = populations[..., 0]
-    out[..., 1, 1] = populations[..., 1]
-    return out
-
-
 # numpy's lower eigenvalue of a unit-trace state is within this of `_eig_pair`'s: near 0 it
 # is mean - radius with both terms near 1/2, so the ulps of numpy's hypot count at unit scale.
 _PSD_SLACK = 4.0 * sys.float_info.epsilon
 
 
 def validate_state_stack(rho) -> np.ndarray:
-    """The `DensityMatrix` checks on every state of a float64 (N, 2, 2) stack.
+    """The `DensityMatrix` checks on every state of a float64 (4, N) state stack.
 
-    Raises ValueError if the stack is complex, and otherwise names the
-    first state that is not finite, not Hermitian within TOL_HERM, off
-    unit trace by more than TOL_TRACE, or has an eigenvalue below -TOL_PSD.
-    Returns the stack as `as_matrix_stack` coerces it, float64.  Each check
-    is one reduction over the whole stack; the per-state values are formed
-    only to name the state.  On real entries |a01 - a10| and |tr - 1| are
-    exact, so they decide as `DensityMatrix` does; numpy's hypot can be an
-    ulp off math.hypot, so a lower eigenvalue within a few ulps of -TOL_PSD
-    is decided by `_eig_pair`, the constructor's rule.
+    Raises ValueError if the stack is not real, not of shape (4, N) or not
+    finite, as `as_matrix_stack` decides, and otherwise names the first
+    state that is not Hermitian within TOL_HERM, off unit trace by more
+    than TOL_TRACE, or has an eigenvalue below -TOL_PSD.  Returns the stack
+    as `as_matrix_stack` coerces it, float64.  Each check is one reduction
+    over the whole stack; the per-state values are formed only to name the
+    state.  On real entries |a01 - a10| and |tr - 1| are exact, so they
+    decide as `DensityMatrix` does; numpy's hypot can be an ulp off
+    math.hypot, so a lower eigenvalue within a few ulps of -TOL_PSD is
+    decided by `_eig_pair`, the constructor's rule.
     """
     m = as_matrix_stack(rho)
-    if m.ndim != 3:
-        raise ValueError(f"expected a (N, 2, 2) state stack, got shape {m.shape}")
-    defect = np.abs(m[:, 0, 1] - m[:, 1, 0])
+    r00, r01, r10, r11 = m
+    defect = np.abs(r01 - r10)
     if defect.max(initial=0.0) > TOL_HERM:
         i = int(np.argmax(defect > TOL_HERM))
         raise ValueError(f"state {i} of the stack is not Hermitian (defect {defect[i]:.3e})")
-    tr = m[:, 0, 0] + m[:, 1, 1]
+    tr = r00 + r11
     off = np.abs(tr - 1.0)
     if off.max(initial=0.0) > TOL_TRACE:
         i = int(np.argmax(off > TOL_TRACE))
@@ -256,7 +252,7 @@ def validate_state_stack(rho) -> np.ndarray:
     near = _PSD_SLACK - TOL_PSD
     if lo.min(initial=0.0) < near:
         for i in np.flatnonzero(lo < near).tolist():
-            value = _eig_pair(*m[i].ravel().tolist())[0]
+            value = _eig_pair(*m[:, i].tolist())[0]
             if value < -TOL_PSD:
                 raise ValueError(f"state {i} of the stack has negative eigenvalue {value:.3e}")
     return m
@@ -271,15 +267,15 @@ def _require_float(rho: np.ndarray) -> None:
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
     """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
 
-    rho is a validated float64 (N, 2, 2) stack; each state gives `mean_energy`'s
+    rho is a validated float64 (4, N) stack; each state gives `mean_energy`'s
     bits.  A complex stack raises ValueError, as in `as_matrix_stack`.
     """
     _require_float(rho)
-    return (-0.5 * frequency) * rho[:, 0, 0] + (0.5 * frequency) * rho[:, 1, 1]
+    return (-0.5 * frequency) * rho[0] + (0.5 * frequency) * rho[3]
 
 
 def entropy_stack(rho: np.ndarray) -> np.ndarray:
-    """`von_neumann_entropy` per state of a validated (N, 2, 2) stack.
+    """`von_neumann_entropy` per state of a validated (4, N) stack.
 
     math.log, the scalar path's logarithm, runs once per distinct eigenvalue.
     A complex stack raises ValueError, as in `as_matrix_stack`.

@@ -5,8 +5,8 @@ grid as one three-stroke `CycleGrid`, evolves its realizable points once
 (the grid itself when every point is, as on the default grid, else a
 subset), and stretches them over r into the five-stroke grid, which
 carries those states and their entropies.  Each grid is evaluated twice:
-by `run_numeric_grid` (its evolved state stacks) and by
-`run_analytic_grid` (the closed form).
+by `run_numeric_grid` (its evolved state stacks, laid out as `states`
+sets out) and by `run_analytic_grid` (the closed form).
 Each check family is one rule at every point it applies to: channel
 completeness, oracle equivalence per ledger field, entropy equality,
 population swap, coherence-free states per stroke, the efficiency law,
@@ -70,7 +70,6 @@ LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q
 
 PERTURBATION = 0.1
 
-_MAXIMALLY_MIXED = 0.5 * np.eye(2)
 _R_ONE = np.ones(1)  # the r axis of the b x gamma grid
 # The order of the checks at one (b, gamma): channels, three-stroke, five-stroke at each r.
 _SECTIONS = {"excite": 0, "damp": 0, "three": 1, "five": 2}
@@ -246,7 +245,7 @@ def _maybe_perturb(ledger: GridLedger, field: str | None) -> GridLedger:
 
 def _offdiag(states: np.ndarray) -> np.ndarray:
     """The largest off-diagonal magnitude, max(|a_01|, |a_10|), of every state of a stack."""
-    return np.maximum(np.abs(states[:, 0, 1]), np.abs(states[:, 1, 0]))
+    return np.maximum(np.abs(states[1]), np.abs(states[2]))
 
 
 def _fields(ledger: GridLedger) -> np.ndarray:
@@ -259,9 +258,9 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
     entropy_qmi = ledger.entropy_qmi
     c.close("entropy-equality", points, entropy_qmi, ledger.entropy_qmii, TOL_EXACT)
     m, n = ledger.states_qmi, ledger.states_qmii
-    for level in (0, 1):
-        c.close("population-swap", points, n[:, level, level],
-                m[:, 1 - level, 1 - level], TOL_EXACT, f" level={level}")
+    for level in (0, 1):  # the population of a level is row 0 (ground) or 3 (excited)
+        c.close("population-swap", points, n[3 * level], m[3 - 3 * level], TOL_EXACT,
+                f" level={level}")
     tp, qmi, qmii = (_offdiag(states) for states in (ledger.states_tp, m, n))
     # Each adiabat relabels the state before it without touching it.
     offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}
@@ -280,8 +279,8 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
 
     at = gamma == 0.5
-    special, states = points[at], numeric.states_qmi[at]
-    lo, hi = _eigvals_stack(states - _MAXIMALLY_MIXED)
+    special, states = points[at], numeric.states_qmi[:, at]
+    lo, hi = _eigvals_stack(states - [[0.5], [0.0], [0.0], [0.5]])  # minus the maximally mixed
     c.below("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), TOL_EXACT)
     c.close("special-zero-energy", special, mean_energy_stack(states, 1.0), 0.0, TOL_EXACT)
 

@@ -57,6 +57,12 @@ def random_symmetric(rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+# The wide-range grid that CI verifies: b up to 700, where exp(-b) nears underflow, and r up to 100.
+WIDE_B = (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 700.0)
+WIDE_GAMMA = (0.5, 0.6, 0.75, 0.9, 1.0)
+WIDE_R = (1.0, 2.0, 10.0, 100.0)
+
+
 # Non-finite values: the first three are real (a zero imaginary part), and an entry of
 # one makes a real matrix that is refused as not finite; each of the others has an
 # imaginary part, so an entry of one makes a complex matrix, refused as not real.
@@ -95,3 +101,10 @@ def grid_channel(kraus) -> tuple[tuple[np.ndarray, ...], ...]:
     kraus = np.asarray(kraus)
     n, k = kraus.shape[:2]
     return tuple(map(tuple, np.moveaxis(kraus, 0, -1).reshape(k, 4, n)))
+
+
+def state_rows(matrices) -> np.ndarray:
+    """The (4, N) state stack of N 2x2 matrices, their dtype kept: row k holds entry k of every
+    matrix, row by row (r00, r01, r10, r11), the order of `DensityMatrix.entries`."""
+    matrices = np.asarray(matrices)
+    return np.ascontiguousarray(matrices.reshape(len(matrices), 4).T)

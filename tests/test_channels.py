@@ -32,6 +32,7 @@ from support import (
     random_density_matrix,
     random_kraus_set,
     refusal,
+    state_rows,
     with_entry,
 )
 
@@ -211,13 +212,13 @@ class TestApplyUnselectiveStack:
 
     @staticmethod
     def random_stack(rng, n_ops: int, n: int = 40):
-        """Real sets and states, the scalar ones holding float entries, and their (N, K, 2, 2)
-        and (N, 2, 2) stacks."""
+        """Real sets and states, the scalar ones holding float entries, their (N, K, 2, 2)
+        stack and their (4, N) state stack."""
         sets = [random_kraus_set(rng, n_ops) for _ in range(n)]
         sets = [KrausSet(tuple(op.tolist() for op in k.ops)) for k in sets]
         states = [DensityMatrix(random_density_matrix(rng).mat.tolist()) for _ in range(n)]
         return (sets, states, np.array([k.ops for k in sets]),
-                np.array([rho.mat for rho in states]))
+                state_rows([rho.mat for rho in states]))
 
     @pytest.mark.parametrize("n_ops", [2, 3, 4])
     def test_matches_the_scalar_channel_entrywise(self, rng, n_ops):
@@ -225,7 +226,7 @@ class TestApplyUnselectiveStack:
         for _ in range(10):
             sets, states, kraus, rho = self.random_stack(rng, n_ops)
             out = apply_unselective_stack(grid_channel(kraus), rho)
-            for k, state, got in zip(sets, states, out, strict=True):
+            for k, state, got in zip(sets, states, out.T, strict=True):
                 expected = apply_unselective(k, state).entries
                 assert all(type(v) is float for v in expected)
                 assert got.tobytes() == np.array(expected).tobytes()
@@ -292,7 +293,7 @@ class TestExactZero:
         for _ in range(3):
             strengths = self.strengths(rng, n)
             states = _signed_zero_states(rng, n)
-            rho = np.array(states)
+            rho = state_rows(states)
             ops = stack(strengths)
             out = apply_unselective_stack(ops, rho)
             assert out.tobytes() == apply_unselective_stack(_float_zeros(ops), rho).tobytes()
@@ -301,7 +302,7 @@ class TestExactZero:
             assert dev.tobytes() == completeness_deviation_stack(_float_zeros(ops)).tobytes()
             for i, strength in enumerate(strengths.tolist()):
                 expected = apply(strength, DensityMatrix(states[i])).entries
-                assert out[i].tobytes() == np.array(expected).tobytes()
+                assert out[:, i].tobytes() == np.array(expected).tobytes()
                 assert dev[i] == _max_deviation(entries(strength))
 
     @pytest.mark.parametrize("stack", [first_channel_stack, second_channel_stack],
@@ -326,8 +327,7 @@ class TestExactZero:
             return Counted.calls
 
         ops = stack(self.strengths(rng, 20))
-        rows = np.array(_signed_zero_states(rng, 20)).transpose(1, 2, 0).reshape(4, -1)
-        columns = tuple(row.view(Counted) for row in rows)
+        columns = tuple(row.view(Counted) for row in state_rows(_signed_zero_states(rng, 20)))
         assert calls(channels._evolve, ops, *columns) == 16
         assert calls(channels._completeness_terms, ops) == 5
         assert calls(channels._evolve, _float_zeros(ops), *columns) == 56

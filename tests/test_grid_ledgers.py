@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import WIDE_B, WIDE_GAMMA, WIDE_R
 
 from measengine import channels, engine, states, verify
 from measengine.cli import main
@@ -18,11 +19,6 @@ from measengine.verify import DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID
 GRID_LEDGER_VALUES = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used",
                       "valid", "entropy_tp", "entropy_qmi", "entropy_qmii",
                       "states_tp", "states_qmi", "states_qmii")
-
-WIDE_B = (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 700.0)
-WIDE_GAMMA = (0.5, 0.6, 0.75, 0.9, 1.0)
-WIDE_R = (1.0, 2.0, 10.0, 100.0)
-
 
 def _grid(mode: CycleMode, b, gamma, r) -> CycleGrid:
     if mode is CycleMode.THREE_STROKE:
@@ -48,6 +44,8 @@ def _ledgers():
 # sha256 over the float64 bytes of every GRID_LEDGER_VALUES entry of every `_ledgers()`
 # ledger, recorded before `verify` settled its checks in one comparison.  A grid-only drift
 # of one ulp shows here, where the 12-digit CSV and verify's failure-only output miss it.
+# The state stacks are hashed point-major, each state's four entries together, as the
+# digest was recorded.
 GRID_LEDGERS_DIGEST = "f99b3b72f4c6d20154cb97ac74feb455678bd5a547fd5c59b4430258c5618aa8"
 
 
@@ -55,17 +53,25 @@ def test_grid_ledgers_digest_is_pinned():
     h = hashlib.sha256()
     for ledger in _ledgers():
         for name in GRID_LEDGER_VALUES:
-            h.update(np.ascontiguousarray(getattr(ledger, name), dtype=np.float64).tobytes())
+            value = getattr(ledger, name)
+            if name.startswith("states_"):
+                value = value.T
+            h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
     assert h.hexdigest() == GRID_LEDGERS_DIGEST
 
 
 def _count_calls(monkeypatch, name: str, home=channels) -> list[int]:
-    """Patch every binding of a stack function in the package; each call appends len(args[0])."""
+    """Patch every binding of a stack function in the package.
+
+    Each call appends the number of points of its first argument, the last axis of an
+    array (a state stack or a column); a call whose first argument is a channel appends None.
+    """
     calls = []
     original = getattr(home, name)
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        first = args[0]
+        calls.append(first.shape[-1] if isinstance(first, np.ndarray) else None)
         return original(*args, **kwargs)
 
     for module in (states, channels, engine, verify):

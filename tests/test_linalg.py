@@ -18,7 +18,15 @@ from measengine.linalg import (
     matmul,
 )
 from measengine.states import DensityMatrix
-from support import NON_FINITE, is_real, random_rotation, random_symmetric, refusal, with_entry
+from support import (
+    NON_FINITE,
+    is_real,
+    random_rotation,
+    random_symmetric,
+    refusal,
+    state_rows,
+    with_entry,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -161,7 +169,7 @@ def test_eig_of_coherences_whose_sum_overflows_is_finite(c):
     got = eig_hermitian([[0.5, c], [c, 0.5]])
     assert np.isfinite(got).all()
     assert got.tolist() == [0.5 - c, 0.5 + c]
-    lo, hi = _eigvals_stack(np.array([[[0.5, c], [c, 0.5]]]))  # the stack kernel forms c alike
+    lo, hi = _eigvals_stack(state_rows([[[0.5, c], [c, 0.5]]]))  # the stack kernel forms c alike
     assert (lo.tolist(), hi.tolist()) == ([0.5 - c], [0.5 + c])
 
 
@@ -204,7 +212,7 @@ def test_hermiticity_defect_and_offdiag():
     with pytest.raises(ValueError, match=r"^matrix is not Hermitian: defect 2\.000e\+00 "):
         eig_hermitian([[0.0, 1.0], [-1.0, 0.0]])
     assert eig_hermitian(SIGMA_X).tolist() == [-1.0, 1.0]
-    assert verify._offdiag(np.array([np.diag([1.0, 2.0]), SIGMA_X])).tolist() == [0.0, 1.0]
+    assert verify._offdiag(state_rows([np.diag([1.0, 2.0]), SIGMA_X])).tolist() == [0.0, 1.0]
 
 
 entries = st.floats(-1e3, 1e3)
@@ -221,13 +229,11 @@ coherent_states = st.tuples(entries, entries, entries.filter(lambda c: c != 0))
 def test_eigvals_stack_is_eig_pair_per_state(states):
     """Bit for bit on diagonal states, whatever else the stack holds; coherent ones can
     differ in the last bits (numpy's hypot is not math.hypot)."""
-    stack = np.zeros((len(states), 2, 2))
-    for i, (p, q, c) in enumerate(states):
-        stack[i] = [[p, c], [c, q]]
+    stack = state_rows([[[p, c], [c, q]] for p, q, c in states])
     lo, hi = _eigvals_stack(stack)
     assert lo.shape == hi.shape == (len(states),)
     for i, (p, q, c) in enumerate(states):
-        pair = _eig_pair(*stack[i].ravel().tolist())
+        pair = _eig_pair(*stack[:, i].tolist())
         if c == 0:
             assert (lo[i], hi[i]) == pair
         else:

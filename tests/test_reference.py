@@ -115,8 +115,8 @@ def _scalar_states(ledger) -> dict[str, float]:
 
 
 def _grid_states(ledger, i: int) -> dict[str, float]:
-    return {"ground_qmi": float(ledger.states_qmi[i, 0, 0]),
-            "excited_qmi": float(ledger.states_qmi[i, 1, 1]),
+    return {"ground_qmi": float(ledger.states_qmi[0, i]),
+            "excited_qmi": float(ledger.states_qmi[3, i]),
             "entropy_tp": float(ledger.entropy_tp[i]), "entropy_qmi": float(ledger.entropy_qmi[i]),
             "entropy_qmii": float(ledger.entropy_qmii[i])}
 

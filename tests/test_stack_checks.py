@@ -1,14 +1,16 @@
 """Every rejection of the stack checks: exception type, full message, and the state it names.
 
 The messages were recorded before the checks moved to global reductions.
-Where two entries of a stack are bad, the message names the first.
+Where two entries of a stack are bad, the message names the first.  A
+state stack is (4, N): column i holds state i's entries row by row
+(`support.state_rows`).
 """
 
 import math
 
 import numpy as np
 import pytest
-from support import NON_FINITE, grid_channel, is_real, refusal
+from support import NON_FINITE, grid_channel, is_real, refusal, state_rows
 
 from measengine import channels
 from measengine.channels import (
@@ -38,7 +40,7 @@ def _up(x: float) -> float:
 
 
 def mixed_stack(n: int = 4) -> np.ndarray:
-    return np.array([np.diag([0.5, 0.5])] * n)
+    return state_rows([np.diag([0.5, 0.5])] * n)
 
 
 def with_bad_entry(stack: np.ndarray, index: tuple, bad: complex) -> tuple[np.ndarray, str]:
@@ -56,7 +58,7 @@ def with_states(**states) -> np.ndarray:
     """A maximally mixed 4-state stack with the given states at positions s0..s3."""
     out = mixed_stack()
     for name, entries in states.items():
-        out[int(name[1:])] = entries
+        out[:, int(name[1:])] = np.ravel(entries)
     return out
 
 
@@ -73,7 +75,7 @@ class TestValidateStateStack:
     @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize(("i", "j"), [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_non_finite_entry(self, bad, i, j):
-        stack, message = with_bad_entry(mixed_stack(), (2, i, j), bad)
+        stack, message = with_bad_entry(mixed_stack(), (2 * i + j, 2), bad)
         with pytest.raises(ValueError, match=message):
             validate_state_stack(stack)
 
@@ -107,19 +109,29 @@ class TestValidateStateStack:
                             s2=[[0.5, 1e-3], [0.0, 0.5]])
         with pytest.raises(ValueError, match=r"^state 2 of the stack is not Hermitian"):
             validate_state_stack(stack)
-        stack[2] = np.diag([0.5, 0.5])
+        stack[:, 2] = (0.5, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError, match=r"^state 1 of the stack has trace"):
             validate_state_stack(stack)
 
-    @pytest.mark.parametrize(("shape", "message"), [
-        ((2, 2), r"^expected a \(N, 2, 2\) state stack, got shape \(2, 2\)$"),
-        ((2, 2, 2, 2), r"^expected a \(N, 2, 2\) state stack, got shape \(2, 2, 2, 2\)$"),
-        ((3, 3, 3), r"^expected a stack of 2x2 qubit matrices, got shape \(3, 3, 3\)$"),
-        ((2,), r"^expected a stack of 2x2 qubit matrices, got shape \(2,\)$"),
-    ])
-    def test_wrong_shape(self, shape, message):
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize(("shape", "shown"), [
+        ((2, 2), r"\(2, 2\)"),
+        ((2, 2, 2, 2), r"\(2, 2, 2, 2\)"),
+        ((3, 3, 3), r"\(3, 3, 3\)"),
+        ((2,), r"\(2,\)"),
+        ((4,), r"\(4,\)"),  # one state's entries, not a stack of them
+        ((3, 4), r"\(3, 4\)"),  # three states, each a row of entries
+        ((4, 2, 2), r"\(4, 2, 2\)"),  # four states as 2x2 matrices
+    ], ids=["2x2", "2x2x2x2", "3x3x3", "2", "4", "3x4", "4x2x2"])
+    def test_wrong_shape(self, shape, shown):
+        pattern = rf"^expected a \(4, N\) state stack, got shape {shown}$"
+        with pytest.raises(ValueError, match=pattern):
             validate_state_stack(np.zeros(shape))
+
+    def test_shape_is_checked_after_the_dtype_and_before_finiteness(self):
+        with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
+            validate_state_stack(np.full((3, 3), complex(math.nan, 1.0)))
+        with pytest.raises(ValueError, match=r"^expected a \(4, N\) state stack"):
+            validate_state_stack(np.full((3, 3), math.nan))
 
     @pytest.mark.parametrize(
         "entries",
@@ -154,7 +166,7 @@ class TestValidateStateStack:
         h = 0.5 * TOL_TRACE
         state = np.array([[0.5 + 1j * h, 0.0], [0.0, 0.5 + 1j * h]])
         stack = mixed_stack().astype(complex)
-        stack[3] = state
+        stack[:, 3] = state.ravel()
         for check, given in ((validate_state_stack, stack), (DensityMatrix, state)):
             with pytest.raises(ValueError, match=r"^matrix entries must be real$"):
                 check(given)
@@ -173,12 +185,13 @@ class TestValidateStateStack:
         accepted states must pass and the whole stack must name the first
         rejected state.
         """
-        accepted = np.array([not rejects_with(DensityMatrix, m, reason) for m in stack])
+        accepted = np.array([not rejects_with(DensityMatrix, m.reshape(2, 2), reason)
+                             for m in stack.T])
         assert 0.2 < accepted.mean() < 0.8
-        rejected = [rejects_with(lambda m: validate_state_stack(m[None]), m, reason)
-                    for m in stack]
+        rejected = [rejects_with(lambda m: validate_state_stack(m[:, None]), m, reason)
+                    for m in stack.T]
         assert rejected == (~accepted).tolist()
-        validate_state_stack(stack[accepted])
+        validate_state_stack(stack[:, accepted])
         first = int(np.argmin(accepted))
         with pytest.raises(ValueError, match=rf"^state {first} of the stack .*{reason}"):
             validate_state_stack(stack)
@@ -195,9 +208,9 @@ class TestValidateStateStack:
         z = rng.normal(size=(2, n))
         z *= TOL_HERM / np.abs(z[0] - z[1])
         z *= 1.0 + rng.integers(-4, 5, size=n) * 2.0**-53
-        stack = np.zeros((n, 2, 2))
-        stack[:, 0, 0] = stack[:, 1, 1] = 0.5
-        stack[:, 0, 1], stack[:, 1, 0] = z
+        stack = np.zeros((4, n))
+        stack[0] = stack[3] = 0.5
+        stack[1], stack[2] = z
         self.decided_alike(stack, "not Hermitian")
 
     def test_trace_edge_is_the_density_matrix_rule(self, rng):
@@ -209,8 +222,8 @@ class TestValidateStateStack:
         n = 20_000
         a = rng.uniform(0.01, 0.99, n)
         shift = rng.choice([-1.0, 1.0], n) * TOL_TRACE + rng.integers(-4, 5, size=n) * 2.0**-53
-        stack = np.zeros((n, 2, 2))
-        stack[:, 0, 0], stack[:, 1, 1] = a, (1.0 - a) + shift
+        stack = np.zeros((4, n))
+        stack[0], stack[3] = a, (1.0 - a) + shift
         self.decided_alike(stack, "trace")
 
     def test_coherent_psd_edge_is_the_density_matrix_rule(self, rng):
@@ -226,9 +239,9 @@ class TestValidateStateStack:
         lo, hi = -TOL_PSD, 1.0 + TOL_PSD
         a = lo * np.cos(theta) ** 2 + hi * np.sin(theta) ** 2
         c = (hi - lo) * np.sin(theta) * np.cos(theta)
-        stack = np.empty((n, 2, 2))
-        stack[:, 0, 0], stack[:, 1, 1] = a, 1.0 - a
-        stack[:, 0, 1] = stack[:, 1, 0] = c
+        stack = np.empty((4, n))
+        stack[0], stack[3] = a, 1.0 - a
+        stack[1] = stack[2] = c
         accepted = self.decided_alike(stack, "negative eigenvalue")
         numpy_accepts = _eigvals_stack(stack)[0] >= -TOL_PSD
         # numpy's eigenvalue alone would differ: on 437 of these states with the fixture's seed.
@@ -295,7 +308,7 @@ class TestApplyUnselectiveStackRejects:
         accepted = expected <= COMPLETENESS_TOL
         assert 0.2 < accepted.mean() < 0.8
         rho = mixed_stack(n)
-        apply_unselective_stack(grid_channel(kraus[accepted]), rho[accepted])
+        apply_unselective_stack(grid_channel(kraus[accepted]), rho[:, accepted])
         first = int(np.argmin(accepted))
         with pytest.raises(IncompleteKrausSetError,
                            match=rf"^Kraus set {first} of the stack violates completeness"):
@@ -356,10 +369,10 @@ class TestIsentropicStrengthStackRejects:
 
 
 class TestEmptyStacks:
-    EMPTY = np.zeros((0, 2, 2))
+    EMPTY = np.zeros((4, 0))
 
     def test_state_checks_and_kernels(self):
-        assert validate_state_stack(self.EMPTY).shape == (0, 2, 2)
+        assert validate_state_stack(self.EMPTY).shape == (4, 0)
         lo, hi = _eigvals_stack(self.EMPTY)
         assert lo.shape == hi.shape == (0,)
         assert entropy_stack(self.EMPTY).shape == (0,)
@@ -369,5 +382,5 @@ class TestEmptyStacks:
         grid = CycleGrid(np.array([]), np.array([]), mode, np.array([]))
         for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
             assert ledger.eta.shape == ledger.q_used.shape == (0,)
-            assert ledger.states_tp.shape == ledger.states_qmii.shape == (0, 2, 2)
+            assert ledger.states_tp.shape == ledger.states_qmii.shape == (4, 0)
             assert ledger.entropy_tp.shape == ledger.entropy_qmii.shape == (0,)

@@ -9,6 +9,7 @@ same check refuses.
 
 import numpy as np
 import pytest
+from support import state_rows
 
 from measengine import channels
 from measengine.channels import (
@@ -21,32 +22,32 @@ from measengine.linalg import as_matrix_stack
 from measengine.states import (
     entropy_stack,
     mean_energy_stack,
-    population_stack,
     validate_state_stack,
 )
 
 F64 = np.dtype(np.float64)
 STRENGTHS = np.array([0.0, 0.3, 0.7, 1.0])
 POPULATIONS = np.array([[1.0, 0.0], [0.75, 0.25], [0.5, 0.5], [0.1, 0.9]])
+RHO = state_rows([np.diag(populations) for populations in POPULATIONS])
 REAL_PATTERN = r"^matrix entries must be real$"
 
 
 @pytest.mark.parametrize("entries", [
-    np.eye(2)[None],
-    np.eye(2, dtype=int)[None],
-    np.eye(2, dtype=np.float32)[None],
-    [[[1.0, 0.0], [0.0, 1.0]]],
+    state_rows(np.eye(2)[None]),
+    state_rows(np.eye(2, dtype=int)[None]),
+    state_rows(np.eye(2, dtype=np.float32)[None]),
+    [[1.0], [0.0], [0.0], [1.0]],
 ], ids=["float64", "int", "float32", "list"])
 def test_as_matrix_stack_makes_real_input_float64(entries):
     a = as_matrix_stack(entries)
     assert a.dtype == F64
-    assert np.array_equal(a, np.eye(2)[None])
+    assert np.array_equal(a, [[1.0], [0.0], [0.0], [1.0]])
 
 
 @pytest.mark.parametrize("entries", [
-    np.eye(2, dtype=complex)[None],
-    np.array([[[1 + 0j, 0j], [0j, 1 + 0j]]], dtype=object),
-    [[[1.0, 0.0], [0.0, 1 + 0j]]],
+    state_rows(np.eye(2, dtype=complex)[None]),
+    np.array([[1 + 0j], [0j], [0j], [1 + 0j]], dtype=object),
+    [[1.0], [0.0], [0.0], [1 + 0j]],
 ], ids=["complex128", "object-complex", "list-complex"])
 def test_as_matrix_stack_refuses_complex_input(entries):
     # Even with zero imaginary parts: no cast, so no ComplexWarning and no dropped part.
@@ -56,7 +57,8 @@ def test_as_matrix_stack_refuses_complex_input(entries):
 
 
 def test_builders_are_float64():
-    assert population_stack(POPULATIONS).dtype == F64
+    # The grid's state stacks are built by `CycleGrid` and `GridLedger`: see
+    # `test_grid_states_are_float64`.
     # A grid channel's varying entries are float64 columns, its fixed zeros the exact zero
     # `_ZERO` and its fixed one the float 1.0.
     for make in (first_channel_stack, second_channel_stack):
@@ -76,7 +78,7 @@ def _complex(ops):
 @pytest.mark.parametrize("make", [first_channel_stack, second_channel_stack])
 def test_every_stack_entry_point_refuses_complex_stacks(make):
     # A complex channel passes completeness where its values are real, and its output is refused.
-    kraus, rho = make(STRENGTHS), population_stack(POPULATIONS)
+    kraus, rho = make(STRENGTHS), RHO
     assert apply_unselective_stack(kraus, rho).dtype == F64
     for call in (lambda: validate_state_stack(rho.astype(complex)),
                  lambda: apply_unselective_stack(_complex(kraus), rho),
@@ -88,7 +90,7 @@ def test_every_stack_entry_point_refuses_complex_stacks(make):
 
 
 def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(monkeypatch):
-    kraus, rho = first_channel_stack(STRENGTHS), population_stack(POPULATIONS)
+    kraus, rho = first_channel_stack(STRENGTHS), RHO
     expected = apply_unselective_stack(kraus, rho)
     assert np.array_equal(apply_unselective_stack(kraus, rho.tolist()), expected)
 
@@ -99,14 +101,17 @@ def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(mo
     monkeypatch.setattr(channels, "_evolve", no_arithmetic)
     with pytest.raises(ValueError, match=REAL_PATTERN):
         apply_unselective_stack(kraus, rho.astype(complex))
-    with pytest.raises(ValueError, match=r"^expected a \(N, 2, 2\) state stack, got shape \(2, 2\)$"):
-        apply_unselective_stack(kraus, rho[0])
+    # One state, as its matrix or as its four entries, is not a stack of them.
+    for state, shown in ((np.diag(POPULATIONS[0]), r"\(2, 2\)"), (rho[:, 0], r"\(4,\)")):
+        pattern = rf"^expected a \(4, N\) state stack, got shape {shown}$"
+        with pytest.raises(ValueError, match=pattern):
+            apply_unselective_stack(kraus, state)
 
 
 @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 3.0)])
 def test_grid_states_are_float64(mode, r):
     grid = CycleGrid(np.array([0.1, 2.0, 700.0]), np.array([0.5, 0.8, 1.0]), mode, np.full(3, r))
-    assert grid.thermal.dtype == F64
+    assert grid.thermal.dtype == F64 and grid.thermal.shape == (4, 3)
     for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
         for states in (ledger.states_tp, ledger.states_qmi, ledger.states_qmii):
-            assert states.dtype == F64
+            assert states.dtype == F64 and states.shape == (4, 3)

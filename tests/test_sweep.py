@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import WIDE_B, WIDE_GAMMA, WIDE_R
 
 from measengine import engine, sweep
 from measengine.channels import IncompleteKrausSetError, first_channel_stack
@@ -25,7 +26,7 @@ from measengine.engine import (
     run_numeric_grid,
 )
 from measengine.linalg import _distinct
-from measengine.states import entropy_stack, gibbs_state, population_stack
+from measengine.states import entropy_stack, gibbs_state
 from measengine.sweep import SweepSpec, run_sweep, sweep_row
 
 LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used", "valid")
@@ -42,14 +43,27 @@ def same(batched: float, scalar: float) -> bool:
     return batched == scalar or (math.isnan(batched) and math.isnan(scalar))
 
 
+def same_entries(column: np.ndarray, state) -> bool:
+    """Whether a state stack's column is `state.entries`, bit for bit (the sign of a zero too)."""
+    entries = state.entries
+    return tuple(column.tolist()) == entries and column.tobytes() == np.array(entries).tobytes()
+
+
+def assert_states_match(ledger, i: int, scalar) -> None:
+    """Column i of each grid state stack is the entries of the scalar record's state."""
+    for stroke in ("TP", "QMI", "QMII"):
+        stack = getattr(ledger, f"states_{stroke.lower()}")
+        assert same_entries(stack[:, i], scalar.stroke(stroke).state_after), stroke
+
+
 def assert_columns_match(ledger, i: int, scalar) -> None:
     for field in LEDGER_FIELDS:
         assert same(getattr(ledger, field)[i], getattr(scalar, field)), field
     assert same(first_law_residual(ledger)[i], first_law_residual(scalar))
     assert same(ledger.entropy_qmi[i], scalar.stroke("QMI").entropy_after)
     assert same(ledger.entropy_qmii[i], scalar.stroke("QMII").entropy_after)
-    assert np.array_equal(ledger.states_tp[i], scalar.stroke("TP").state_after.mat)
     assert same(ledger.entropy_tp[i], scalar.stroke("TP").entropy_after)
+    assert_states_match(ledger, i, scalar)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,11 +83,23 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
         params = grid.point(i)
         for name in ("x", "th", "strength", "q"):
             assert same(getattr(grid, name)[i], getattr(params, name)), name
-        assert np.array_equal(params.thermal.mat, grid.thermal[i])
+        assert same_entries(grid.thermal[:, i], params.thermal)
         assert grid.realizable[i] == numeric_realizable(params)
         assert_columns_match(analytic, i, run_analytic(params))
     for j, i in enumerate(realizable):
         assert_columns_match(numeric, j, run_numeric(grid.point(i)))
+
+
+@pytest.mark.parametrize("mode", list(CycleMode))
+def test_grid_states_are_the_scalar_states_on_the_wide_range_grid(mode):
+    """One state format: a grid state is its scalar state's entries, for both runners."""
+    r = WIDE_R if mode is CycleMode.FIVE_STROKE else (1.0,)
+    grid = CycleGrid.product(WIDE_B, WIDE_GAMMA, r, mode).stretched(r, mode)
+    assert len(grid) == len(WIDE_B) * len(WIDE_GAMMA) * len(r)
+    for run_grid, run in ((run_numeric_grid, run_numeric), (run_analytic_grid, run_analytic)):
+        ledger = run_grid(grid)
+        for i in range(len(grid)):
+            assert_states_match(ledger, i, run(grid.point(i)))
 
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
@@ -111,9 +137,9 @@ def test_subset_is_a_fresh_grid_of_the_same_points(mode, points, data):
 def test_grid_thermal_stack_is_gibbs_state_per_point(b, mode):
     b = np.array(b)
     grid = CycleGrid(b, np.ones_like(b), mode, np.ones_like(b))
-    assert grid.thermal.shape == (len(b), 2, 2) and not grid.thermal.flags.writeable
+    assert grid.thermal.shape == (4, len(b)) and not grid.thermal.flags.writeable
     for i, v in enumerate(b.tolist()):
-        assert np.array_equal(grid.thermal[i], gibbs_state(engine._H1, v).mat)
+        assert same_entries(grid.thermal[:, i], gibbs_state(engine._H1, v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,12 +285,13 @@ def test_chunk_boundaries_leave_the_csv_unchanged(tmp_path, monkeypatch):
 
 
 def _states_with(index, value):
-    """population_stack with one entry of the first state overwritten."""
+    """The engine's `validate_state_stack`, handed its stack with `value` written at `index`."""
+    validate = engine.validate_state_stack
 
-    def corrupted(populations):
-        rho = population_stack(populations)
+    def corrupted(rho):
+        rho = rho.copy()
         rho[index] = value
-        return rho
+        return validate(rho)
 
     return corrupted
 
@@ -277,11 +304,13 @@ def _scaled_kraus(p):
     ("target", "replacement", "error", "message"),
     [
         ("first_channel_stack", _scaled_kraus, IncompleteKrausSetError, "completeness"),
-        ("population_stack", _states_with((0, 0, 1), 1e-9), ValueError, "not Hermitian"),
-        ("population_stack", _states_with(0, np.diag([0.5, 0.5 + 1e-9])), ValueError, "trace"),
-        ("population_stack", _states_with(0, np.diag([1.0 + 1e-9, -1e-9])), ValueError,
-         "negative eigenvalue"),
-        ("population_stack", _states_with((0, 1, 1), np.nan), ValueError, "finite"),
+        # Entry (0, 1), then the whole, then entry (1, 1) of the first state.
+        ("validate_state_stack", _states_with((1, 0), 1e-9), ValueError, "not Hermitian"),
+        ("validate_state_stack", _states_with((slice(None), 0), (0.5, 0.0, 0.0, 0.5 + 1e-9)),
+         ValueError, "trace"),
+        ("validate_state_stack", _states_with((slice(None), 0), (1.0 + 1e-9, 0.0, 0.0, -1e-9)),
+         ValueError, "negative eigenvalue"),
+        ("validate_state_stack", _states_with((3, 0), np.nan), ValueError, "finite"),
     ],
     ids=["incomplete-kraus", "non-hermitian", "trace", "negative-eigenvalue", "nan"],
 )
