@@ -3,7 +3,6 @@
 from .channels import (
     IncompleteKrausSetError,
     KrausSet,
-    NoIsentropicStrengthError,
     apply_unselective,
     first_channel,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "IncompleteKrausSetError",
     "InvalidCycleError",
     "KrausSet",
-    "NoIsentropicStrengthError",
     "StrokeRecord",
     "SweepSpec",
     "UnrealizableChannelError",

@@ -18,9 +18,10 @@ stack checks), and all channel arithmetic is real.
 
 `_isentropic_strength` picks the damping strength that exactly swaps the
 diagonal populations left by the excitation channel, so the second stroke
-conserves entropy; `isentropic_strength_stack` does so per grid point,
-through the same `_partner_threshold` and `_swap_strength`, with NaN for a
-point that has no partner.
+conserves entropy, and NaN where no strength in [0, 1] does;
+`isentropic_strength_stack` is the same rule per grid point, through the
+same `_partner_threshold` and `_swap_strength`, bit for bit
+(`tests/test_channels.py`).
 
 One channel format and one kernel serve both engines.  A channel is K
 operators, each the tuple of its four entries row by row, and an entry is
@@ -80,21 +81,6 @@ _Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and 
 
 class IncompleteKrausSetError(ValueError):
     """Kraus set fails the completeness relation beyond tolerance."""
-
-
-class NoIsentropicStrengthError(ValueError):
-    """No damping strength in [0, 1] can swap the populations.
-
-    Carries the minimum excitation strength `threshold` at which a
-    partner exists.
-    """
-
-    def __init__(self, p: float, threshold: float):
-        self.threshold = threshold
-        super().__init__(
-            f"no isentropic partner strength: P={p:.12g} is below the "
-            f"threshold (1 - e^-b)/2 = {threshold:.12g}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,19 +233,16 @@ def _isentropic_strength(p: float, x: float) -> float:
 
         q = (2*P - 1 + x) / (P + x)
 
-    Defined only for P >= (1 - x)/2; below that no q in [0, 1] swaps the
-    populations and NoIsentropicStrengthError is raised (clamping would
-    silently leave the stroke entropy-increasing).  Roundoff is allowed
-    for: a partner exists when P is at least the threshold less _Q_SLACK
-    and q is at least -_Q_SLACK, and q is then clamped to [0, 1].
+    A partner exists when P is at least the threshold (1 - x)/2 less _Q_SLACK
+    and q is at least -_Q_SLACK; q is then clamped to [0, 1].  Elsewhere the
+    result is NaN (clamping would silently leave the stroke entropy-increasing).
     Unchecked: the caller gives p in [0, 1] and x in [0, 1).
     """
-    threshold = _partner_threshold(x)
-    if p >= threshold - _Q_SLACK:  # tested first: at P = 0 and x = 0, q would be 0/0
+    if p >= _partner_threshold(x) - _Q_SLACK:  # tested first: q is 0/0 at P = 0 and x = 0
         q = _swap_strength(p, x)
         if q >= -_Q_SLACK:
             return min(max(q, 0.0), 1.0)
-    raise NoIsentropicStrengthError(p, threshold)
+    return math.nan
 
 
 def _partner_threshold(x):
@@ -309,8 +292,8 @@ def completeness_deviation_stack(ops) -> np.ndarray:
     return np.maximum(np.maximum(d00, d01), d11)
 
 
-def apply_unselective_stack(ops, rho, return_deviation: bool = False):
-    """Outcome-averaged channel per point: rho_n -> sum_k A_nk rho_n A_nk^T.
+def apply_unselective_stack(ops, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome-averaged channel per point, rho_n -> sum_k A_nk rho_n A_nk^T, and its deviations.
 
     `ops` is a grid channel, as `first_channel_stack` gives it.  The state
     stack must be a real (4, N) stack, as `as_matrix_stack` coerces it, and
@@ -320,9 +303,8 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
     IncompleteKrausSetError names the first that fails), and every output
     state the `DensityMatrix` checks.  The evolution is `_evolve` on the
     stack's rows, so each output entry is the IEEE result `_apply` gives on
-    the same real entries, `_ZERO` read as 0.0.
-    With `return_deviation`, the states come with the checked deviations,
-    `completeness_deviation_stack(ops)`.
+    the same real entries, `_ZERO` read as 0.0.  Returns the output stack
+    and the deviations it checked, `completeness_deviation_stack(ops)`.
     """
     rho = as_matrix_stack(rho)
     columns = [v.shape for op in ops for v in op if isinstance(v, np.ndarray)]
@@ -335,15 +317,13 @@ def apply_unselective_stack(ops, rho, return_deviation: bool = False):
         raise IncompleteKrausSetError(
             f"Kraus set {i} of the stack violates completeness by {dev[i]:.3e}"
         )
-    out = validate_state_stack(np.array(_evolve(ops, *rho)))
-    return (out, dev) if return_deviation else out
+    return validate_state_stack(np.array(_evolve(ops, *rho))), dev
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`_isentropic_strength` per point, with x = e^-b computed by the caller.
+    """`_isentropic_strength` per point, NaN included, with x = e^-b computed by the caller.
 
-    A point without a partner gets NaN where the scalar raises
-    NoIsentropicStrengthError; a strength outside [0, 1] raises ValueError.
+    A strength outside [0, 1] raises ValueError.
     """
     _strength_range("excitation", p)
     q = np.full(p.shape, math.nan)

@@ -16,9 +16,9 @@ import functools
 import math
 import sys
 
-from .channels import NoIsentropicStrengthError
 from .config import ConfigError, load_config, parse_float_list
 from .engine import (
+    LEDGER_FIELDS,
     CycleMode,
     CycleParams,
     EnergyLedger,
@@ -27,7 +27,7 @@ from .engine import (
     run_analytic,
     run_numeric,
 )
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, _cell, run_sweep
 from .verify import (
     DEFAULT_B_GRID,
     DEFAULT_GAMMA_GRID,
@@ -104,27 +104,14 @@ def _parse_list_flag(text: str | None, what: str) -> tuple[float, ...] | None:
         raise UsageError(f"bad {what}: {exc}") from None
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if x == 0.0:
-        return "0"  # fold negative zero
-    return f"{x:.12g}"
-
-
 def _render_ledger(ledger: EnergyLedger) -> str:
     lines = [f"[{ledger.source}]"]
     lines.append(f"  {'stroke':<8}{'energy':>18}{'entropy':>18}")
     for rec in ledger.strokes:
-        lines.append(f"  {rec.name:<8}{_fmt(rec.energy_after):>18}{_fmt(rec.entropy_after):>18}")
-    summary = (
-        f"  q_in={_fmt(ledger.q_in)} q_out={_fmt(ledger.q_out)} "
-        f"w_api={_fmt(ledger.w_api)} w_apii={_fmt(ledger.w_apii)} "
-        f"delta={_fmt(ledger.delta)} w_ext={_fmt(ledger.w_ext)} "
-        f"eta={_fmt(ledger.eta)} q_used={_fmt(ledger.q_used)} "
-        f"first_law_residual={_fmt(first_law_residual(ledger))} valid={1 if ledger.valid else 0}"
-    )
-    lines.append(summary)
+        lines.append(f"  {rec.name:<8}{_cell(rec.energy_after):>18}{_cell(rec.entropy_after):>18}")
+    numbers = [f"{name}={_cell(getattr(ledger, name))}" for name in LEDGER_FIELDS]
+    lines.append(f"  {' '.join(numbers)} first_law_residual={_cell(first_law_residual(ledger))} "
+                 f"valid={1 if ledger.valid else 0}")
     if ledger.flags:
         lines.append("  flags=" + ",".join(ledger.flags))
     return "\n".join(lines)
@@ -146,8 +133,8 @@ def cmd_cycle(args) -> int:
         ledgers.append(run_analytic(params))
 
     print(
-        f"mode={params.mode.value} b={_fmt(params.b)} gamma={_fmt(params.gamma)} "
-        f"r={_fmt(params.r)} P={_fmt(params.strength)} source={source}"
+        f"mode={params.mode.value} b={_cell(params.b)} gamma={_cell(params.gamma)} "
+        f"r={_cell(params.r)} P={_cell(params.strength)} source={source}"
     )
     for ledger in ledgers:
         print(_render_ledger(ledger))
@@ -201,7 +188,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidCycleError, NoIsentropicStrengthError) as exc:
+    except InvalidCycleError as exc:
         print(f"invalid cycle: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -34,12 +34,12 @@ builds no numpy array and no `KrausSet`: its states are built from Python
 floats and keep them, and it hands the channel kernel the excitation and
 damping entries as Python floats, so every check and product on them is
 float arithmetic, as on the grid's float64 columns; the one numpy call is
-the `np.exp` of the Gibbs weight.  Its frozen dataclasses skip
-`object.__setattr__`: `_record` and `_energy_ledger` write every field of
-the check-free `StrokeRecord` and `EnergyLedger` into a new instance's
-`__dict__`, and the checked constructors write what they derive there
-after their checks (`test_engine_built_records_are_whole_and_frozen`);
-only a record's `entropy_after` is written there on its first read.
+the `np.exp` of the Gibbs weight.  The frozen dataclasses skip
+`object.__setattr__`: `_record` and `_unchecked` write every field of a
+check-free `StrokeRecord`, `EnergyLedger` or `GridLedger` into a new
+instance's `__dict__`, and the checked constructors (`CycleParams`,
+`CycleGrid`) write what they derive there after their checks
+(`test_engine_built_records_are_whole_and_frozen`).
 
 Sign conventions (all energies in units of the bare level spacing):
 q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
@@ -57,13 +57,15 @@ state.
 `run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
 the numeric side evolves (4, N) state stacks (laid out as `states` sets
 out) through grid channels, the analytic side evaluates the closed form
-on arrays.  The two engines
-share `_strength`, `_gamma_range`, `_ledger`, `_closed_form`, `_eta_law`,
-the q helpers and the channel kernel (`channels._completeness_terms` and
-`_evolve`), which take Python floats or float64 columns alike, and each
-transcendental comes from the same function (`np.exp` for the Gibbs
-weights, `math.exp`/`math.tanh` once per distinct b, `math.log` once per
-distinct eigenvalue), so each column equals the scalar field bit for bit
+on arrays.  The two engines share `_strength`, `_gamma_range`, `_ledger`,
+`_closed_form`, `_eta_law` (the one place both eta laws are written), the
+partner strength q (`channels`' one rule: NaN where no partner exists),
+`LEDGER_FIELDS` (the eight numbers `verify` checks and `cycle` prints) and
+the channel kernel (`channels._completeness_terms` and `_evolve`), which
+take Python floats or float64 columns alike, and each transcendental
+comes from the same function (`np.exp` for the Gibbs weights,
+`math.exp`/`math.tanh` once per distinct b, `math.log` once per distinct
+eigenvalue), so each column equals the scalar field bit for bit
 (`tests/test_sweep.py`).  A grid builds every per-point column once, at
 construction, and evolves its states and their entropies once, on first
 read; none depends on r, so `stretched` repeats them over r instead of
@@ -71,9 +73,7 @@ building them again; `evolved` also keeps the deviation each channel
 application checked.  Both `verify` and `sweep` evaluate a b x gamma grid
 (`CycleGrid.product`) stretched over their r axis this way; `verify`
 evolves its `realizable_part`, the grid itself when every point is
-realizable.  The analytic runner builds its QMI and QMII stacks only when
-read.  A grid's read-only columns
-and a `GridLedger`'s fields are written into `__dict__`, as `_record` does.
+realizable.  The analytic runner builds its QMI and QMII stacks only when read.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from enum import Enum
 import numpy as np
 
 from .channels import (
-    NoIsentropicStrengthError,
     _damp,
     _excite,
     _isentropic_strength,
@@ -100,11 +99,11 @@ from .states import (
     DensityMatrix,
     Hamiltonian,
     _gibbs_populations,
+    diagonal_stack,
     entropy_stack,
     gibbs_state,
     mean_energy,
     mean_energy_stack,
-    validate_state_stack,
 )
 
 GAMMA_NUMERIC_MIN = 0.5  # below this the population-swapping channel does not exist
@@ -112,6 +111,9 @@ GAMMA_NUMERIC_MIN = 0.5  # below this the population-swapping channel does not e
 FLAG_ETA_ZERO_INPUT = "eta-zero-input"
 FLAG_OUTSIDE_RANGE = "gamma-outside-engine-range"
 FLAG_NO_PARTNER = "no-isentropic-partner"
+
+# The ledger's numbers, in the order `verify` checks them and `cycle` prints them.
+LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used")
 
 _H1 = Hamiltonian.qubit(1.0)  # the bare gap, before API and after APII
 
@@ -164,10 +166,6 @@ class CycleParams:
         _require_ratio(mode, r)
         x = math.exp(-b)
         strength = _strength(self.gamma, x)
-        try:
-            q = _isentropic_strength(strength, x)
-        except NoIsentropicStrengthError:
-            q = math.nan
         thermal = gibbs_state(_H1, b)
         hr = _H1 if r == 1.0 else Hamiltonian.qubit(r)
         strokes = (
@@ -176,7 +174,8 @@ class CycleParams:
             _record("API", thermal, hr, mean_energy(thermal, hr)),
         )
         self.__dict__.update(mode=mode, x=x, th=math.tanh(0.5 * b), strength=strength,
-                             thermal=thermal, q=q, thermal_strokes=strokes)
+                             thermal=thermal, q=_isentropic_strength(strength, x),
+                             thermal_strokes=strokes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +240,11 @@ def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float) -> S
     return rec
 
 
-def _energy_ledger(**fields) -> EnergyLedger:
-    """`EnergyLedger(**fields)`, all 13 fields given, written into `__dict__` as `_record` does."""
-    ledger = object.__new__(EnergyLedger)
-    ledger.__dict__.update(fields)
-    return ledger
+def _unchecked(cls, **fields):
+    """`cls(**fields)`, every field given, written into `__dict__` as `_record` does."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
@@ -372,8 +371,8 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
         eta = 0.0
     else:
         eta = w_ext / q_in
-    return _energy_ledger(
-        params=p, source="numeric", strokes=_view(p, strokes),
+    return _unchecked(
+        EnergyLedger, params=p, source="numeric", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=p.q, valid=True, flags=tuple(flags),
     )
@@ -404,8 +403,8 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
         flags.append(FLAG_OUTSIDE_RANGE)
     strokes = _cycle_strokes(p, DensityMatrix.from_populations(m_pops),
                              DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
-    return _energy_ledger(
-        params=p, source="analytic", strokes=_view(p, strokes),
+    return _unchecked(
+        EnergyLedger, params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=p.q, valid=valid, flags=tuple(flags),
     )
@@ -478,8 +477,7 @@ class CycleGrid:
             self.point(int(np.argmin(ok)))  # raises the CycleParams error for that point
         values, index = _distinct(b)
         ground, excited = _gibbs_populations(_H1, values)
-        zero = np.zeros(len(values))
-        thermal = validate_state_stack(np.array((ground, zero, zero, excited)))
+        thermal = diagonal_stack(ground, excited)
         distinct = values.tolist()
         x = np.array([math.exp(-v) for v in distinct])[index]
         strength = _strength(gamma, x)
@@ -562,10 +560,8 @@ class CycleGrid:
         realizable = self.realizable
         if not realizable.all():
             _require_realizable(self.point(int(np.argmin(realizable))))
-        rho_m, excite = apply_unselective_stack(first_channel_stack(self.strength), self.thermal,
-                                                return_deviation=True)
-        rho_n, damp = apply_unselective_stack(second_channel_stack(self.q), rho_m,
-                                              return_deviation=True)
+        rho_m, excite = apply_unselective_stack(first_channel_stack(self.strength), self.thermal)
+        rho_n, damp = apply_unselective_stack(second_channel_stack(self.q), rho_m)
         return _read_only(rho_m, rho_n, excite, damp)
 
     @functools.cached_property
@@ -613,9 +609,7 @@ class GridLedger:
         if self.measured[0].ndim == 2:
             return self.measured
         ground, excited = self.measured
-        zero = np.zeros(len(ground))
-        return (validate_state_stack(np.array((ground, zero, zero, excited))),
-                validate_state_stack(np.array((excited, zero, zero, ground))))
+        return diagonal_stack(ground, excited), diagonal_stack(excited, ground)
 
     @property
     def states_qmi(self) -> np.ndarray:
@@ -644,13 +638,6 @@ class GridLedger:
         return self._entropies[2]
 
 
-def _grid_ledger(**fields) -> GridLedger:
-    """`GridLedger(**fields)`, all 12 fields given, written into `__dict__` (`_energy_ledger`)."""
-    ledger = object.__new__(GridLedger)
-    ledger.__dict__.update(fields)
-    return ledger
-
-
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     """`run_numeric` at every point of the grid: the energies and eta of its `evolved` states."""
     rho_m, rho_n, _, _ = grid.evolved
@@ -659,8 +646,8 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
         mean_energy_stack(rho_th, 1.0), mean_energy_stack(rho_th, r), mean_energy_stack(rho_m, r),
         mean_energy_stack(rho_n, r), mean_energy_stack(rho_n, 1.0))
     eta = np.divide(w_ext, q_in, out=np.zeros(len(grid)), where=q_in != 0.0)
-    return _grid_ledger(
-        q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
+    return _unchecked(
+        GridLedger, q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),
         states_tp=rho_th, measured=(rho_m, rho_n), evolved_on=grid,
     )
@@ -681,8 +668,8 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
     lo, hi = _gamma_range(grid.mode, r)
-    return _grid_ledger(
-        q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
+    return _unchecked(
+        GridLedger, q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=(lo <= gamma) & (gamma <= hi),
         states_tp=grid.thermal, measured=m_pops, evolved_on=None,
     )

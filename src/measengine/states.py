@@ -27,7 +27,8 @@ is the state of point i, and each row is the (N,) column of one entry
 over the points, which is what the channel kernel (`channels._evolve`)
 takes and returns.
 `validate_state_stack` applies the constructor's checks with the same
-tolerances to every state of a stack, and `mean_energy_stack` /
+tolerances to every state of a stack (`diagonal_stack` builds and checks
+one from two population columns), and `mean_energy_stack` /
 `entropy_stack` give, state by state, the same bits as `mean_energy` /
 `von_neumann_entropy` on coherence-free states.  On float64 entries
 every difference and modulus the stack checks take is exact, as the
@@ -256,6 +257,12 @@ def validate_state_stack(rho) -> np.ndarray:
             if value < -TOL_PSD:
                 raise ValueError(f"state {i} of the stack has negative eigenvalue {value:.3e}")
     return m
+
+
+def diagonal_stack(ground: np.ndarray, excited: np.ndarray) -> np.ndarray:
+    """The validated (4, N) stack of the diagonal states with these (N,) population columns."""
+    zero = np.zeros(len(ground))
+    return validate_state_stack(np.array((ground, zero, zero, excited)))
 
 
 def _require_float(rho: np.ndarray) -> None:

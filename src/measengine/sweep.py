@@ -51,6 +51,7 @@ CSV_HEADER = (
 )
 CHUNK_ROWS = 512  # rows formatted per `_cells` call
 BATCH_ROWS = 16384  # rows per engine batch: a batch holds at most max(BATCH_ROWS, len(r))
+_DIGITS = "%.12g"  # a cell's format, applied to value + 0.0, which folds -0.0 to 0.0
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,23 @@ class SweepSpec:
             raise ValueError("sweep needs an output path")
 
 
+def _cell(x: float) -> str:
+    """One value in 12 significant digits, as a CSV cell shows it; -0.0 reads "0", NaN "nan"."""
+    return _DIGITS % (x + 0.0)
+
+
 def _cells(values: np.ndarray) -> np.ndarray:
     """Every entry as its CSV cell, an object array of values' shape.
 
-    A cell is "%.12g" of the value, with -0.0 shown as "0" and NaN as ""
-    (an empty cell).  Only the non-NaN values are sorted: each distinct one
-    is formatted once, and all of them in one `%` call.
+    A cell is `_cell` of the value, with NaN shown as "" (an empty cell).
+    Only the non-NaN values are sorted: each distinct one is formatted once,
+    and all of them in one `%` call.
     """
     flat = values.ravel()
     kept = ~np.isnan(flat)
     distinct, inverse = _distinct(flat[kept])
-    shown = distinct + 0.0  # folds -0.0
-    text = ("%.12g\n" * len(shown) % tuple(shown.tolist())).split("\n")
+    shown = distinct + 0.0
+    text = ((_DIGITS + "\n") * len(shown) % tuple(shown.tolist())).split("\n")
     index = np.full(flat.shape, len(shown))  # every NaN takes the "" after the last newline
     index[kept] = inverse
     return np.array(text, dtype=object)[index].reshape(values.shape)

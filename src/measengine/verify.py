@@ -48,9 +48,11 @@ import numpy as np
 
 from .channels import COMPLETENESS_TOL, completeness_deviation_stack, first_channel_stack
 from .engine import (
+    LEDGER_FIELDS,
     CycleGrid,
     CycleMode,
     GridLedger,
+    _eta_law,
     first_law_residual,
     run_analytic_grid,
     run_numeric_grid,
@@ -65,8 +67,6 @@ DEFAULT_R_GRID = (1.0, 2.0, 5.0)
 TOL_ORACLE = 1e-10      # numeric-vs-analytic ledger agreement
 TOL_EXACT = 1e-12       # entropy equality, population swap, first law, special points
 TOL_COHERENCE = 1e-14   # off-diagonal elements must stay at zero
-
-LEDGER_FIELDS = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used")
 
 PERTURBATION = 0.1
 
@@ -276,7 +276,7 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
                    TOL_ORACLE)
     entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
     gamma = grid.gamma
-    c.close("efficiency-law", points, numeric.eta, 2.0 - 1.0 / gamma, TOL_ORACLE)
+    c.close("efficiency-law", points, numeric.eta, _eta_law(grid.mode, gamma, grid.r), TOL_ORACLE)
 
     at = gamma == 0.5
     special, states = points[at], numeric.states_qmi[:, at]
@@ -303,9 +303,8 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
                    TOL_ORACLE)
     entropy_tp, _ = _check_states(c, points, numeric, ("TP", "API", "QMI", "QMII", "APII"))
     c.close("first-law", points, first_law_residual(numeric), 0.0, TOL_EXACT)
-    gamma, r = grid.gamma, grid.r
-    c.close("efficiency-law", points, numeric.eta, (gamma * (1.0 + r) - 1.0) / (gamma * r),
-            TOL_ORACLE)
+    r = grid.r
+    c.close("efficiency-law", points, numeric.eta, _eta_law(grid.mode, grid.gamma, r), TOL_ORACLE)
     # API relabels the thermal state without touching its populations.
     c.close("adiabat-isentropic", points, entropy_tp, entropy_tp, 0.0)
 

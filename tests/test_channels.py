@@ -11,7 +11,6 @@ from measengine.channels import (
     COMPLETENESS_TOL,
     IncompleteKrausSetError,
     KrausSet,
-    NoIsentropicStrengthError,
     apply_unselective,
     apply_unselective_stack,
     completeness_deviation_stack,
@@ -225,7 +224,7 @@ class TestApplyUnselectiveStack:
         # One kernel: the grid runs `apply_unselective`'s float arithmetic on (N,) columns.
         for _ in range(10):
             sets, states, kraus, rho = self.random_stack(rng, n_ops)
-            out = apply_unselective_stack(grid_channel(kraus), rho)
+            out, _ = apply_unselective_stack(grid_channel(kraus), rho)
             for k, state, got in zip(sets, states, out.T, strict=True):
                 expected = apply_unselective(k, state).entries
                 assert all(type(v) is float for v in expected)
@@ -295,11 +294,12 @@ class TestExactZero:
             states = _signed_zero_states(rng, n)
             rho = state_rows(states)
             ops = stack(strengths)
-            out = apply_unselective_stack(ops, rho)
-            assert out.tobytes() == apply_unselective_stack(_float_zeros(ops), rho).tobytes()
-            dev = completeness_deviation_stack(ops)
+            out, dev = apply_unselective_stack(ops, rho)
+            float_out, float_dev = apply_unselective_stack(_float_zeros(ops), rho)
+            assert out.tobytes() == float_out.tobytes()
             assert dev.shape == (n,)
-            assert dev.tobytes() == completeness_deviation_stack(_float_zeros(ops)).tobytes()
+            assert dev.tobytes() == float_dev.tobytes()
+            assert dev.tobytes() == completeness_deviation_stack(ops).tobytes()
             for i, strength in enumerate(strengths.tolist()):
                 expected = apply(strength, DensityMatrix(states[i])).entries
                 assert out[:, i].tobytes() == np.array(expected).tobytes()
@@ -376,19 +376,15 @@ class TestIsentropicStrength:
         for b in (0.1, 1.0, 5.0, 30.0):
             assert isentropic_strength(1.0, b) == pytest.approx(1.0, abs=1e-15)
 
-    def test_below_threshold_is_refused_with_threshold_value(self):
-        b = math.log(2.0)
-        with pytest.raises(NoIsentropicStrengthError) as exc:
-            isentropic_strength(0.1, b)
-        assert exc.value.threshold == pytest.approx(0.25, abs=1e-15)
+    def test_below_threshold_is_nan(self):
+        assert math.isnan(isentropic_strength(0.1, math.log(2.0)))  # the threshold is 1/4
 
     @pytest.mark.parametrize(("p", "b"), [(-1e-13, 1e-13), (-0.5, 1.0)])
     def test_negative_strength_is_out_of_range(self, p, b):
-        # A range error, not a threshold refusal.  The scalar kernel takes its strength as
-        # checked: `CycleParams` forms it from a gamma it has checked to lie in [0, 1].
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as exc:
+        # A range error, not a NaN.  The scalar kernel takes its strength as checked:
+        # `CycleParams` forms it from a gamma it has checked to lie in [0, 1].
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             isentropic_strength_stack(np.array([p]), np.array([math.exp(-b)]))
-        assert not isinstance(exc.value, NoIsentropicStrengthError)
 
     @given(
         st.floats(min_value=0.5, max_value=1.0),
@@ -397,6 +393,18 @@ class TestIsentropicStrength:
     def test_result_always_in_unit_interval(self, gamma, b):
         q = isentropic_strength(gamma * (1.0 - math.exp(-b)), b)
         assert 0.0 <= q <= 1.0
+
+    @given(
+        st.one_of(st.floats(1e-300, 1.0, exclude_max=True), st.floats(1e-300, 1e-6)),
+        st.floats(-2.0 * channels._Q_SLACK, 2.0 * channels._Q_SLACK),
+    )
+    def test_scalar_and_stack_give_the_same_bits(self, x, offset):
+        # Near the threshold, where tiny x puts q on either side of -_Q_SLACK as well.
+        p = min(max(channels._partner_threshold(x) + offset, 0.0), 1.0)
+        scalar = channels._isentropic_strength(p, x)
+        stack = isentropic_strength_stack(np.array([p]), np.array([x]))
+        assert math.isnan(scalar) == math.isnan(stack[0])
+        assert math.isnan(scalar) or np.array([scalar]).tobytes() == stack.tobytes()
 
 
 class TestCycleStateProperties:

@@ -18,7 +18,6 @@ PUBLIC = [
     "IncompleteKrausSetError",
     "InvalidCycleError",
     "KrausSet",
-    "NoIsentropicStrengthError",
     "StrokeRecord",
     "SweepSpec",
     "UnrealizableChannelError",
@@ -44,6 +43,7 @@ DELETED = {
         "CompletenessReport",
         "MeasurementOutcome",
         "NEGLIGIBLE_PROB",
+        "NoIsentropicStrengthError",
         "isentropic_strength",
         "measure_selective",
         "povm_elements",

@@ -79,7 +79,7 @@ def _complex(ops):
 def test_every_stack_entry_point_refuses_complex_stacks(make):
     # A complex channel passes completeness where its values are real, and its output is refused.
     kraus, rho = make(STRENGTHS), RHO
-    assert apply_unselective_stack(kraus, rho).dtype == F64
+    assert [a.dtype for a in apply_unselective_stack(kraus, rho)] == [F64, F64]
     for call in (lambda: validate_state_stack(rho.astype(complex)),
                  lambda: apply_unselective_stack(_complex(kraus), rho),
                  lambda: apply_unselective_stack(kraus, rho.astype(complex)),
@@ -91,8 +91,8 @@ def test_every_stack_entry_point_refuses_complex_stacks(make):
 
 def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(monkeypatch):
     kraus, rho = first_channel_stack(STRENGTHS), RHO
-    expected = apply_unselective_stack(kraus, rho)
-    assert np.array_equal(apply_unselective_stack(kraus, rho.tolist()), expected)
+    expected, _ = apply_unselective_stack(kraus, rho)
+    assert np.array_equal(apply_unselective_stack(kraus, rho.tolist())[0], expected)
 
     def no_arithmetic(*args):
         raise AssertionError("the channel ran on an unchecked state stack")

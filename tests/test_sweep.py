@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import WIDE_B, WIDE_GAMMA, WIDE_R
 
-from measengine import engine, sweep
+from measengine import engine, states, sweep
 from measengine.channels import IncompleteKrausSetError, first_channel_stack
 from measengine.engine import (
     CycleGrid,
@@ -212,6 +212,8 @@ def test_cells_format_every_entry_as_fmt(column):
     for layout in (column, nan_free, [math.nan] * len(column)):
         values = np.array(layout)
         assert sweep._cells(values).tolist() == [_fmt(v) for v in layout]
+        # One value at a time (`cycle`'s numbers), where NaN reads "nan".
+        assert [sweep._cell(v) for v in layout] == [_fmt(v) or "nan" for v in layout]
         table = np.stack((values, values[::-1]), axis=1)
         expected = [[_fmt(a), _fmt(b)] for a, b in table.tolist()]
         assert sweep._cells(table).tolist() == expected
@@ -285,8 +287,8 @@ def test_chunk_boundaries_leave_the_csv_unchanged(tmp_path, monkeypatch):
 
 
 def _states_with(index, value):
-    """The engine's `validate_state_stack`, handed its stack with `value` written at `index`."""
-    validate = engine.validate_state_stack
+    """`states.validate_state_stack`, handed its stack with `value` written at `index`."""
+    validate = states.validate_state_stack
 
     def corrupted(rho):
         rho = rho.copy()
@@ -301,23 +303,24 @@ def _scaled_kraus(p):
 
 
 @pytest.mark.parametrize(
-    ("target", "replacement", "error", "message"),
+    ("home", "target", "replacement", "error", "message"),
     [
-        ("first_channel_stack", _scaled_kraus, IncompleteKrausSetError, "completeness"),
-        # Entry (0, 1), then the whole, then entry (1, 1) of the first state.
-        ("validate_state_stack", _states_with((1, 0), 1e-9), ValueError, "not Hermitian"),
-        ("validate_state_stack", _states_with((slice(None), 0), (0.5, 0.0, 0.0, 0.5 + 1e-9)),
-         ValueError, "trace"),
-        ("validate_state_stack", _states_with((slice(None), 0), (1.0 + 1e-9, 0.0, 0.0, -1e-9)),
+        (engine, "first_channel_stack", _scaled_kraus, IncompleteKrausSetError, "completeness"),
+        # Entry (0, 1), then the whole, then entry (1, 1) of the first state: the thermal stack.
+        (states, "validate_state_stack", _states_with((1, 0), 1e-9), ValueError, "not Hermitian"),
+        (states, "validate_state_stack",
+         _states_with((slice(None), 0), (0.5, 0.0, 0.0, 0.5 + 1e-9)), ValueError, "trace"),
+        (states, "validate_state_stack",
+         _states_with((slice(None), 0), (1.0 + 1e-9, 0.0, 0.0, -1e-9)),
          ValueError, "negative eigenvalue"),
-        ("validate_state_stack", _states_with((3, 0), np.nan), ValueError, "finite"),
+        (states, "validate_state_stack", _states_with((3, 0), np.nan), ValueError, "finite"),
     ],
     ids=["incomplete-kraus", "non-hermitian", "trace", "negative-eigenvalue", "nan"],
 )
 def test_corrupted_stack_aborts_the_sweep_without_a_file(
-    tmp_path, monkeypatch, target, replacement, error, message
+    tmp_path, monkeypatch, home, target, replacement, error, message
 ):
-    monkeypatch.setattr(engine, target, replacement)
+    monkeypatch.setattr(home, target, replacement)
     spec = SweepSpec("five", (0.5, 2.0), (0.3, 0.75, 1.0), str(tmp_path / "x.csv"),
                      r_values=(1.0, 3.0))
     with pytest.raises(error, match=message):
