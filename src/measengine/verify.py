@@ -5,29 +5,31 @@ grid as one three-stroke `CycleGrid`, evolves its realizable points once
 (the grid itself when every point is, as on the default grid, else a
 subset), and stretches them over r into the five-stroke grid, which
 carries those states and their entropies.  Each grid is evaluated twice:
-by `run_numeric_grid` (its evolved state stacks, laid out as `states`
-sets out) and by `run_analytic_grid` (the closed form).
+by `run_numeric_grid` (its evolved states) and `run_analytic_grid`.
 Each check family is one rule at every point it applies to: channel
 completeness, oracle equivalence per ledger field, entropy equality,
-population swap, coherence-free states per stroke, the efficiency law,
-the first law, adiabat isentropy, the special points gamma = 1/2 and
-gamma = 1 (and the entropy ordering between them), and the r = 1
-reduction of the five-stroke cycle to the three-stroke one.  The two
-completeness families read the deviations that the evolution's two channel
-applications checked (`CycleGrid.evolved`); only the excitation channels
-of the points it skips (gamma < 1/2) are formed for the `excite` family
-alone.  `_Checker` records the (observed, expected, tol) of every family
-and decides the whole run by one comparison of all their margins with 0.
+population swap, coherence-free states per stroke, the efficiency law, the
+first law, adiabat isentropy, the special points gamma = 1/2 and gamma = 1
+(and the entropy ordering between them), and the r = 1 reduction of the
+five-stroke cycle to the three-stroke one.  Two families check nothing of
+their own: `adiabat-isentropic` compares `entropy_tp` with itself at tol 0
+and cannot fail, and `efficiency-law` checks `eta` against the `_eta_law`
+array that `oracle-equivalence-eta` checks it against at every realizable
+point, so it fails only where that one does.  The completeness families
+read the deviations that the evolution's two channel applications checked
+(`CycleGrid.evolved`); the excitation channels of the points it skips
+(gamma < 1/2) are formed for an `excite` family of their own.
 
-Failures are collected into a report, never raised.  A family's points are
-positions into the flat grid, named only when some check fails: then the
-families are replayed one by one, and each failing position is worked back
-into its b, gamma and r, formatted, and sorted: b, then gamma, then the
+Every check is one rule: it passes when its margin |observed - expected|
+- tol is <= 0, and a one-sided check (value <= 0) is max(value, 0)
+against 0 at tol 0.  `_Checker` decides the whole run by one comparison
+of all margins with 0.  Failures are collected into a report, never
+raised: only then are the failing positions of each family worked back
+into their b, gamma and r, formatted, and sorted: b, then gamma, then the
 channels, the three-stroke cycle and the five-stroke cycle at each r.
 
-The optional `perturb` hook adds +0.1 to one ledger field of every
-numeric ledger before checking; it exists to prove the suite actually
-bites (a perturbed build must fail).
+The optional `perturb` hook adds +0.1 to one ledger field of every numeric
+ledger before checking, to prove that the suite bites (the run must fail).
 
 The five-stroke numeric ledger comes from one call of
 `run_five_stroke_numeric(five_grid) -> GridLedger` (`run_numeric_grid`).
@@ -70,7 +72,6 @@ TOL_COHERENCE = 1e-14   # off-diagonal elements must stay at zero
 
 PERTURBATION = 0.1
 
-_R_ONE = np.ones(1)  # the r axis of the b x gamma grid
 # The order of the checks at one (b, gamma): channels, three-stroke, five-stroke at each r.
 _SECTIONS = {"excite": 0, "damp": 0, "three": 1, "five": 2}
 
@@ -114,57 +115,38 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class _Points:
-    """Grid points checked together: positions `at` into the flat b x gamma x r grid.
+    """Grid points checked together: positions `at` into the flat b x gamma (x r under five) grid.
 
-    r is (1,) on the b x gamma grid.  Selecting points composes positions; only `where`
-    and `key`, which name and sort a failure, work a position back into its axes.
+    Selecting points composes positions; the `_Checker` names a failing one from its axes.
     """
 
     label: str  # excite, damp, three or five; five also names r
-    b: np.ndarray
-    gamma: np.ndarray
-    r: np.ndarray
     at: np.ndarray
 
     def __getitem__(self, index) -> _Points:
-        points = object.__new__(_Points)  # the fields written into `__dict__`, as `_record` does
-        fields = points.__dict__
-        fields.update(self.__dict__)
-        fields["at"] = self.at[index]
-        return points
-
-    def _indices(self, i: int) -> tuple[int, int, int]:
-        return np.unravel_index(self.at[i], (len(self.b), len(self.gamma), len(self.r)))
-
-    def where(self, i: int) -> str:
-        b_index, gamma_index, r_index = self._indices(i)
-        text = f"{self.label} b={float(self.b[b_index]):g} gamma={float(self.gamma[gamma_index]):g}"
-        return text + f" r={float(self.r[r_index]):g}" if self.label == "five" else text
-
-    def key(self, i: int) -> tuple[int, int, int]:
-        b_index, gamma_index, r_index = self._indices(i)
-        return b_index, gamma_index, _SECTIONS[self.label] + r_index
+        return _Points(self.label, self.at[index])
 
 
 class _Checker:
-    """Records check families, then settles them all at the first read of `count` or `failures`.
+    """Records check families over the axes b, gamma and r; settles them at the first read.
 
-    A family checks one rule at every point given; `observed` holds one value
-    per check.  Each check's margin is |observed - expected| - tol for `close`
-    and `close_fields`, value - tol for `below`, whose expected value is 0; a
+    A family checks one rule at every point given; `observed` holds one
+    value per check, and its margin is |observed - expected| - tol (a
+    one-sided check, value <= 0, is max(value, 0) against 0 at tol 0).  A
     margin is <= 0 exactly when its check passes (with gradual underflow
-    a - t <= 0 iff a <= t), and NaN and inf fail it.  Settling forms every
-    margin with one difference per family (none where the expected value is
-    the scalar 0.0, as o - 0.0 is o), one concatenation, one repeat of the
-    tolerances and one of the rule, and decides the run with one comparison.  Only when some check fails are
-    the families replayed one by one, under the NaN rule of `close`, to
-    name the failing points.  Families are recorded in the order the checks
-    run at one point, so the call number sorts the failures within a
-    point's section.  Every family must be recorded before the first read.
+    a - t <= 0 iff a <= t); NaN and inf fail it.  Settling, at the first
+    read of `count` or `failures` (record every family before it), forms
+    each margin with one difference per family (none where the expected
+    value is the scalar 0.0), one concatenation and one repeat of the
+    tolerances, and decides the run with one comparison.  Only on a failure
+    are the families replayed, under the NaN rule of `close`, each failing
+    family's positions unravelled into the axes at once; the recording
+    order of the checks at one point orders that point's failures.
     """
 
-    def __init__(self):
-        # (checks, points, observed, expected, tol, detail, below): one check name per row.
+    def __init__(self, b: np.ndarray, gamma: np.ndarray, r: np.ndarray):
+        self.b, self.gamma, self.r = b, gamma, r
+        # (checks, points, observed, expected, tol, detail): one check name per row.
         self._families: list[tuple] = []
 
     @property
@@ -177,51 +159,53 @@ class _Checker:
 
     def close(self, check: str, points: _Points, observed, expected, tol: float, detail: str = ""):
         """|observed - expected| <= tol; where either is NaN, passes only if both are."""
-        self._families.append(((check,), points, observed, expected, tol, detail, False))
+        self._families.append(((check,), points, observed, expected, tol, detail))
 
     def close_fields(self, prefix: str, points: _Points, observed: np.ndarray,
                      expected: np.ndarray, tol: float):
         """`close` of each (F, N) row, family prefix + field."""
         checks = tuple(prefix + field for field in LEDGER_FIELDS)
-        self._families.append((checks, points, observed, expected, tol, "", False))
-
-    def below(self, check: str, points: _Points, value, tol: float = 0.0, detail: str = ""):
-        """value <= tol; a NaN value fails."""
-        self._families.append(((check,), points, value, 0.0, tol, detail, True))
+        self._families.append((checks, points, observed, expected, tol, ""))
 
     @functools.cached_property
     def _settled(self) -> tuple[int, list[CheckFailure]]:
-        differences, tols, rules = [], [], []
+        differences, tols = [], []
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            for _, _, observed, expected, tol, _, below in self._families:
+            for _, _, observed, expected, tol, _ in self._families:
                 if not (isinstance(expected, float) and expected == 0.0):
                     observed = observed - expected
                 differences.append(observed)
                 tols.append(tol)
-                rules.append(below)
-            sizes = [difference.size for difference in differences]
             flat = np.concatenate(differences, axis=None)
-            margins = np.where(np.repeat(rules, sizes), flat, np.abs(flat)) - np.repeat(tols, sizes)
+            margins = np.abs(flat) - np.repeat(tols, [d.size for d in differences])
         passed = margins <= 0.0
         if passed.all():
             return passed.size, []
         failures = []
         family = end = 0
-        for (checks, points, observed, expected, tol, detail, below), difference in zip(
+        for (checks, points, observed, expected, tol, detail), difference in zip(
                 self._families, differences):
             start, end = end, end + difference.size
             ok = passed[start:end].reshape(difference.shape)
-            if not below and not ok.all():  # a NaN fails <=, so only then can the NaN rule act
+            if not ok.all():  # a NaN fails <=, so only then can the NaN rule act
                 nan_observed, nan_expected = np.isnan(observed), np.isnan(expected)
                 ok = np.where(nan_observed | nan_expected, nan_observed & nan_expected, ok)
             if not ok.all():
-                observed = np.reshape(observed, (len(checks), -1))
-                expected = np.broadcast_to(expected, np.shape(ok)).reshape(len(checks), -1)
                 rows, at = np.nonzero(~ok.reshape(len(checks), -1))
-                for row, i in zip(rows.tolist(), at.tolist()):
-                    failure = CheckFailure(checks[row], points.where(i) + detail,
-                                           float(observed[row, i]), float(expected[row, i]), tol)
-                    failures.append(((*points.key(i), family + row), failure))
+                observed = np.reshape(observed, (len(checks), -1))[rows, at].tolist()
+                expected = np.broadcast_to(expected, ok.shape).reshape(len(checks), -1)[rows, at]
+                label = points.label
+                five = label == "five"
+                b_at, gamma_at, r_at = np.unravel_index(
+                    points.at[at], (len(self.b), len(self.gamma), len(self.r) if five else 1))
+                axes = zip(self.b[b_at].tolist(), self.gamma[gamma_at].tolist(),
+                           self.r[r_at].tolist())
+                keys = zip(b_at.tolist(), gamma_at.tolist(), (_SECTIONS[label] + r_at).tolist(),
+                           (family + rows).tolist())
+                for key, row, (b, gamma, r), o, e in zip(keys, rows.tolist(), axes, observed,
+                                                         expected.tolist()):
+                    where = f"{label} b={b:g} gamma={gamma:g}" + (f" r={r:g}" if five else "")
+                    failures.append((key, CheckFailure(checks[row], where + detail, o, e, tol)))
             family += len(checks)
         return passed.size, [failure for _, failure in sorted(failures, key=itemgetter(0))]
 
@@ -265,7 +249,7 @@ def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tup
     # Each adiabat relabels the state before it without touching it.
     offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}
     for name in strokes:
-        c.below("coherence-free", points, offdiag[name], TOL_COHERENCE, f" stroke={name}")
+        c.close("coherence-free", points, offdiag[name], 0.0, TOL_COHERENCE, f" stroke={name}")
     return ledger.entropy_tp, entropy_qmi
 
 
@@ -281,7 +265,8 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     at = gamma == 0.5
     special, states = points[at], numeric.states_qmi[:, at]
     lo, hi = _eigvals_stack(states - [[0.5], [0.0], [0.0], [0.5]])  # minus the maximally mixed
-    c.below("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), TOL_EXACT)
+    c.close("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), 0.0,
+            TOL_EXACT)
     c.close("special-zero-energy", special, mean_energy_stack(states, 1.0), 0.0, TOL_EXACT)
 
     at = gamma == 1.0
@@ -292,7 +277,8 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
 
     # Interior strengths must raise the entropy above thermal.
     at = (gamma != 0.5) & (gamma != 1.0)
-    c.below("entropy-ordering", points[at], entropy_tp[at] - entropy_qmi[at])
+    c.close("entropy-ordering", points[at], np.maximum(entropy_tp[at] - entropy_qmi[at], 0.0),
+            0.0, 0.0)
 
 
 def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -327,33 +313,30 @@ def run_verification(
     nr = len(r)
     grid = CycleGrid.product(b, gamma, r, CycleMode.FIVE_STROKE)
 
-    c = _Checker()
+    c = _Checker(b, gamma, r)
     realizable = grid.realizable
     three_ok = np.flatnonzero(realizable)
     three = grid.realizable_part()  # the grid itself by default
     three_numeric = run_numeric_grid(three)
     # Each application's deviation, as it checked it; the unevolved points' formed here.
     _, _, excite_deviation, damp_deviation = three.evolved
-    excite_at = three_ok
+    c.close("channel-completeness", _Points("excite", three_ok), excite_deviation, 0.0,
+            COMPLETENESS_TOL)
     if len(three_ok) < len(grid):
         skipped = np.flatnonzero(~realizable)
-        excite_at = np.concatenate((three_ok, skipped))
-        excite_deviation = np.concatenate((excite_deviation, completeness_deviation_stack(
-            first_channel_stack(grid.strength[skipped]))))
-    c.below("channel-completeness", _Points("excite", b, gamma, _R_ONE, excite_at),
-            excite_deviation, COMPLETENESS_TOL)
-    c.below("channel-completeness", _Points("damp", b, gamma, _R_ONE, three_ok), damp_deviation,
+        c.close("channel-completeness", _Points("excite", skipped), completeness_deviation_stack(
+            first_channel_stack(grid.strength[skipped])), 0.0, COMPLETENESS_TOL)
+    c.close("channel-completeness", _Points("damp", three_ok), damp_deviation, 0.0,
             COMPLETENESS_TOL)
     three_numeric = _maybe_perturb(three_numeric, perturb)
     three_fields = _fields(three_numeric)  # checked here and again by reduction-r1-
-    _check_three(c, _Points("three", b, gamma, _R_ONE, three_ok), three, three_numeric,
-                 three_fields)
+    _check_three(c, _Points("three", three_ok), three, three_numeric, three_fields)
 
     five = three.stretched(r)  # carries the states `three` evolved and their entropies
     five_numeric = _maybe_perturb(run_five_stroke_numeric(five), perturb)
     # Each point's position in the flat b x gamma x r grid, and in `three` (r = 1 reduction).
     ok = (three_ok[:, None] * nr + np.arange(nr)).ravel()
-    _check_five(c, _Points("five", b, gamma, r, ok), five, five_numeric, three_fields,
+    _check_five(c, _Points("five", ok), five, five_numeric, three_fields,
                 np.arange(len(three_ok)).repeat(nr))
-    elapsed = time.perf_counter() - start
-    return VerifyReport(checks_run=c.count, failures=c.failures, elapsed_seconds=elapsed)
+    checks_run, failures = c.count, c.failures  # settled, so the time includes settling
+    return VerifyReport(checks_run, failures, time.perf_counter() - start)

@@ -1,10 +1,12 @@
 """`measengine verify`: its output pinned, and the fault-injection seam the benchmark uses."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
 import re
+import time
 from collections import Counter
 from operator import itemgetter
 
@@ -135,6 +137,9 @@ DENSE_FAILURES = {
 # sha256 of the sorted FAIL lines joined by newlines, recorded before verify shared one
 # evolution of each (b, gamma) point between its three- and five-stroke ledgers.
 DENSE_FAILURES_DIGEST = "ef0345b5ce07d0b2ff3a79c5f16fae0b3e459b670a61e4b60480dbd7421fc65f"
+# sha256 of the FAIL lines in the order they print, recorded while each failure was named and
+# keyed by its own np.unravel_index.
+DENSE_FAILURES_IN_ORDER_DIGEST = "c17b068408eb76393107efa8ae36e56340a456c19b062cee0542e3a3872f3f62"
 
 
 def test_dense_whole_range_run_keeps_its_pinned_failures():
@@ -144,6 +149,23 @@ def test_dense_whole_range_run_keeps_its_pinned_failures():
     assert sum(DENSE_FAILURES.values()) == 19_873
     lines = "\n".join(sorted(map(str, report.failures)))
     assert hashlib.sha256(lines.encode()).hexdigest() == DENSE_FAILURES_DIGEST
+    lines = "\n".join(map(str, report.failures))
+    assert hashlib.sha256(lines.encode()).hexdigest() == DENSE_FAILURES_IN_ORDER_DIGEST
+
+
+def test_elapsed_time_includes_settling(monkeypatch):
+    checker = verify._Checker
+
+    class Slow(checker):
+        @functools.cached_property
+        def _settled(self):
+            time.sleep(0.05)
+            return checker._settled.func(self)
+
+    monkeypatch.setattr(verify, "_Checker", Slow)
+    report = verify.run_verification()
+    assert (report.checks_run, report.failures) == (1672, [])
+    assert report.elapsed_seconds >= 0.05
 
 
 def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, monkeypatch):
@@ -172,61 +194,83 @@ def test_injected_five_stroke_fault_spares_the_three_stroke_reference(capsys, mo
     ((1.0, 700.0), (0.0, 0.3, 0.4), (1.0,)),
 ], ids=["default", "mixed", "mixed-low-b", "just-below-half", "none-realizable"])
 def test_excite_family_is_the_excitation_deviation_of_every_point(monkeypatch, axes):
-    """Read from the evolution where a point is evolved and formed for it where not, bit for bit."""
+    """Read from the evolution where a point is evolved and formed for it where not, bit for bit.
+
+    The skipped points (gamma < 1/2) are a family of their own, recorded only where some point
+    is skipped.
+    """
     checkers = []
 
     class Kept(verify._Checker):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *axes):
+            super().__init__(*axes)
             checkers.append(self)
 
     monkeypatch.setattr(verify, "_Checker", Kept)
     assert verify.run_verification(*axes).passed
-    (family,) = [family for family in checkers[0]._families if family[1].label == "excite"]
-    checks, points, deviation, _, tol, _, below = family
-    assert (checks, tol, below) == (("channel-completeness",), COMPLETENESS_TOL, True)
+    excite = [family for family in checkers[0]._families if family[1].label == "excite"]
     grid = CycleGrid.product(*axes, CycleMode.FIVE_STROKE)
-    assert sorted(points.at.tolist()) == list(range(len(grid)))
+    evolved = grid.realizable
+    assert len(excite) == (1 if evolved.all() else 2)
     got = np.empty(len(grid))
-    got[points.at] = deviation
+    for (checks, points, deviation, expected, tol, detail), realizable in zip(excite, (True, False)):
+        assert (checks, expected, tol, detail) == (("channel-completeness",), 0.0,
+                                                  COMPLETENESS_TOL, "")
+        assert points.at.tolist() == np.flatnonzero(evolved == realizable).tolist()
+        got[points.at] = deviation
     expected = completeness_deviation_stack(first_channel_stack(grid.strength))
     assert got.tobytes() == expected.tobytes()
 
 
+# One b, three gamma, one r: positions 0, 1, 2 of a five-stroke grid.
+AXES = (np.array([1.0]), np.array([0.5, 0.6, 0.7]), np.array([2.0]))
+
+
 def test_checker_keeps_the_nan_rules_and_sorts_failures_by_point():
-    points = verify._Points("five", np.array([1.0]), np.array([0.5, 0.6, 0.7]), np.array([2.0]),
-                            np.arange(3))
-    c = verify._Checker()
+    points = verify._Points("five", np.arange(3))
+    c = verify._Checker(*AXES)
     nan = math.nan
-    # close passes where both sides are NaN and fails where one is; below fails on NaN.
+    # close passes where both sides are NaN and fails where one is: against 0, NaN fails.
     c.close("close", points, np.array([nan, nan, 1.0]), np.array([nan, 1.0, nan]), 1e-12)
-    c.below("below", points, np.array([nan, 0.0, 1.0]))
+    c.close("bound", points, np.array([nan, 0.0, 1.0]), 0.0, 0.0)
     assert c.count == 6
     assert [(f.check, f.where) for f in c.failures] == [
-        ("below", "five b=1 gamma=0.5 r=2"),
+        ("bound", "five b=1 gamma=0.5 r=2"),
         ("close", "five b=1 gamma=0.6 r=2"),
         ("close", "five b=1 gamma=0.7 r=2"),
-        ("below", "five b=1 gamma=0.7 r=2"),
+        ("bound", "five b=1 gamma=0.7 r=2"),
+    ]
+
+
+def test_one_sided_check_fails_exactly_above_zero_and_at_nan():
+    """value <= 0 as `close` of max(value, 0) against 0 at tol 0, printing the value itself."""
+    points = verify._Points("three", np.arange(5))
+    c = verify._Checker(np.array([1.0]), np.array([0.5, 0.6, 0.7, 0.8, 0.9]), np.array([2.0]))
+    value = np.array([-1.0, -0.0, 0.0, 1.0, math.nan])
+    c.close("entropy-ordering", points, np.maximum(value, 0.0), 0.0, 0.0)
+    assert c.count == 5
+    assert [str(f) for f in c.failures] == [
+        "FAIL entropy-ordering [three b=1 gamma=0.8]: observed=1 expected=0 tol=0",
+        "FAIL entropy-ordering [three b=1 gamma=0.9]: observed=nan expected=0 tol=0",
     ]
 
 
 def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
     """`close_fields` gives the count and failures of one `close` per field."""
-    points = verify._Points("five", np.array([1.0]), np.array([0.5, 0.6, 0.7]), np.array([2.0]),
-                            np.arange(3))
+    points = verify._Points("five", np.arange(3))
     nan, inf = math.nan, math.inf
     observed, expected = np.zeros((8, 3)), np.zeros((8, 3))
     observed[0], expected[0] = [nan, nan, 1.0], [nan, 1.0, nan]  # NaN/NaN passes, NaN/x fails
     observed[3], expected[3] = [inf, 0.0, -inf], [inf, 0.0, -inf]  # inf - inf is NaN: fails
     observed[6, 1] = 1.0
-    stacked, separate = verify._Checker(), verify._Checker()
+    stacked, separate = verify._Checker(*AXES), verify._Checker(*AXES)
     for c in (stacked, separate):
-        c.below("before", points, np.array([0.0, 1.0, 0.0]))
+        c.close("before", points, np.array([0.0, 1.0, 0.0]), 0.0, 0.0)
     stacked.close_fields("field-", points, observed, expected, 1e-12)
     for field, obs, exp in zip(verify.LEDGER_FIELDS, observed, expected, strict=True):
         separate.close("field-" + field, points, obs, exp, 1e-12)
     for c in (stacked, separate):
-        c.below("after", points, np.array([nan, 1.0, 0.0]))
+        c.close("after", points, np.array([nan, 1.0, 0.0]), 0.0, 0.0)
     assert stacked.count == separate.count == 3 + 24 + 3
     assert [str(f) for f in stacked.failures] == [str(f) for f in separate.failures]
     assert [(f.check, f.where) for f in stacked.failures] == [
@@ -240,7 +284,7 @@ def test_stacked_field_families_keep_the_nan_rules_and_the_failure_order():
         ("field-w_apii", "five b=1 gamma=0.7 r=2"),
     ]
     # All passing: one comparison, the same count.
-    c = verify._Checker()
+    c = verify._Checker(*AXES)
     c.close_fields("field-", points, observed[1:2].repeat(8, axis=0), expected[1:2].repeat(8, 0),
                    1e-12)
     assert (c.count, c.failures) == (24, [])
@@ -270,27 +314,34 @@ def selections(draw, n: int):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_points_name_and_sort_as_the_grid_index_arrays_do(data):
-    """Positions give each point the values and sort key of the np.indices arrays of its grid."""
+    """Positions give each point the values and sort key of the np.indices arrays of its grid.
+
+    Read through a checker in which every position fails, its observed value being its place.
+    """
     label = data.draw(st.sampled_from(sorted(SECTIONS)))
-    nb, ng = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
-    nr = data.draw(st.integers(1, 4)) if label == "five" else 1
+    nb, ng, nr_axis = (data.draw(st.integers(1, n)) for n in (4, 5, 4))
+    nr = nr_axis if label == "five" else 1  # only five points have an r
     values = st.floats(1e-9, 1e3)
     b, gamma, r = (np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
-                   for n in (nb, ng, nr))
+                   for n in (nb, ng, nr_axis))
     bi, gi, ri = (ix.reshape(-1) for ix in np.indices((nb, ng, nr)))
     columns = [b[bi], gamma[gi], r[ri], bi, gi, SECTIONS[label] + ri]
-    points = verify._Points(label, b, gamma, r, np.arange(nb * ng * nr))
+    points = verify._Points(label, np.arange(nb * ng * nr))
     for index in data.draw(selections(nb * ng * nr)):
         columns = [column[index] for column in columns]
         points = points[index]
     b_at, gamma_at, r_at, *key = columns
-    assert len(points.at) == len(b_at)
-    for i in range(len(b_at)):
+    n = len(points.at)
+    assert n == len(b_at)
+    c = verify._Checker(b, gamma, r)
+    c.close("every", points, np.arange(1.0, n + 1.0), 0.0, 0.0)
+    expected = []
+    for i in sorted(range(n), key=lambda i: tuple(int(k[i]) for k in key)):
         where = f"{label} b={float(b_at[i]):g} gamma={float(gamma_at[i]):g}"
         if label == "five":
             where += f" r={float(r_at[i]):g}"
-        assert points.where(i) == where
-        assert points.key(i) == tuple(int(k[i]) for k in key)
+        expected.append((where, i + 1.0))
+    assert [(f.where, f.observed) for f in c.failures] == expected
 
 
 # Settling all families in one comparison against the rule of each check, point by point.
@@ -307,20 +358,18 @@ def _near(draw, expected: float, tol: float) -> float:
 
 
 @st.composite
-def families(draw):
-    """(method, name, points, observed, expected, tol, detail) of one family."""
-    method = draw(st.sampled_from(("close", "close_fields", "below")))
-    nb, ng, nr = (draw(st.integers(1, 3)) for _ in range(3))
-    base = verify._Points(draw(st.sampled_from(("five", "three"))), np.linspace(0.1, 1.0, nb),
-                          np.linspace(0.5, 1.0, ng), np.linspace(1.0, 2.0, nr),
-                          np.arange(nb * ng * nr))
-    index = np.array(draw(st.lists(st.integers(0, nb * ng * nr - 1), min_size=1, max_size=4)))
-    points = base[index]
+def families(draw, axes):
+    """(method, name, points, observed, expected, tol, detail) of one family over `axes`."""
+    method = draw(st.sampled_from(("close", "close_fields", "bound")))
+    label = draw(st.sampled_from(("five", "three")))
+    size = len(axes[0]) * len(axes[1]) * (len(axes[2]) if label == "five" else 1)
+    index = np.array(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)))
+    points = verify._Points(label, np.arange(size))[index]
     n, tol = len(index), draw(st.sampled_from(TOLS))
     anything = st.sampled_from(EDGES) | st.floats(-10.0, 10.0)
-    if method == "below":  # value <= tol: the expected value is 0
+    if method == "bound":  # |value| <= tol: `close` against the scalar 0.0
         value = np.array([_near(draw, 0.0, tol) for _ in range(n)])
-        return method, "bound", points, value, 0.0, tol, " level=1"
+        return "close", "bound", points, value, 0.0, tol, " level=1"
     rows = len(verify.LEDGER_FIELDS) if method == "close_fields" else 1
     expected = np.array([[draw(anything) for _ in range(n)] for _ in range(rows)])
     if method == "close":  # a scalar expected value, broadcast over the points, zero most often
@@ -338,32 +387,51 @@ def families(draw):
 PAIRED = (0.0, -0.0, 1.0, -1.0, 1e-12, 5e-324, math.inf, -math.inf, math.nan)
 
 
-def _every_pair() -> list[tuple]:
-    """Families that meet every pair of edge values, with tolerance 0 and not.
+def _every_pair() -> tuple[tuple, list[tuple]]:
+    """Axes and families that meet every pair of edge values, with tolerance 0 and not.
 
-    Each value of PAIRED is observed against each as an array expected value, against
-    the scalar expected values 0.0, -0.0 and 1.0, and as a below value.
+    Each value of PAIRED is observed against each as an array expected value, and against
+    the scalar expected values 0.0, -0.0 and 1.0.
     """
     n = len(PAIRED)
-    points = verify._Points("five", np.array([0.1]), np.linspace(0.5, 1.0, n * n),
-                            np.array([1.0, 2.0]), np.arange(0, 2 * n * n, 2))  # r = 1
+    axes = (np.array([0.1]), np.linspace(0.5, 1.0, n * n), np.array([1.0, 2.0]))
+    points = verify._Points("five", np.arange(0, 2 * n * n, 2))  # r = 1
     observed, expected = (np.array(pair) for pair in zip(*itertools.product(PAIRED, PAIRED)))
     alone = np.array(PAIRED)
     recorded = []
     for tol in (0.0, 1e-12):
         recorded += [
             ("close", "pair", points, observed, expected, tol, ""),
-            ("below", "bound", points[:n], alone, 0.0, tol, ""),
+            ("close", "bound", points[:n], alone, 0.0, tol, ""),
             ("close_fields", "field-", points, np.roll(np.tile(observed, (8, 1)), 1, axis=1),
              np.tile(expected, (8, 1)), tol, ""),
         ]
         for scalar in (0.0, -0.0, 1.0):
             recorded.append(("close", "scalar", points[:n], alone, scalar, tol, f" at={scalar}"))
-    return recorded
+    return axes, recorded
 
 
+@st.composite
+def recordings(draw):
+    """Axes and up to six families over them."""
+    axes = tuple(np.linspace(lo, hi, draw(st.integers(1, 3)))
+                 for lo, hi in ((0.1, 1.0), (0.5, 1.0), (1.0, 2.0)))
+    return axes, draw(st.lists(families(axes), min_size=1, max_size=6))
 
-def _per_check(recorded) -> tuple[int, list[str]]:
+
+def _named(axes, points: verify._Points, i: int) -> tuple[str, tuple[int, int, int]]:
+    """The name and sort key of point i, read from the np.indices arrays of its grid."""
+    b, gamma, r = axes
+    five = points.label == "five"
+    bi, gi, ri = (ix.reshape(-1) for ix in np.indices((len(b), len(gamma), len(r) if five else 1)))
+    p = points.at[i]
+    where = f"{points.label} b={float(b[bi[p]]):g} gamma={float(gamma[gi[p]]):g}"
+    if five:
+        where += f" r={float(r[ri[p]]):g}"
+    return where, (int(bi[p]), int(gi[p]), SECTIONS[points.label] + int(ri[p]))
+
+
+def _per_check(axes, recorded) -> tuple[int, list[str]]:
     """The count and FAIL lines of each check applied on its own, with Python floats."""
     count, failures, family = 0, [], 0
     for method, name, points, observed, expected, tol, detail in recorded:
@@ -374,30 +442,28 @@ def _per_check(recorded) -> tuple[int, list[str]]:
             rows = [(name, observed, np.broadcast_to(expected, observed.shape))]
         for check, obs, exp in rows:
             for i, (o, e) in enumerate(zip(obs.tolist(), exp.tolist(), strict=True)):
-                if method == "below":
-                    ok = o <= e + tol
-                elif math.isnan(o) or math.isnan(e):
+                if math.isnan(o) or math.isnan(e):
                     ok = math.isnan(o) and math.isnan(e)
                 else:
                     ok = abs(o - e) <= tol  # inf - inf is NaN and fails
                 count += 1
                 if not ok:
-                    failure = verify.CheckFailure(check, points.where(i) + detail, o, e, tol)
-                    failures.append(((*points.key(i), family), str(failure)))
+                    where, key = _named(axes, points, i)
+                    failure = verify.CheckFailure(check, where + detail, o, e, tol)
+                    failures.append(((*key, family), str(failure)))
             family += 1
     return count, [line for _, line in sorted(failures, key=itemgetter(0))]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(families(), min_size=1, max_size=6))
+@given(recordings())
 @example(_every_pair())
-def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recorded):
-    c = verify._Checker()
+def test_settling_gives_the_count_and_failures_of_each_check_on_its_own(recording):
+    axes, recorded = recording
+    c = verify._Checker(*axes)
     for method, name, points, observed, expected, tol, detail in recorded:
         if method == "close_fields":
             c.close_fields(name, points, observed, expected, tol)
-        elif method == "below":
-            c.below(name, points, observed, tol, detail)
         else:
             c.close(name, points, observed, expected, tol, detail)
-    assert (c.count, [str(f) for f in c.failures]) == _per_check(recorded)
+    assert (c.count, [str(f) for f in c.failures]) == _per_check(axes, recorded)
