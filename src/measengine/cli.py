@@ -149,7 +149,9 @@ def cmd_sweep(args) -> int:
         _parse_list_flag(args.gamma_values, "--gamma-values"), config, "gamma_values", required=True
     )
     r_values = _pick(_parse_list_flag(args.r_values, "--r-values"), config, "r_values", default=(1.0,))
-    out = _pick(args.out, config, "output", required=True)
+    out = _pick(args.out, config, "output")
+    if not out:  # missing, or empty as `--out ""` and a config line `output =` give it
+        raise UsageError("output is required (pass --out or set it in a config file)")
     spec = SweepSpec(
         mode=mode, b_values=b_values, gamma_values=gamma_values,
         r_values=r_values, output_path=str(out),

@@ -58,22 +58,26 @@ state.
 the numeric side evolves (4, N) state stacks (laid out as `states` sets
 out) through grid channels, the analytic side evaluates the closed form
 on arrays.  The two engines share `_strength`, `_gamma_range`, `_ledger`,
-`_closed_form`, `_eta_law` (the one place both eta laws are written), the
-partner strength q (`channels`' one rule: NaN where no partner exists),
-`LEDGER_FIELDS` (the eight numbers `verify` checks and `cycle` prints) and
-the channel kernel (`channels._completeness_terms` and `_evolve`), which
-take Python floats or float64 columns alike, and each transcendental
-comes from the same function (`np.exp` for the Gibbs weights,
-`math.exp`/`math.tanh` once per distinct b, `math.log` once per distinct
-eigenvalue), so each column equals the scalar field bit for bit
-(`tests/test_sweep.py`).  A grid builds every per-point column once, at
-construction, and evolves its states and their entropies once, on first
-read; none depends on r, so `stretched` repeats them over r instead of
-building them again; `evolved` also keeps the deviation each channel
-application checked.  Both `verify` and `sweep` evaluate a b x gamma grid
-(`CycleGrid.product`) stretched over their r axis this way; `verify`
-evolves its `realizable_part`, the grid itself when every point is
-realizable.  The analytic runner builds its QMI and QMII stacks only when read.
+`_closed_form`, `_measured` (the post-QMI populations), `_eta_law` (the one
+place both eta laws are written), the partner strength q (`channels`' one
+rule: NaN where no partner exists), `LEDGER_FIELDS` (the eight numbers
+`verify` checks and `cycle` prints) and the channel kernel
+(`channels._completeness_terms` and `_evolve`), which take Python floats
+or float64 columns alike, and each transcendental comes from the same
+function (`np.exp` for the Gibbs weights, `math.exp`/`math.tanh` once per
+distinct b, `math.log` once per distinct eigenvalue), so each column
+equals the scalar field bit for bit (`tests/test_sweep.py`).
+
+A grid builds every per-point column once, at construction, and owns
+every per-point state and entropy: `thermal`, the `evolved` states (with
+the deviation each channel application checked), the `closed_form` states
+and the entropies of both, each built once, on first read.  None depends
+on r, so `stretched` repeats them over r instead of building them again.
+A `GridLedger` is the ledger's numbers alone; a caller that reads a state
+or an entropy reads it off the grid.  Both `verify` and `sweep` evaluate
+a b x gamma grid (`CycleGrid.product`) stretched over their r axis this
+way; `verify` evolves its `realizable_part`, the grid itself when every
+point is realizable.
 """
 
 from __future__ import annotations
@@ -182,23 +186,19 @@ class CycleParams:
 class StrokeRecord:
     """One stroke's state, Hamiltonian and energy after it.
 
-    `entropy_after` is the entropy of `state_after`, computed on first read
-    and kept on both the record and the state (`DensityMatrix.entropy`), so
-    records that share a state share one computation.
+    `entropy_after` is the entropy of `state_after`, which the state computes
+    on first read and keeps (`DensityMatrix.entropy`), so records that share
+    a state share one computation.
     """
 
     name: str  # TP, API, QMI, QMII, APII
     state_after: DensityMatrix
     hamiltonian_after: Hamiltonian
     energy_after: float
-    entropy_after: float = field(init=False)
 
-    def __getattr__(self, name):
-        # Called only for a name the instance does not hold: `entropy_after` until its first read.
-        if name != "entropy_after":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        entropy = self.__dict__["entropy_after"] = self.state_after.entropy
-        return entropy
+    @property
+    def entropy_after(self) -> float:
+        return self.state_after.entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +249,8 @@ def _unchecked(cls, **fields):
 
 def gamma_bounds(mode: CycleMode | str, r: float = 1.0) -> tuple[float, float]:
     """Engine-valid gamma range: [1/2, 1] three-stroke (r = 1 only), [1/(1+r), 1] five-stroke."""
-    mode = CycleMode(mode)
-    _require_ratio(mode, r)
-    return _gamma_range(mode, r)
+    _require_ratio(CycleMode(mode), r)
+    return _gamma_range(r)
 
 
 def _require_ratio(mode: CycleMode, r: float) -> None:
@@ -276,10 +275,8 @@ def _strength(gamma, x):
     return gamma * (1.0 - x)
 
 
-def _gamma_range(mode: CycleMode, r):
-    """`gamma_bounds` of a validated r (a float, or an array for five-stroke)."""
-    if mode is CycleMode.THREE_STROKE:
-        return 0.5, 1.0
+def _gamma_range(r):
+    """`gamma_bounds` of a validated r (a float or an array): [1/(1+r), 1], [1/2, 1] at r = 1."""
     return 1.0 / (1.0 + r), 1.0
 
 
@@ -291,21 +288,25 @@ def _ledger(tp, api, qmi, qmii, apii):
 
 
 def _closed_form(x, th, strength, r):
-    """The analytic `_ledger` fields and the post-QMI (ground, excited) populations.
+    """The analytic `_ledger` fields.
 
     x = e^-b, th = tanh(b/2).  ground = e^(b/2)/Z = 1/(1 + x), overflow-safe, is the
     thermal ground population and pumped = P * ground the part QMI moves up.
     At r = 1 the adiabatic works vanish and the rest are the three-stroke values.
     """
-    ground = 1.0 / (1.0 + x)
-    pumped = strength * ground
+    pumped = strength * (1.0 / (1.0 + x))
     w_api = 0.5 * (r - 1.0) * th
     q_in = r * pumped
     delta = r * (2.0 * pumped - th)  # equals w_ext up to roundoff
     w_apii = (r - 1.0) * (0.5 * th - pumped)
     q_out = pumped - th
-    populations = ((1.0 - strength) * ground, x / (1.0 + x) + pumped)
-    return (w_api, q_in, delta, w_apii, q_out, q_in + q_out), populations
+    return w_api, q_in, delta, w_apii, q_out, q_in + q_out
+
+
+def _measured(x, strength):
+    """The (ground, excited) populations after QMI, pumped as `_closed_form` pumps them."""
+    ground = 1.0 / (1.0 + x)
+    return (1.0 - strength) * ground, x / (1.0 + x) + strength * ground
 
 
 def _eta_law(mode: CycleMode, gamma, r):
@@ -342,7 +343,7 @@ def _view(p: CycleParams, strokes: tuple[StrokeRecord, ...]) -> tuple[StrokeReco
 
 
 def _require_realizable(p: CycleParams) -> None:
-    lo, hi = _gamma_range(p.mode, p.r)
+    lo, hi = _gamma_range(p.r)
     if not lo <= p.gamma <= hi:
         raise InvalidCycleError(
             f"gamma = {p.gamma:g} outside the {p.mode.value}-stroke engine range [{lo:g}, {hi:g}]"
@@ -388,7 +389,7 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
     and the two agree at r = 1 only up to roundoff, so each mode keeps its
     own and the three-stroke CSV keeps its digits.
     """
-    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(p.x, p.th, p.strength, p.r)
+    w_api, q_in, delta, w_apii, q_out, w_ext = _closed_form(p.x, p.th, p.strength, p.r)
     flags: list[str] = []
     if p.gamma == 0.0:
         flags.append(FLAG_ETA_ZERO_INPUT)
@@ -397,10 +398,11 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
         eta = _eta_law(p.mode, p.gamma, p.r)
     if math.isnan(p.q):
         flags.append(FLAG_NO_PARTNER)
-    lo, hi = _gamma_range(p.mode, p.r)
+    lo, hi = _gamma_range(p.r)
     valid = lo <= p.gamma <= hi
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
+    m_pops = _measured(p.x, p.strength)
     strokes = _cycle_strokes(p, DensityMatrix.from_populations(m_pops),
                              DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
     return _unchecked(
@@ -426,6 +428,8 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
 
 
 _TAKEN_COLUMNS = ("b", "gamma", "x", "th", "strength", "thermal", "q")  # `_taken` is given r
+# A grid's cached stacks, each a tuple of arrays with the point axis last; `_taken` carries them.
+_KEPT = ("evolved", "entropies", "closed_form", "closed_form_entropies")
 
 
 def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -446,7 +450,8 @@ class CycleGrid:
     stack of every point's Gibbs state, from one `_gibbs_populations`
     call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
     `isentropic_strength_stack` of every point, NaN where no partner exists.
-    `evolved` and `entropies` are kept once read, and carried by `subset` and `stretched`.
+    The grid owns every per-point state and entropy: `thermal`, and the `_KEPT`
+    stacks, each built once, on first read, and carried by `subset` and `stretched`.
     Every kept array has the point axis last, so one index rule, `[..., index]`, takes points.
     """
 
@@ -533,17 +538,16 @@ class CycleGrid:
         return self._taken(np.arange(len(self)).repeat(len(r)), mode, np.tile(r, len(self)))
 
     def _taken(self, index, mode: CycleMode, r: np.ndarray) -> CycleGrid:
-        """The points at `index` in `mode` with ratios r, and the kept `evolved` and `entropies`."""
+        """The points at `index` in `mode` with ratios r, and the `_KEPT` stacks read so far."""
         kept = self.__dict__
         grid = object.__new__(CycleGrid)
         fields = grid.__dict__
         fields["mode"] = mode
         fields.update(zip(("r", *_TAKEN_COLUMNS),
                           _read_only(r, *(kept[name][..., index] for name in _TAKEN_COLUMNS))))
-        if "evolved" in kept:
-            fields["evolved"] = _read_only(*(array[..., index] for array in kept["evolved"]))
-        if "entropies" in kept:
-            fields["entropies"] = _read_only(kept["entropies"][..., index])[0]
+        for name in _KEPT:
+            if name in kept:
+                fields[name] = _read_only(*(array[..., index] for array in kept[name]))
         return grid
 
     @property
@@ -565,29 +569,35 @@ class CycleGrid:
         return _read_only(rho_m, rho_n, excite, damp)
 
     @functools.cached_property
-    def entropies(self) -> np.ndarray:
-        """The (3, N) entropies of `thermal` and of the two `evolved` stacks."""
+    def entropies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (N,) entropies of `thermal` and of the two `evolved` stacks."""
         rho_m, rho_n, _, _ = self.evolved
         return _entropies(self.thermal, rho_m, rho_n)
 
+    @functools.cached_property
+    def closed_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The validated QMI and QMII stacks of the closed form: QMII swaps `_measured`'s two."""
+        ground, excited = _measured(self.x, self.strength)
+        return _read_only(diagonal_stack(ground, excited), diagonal_stack(excited, ground))
 
-def _entropies(*stacks: np.ndarray) -> np.ndarray:
-    """The read-only (len(stacks), N) entropies of (4, N) stacks: one `entropy_stack` pass."""
-    return _read_only(entropy_stack(np.hstack(stacks)).reshape(len(stacks), -1))[0]
+    @functools.cached_property
+    def closed_form_entropies(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (N,) entropies of the two `closed_form` stacks."""
+        return _entropies(*self.closed_form)
+
+
+def _entropies(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The read-only (N,) entropies of each (4, N) stack: one `entropy_stack` pass."""
+    return _read_only(*entropy_stack(np.hstack(stacks)).reshape(len(stacks), -1))
 
 
 @dataclass(frozen=True, eq=False)
 class GridLedger:
-    """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point.
+    """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point, and nothing else.
 
-    `states_tp` / `states_qmi` / `states_qmii` are the validated (4, N)
-    state stacks after TP (the thermal state, which API keeps), QMI and QMII.
-    The numeric ledger is given all three stacks and `evolved_on`, its grid,
-    whose `entropies` it reads.  The analytic ledger is given `measured` as
-    the two (N,) post-QMI population columns, ground and excited, and builds
-    and validates the QMI and QMII stacks from them (QMII swaps the two)
-    when they, or their entropies, are first read.  Its entropies are
-    computed, all three in one `entropy_stack` pass, when first asked for.
+    The states after each stroke and their entropies are the grid's: the
+    numeric ledger's are `CycleGrid.thermal`, `evolved` and `entropies`, the
+    analytic ledger's `thermal`, `closed_form` and `closed_form_entropies`.
     """
 
     q_in: np.ndarray
@@ -599,43 +609,6 @@ class GridLedger:
     eta: np.ndarray
     q_used: np.ndarray
     valid: np.ndarray
-    states_tp: np.ndarray
-    # The (states_qmi, states_qmii) stacks, or the (ground, excited) populations after QMI.
-    measured: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    evolved_on: CycleGrid | None = field(default=None, repr=False)  # the numeric ledger's grid
-
-    @functools.cached_property
-    def _measured_states(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.measured[0].ndim == 2:
-            return self.measured
-        ground, excited = self.measured
-        return diagonal_stack(ground, excited), diagonal_stack(excited, ground)
-
-    @property
-    def states_qmi(self) -> np.ndarray:
-        return self._measured_states[0]
-
-    @property
-    def states_qmii(self) -> np.ndarray:
-        return self._measured_states[1]
-
-    @functools.cached_property
-    def _entropies(self) -> np.ndarray:
-        if self.evolved_on is not None:
-            return self.evolved_on.entropies
-        return _entropies(self.states_tp, *self._measured_states)
-
-    @property
-    def entropy_tp(self) -> np.ndarray:
-        return self._entropies[0]
-
-    @property
-    def entropy_qmi(self) -> np.ndarray:
-        return self._entropies[1]
-
-    @property
-    def entropy_qmii(self) -> np.ndarray:
-        return self._entropies[2]
 
 
 def run_numeric_grid(grid: CycleGrid) -> GridLedger:
@@ -649,7 +622,6 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
     return _unchecked(
         GridLedger, q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=np.ones(len(grid), dtype=bool),
-        states_tp=rho_th, measured=(rho_m, rho_n), evolved_on=grid,
     )
 
 
@@ -658,18 +630,15 @@ def run_analytic_grid(grid: CycleGrid) -> GridLedger:
 
     It reads the grid's x, th and q columns.  A subnormal gamma overflows
     1/gamma, so eta is -inf there, as Python's float division gives it in
-    `run_analytic`; numpy is told not to warn.  The QMI and QMII state
-    stacks are built from the post-QMI populations and validated when
-    first read.
+    `run_analytic`; numpy is told not to warn.  Its QMI and QMII states are
+    the grid's `closed_form`, built and validated when first read.
     """
     gamma, r = grid.gamma, grid.r
-    (w_api, q_in, delta, w_apii, q_out, w_ext), m_pops = _closed_form(
-        grid.x, grid.th, grid.strength, r)
+    w_api, q_in, delta, w_apii, q_out, w_ext = _closed_form(grid.x, grid.th, grid.strength, r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eta = np.where(gamma == 0.0, 0.0, _eta_law(grid.mode, gamma, r))
-    lo, hi = _gamma_range(grid.mode, r)
+    lo, hi = _gamma_range(r)
     return _unchecked(
         GridLedger, q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,
         w_ext=w_ext, eta=eta, q_used=grid.q, valid=(lo <= gamma) & (gamma <= hi),
-        states_tp=grid.thermal, measured=m_pops, evolved_on=None,
     )

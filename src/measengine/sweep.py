@@ -13,10 +13,12 @@ once and formats each distinct value once, all of them in one `%` call.
 
 The states, their entropies and q depend on (b, gamma) alone, so the sweep
 works on the b x gamma grid (`CycleGrid.product`): it evolves the realizable
-points once and forms S_after_QMI and S_after_QMII once per point.  Batches
-of b x gamma points are then stretched over r (`CycleGrid.stretched`) and
-evaluated by `engine.run_analytic_grid` and `engine.run_numeric_grid`; a
-batch holds at most max(BATCH_ROWS, len(r)) rows, however large the grid.
+points once and forms S_after_QMI and S_after_QMII, the entropies of the
+grid's `closed_form` states, once per point.  Batches of b x gamma points
+are then stretched over r (`CycleGrid.stretched`), which carries those
+states and entropies, and evaluated by `engine.run_analytic_grid` and
+`engine.run_numeric_grid`; a batch holds at most max(BATCH_ROWS, len(r))
+rows, however large the grid.
 `sweep_row` is the one-point case of the same path.
 
 A sweep either writes the whole CSV or leaves the destination untouched:
@@ -38,7 +40,6 @@ from .engine import (
     CycleGrid,
     CycleMode,
     CycleParams,
-    _entropies,
     first_law_residual,
     run_analytic_grid,
     run_numeric_grid,
@@ -108,13 +109,12 @@ def _rows(mode: CycleMode, b, gamma, r) -> Iterator[str]:
     ready = np.flatnonzero(grid.realizable)
     evolved = grid.realizable_part()
     evolved.evolved  # evolved once, here: every batch's numeric grid carries these states
-    analytic = run_analytic_grid(grid)
-    entropies = _entropies(analytic.states_qmi, analytic.states_qmii)
-    return _batches(mode, grid, evolved, ready, entropies, r)
+    grid.closed_form_entropies  # and every batch's grid these entropies
+    return _batches(mode, grid, evolved, ready, r)
 
 
 def _batches(mode: CycleMode, grid: CycleGrid, evolved: CycleGrid, ready: np.ndarray,
-             entropies: np.ndarray, r) -> Iterator[str]:
+             r) -> Iterator[str]:
     """`_rows`' strings: `evolved` holds the points of `grid` at positions `ready`."""
     step = max(1, BATCH_ROWS // len(r))  # (b, gamma) points per batch
     prefix = f"{mode.value},"
@@ -129,7 +129,7 @@ def _batches(mode: CycleMode, grid: CycleGrid, evolved: CycleGrid, ready: np.nda
             realizable = rows.realizable
             eta_numeric[realizable] = numeric.eta
             residual[realizable] = first_law_residual(numeric)
-        s_qmi, s_qmii = entropies[:, start:start + step].repeat(len(r), axis=1)
+        s_qmi, s_qmii = rows.closed_form_entropies
         table = np.stack([
             rows.b, rows.gamma, rows.r, rows.strength, analytic.q_used,
             analytic.q_in, analytic.q_out, analytic.w_api, analytic.w_apii,

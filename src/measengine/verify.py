@@ -33,9 +33,11 @@ ledger before checking, to prove that the suite bites (the run must fail).
 
 The five-stroke numeric ledger comes from one call of
 `run_five_stroke_numeric(five_grid) -> GridLedger` (`run_numeric_grid`).
-Replacing that name injects a fault into the five-stroke ledgers alone;
-the three-stroke ledger, the r = 1 reduction's reference, is computed
-without it.
+Replacing that name injects a fault into the five-stroke ledger numbers
+alone: a ledger holds no states, and the state checks read the grid's
+(`CycleGrid.thermal`, `evolved` and `entropies`), so a fault in the states
+needs a seam of its own.  The three-stroke ledger, the r = 1 reduction's
+reference, is computed without it.
 """
 
 from __future__ import annotations
@@ -237,20 +239,23 @@ def _fields(ledger: GridLedger) -> np.ndarray:
     return np.array([getattr(ledger, field) for field in LEDGER_FIELDS])
 
 
-def _check_states(c: _Checker, points: _Points, ledger: GridLedger, strokes: tuple[str, ...]):
-    """Entropy equality, population swap, coherence-free states; returns TP's and QMI's entropy."""
-    entropy_qmi = ledger.entropy_qmi
-    c.close("entropy-equality", points, entropy_qmi, ledger.entropy_qmii, TOL_EXACT)
-    m, n = ledger.states_qmi, ledger.states_qmii
+def _check_states(c: _Checker, points: _Points, grid: CycleGrid, strokes: tuple[str, ...]):
+    """Entropy equality, population swap, coherence-free states of the grid's evolved states.
+
+    Returns TP's and QMI's entropy.
+    """
+    entropy_tp, entropy_qmi, entropy_qmii = grid.entropies
+    c.close("entropy-equality", points, entropy_qmi, entropy_qmii, TOL_EXACT)
+    m, n, _, _ = grid.evolved
     for level in (0, 1):  # the population of a level is row 0 (ground) or 3 (excited)
         c.close("population-swap", points, n[3 * level], m[3 - 3 * level], TOL_EXACT,
                 f" level={level}")
-    tp, qmi, qmii = (_offdiag(states) for states in (ledger.states_tp, m, n))
+    tp, qmi, qmii = (_offdiag(states) for states in (grid.thermal, m, n))
     # Each adiabat relabels the state before it without touching it.
     offdiag = {"TP": tp, "API": tp, "QMI": qmi, "QMII": qmii, "APII": qmii}
     for name in strokes:
         c.close("coherence-free", points, offdiag[name], 0.0, TOL_COHERENCE, f" stroke={name}")
-    return ledger.entropy_tp, entropy_qmi
+    return entropy_tp, entropy_qmi
 
 
 def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedger,
@@ -258,12 +263,12 @@ def _check_three(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLed
     """The three-stroke checks; `numeric` is the (perturbed) ledger of `grid`, with `fields`."""
     c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
                    TOL_ORACLE)
-    entropy_tp, entropy_qmi = _check_states(c, points, numeric, ("TP", "QMI", "QMII"))
+    entropy_tp, entropy_qmi = _check_states(c, points, grid, ("TP", "QMI", "QMII"))
     gamma = grid.gamma
     c.close("efficiency-law", points, numeric.eta, _eta_law(grid.mode, gamma, grid.r), TOL_ORACLE)
 
     at = gamma == 0.5
-    special, states = points[at], numeric.states_qmi[:, at]
+    special, states = points[at], grid.evolved[0][:, at]
     lo, hi = _eigvals_stack(states - [[0.5], [0.0], [0.0], [0.5]])  # minus the maximally mixed
     c.close("special-maximal-mixing", special, 0.5 * (np.abs(lo) + np.abs(hi)), 0.0,
             TOL_EXACT)
@@ -287,7 +292,7 @@ def _check_five(c: _Checker, points: _Points, grid: CycleGrid, numeric: GridLedg
     fields = _fields(numeric)
     c.close_fields("oracle-equivalence-", points, fields, _fields(run_analytic_grid(grid)),
                    TOL_ORACLE)
-    entropy_tp, _ = _check_states(c, points, numeric, ("TP", "API", "QMI", "QMII", "APII"))
+    entropy_tp, _ = _check_states(c, points, grid, ("TP", "API", "QMI", "QMII", "APII"))
     c.close("first-law", points, first_law_residual(numeric), 0.0, TOL_EXACT)
     r = grid.r
     c.close("efficiency-law", points, numeric.eta, _eta_law(grid.mode, grid.gamma, r), TOL_ORACLE)

@@ -56,7 +56,9 @@ def reference_states(b: float, gamma: float) -> dict[str, Decimal]:
     ground = ctx.divide(1, ctx.add(1, x))
     excited = ctx.multiply(x, ground)
     pumped = ctx.multiply(ctx.multiply(gamma, ctx.subtract(1, x)), ground)  # P * ground
-    ground_qmi = ctx.subtract(ground, pumped)
+    # ground - pumped, formed without cancellation: at gamma = 1 it is x * ground, which the
+    # 50-digit difference rounds to 0 once x < 1e-50 (b > 115), where ln(0) is undefined.
+    ground_qmi = ctx.multiply(ctx.add(ctx.subtract(1, gamma), ctx.multiply(gamma, x)), ground)
     excited_qmi = ctx.add(excited, pumped)
 
     def bits(p0: Decimal, p1: Decimal) -> Decimal:

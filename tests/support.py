@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from measengine.channels import KrausSet
+from measengine.engine import CycleGrid, run_numeric_grid
 from measengine.linalg import _eig_pair
-from measengine.states import DensityMatrix
+from measengine.states import DensityMatrix, entropy_stack
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
@@ -61,6 +62,19 @@ def random_symmetric(rng: np.random.Generator) -> np.ndarray:
 WIDE_B = (1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 700.0)
 WIDE_GAMMA = (0.5, 0.6, 0.75, 0.9, 1.0)
 WIDE_R = (1.0, 2.0, 10.0, 100.0)
+
+
+def grid_states(run, grid: CycleGrid) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The TP, QMI and QMII state stacks, then their entropies, of `run(grid)`'s cycle.
+
+    The grid holds them: the numeric runner's are its evolved states, and the analytic
+    runner's its closed form's, whose TP entropy is the thermal stack's.
+    """
+    if run is run_numeric_grid:
+        rho_m, rho_n, _, _ = grid.evolved
+        return (grid.thermal, rho_m, rho_n), grid.entropies
+    return ((grid.thermal, *grid.closed_form),
+            (entropy_stack(grid.thermal), *grid.closed_form_entropies))
 
 
 # Non-finite values: the first three are real (a zero imaginary part), and an entry of

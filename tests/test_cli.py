@@ -369,6 +369,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 4"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_output_path_is_a_usage_error(self, capsys, tmp_path, spelling):
+        # `--out ""` and a config line `output =` give no path, as if none were given.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mode=three\nb_values=1\ngamma_values=0.75\noutput =\n")
+        argv = ["--out", ""] if spelling == "flag" else []
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "usage error: output is required (pass --out or set it in a config file)\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_sweep_spec_from_config(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         cfg = tmp_path / "sweep.cfg"

@@ -639,7 +639,8 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
     # record.  Reading a record's entropy reads its state's, so every state below holds its
     # entropy too.
     for rec in {id(rec): rec for ledger in ledgers for rec in ledger.strokes}.values():
-        _assert_whole_and_frozen(rec, lazy=("entropy_after",))
+        assert rec.entropy_after is rec.state_after.entropy
+        _assert_whole_and_frozen(rec)
     for ledger in ledgers:
         _assert_whole_and_frozen(ledger)
     monkeypatch.undo()

@@ -1,5 +1,6 @@
 """The grid ledgers' raw bits, and what each grid computes once or only when read."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,17 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import WIDE_B, WIDE_GAMMA, WIDE_R
+from support import WIDE_B, WIDE_GAMMA, WIDE_R, grid_states
 
 from measengine import channels, engine, states, verify
 from measengine.cli import main
-from measengine.engine import CycleGrid, CycleMode, run_analytic_grid, run_numeric_grid
+from measengine.engine import (
+    CycleGrid,
+    CycleMode,
+    GridLedger,
+    run_analytic_grid,
+    run_numeric_grid,
+)
 from measengine.sweep import SweepSpec, run_sweep
 from measengine.verify import DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID
 
-GRID_LEDGER_VALUES = ("q_in", "q_out", "w_api", "w_apii", "delta", "w_ext", "eta", "q_used",
-                      "valid", "entropy_tp", "entropy_qmi", "entropy_qmii",
-                      "states_tp", "states_qmi", "states_qmii")
+GRID_LEDGER_VALUES = (*engine.LEDGER_FIELDS, "valid")
+
 
 def _grid(mode: CycleMode, b, gamma, r) -> CycleGrid:
     if mode is CycleMode.THREE_STROKE:
@@ -28,7 +34,7 @@ def _grid(mode: CycleMode, b, gamma, r) -> CycleGrid:
 
 
 def _ledgers():
-    """The numeric and analytic ledger of each mode on the default and the wide-range grid.
+    """(runner, grid) pairs: both runners of each mode on the default and the wide-range grid.
 
     The wide analytic grid adds the subnormal gamma 5e-324, where eta is -inf
     and no numeric cycle exists.
@@ -36,28 +42,43 @@ def _ledgers():
     for mode in CycleMode:
         for b, gamma, r in ((DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID),
                             (WIDE_B, WIDE_GAMMA, WIDE_R)):
-            yield run_numeric_grid(_grid(mode, b, gamma, r))
-            yield run_analytic_grid(_grid(mode, b, gamma, r))
-        yield run_analytic_grid(_grid(mode, WIDE_B, (5e-324, *WIDE_GAMMA), WIDE_R))
+            yield run_numeric_grid, _grid(mode, b, gamma, r)
+            yield run_analytic_grid, _grid(mode, b, gamma, r)
+        yield run_analytic_grid, _grid(mode, WIDE_B, (5e-324, *WIDE_GAMMA), WIDE_R)
 
 
-# sha256 over the float64 bytes of every GRID_LEDGER_VALUES entry of every `_ledgers()`
-# ledger, recorded before `verify` settled its checks in one comparison.  A grid-only drift
-# of one ulp shows here, where the 12-digit CSV and verify's failure-only output miss it.
-# The state stacks are hashed point-major, each state's four entries together, as the
-# digest was recorded.
+def _ledger_values(run, grid: CycleGrid) -> list[np.ndarray]:
+    """The GRID_LEDGER_VALUES of `run(grid)`, then the TP, QMI and QMII entropies and states."""
+    ledger = run(grid)
+    stacks, entropies = grid_states(run, grid)
+    return [getattr(ledger, name) for name in GRID_LEDGER_VALUES] + [*entropies, *stacks]
+
+
+# sha256 over the float64 bytes of every `_ledger_values` entry of every `_ledgers()` pair,
+# recorded before `verify` settled its checks in one comparison.  A grid-only drift of one
+# ulp shows here, where the 12-digit CSV and verify's failure-only output miss it.  The
+# state stacks are hashed point-major, each state's four entries together, as the digest
+# was recorded.
 GRID_LEDGERS_DIGEST = "f99b3b72f4c6d20154cb97ac74feb455678bd5a547fd5c59b4430258c5618aa8"
 
 
 def test_grid_ledgers_digest_is_pinned():
     h = hashlib.sha256()
-    for ledger in _ledgers():
-        for name in GRID_LEDGER_VALUES:
-            value = getattr(ledger, name)
-            if name.startswith("states_"):
-                value = value.T
-            h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    for run, grid in _ledgers():
+        for value in _ledger_values(run, grid):
+            h.update(np.ascontiguousarray(value.T, dtype=np.float64).tobytes())
     assert h.hexdigest() == GRID_LEDGERS_DIGEST
+
+
+def test_grid_ledger_is_its_numbers_alone():
+    """A grid ledger holds the LEDGER_FIELDS and valid; its grid holds the states."""
+    names = [f.name for f in dataclasses.fields(GridLedger)]
+    assert names == [*engine.LEDGER_FIELDS, "valid"]
+    grid = _grid(CycleMode.FIVE_STROKE, DEFAULT_B_GRID, DEFAULT_GAMMA_GRID, DEFAULT_R_GRID)
+    for run in (run_numeric_grid, run_analytic_grid):
+        ledger = run(grid)
+        assert list(vars(ledger)) == names
+        assert all(getattr(ledger, name).shape == (len(grid),) for name in names)
 
 
 def _count_calls(monkeypatch, name: str, home=channels) -> list[int]:
@@ -176,18 +197,19 @@ def test_stretched_grid_is_the_directly_built_five_stroke_grid(points, r, mode, 
                                              else base_r))
     if read_first:
         grid.entropies  # and so the evolved states
+        grid.closed_form_entropies  # and so the closed-form states
     stretched = grid.stretched(r)
     direct = CycleGrid(b.repeat(len(r)), gamma.repeat(len(r)), CycleMode.FIVE_STROKE,
                        np.tile(r, len(b)))
     assert stretched.mode is direct.mode
-    assert ("evolved" in stretched.__dict__) == ("entropies" in stretched.__dict__) == read_first
+    assert [name in stretched.__dict__ for name in engine._KEPT] == [read_first] * 4
     for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
         assert _same_bits(getattr(stretched, name), getattr(direct, name)), name
         assert not getattr(stretched, name).flags.writeable, name
-    numeric, expected = run_numeric_grid(stretched), run_numeric_grid(direct)
-    for name in GRID_LEDGER_VALUES:
-        assert _same_bits(np.asarray(getattr(numeric, name)),
-                          np.asarray(getattr(expected, name))), name
+    for run in (run_numeric_grid, run_analytic_grid):
+        for value, expected in zip(_ledger_values(run, stretched), _ledger_values(run, direct),
+                                   strict=True):
+            assert _same_bits(value, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,33 +224,39 @@ def test_subset_after_the_states_are_read_is_the_subset_before(points, data):
     indices = (mask, slice(start, stop), positions)
     before = [grid.subset(index) for index in indices]
     grid.entropies  # and so the evolved states
+    grid.closed_form_entropies  # and so the closed-form states
     for index, early in zip(indices, before):
         late = grid.subset(index)
-        for name in ("evolved", "entropies"):
+        for name in engine._KEPT:
             assert name in late.__dict__ and name not in early.__dict__
         for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
             assert _same_bits(getattr(late, name), getattr(early, name)), name
-        for kept, evolved in zip((*late.evolved, late.entropies),
-                                 (*early.evolved, early.entropies), strict=True):
-            assert _same_bits(kept, evolved) and not kept.flags.writeable
+        for name in engine._KEPT:
+            for kept, built in zip(getattr(late, name), getattr(early, name), strict=True):
+                assert _same_bits(kept, built) and not kept.flags.writeable, name
 
 
 def _negative_population(monkeypatch):
-    closed_form = engine._closed_form
+    measured = engine._measured
 
     def shifted(*args):
-        fields, (ground, excited) = closed_form(*args)
-        return fields, (ground - 1.0, excited + 1.0)  # unit trace, one population below 0
+        ground, excited = measured(*args)
+        return ground - 1.0, excited + 1.0  # unit trace, one population below 0
 
-    monkeypatch.setattr(engine, "_closed_form", shifted)
+    monkeypatch.setattr(engine, "_measured", shifted)
 
 
-@pytest.mark.parametrize("name", ["states_qmi", "states_qmii", "entropy_qmi"])
-def test_analytic_states_are_validated_when_first_read(monkeypatch, name):
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda grid: grid.closed_form[0], id="states_qmi"),
+    pytest.param(lambda grid: grid.closed_form[1], id="states_qmii"),
+    pytest.param(lambda grid: grid.closed_form_entropies[0], id="entropy_qmi"),
+])
+def test_analytic_states_are_validated_when_first_read(monkeypatch, read):
     _negative_population(monkeypatch)
-    ledger = run_analytic_grid(_grid(CycleMode.THREE_STROKE, (1.0,), (0.5, 0.8), (1.0,)))
+    grid = _grid(CycleMode.THREE_STROKE, (1.0,), (0.5, 0.8), (1.0,))
+    run_analytic_grid(grid)  # the ledger's numbers read no state
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        getattr(ledger, name)
+        read(grid)
 
 
 def test_sweep_of_invalid_analytic_states_exits_2_and_leaves_no_file(monkeypatch, tmp_path,

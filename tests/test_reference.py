@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import LEDGER, LN2, STATES, reference_ledger, reference_states
+from support import grid_states
 
 from measengine.engine import (
     CycleGrid,
@@ -114,11 +115,13 @@ def _scalar_states(ledger) -> dict[str, float]:
             "entropy_qmii": ledger.stroke("QMII").entropy_after}
 
 
-def _grid_states(ledger, i: int) -> dict[str, float]:
-    return {"ground_qmi": float(ledger.states_qmi[0, i]),
-            "excited_qmi": float(ledger.states_qmi[3, i]),
-            "entropy_tp": float(ledger.entropy_tp[i]), "entropy_qmi": float(ledger.entropy_qmi[i]),
-            "entropy_qmii": float(ledger.entropy_qmii[i])}
+def _grid_states(stacks: tuple[np.ndarray, ...], entropies: tuple[np.ndarray, ...],
+                 i: int) -> dict[str, float]:
+    """Point i of a grid's post-QMI populations and of its TP, QMI and QMII entropies."""
+    qmi = stacks[1]
+    return {"ground_qmi": float(qmi[0, i]), "excited_qmi": float(qmi[3, i]),
+            **{field: float(column[i]) for field, column in zip(STATES[2:], entropies,
+                                                                 strict=True)}}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -138,14 +141,15 @@ def test_states_of_every_runner_are_within_k_eps_of_the_reference(mode, points):
     if mode is CycleMode.THREE_STROKE:
         r = np.ones_like(b)
     grid = CycleGrid(b, gamma, mode, r)
-    grids = {"numeric": run_numeric_grid(grid), "analytic": run_analytic_grid(grid)}
+    grids = {"numeric": grid_states(run_numeric_grid, grid),
+             "analytic": grid_states(run_analytic_grid, grid)}
     for i in range(len(grid)):
         p = grid.point(i)
         ref = reference_states(p.b, p.gamma)
         runs = {("numeric", "scalar"): _scalar_states(run_numeric(p)),
                 ("analytic", "scalar"): _scalar_states(run_analytic(p)),
-                ("numeric", "grid"): _grid_states(grids["numeric"], i),
-                ("analytic", "grid"): _grid_states(grids["analytic"], i)}
+                ("numeric", "grid"): _grid_states(*grids["numeric"], i),
+                ("analytic", "grid"): _grid_states(*grids["analytic"], i)}
         for (path, runner), values in runs.items():
             for field, k in state_errors_in_eps(values, ref).items():
                 assert k <= K_STATES[path][field], (path, runner, field, p, k)

@@ -380,5 +380,7 @@ class TestEmptyStacks:
         grid = CycleGrid(np.array([]), np.array([]), mode, np.array([]))
         for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
             assert ledger.eta.shape == ledger.q_used.shape == (0,)
-            assert ledger.states_tp.shape == ledger.states_qmii.shape == (4, 0)
-            assert ledger.entropy_tp.shape == ledger.entropy_qmii.shape == (0,)
+        for stacks, entropies in ((grid.evolved[:2], grid.entropies),
+                                  (grid.closed_form, grid.closed_form_entropies)):
+            assert all(states.shape == (4, 0) for states in (grid.thermal, *stacks))
+            assert all(entropy.shape == (0,) for entropy in entropies)

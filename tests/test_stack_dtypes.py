@@ -17,7 +17,7 @@ from measengine.channels import (
     first_channel_stack,
     second_channel_stack,
 )
-from measengine.engine import CycleGrid, run_analytic_grid, run_numeric_grid
+from measengine.engine import CycleGrid
 from measengine.linalg import as_matrix_stack
 from measengine.states import (
     entropy_stack,
@@ -57,7 +57,7 @@ def test_as_matrix_stack_refuses_complex_input(entries):
 
 
 def test_builders_are_float64():
-    # The grid's state stacks are built by `CycleGrid` and `GridLedger`: see
+    # The grid's state stacks are built by `CycleGrid`: see
     # `test_grid_states_are_float64`.
     # A grid channel's varying entries are float64 columns, its fixed zeros the exact zero
     # `_ZERO` and its fixed one the float 1.0.
@@ -112,6 +112,5 @@ def test_apply_unselective_stack_checks_the_state_stack_before_any_arithmetic(mo
 def test_grid_states_are_float64(mode, r):
     grid = CycleGrid(np.array([0.1, 2.0, 700.0]), np.array([0.5, 0.8, 1.0]), mode, np.full(3, r))
     assert grid.thermal.dtype == F64 and grid.thermal.shape == (4, 3)
-    for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
-        for states in (ledger.states_tp, ledger.states_qmi, ledger.states_qmii):
-            assert states.dtype == F64 and states.shape == (4, 3)
+    for states in (*grid.evolved[:2], *grid.closed_form):
+        assert states.dtype == F64 and states.shape == (4, 3)

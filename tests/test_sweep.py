@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import WIDE_B, WIDE_GAMMA, WIDE_R
+from support import WIDE_B, WIDE_GAMMA, WIDE_R, grid_states
 
 from measengine import engine, states, sweep
 from measengine.channels import IncompleteKrausSetError, first_channel_stack
@@ -49,21 +49,21 @@ def same_entries(column: np.ndarray, state) -> bool:
     return tuple(column.tolist()) == entries and column.tobytes() == np.array(entries).tobytes()
 
 
-def assert_states_match(ledger, i: int, scalar) -> None:
-    """Column i of each grid state stack is the entries of the scalar record's state."""
-    for stroke in ("TP", "QMI", "QMII"):
-        stack = getattr(ledger, f"states_{stroke.lower()}")
+def assert_states_match(stacks: tuple[np.ndarray, ...], i: int, scalar) -> None:
+    """Column i of each grid state stack, TP, QMI and QMII, is the scalar record's state."""
+    for stroke, stack in zip(("TP", "QMI", "QMII"), stacks, strict=True):
         assert same_entries(stack[:, i], scalar.stroke(stroke).state_after), stroke
 
 
-def assert_columns_match(ledger, i: int, scalar) -> None:
+def assert_columns_match(ledger, held, i: int, scalar) -> None:
+    """Point i of a grid ledger and of `held`, its `grid_states`, is the scalar ledger's."""
     for field in LEDGER_FIELDS:
         assert same(getattr(ledger, field)[i], getattr(scalar, field)), field
     assert same(first_law_residual(ledger)[i], first_law_residual(scalar))
-    assert same(ledger.entropy_qmi[i], scalar.stroke("QMI").entropy_after)
-    assert same(ledger.entropy_qmii[i], scalar.stroke("QMII").entropy_after)
-    assert same(ledger.entropy_tp[i], scalar.stroke("TP").entropy_after)
-    assert_states_match(ledger, i, scalar)
+    stacks, entropies = held
+    for stroke, entropy in zip(("TP", "QMI", "QMII"), entropies, strict=True):
+        assert same(entropy[i], scalar.stroke(stroke).entropy_after), stroke
+    assert_states_match(stacks, i, scalar)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,18 +76,19 @@ def test_grid_columns_equal_the_scalar_fields_bit_for_bit(mode, points):
     if mode is CycleMode.THREE_STROKE:
         r = np.ones_like(b)
     grid = CycleGrid(b, gamma, mode, r)
-    analytic = run_analytic_grid(grid)
+    analytic = run_analytic_grid(grid), grid_states(run_analytic_grid, grid)
     realizable = np.flatnonzero(grid.realizable)
-    numeric = run_numeric_grid(grid.subset(realizable))
+    evolved = grid.subset(realizable)
+    numeric = run_numeric_grid(evolved), grid_states(run_numeric_grid, evolved)
     for i in range(len(grid)):
         params = grid.point(i)
         for name in ("x", "th", "strength", "q"):
             assert same(getattr(grid, name)[i], getattr(params, name)), name
         assert same_entries(grid.thermal[:, i], params.thermal)
         assert grid.realizable[i] == numeric_realizable(params)
-        assert_columns_match(analytic, i, run_analytic(params))
+        assert_columns_match(*analytic, i, run_analytic(params))
     for j, i in enumerate(realizable):
-        assert_columns_match(numeric, j, run_numeric(grid.point(i)))
+        assert_columns_match(*numeric, j, run_numeric(grid.point(i)))
 
 
 @pytest.mark.parametrize("mode", list(CycleMode))
@@ -97,9 +98,9 @@ def test_grid_states_are_the_scalar_states_on_the_wide_range_grid(mode):
     grid = CycleGrid.product(WIDE_B, WIDE_GAMMA, r, mode).stretched(r, mode)
     assert len(grid) == len(WIDE_B) * len(WIDE_GAMMA) * len(r)
     for run_grid, run in ((run_numeric_grid, run_numeric), (run_analytic_grid, run_analytic)):
-        ledger = run_grid(grid)
+        stacks, _ = grid_states(run_grid, grid)
         for i in range(len(grid)):
-            assert_states_match(ledger, i, run(grid.point(i)))
+            assert_states_match(stacks, i, run(grid.point(i)))
 
 
 def assert_same_grid(subset: CycleGrid, fresh: CycleGrid) -> None:
@@ -152,10 +153,9 @@ def test_one_entropy_pass_is_entropy_stack_of_each_state_stack(mode, points):
     if mode is CycleMode.THREE_STROKE:
         r = np.ones_like(b)
     grid = CycleGrid(b, gamma, mode, r)
-    for ledger in (run_numeric_grid(grid), run_analytic_grid(grid)):
-        for stroke in ("tp", "qmi", "qmii"):
-            entropy = getattr(ledger, f"entropy_{stroke}")
-            assert np.array_equal(entropy, entropy_stack(getattr(ledger, f"states_{stroke}")))
+    for run in (run_numeric_grid, run_analytic_grid):
+        for stack, entropy in zip(*grid_states(run, grid), strict=True):
+            assert np.array_equal(entropy, entropy_stack(stack))
 
 
 @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 2.0)])
