@@ -45,9 +45,10 @@ entry.  Around them each engine keeps its own checks:
 * One point.  `_excite` and `_damp` check the strength, write the
   channel's entries with `math.sqrt` and apply them (`_apply`): a set whose
   largest deviation (`_max_deviation`, NaN if any deviation is NaN) is
-  above COMPLETENESS_TOL is refused, and the output is built through the
-  `DensityMatrix` constructor, which checks it without a numpy array.  The
-  scalar cycle makes one such call per stroke.
+  above COMPLETENESS_TOL is refused, and the output's four floats are
+  built into a state by `states._state`, which runs the constructor's
+  checks without a nested list or a numpy array.  The scalar cycle makes
+  one such call per stroke.
 * A grid.  `first_channel_stack` / `second_channel_stack` check the
   strengths and give the channels' entries, the varying ones as (N,)
   columns and the fixed zeros `_ZERO`; `completeness_deviation_stack` is
@@ -73,7 +74,7 @@ import numpy as np
 
 from .linalg import _frozen_matrix, _square_entries, as_matrix_stack
 from .linalg import matmul  # noqa: F401  (bench/test_bench.py checks the tracer patches it here)
-from .states import DensityMatrix, validate_state_stack
+from .states import DensityMatrix, _state, validate_state_stack
 
 COMPLETENESS_TOL = 1e-12     # max entrywise |sum A^dag A - 1| accepted
 _Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and below q = 0
@@ -170,8 +171,7 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 def _apply(ops, rho: DensityMatrix, label: str) -> DensityMatrix:
     """rho -> sum_n A_n rho A_n^T for the set of entries `ops`, named `label` if incomplete."""
     _require_complete(ops, label)
-    o00, o01, o10, o11 = _evolve(ops, *rho.entries)
-    return DensityMatrix([[o00, o01], [o10, o11]])
+    return _state(*_evolve(ops, *rho.entries))
 
 
 class _Zero:

@@ -34,8 +34,12 @@ builds no numpy array and no `KrausSet`: its states are built from Python
 floats and keep them, and it hands the channel kernel the excitation and
 damping entries as Python floats, so every check and product on them is
 float arithmetic, as on the grid's float64 columns; the one numpy call is
-the `np.exp` of the Gibbs weight.  The frozen dataclasses skip
-`object.__setattr__`: `_record` and `_unchecked` write every field of a
+the `np.exp` of the Gibbs weight.  The numeric path's three states, the
+thermal one and the two channel outputs, go from their four floats
+straight to the state checks (`states._state`), with no nested list and
+no dataclass `__init__`; the analytic path's two are built from their
+populations by `DensityMatrix.from_populations`.  The frozen dataclasses
+skip `object.__setattr__`: `_record` and `_unchecked` write every field of a
 check-free `StrokeRecord`, `EnergyLedger` or `GridLedger` into a new
 instance's `__dict__`, and the checked constructors (`CycleParams`,
 `CycleGrid`) write what they derive there after their checks
@@ -72,7 +76,10 @@ A grid builds every per-point column once, at construction, and owns
 every per-point state and entropy: `thermal`, the `evolved` states (with
 the deviation each channel application checked), the `closed_form` states
 and the entropies of both, each built once, on first read.  None depends
-on r, so `stretched` repeats them over r instead of building them again.
+on r, so `stretched` repeats them over r instead of building them again,
+except the `closed_form` states: no caller reads them on a derived grid,
+so it carries only their entropies, and builds the states again from its
+x and strength columns if they are read.
 A `GridLedger` is the ledger's numbers alone; a caller that reads a state
 or an entropy reads it off the grid.  Both `verify` and `sweep` evaluate
 a b x gamma grid (`CycleGrid.product`) stretched over their r axis this
@@ -103,9 +110,9 @@ from .states import (
     DensityMatrix,
     Hamiltonian,
     _gibbs_populations,
+    _state,
     diagonal_stack,
     entropy_stack,
-    gibbs_state,
     mean_energy,
     mean_energy_stack,
 )
@@ -141,10 +148,11 @@ class CycleParams:
 
     After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
     th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
-    state and q (from the same x, NaN where no partner exists); so are the
-    TP and API records, which hold the thermal state under the bare gap
-    (`_H1`) and the stretched one (`_H1` again at r = 1), with their
-    energies; their entropy is the thermal state's, computed on first read.
+    state (the Gibbs populations of float(b), built by `states._state`) and
+    q (from the same x, NaN where no partner exists); so are the TP and API
+    records, which hold the thermal state under the bare gap (`_H1`) and the
+    stretched one (`_H1` again at r = 1), with their energies; their entropy
+    is the thermal state's, computed on first read.
     They, and `mode` as a `CycleMode`, are written into the instance's
     `__dict__` in one update.  Equality, hash and repr ignore them.
     """
@@ -170,7 +178,8 @@ class CycleParams:
         _require_ratio(mode, r)
         x = math.exp(-b)
         strength = _strength(self.gamma, x)
-        thermal = gibbs_state(_H1, b)
+        ground, excited = _gibbs_populations(_H1, float(b))  # float entries for an integer b too
+        thermal = _state(ground, 0.0, 0.0, excited)
         hr = _H1 if r == 1.0 else Hamiltonian.qubit(r)
         strokes = (
             _record("TP", thermal, _H1, mean_energy(thermal, _H1)),
@@ -428,8 +437,9 @@ def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
 
 
 _TAKEN_COLUMNS = ("b", "gamma", "x", "th", "strength", "thermal", "q")  # `_taken` is given r
-# A grid's cached stacks, each a tuple of arrays with the point axis last; `_taken` carries them.
-_KEPT = ("evolved", "entropies", "closed_form", "closed_form_entropies")
+# The cached stacks `_taken` carries, each a tuple of arrays with the point axis last.  Not
+# `closed_form`: a sweep batch reads only its entropies, so copying its states would be waste.
+_KEPT = ("evolved", "entropies", "closed_form_entropies")
 
 
 def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -451,7 +461,8 @@ class CycleGrid:
     call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
     `isentropic_strength_stack` of every point, NaN where no partner exists.
     The grid owns every per-point state and entropy: `thermal`, and the `_KEPT`
-    stacks, each built once, on first read, and carried by `subset` and `stretched`.
+    stacks, each built once, on first read, and carried by `subset` and `stretched`;
+    `closed_form`, which only its entropies' first read needs, is not carried.
     Every kept array has the point axis last, so one index rule, `[..., index]`, takes points.
     """
 

@@ -8,10 +8,13 @@ state stack (the layout is set out in `states`); `as_square_matrix`
 checks the (2, 2) shape and then applies it to the matrix's four entries
 as one column.  `_square_entries` gives the `DensityMatrix` and `KrausSet`
 constructors the checked entries as four Python floats: a 2x2 nested list
-of Python floats, which is what the package's own builders pass, is read
+of Python floats (what `DensityMatrix.from_populations` passes) is read
 without numpy; any other input goes through `as_square_matrix`.
-`_frozen_matrix` builds the read-only float64 array of four such entries,
-when a state's `mat` or a set's `ops` is first read.
+`_require_finite` is the one finiteness rule on four Python floats, which
+`_square_entries` applies to such a list and `states._state` to the four
+floats the numeric cycle's states are built from.  `_frozen_matrix` builds
+the read-only float64 array of four such entries, when a state's `mat` or
+a set's `ops` is first read.
 
 The scalar math runs on those floats without a numpy call (on a 2x2 matrix
 a numpy call costs more than its arithmetic): the constructors' symmetry
@@ -52,8 +55,8 @@ def _square_entries(entries) -> list[float]:
     """The four entries of `as_square_matrix(entries)`, row by row, as Python floats.
 
     A list of two lists of two Python floats is read without numpy, and
-    refused exactly when one entry is not finite; anything else goes through
-    `as_square_matrix`.
+    refused by `_require_finite` exactly when one entry is not finite;
+    anything else goes through `as_square_matrix`.
     """
     if type(entries) is list and len(entries) == 2:
         top, bottom = entries
@@ -61,12 +64,18 @@ def _square_entries(entries) -> list[float]:
             flat = top + bottom
             a00, a01, a10, a11 = flat
             if type(a00) is type(a01) is type(a10) is type(a11) is float:
-                # A finite sum has only finite terms; a sum that is not finite (a non-finite
-                # entry, or finite entries that overflow) is decided entry by entry.
-                if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
-                    raise ValueError("matrix entries must be finite")
+                _require_finite(a00, a01, a10, a11)
                 return flat
     return as_square_matrix(entries).ravel().tolist()
+
+
+def _require_finite(a00: float, a01: float, a10: float, a11: float) -> None:
+    """Refuse four Python floats unless every one is finite, as `as_matrix_stack` does."""
+    # A finite sum has only finite terms; a sum that is not finite (a non-finite entry,
+    # or finite entries that overflow) is decided entry by entry.
+    if not math.isfinite(a00 + a01 + a10 + a11) and not all(
+            map(math.isfinite, (a00, a01, a10, a11))):
+        raise ValueError("matrix entries must be finite")
 
 
 def _frozen_matrix(flat) -> np.ndarray:

@@ -7,17 +7,20 @@ Entropy is reported in nats.
 
 The working substance is a qubit with real states: `Hamiltonian` takes
 exactly two levels and `DensityMatrix` only real 2x2 matrices (via
-`linalg._square_entries`; complex input is refused).  Its constructor runs
-the symmetry, trace and lowest-eigenvalue checks on the four entries as
-Python floats, and keeps the entries and the eigenvalue pair it computed:
-`mean_energy`, `von_neumann_entropy` and `DensityMatrix.eigenvalues` read
-those.  The constructor builds no numpy array from a nested list of Python
-floats, which is what `from_populations`, `gibbs_state` and the channels
-pass; `mat` (read-only float64) is built from the entries when first read,
-which a single cycle never does, and `entropy` is computed when first read,
-which a cycle whose caller reads only the ledger never does.
-`gibbs_state` weighs the two levels with one `np.exp` on a float (the
-same `_gibbs_populations` weighs a grid's array of b).
+`linalg._square_entries`; complex input is refused).  Every state, however
+built, passes one check, `_admit`: the symmetry, trace and lowest-eigenvalue
+checks on the four entries as Python floats, which keeps the entries and
+the eigenvalue pair it computed; `mean_energy`, `von_neumann_entropy` and
+`DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
+array from a nested list of Python floats, which is what `from_populations`
+and `gibbs_state` pass.  The numeric cycle's states (its thermal state and
+each channel output) already are four Python floats, so `_state` builds
+them without the list: the same finiteness rule (`linalg._require_finite`)
+and `_admit`, without the dataclass `__init__`.  `mat` (read-only float64)
+is built from the entries when first read, which a single cycle never
+does, and `entropy` is computed when first read, which a cycle whose
+caller reads only the ledger never does.  `_gibbs_populations` weighs the
+two levels with one `np.exp` on a float, or on a grid's array of b.
 
 Grid evaluation holds the states of N points as one state stack instead
 of one `DensityMatrix` per point.  A state stack is a float64 (4, N)
@@ -49,6 +52,7 @@ from .linalg import (
     _eig_pair,
     _eigvals_stack,
     _frozen_matrix,
+    _require_finite,
     _square_entries,
     as_matrix_stack,
 )
@@ -94,8 +98,8 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state.
 
     The input is a real 2x2 matrix (`linalg._square_entries`; complex input
-    is refused).  Construction validates all three invariants (tolerances
-    TOL_HERM, TOL_TRACE, TOL_PSD) and keeps what the checks read:
+    is refused).  Construction validates all three invariants (`_admit`;
+    tolerances TOL_HERM, TOL_TRACE, TOL_PSD) and keeps what the checks read:
     `entries`, the four entries of `mat` row by row as Python floats, and
     `eig_pair`, its ascending eigenvalues.  Two fields are computed on
     first read and kept, so every later read gives the same object:
@@ -109,21 +113,9 @@ class DensityMatrix:
     entropy: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = _square_entries(self.mat)
-        defect = abs(entries[1] - entries[2])
-        if defect > TOL_HERM:
-            raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
-        tr = entries[0] + entries[3]
-        if abs(tr - 1.0) > TOL_TRACE:
-            # complex(): the trace prints as a complex number, "1.1+0j", as a stack's does
-            raise ValueError(f"state trace {complex(tr):.15g} is not 1")
-        eig = _eig_pair(*entries)
-        if not eig[0] >= -TOL_PSD:  # a NaN would be refused too
-            raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
         fields = self.__dict__
-        del fields["mat"]  # the input; `__getattr__` builds the array from the entries
-        fields["entries"] = tuple(entries)
-        fields["eig_pair"] = eig
+        # `mat` is the input; `__getattr__` builds the array from the entries.
+        _admit(fields, *_square_entries(fields.pop("mat")))
 
     def __getattr__(self, name):
         # Called only for a name the instance does not hold: `mat` or `entropy` until its first read.
@@ -163,6 +155,39 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.array(self.eig_pair)
+
+
+def _admit(fields: dict, a00: float, a01: float, a10: float, a11: float) -> None:
+    """The state checks on four finite real entries, row by row; on success they go in `fields`.
+
+    Refuses a state that is not Hermitian within TOL_HERM, off unit trace by
+    more than TOL_TRACE, or has an eigenvalue below -TOL_PSD; otherwise writes
+    `entries` and `eig_pair` into `fields`, a new state's `__dict__`.
+    """
+    defect = abs(a01 - a10)
+    if defect > TOL_HERM:
+        raise ValueError(f"state is not Hermitian (defect {defect:.3e})")
+    tr = a00 + a11
+    if abs(tr - 1.0) > TOL_TRACE:
+        # complex(): the trace prints as a complex number, "1.1+0j", as a stack's does
+        raise ValueError(f"state trace {complex(tr):.15g} is not 1")
+    eig = _eig_pair(a00, a01, a10, a11)
+    if not eig[0] >= -TOL_PSD:  # a NaN would be refused too
+        raise ValueError(f"state has negative eigenvalue {eig[0]:.3e}")
+    fields["entries"] = (a00, a01, a10, a11)
+    fields["eig_pair"] = eig
+
+
+def _state(a00: float, a01: float, a10: float, a11: float) -> DensityMatrix:
+    """`DensityMatrix([[a00, a01], [a10, a11]])` of four Python floats, without the nested list.
+
+    The same finiteness rule and checks, with the same messages, skipping the
+    dataclass `__init__` and `_square_entries`' list and type checks.
+    """
+    _require_finite(a00, a01, a10, a11)
+    rho = object.__new__(DensityMatrix)
+    _admit(rho.__dict__, a00, a01, a10, a11)
+    return rho
 
 
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:

@@ -403,16 +403,22 @@ class TestOutputsArePinned:
 
 
 def test_a_cycle_builds_each_state_and_channel_once(monkeypatch):
-    # Each construction runs every check, so the count is the cost: the parameters
-    # build the thermal state, each cycle its QMI and QMII states.  The numeric cycle
-    # applies its two channels on their entries, and builds no `KrausSet`.
+    # Each state runs every check once, in `states._admit`, whether the constructor or
+    # `states._state` builds it, so the count is the cost: the parameters build the
+    # thermal state, each cycle its QMI and QMII states.  The numeric cycle applies its
+    # two channels on their entries, and builds no `KrausSet`.
     counts = collections.Counter()
-    for cls in (DensityMatrix, KrausSet):
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            check(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    def admitted(fields, *entries, check=states._admit):
+        counts["DensityMatrix"] += 1
+        check(fields, *entries)
+
+    def counted(self, check=KrausSet.__post_init__):
+        counts["KrausSet"] += 1
+        check(self)
+
+    monkeypatch.setattr(states, "_admit", admitted)
+    monkeypatch.setattr(KrausSet, "__post_init__", counted)
     p = CycleParams(b=0.7, gamma=0.8, mode="five", r=2.0)
     assert (counts["DensityMatrix"], counts["KrausSet"]) == (1, 0)
     counts.clear()
@@ -517,18 +523,24 @@ def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
 @pytest.mark.parametrize("mode, b, gamma, r", [
     ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
     ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6),
+    ("five", 1, 0.8, 2.0),  # an integer b: the thermal state's entries are floats too
 ])
 def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
     # The engine's states and channels are real, so every entry the cycle builds or hands
     # the channel kernel is a Python float, and the cycle's arithmetic on them is float
-    # arithmetic.
+    # arithmetic.  Every state, however built, is checked by `states._admit`.
     built = {DensityMatrix: [], KrausSet: []}
-    for cls in built:
-        def kept(self, check=cls.__post_init__, out=built[cls]):
-            check(self)
-            out.append(self)
 
-        monkeypatch.setattr(cls, "__post_init__", kept)
+    def admitted(fields, *entries, check=states._admit):
+        check(fields, *entries)
+        built[DensityMatrix].append(fields)
+
+    def kept(self, check=KrausSet.__post_init__):
+        check(self)
+        built[KrausSet].append(self)
+
+    monkeypatch.setattr(states, "_admit", admitted)
+    monkeypatch.setattr(KrausSet, "__post_init__", kept)
     evolved = []
 
     def evolve(ops, *rho, kernel=channels._evolve):
@@ -540,7 +552,7 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
     ledgers = (run_numeric(p), run_analytic(p))
     assert (len(built[DensityMatrix]), len(built[KrausSet]), len(evolved)) == (5, 0, 2)
     for rho in built[DensityMatrix]:
-        assert all(type(v) is float for v in rho.entries + rho.eig_pair)
+        assert all(type(v) is float for v in rho["entries"] + rho["eig_pair"])
     for ops, rho in evolved:
         assert len(ops) == 2 and all(len(op) == 4 for op in ops)
         assert all(type(v) is float for op in ops for v in op + rho)
@@ -618,14 +630,20 @@ def _assert_whole_and_frozen(obj, lazy=()):
 ])
 def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, r, flags):
     # The runners write each record's and ledger's fields straight into its __dict__;
-    # the result must be the frozen dataclass its public constructor gives.
-    built = {DensityMatrix: [], KrausSet: []}
-    for cls in built:
-        def kept(self, check=cls.__post_init__, out=built[cls]):
-            check(self)
-            out.append(self)
+    # the result must be the frozen dataclass its public constructor gives.  Every state
+    # is checked by `states._admit`, whether the constructor or `states._state` builds it.
+    admitted, kraus_sets = [], []
 
-        monkeypatch.setattr(cls, "__post_init__", kept)
+    def admit(fields, *entries, check=states._admit):
+        check(fields, *entries)
+        admitted.append(fields)
+
+    def kept(self, check=KrausSet.__post_init__):
+        check(self)
+        kraus_sets.append(self)
+
+    monkeypatch.setattr(states, "_admit", admit)
+    monkeypatch.setattr(KrausSet, "__post_init__", kept)
     p = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
     ledgers = [run_analytic(p)]
     assert ledgers[0].flags == flags
@@ -645,8 +663,12 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
         _assert_whole_and_frozen(ledger)
     monkeypatch.undo()
     _assert_whole_and_frozen(p)
-    assert not built[KrausSet]  # the numeric cycle applies its channels on their entries
-    for rho in built[DensityMatrix]:
+    assert not kraus_sets  # the numeric cycle applies its channels on their entries
+    # Every checked state is a record's, and every record's state was checked.
+    held = {id(vars(rec.state_after)): rec.state_after
+            for ledger in ledgers for rec in ledger.strokes}
+    assert sorted(map(id, admitted)) == sorted(held)
+    for rho in held.values():
         _assert_whole_and_frozen(rho, lazy=("mat",))
     damping = channels._damping(0.25, math.sqrt, 0.0)
     damp = KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in damping))

@@ -202,7 +202,7 @@ def test_stretched_grid_is_the_directly_built_five_stroke_grid(points, r, mode, 
     direct = CycleGrid(b.repeat(len(r)), gamma.repeat(len(r)), CycleMode.FIVE_STROKE,
                        np.tile(r, len(b)))
     assert stretched.mode is direct.mode
-    assert [name in stretched.__dict__ for name in engine._KEPT] == [read_first] * 4
+    assert [name in stretched.__dict__ for name in engine._KEPT] == [read_first] * len(engine._KEPT)
     for name in ("b", "gamma", "r", "x", "th", "strength", "thermal", "q"):
         assert _same_bits(getattr(stretched, name), getattr(direct, name)), name
         assert not getattr(stretched, name).flags.writeable, name

@@ -16,6 +16,7 @@ from measengine.states import (
     DensityMatrix,
     Hamiltonian,
     _gibbs_populations,
+    _state,
     gibbs_state,
     mean_energy,
     von_neumann_entropy,
@@ -83,9 +84,10 @@ class TestDensityMatrixInvariants:
         ([[0.0, -_HUGE], [_HUGE, 0.0]], r"state is not Hermitian \(defect inf\)"),
     ], ids=["hermitian", "lower-triangular"])
     def test_entries_at_the_float_limit_are_refused(self, entries, message):
-        for given in (entries, np.array(entries)):
+        for build in (DensityMatrix, lambda m: DensityMatrix(np.array(m)),
+                      lambda m: _state(*m[0], *m[1])):  # the four-float route
             with pytest.raises(ValueError, match=f"^{message}$"):
-                DensityMatrix(given)
+                build(entries)
 
     def test_maximally_mixed_holds_floats(self):
         rho = DensityMatrix.maximally_mixed()
@@ -111,7 +113,7 @@ class TestDensityMatrixInvariants:
         mixed = np.eye(2) / 2.0
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             m = with_entry(mixed, i, j, bad)
-            for given in (m, m.tolist()):  # the channels pass nested lists
+            for given in (m, m.tolist()):  # a nested list is what `from_populations` passes
                 with pytest.raises(ValueError, match=refusal(bad)):
                     DensityMatrix(given)
 
@@ -283,8 +285,8 @@ class TestConstructorInputKinds:
 
     The reference is `as_square_matrix`: the shape check, then numpy's coercion
     under `as_matrix_stack`'s rule (real entries only, all finite).  Nested lists of
-    Python floats are read without numpy, so for them this compares two
-    implementations.
+    Python floats are read without numpy, and their four floats also build a state
+    through `states._state`, so for them this compares three implementations.
     """
 
     @settings(max_examples=400)
@@ -293,10 +295,13 @@ class TestConstructorInputKinds:
     @example([[0.0, -1.3e308], [1.3e308, 0.0]], "float lists")
     def test_each_input_is_accepted_or_refused_as_numpy_coerces_it(self, entries, kind):
         value = _KINDS[kind](entries)
+        state_builds = [DensityMatrix]
+        if kind == "float lists":
+            state_builds.append(lambda m: _state(*m[0], *m[1]))
         try:
             expected = as_square_matrix(value).copy()
         except _REFUSALS as refusal:
-            for build in (DensityMatrix, lambda m: KrausSet((m,))):
+            for build in (*state_builds, lambda m: KrausSet((m,))):
                 with pytest.raises(type(refusal)) as raised:
                     build(value)
                 assert type(raised.value) is type(refusal) and str(raised.value) == str(refusal)
@@ -308,13 +313,15 @@ class TestConstructorInputKinds:
         try:
             reference = DensityMatrix(expected)  # an ndarray takes numpy's path
         except ValueError as refusal:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
-                DensityMatrix(value)
+            for build in state_builds:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                    build(value)
             return
-        rho = DensityMatrix(value)
-        assert rho.eig_pair == reference.eig_pair
-        assert rho.mat is rho.mat
-        self._assert_built_from(rho.mat, rho.entries, expected, value)
+        for build in state_builds:
+            rho = build(value)
+            assert type(rho) is DensityMatrix and rho.eig_pair == reference.eig_pair
+            assert rho.mat is rho.mat
+            self._assert_built_from(rho.mat, rho.entries, expected, value)
 
     @staticmethod
     def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray, value) -> None:
