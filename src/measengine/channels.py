@@ -1,68 +1,18 @@
-"""The engine's two measurement channels in Kraus form, for one point and for a grid.
+"""The engine's two measurement channels in Kraus form, on one state or a stack.
 
-A measurement is a set of operators {A_n} obeying the completeness
-relation sum_n A_n^dag A_n = 1; each stroke applies its outcome-averaged
-(unselective) channel rho -> sum_n A_n rho A_n^dag.  Two qubit channels
-drive the engine:
+A channel is K operators, each the tuple of its four real entries row by
+row.  It maps rho -> sum_n A_n rho A_n^T and is applied only if complete:
+max |sum_n A_n^T A_n - 1| <= COMPLETENESS_TOL, a NaN deviation failing
+(`IncompleteKrausSetError`).  Strengths outside [0, 1] (NaN included) are
+refused with `<name> strength must lie in [0, 1], got S`.
 
-* the excitation channel, strength P: partially pumps ground population
-  into the excited state,
-      M1 = [[sqrt(1-P), 0], [0, 1]],   M2 = [[0, 0], [sqrt(P), 0]]
-* the damping channel, strength q: partially drops excited population
-  into the ground state,
-      N1 = [[1, 0], [0, sqrt(1-q)]],   N2 = [[0, sqrt(q)], [0, 0]]
+    excitation, strength P:  M1 = [[sqrt(1-P), 0], [0, 1]],  M2 = [[0, 0], [sqrt(P), 0]]
+    damping, strength q:     N1 = [[1, 0], [0, sqrt(1-q)]],  N2 = [[0, sqrt(q)], [0, 0]]
 
-Every operator and state is real, so A^dag is A^T: complex operators and
-states are refused where they enter (`KrausSet`, `DensityMatrix`, the
-stack checks), and all channel arithmetic is real.
-
-`_isentropic_strength` picks the damping strength that exactly swaps the
-diagonal populations left by the excitation channel, so the second stroke
-conserves entropy, and NaN where no strength in [0, 1] does;
-`isentropic_strength_stack` is the same rule per grid point, through the
-same `_partner_threshold` and `_swap_strength`, bit for bit
-(`tests/test_channels.py`).
-
-One channel format and one kernel serve both engines.  A channel is K
-operators, each the tuple of its four entries row by row, and an entry is
-a Python float (one set), an (N,) float64 array (one set per grid point),
-or `_ZERO`, an exact zero that only the grid builders emit.
-`_excitation` and `_damping` write the two engine channels in that format
-once, taking the square root and the zero as arguments: `math.sqrt` and
-the float 0.0 for one strength, `np.sqrt` and `_ZERO` for a column of
-them; the fixed one is the float 1.0 either way.  A product with `_ZERO`
-is `_ZERO` and a sum with it the other term, and an ndarray hands it every
-such operation (NEP 13), so a grid channel's fixed zeros reach no numpy
-call.  The grid evolves only finite states through complete, so finite,
-sets: each product `_ZERO` stands for is +-0, and the kernel's sums, which
-start at the float 0.0 and so never hold -0.0, are the same bits without
-it.  On one set, Python floats are cheaper than `_ZERO`'s methods, so the
-scalar entries keep 0.0.  All channel arithmetic is in two functions that
-run alike on floats, arrays and `_ZERO`: `_completeness_terms` forms
-sum_n A_n^T A_n - 1, and `_evolve` forms sum_n (A_n rho) A_n^T, entry by
-entry.  Around them each engine keeps its own checks:
-
-* One point.  `_excite` and `_damp` check the strength, write the
-  channel's entries with `math.sqrt` and apply them (`_apply`): a set whose
-  largest deviation (`_max_deviation`, NaN if any deviation is NaN) is
-  above COMPLETENESS_TOL is refused, and the output's four floats are
-  built into a state by `states._state`, which runs the constructor's
-  checks without a nested list or a numpy array.  The scalar cycle makes
-  one such call per stroke.
-* A grid.  `first_channel_stack` / `second_channel_stack` check the
-  strengths and give the channels' entries, the varying ones as (N,)
-  columns and the fixed zeros `_ZERO`; `completeness_deviation_stack` is
-  `_max_deviation` per set, the same bits on finite entries;
-  `apply_unselective_stack` checks that every column has one entry per
-  state, refuses the first set whose deviation is above COMPLETENESS_TOL
-  or NaN, evolves a real (4, N) state stack (the layout of `states`:
-  one (N,) row per entry, which `_evolve` takes as it is) and checks the
-  output with `validate_state_stack`.
-
-`KrausSet` (any real 2x2 operators, checked as `DensityMatrix` checks a
-state, kept as entries, `ops` built on first read), `first_channel` and
-`apply_unselective` (`_apply` on a set's entries) serve no engine path:
-they remain because `bench/` times them.
+An entry is a Python float (one point), an (N,) float64 column (a grid) or
+`_ZERO` (a grid builder's fixed zero); `_completeness_terms` and `_evolve`
+take any of them.  `KrausSet`, `first_channel` and `apply_unselective` have
+no caller in `src/`; `bench/` times them.
 """
 
 from __future__ import annotations
@@ -81,18 +31,16 @@ _Q_SLACK = 1e-12             # roundoff allowed below the partner threshold and 
 
 
 class IncompleteKrausSetError(ValueError):
-    """Kraus set fails the completeness relation beyond tolerance."""
+    """A Kraus set fails the completeness relation beyond COMPLETENESS_TOL."""
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered 2x2 measurement operators.
+    """Ordered real 2x2 measurement operators, checked at construction.
 
-    Construction checks each operator as a real 2x2 matrix (`linalg._square_entries`;
-    complex operators are refused) and keeps `entries`: per operator, its
-    four entries row by row as Python floats.  `ops`, a tuple of read-only
-    float64 arrays, is built from `entries` when first read, and is the
-    same object on every later read.
+    Each operator is coerced by `linalg._square_entries`, with its refusals, and
+    kept twice: `entries`, its four Python floats row by row, and `ops`, a
+    read-only float64 array.  An empty set is refused.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -103,17 +51,7 @@ class KrausSet:
         if len(self.ops) == 0:
             raise ValueError("Kraus set needs at least one operator")
         entries = tuple(tuple(_square_entries(op)) for op in self.ops)
-        fields = self.__dict__
-        del fields["ops"]  # the input; `__getattr__` builds the arrays from the entries
-        fields["entries"] = entries
-
-    def __getattr__(self, name):
-        # Called only for a name the instance does not hold: `ops` until its first read.
-        if name != "ops":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ops = tuple(map(_frozen_matrix, self.entries))
-        object.__setattr__(self, "ops", ops)
-        return ops
+        self.__dict__.update(ops=tuple(map(_frozen_matrix, entries)), entries=entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -133,7 +71,11 @@ def _completeness_terms(ops):
 
 
 def _evolve(ops, r00, r01, r10, r11):
-    """The four entries, row by row, of sum_n (A_n rho) A_n^T, in the entries' type."""
+    """The four entries, row by row, of sum_n (A_n rho) A_n^T, in the entries' type.
+
+    Every sum starts at the float 0.0, so it never holds -0.0 and a `_ZERO` term
+    changes no bit (`test_the_same_bits_as_float_zeros_and_as_each_point`).
+    """
     o00 = o01 = o10 = o11 = 0.0  # rebound, as the sums of `_completeness_terms` are
     for a, b, c, d in ops:
         # B = A rho, then (B A^T)_im = B_i0 A_m0 + B_i1 A_m1.
@@ -169,16 +111,17 @@ def apply_unselective(k: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _apply(ops, rho: DensityMatrix, label: str) -> DensityMatrix:
-    """rho -> sum_n A_n rho A_n^T for the set of entries `ops`, named `label` if incomplete."""
+    """rho -> sum_n A_n rho A_n^T for the entries `ops`; an incomplete set is refused by `label`."""
     _require_complete(ops, label)
     return _state(*_evolve(ops, *rho.entries))
 
 
 class _Zero:
-    """An exact zero entry: its products are itself and its sums the other term.
+    """An exact zero entry: a product with it is itself and a sum the other term.
 
-    Under NEP 13 (`__array_ufunc__ = None`) an ndarray hands `column * _ZERO`
-    to `__rmul__`, so a grid channel's fixed zeros reach no numpy call.
+    It stands for 0.0 times a finite entry.  With `__array_ufunc__ = None`
+    (NEP 13) an ndarray hands it every such operation, so it reaches no numpy
+    call (`test_numpy_calls_per_application`).
     """
 
     __slots__ = ()
@@ -219,24 +162,17 @@ def _damp(q: float, rho: DensityMatrix) -> DensityMatrix:
 
 
 def first_channel(p: float) -> KrausSet:
-    """Excitation channel of strength p in [0, 1].
-
-    p = 0 leaves any state untouched; p = 1 pumps the full ground
-    population into the excited state (projective strength).
-    """
+    """The excitation channel of strength p in [0, 1] as a `KrausSet` labelled `excite(P=p)`."""
     ops = _excitation(_valid_strength("excitation", p), math.sqrt, 0.0)
     return KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in ops), label=f"excite(P={p:g})")
 
 
 def _isentropic_strength(p: float, x: float) -> float:
-    """Damping strength q that exactly swaps the populations P leaves, x = e^-b.
+    """The damping strength q = (2P - 1 + x)/(P + x) that swaps the populations P leaves, x = e^-b.
 
-        q = (2*P - 1 + x) / (P + x)
-
-    A partner exists when P is at least the threshold (1 - x)/2 less _Q_SLACK
-    and q is at least -_Q_SLACK; q is then clamped to [0, 1].  Elsewhere the
-    result is NaN (clamping would silently leave the stroke entropy-increasing).
-    Unchecked: the caller gives p in [0, 1] and x in [0, 1).
+    q exists where P >= (1 - x)/2 - _Q_SLACK and q >= -_Q_SLACK, and is then
+    clamped to [0, 1]; elsewhere it is NaN, since a clamped q would not swap
+    them.  Unchecked: p in [0, 1], x in [0, 1).
     """
     if p >= _partner_threshold(x) - _Q_SLACK:  # tested first: q is 0/0 at P = 0 and x = 0
         q = _swap_strength(p, x)
@@ -281,11 +217,9 @@ def second_channel_stack(q: np.ndarray):
 
 
 def completeness_deviation_stack(ops) -> np.ndarray:
-    """`_max_deviation` of every set of a grid channel (NaN kept).
+    """`_max_deviation` of every set of a grid channel, NaN kept, without a warning.
 
-    A set with an infinite entry, or one whose products overflow, reads NaN or inf
-    without a warning, and either fails the check.  On a builder's channel an infinite
-    entry reads inf: its exact zeros form no inf * 0.
+    An infinite or overflowing entry reads NaN or inf, and both fail the check.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         d00, d01, d11 = map(np.abs, _completeness_terms(ops))
@@ -293,18 +227,14 @@ def completeness_deviation_stack(ops) -> np.ndarray:
 
 
 def apply_unselective_stack(ops, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome-averaged channel per point, rho_n -> sum_k A_nk rho_n A_nk^T, and its deviations.
+    """rho_n -> sum_k A_nk rho_n A_nk^T per point; returns the output stack and the deviations.
 
-    `ops` is a grid channel, as `first_channel_stack` gives it.  The state
-    stack must be a real (4, N) stack, as `as_matrix_stack` coerces it, and
-    every array entry of `ops` an (N,) column, at least one of them, else
-    ValueError before any arithmetic.  Every set must pass
-    `_require_complete`'s check, a NaN deviation failing (else
-    IncompleteKrausSetError names the first that fails), and every output
-    state the `DensityMatrix` checks.  The evolution is `_evolve` on the
-    stack's rows, so each output entry is the IEEE result `_apply` gives on
-    the same real entries, `_ZERO` read as 0.0.  Returns the output stack
-    and the deviations it checked, `completeness_deviation_stack(ops)`.
+    Refused before any arithmetic: a `rho` that `as_matrix_stack` refuses, and
+    `ops` without an (N,) column or with another shape (`expected a channel of
+    (N,) columns, got shapes S`).  Then the first incomplete set (`Kraus set I of
+    the stack violates completeness by D`) and `validate_state_stack`'s refusal
+    of the output.  Each output entry is `_apply`'s
+    (`test_matches_the_scalar_channel_entrywise`).
     """
     rho = as_matrix_stack(rho)
     columns = [v.shape for op in ops for v in op if isinstance(v, np.ndarray)]
@@ -321,9 +251,9 @@ def apply_unselective_stack(ops, rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def isentropic_strength_stack(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`_isentropic_strength` per point, NaN included, with x = e^-b computed by the caller.
+    """`_isentropic_strength` per point, with x = e^-b from the caller; refuses p outside [0, 1].
 
-    A strength outside [0, 1] raises ValueError.
+    Bit for bit the scalar rule (`test_scalar_and_stack_give_the_same_bits`).
     """
     _strength_range("excitation", p)
     q = np.full(p.shape, math.nan)

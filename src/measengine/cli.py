@@ -5,8 +5,7 @@ Subcommands:
   sweep   evaluate a parameter grid and write it as CSV
   verify  run the analytic-vs-numeric cross-check suite
 
-Exit codes: 0 success, 1 usage/config/io error, 2 invalid cycle
-parameters, 3 verification failures.
+Exit codes: 0 success, 1 usage/config/io error, 2 invalid parameters, 3 failed checks.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache  # built on first use, then shared: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="measengine", description=__doc__)
+    parser = _ArgumentParser(prog="measengine", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
 
     cycle = sub.add_parser("cycle", help="run one engine cycle")

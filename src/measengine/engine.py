@@ -1,90 +1,21 @@
-"""Engine cycles built from measurement strokes.
+"""Engine cycles from measurement strokes, evaluated numerically and in closed form.
 
-Two cycle shapes:
+Strokes: TP (full reset to the Gibbs state at the bare gap), API (adiabatic
+stretch 1 -> r), QMI (excitation, strength P = gamma * (1 - e^-b)), QMII
+(damping at the isentropic partner q), APII (return r -> 1).  The adiabats
+relabel the gap and keep the populations; no stroke makes a coherence.  The
+three-stroke cycle is the r = 1 five-stroke cycle without API and APII
+(`test_is_the_r1_five_stroke_cycle_without_adiabats`).
 
-* three-stroke: thermalize (TP), excitation measurement (QMI), entropy-
-  preserving damping measurement (QMII), and back to TP.
-* five-stroke: TP, adiabatic gap stretch 1 -> r (API), QMI, QMII,
-  adiabatic return r -> 1 (APII), back to TP.
+Energies are in units of the bare gap.  Signs: q_in = E_QMI - E_API, the
+energy QMI imports; q_out = E_TP - E_APII, the heat from the bath, negative
+when the engine dissipates; w_api = E_TP - E_API; w_apii = E_QMII - E_APII;
+delta = E_QMI - E_QMII; w_ext = q_in + q_out; eta = w_ext / q_in.
 
-At r = 1 the adiabats relabel nothing, so the three-stroke cycle is the
-r = 1 five-stroke cycle viewed without its API and APII records.  Each
-path therefore has one runner for both shapes, selected by nothing but
-`CycleParams.mode` (which pins r = 1 for three-stroke).
-
-Each cycle is evaluated two independent ways.  The numeric path
-(`run_numeric`) evolves the density matrix stroke by stroke through the
-Kraus channels and reads energies off the state.  The analytic path
-(`run_analytic`) evaluates the closed-form bookkeeping for the same
-cycle.  They must agree to ~1e-10; the verify suite and tests enforce
-that.
-
-The five records hold three distinct states (thermal, after QMI, after
-QMII): the adiabats only relabel the gap, so TP and API share one state,
-and QMII and APII another.  A record's entropy is its state's, computed
-on first read and kept on the state (`DensityMatrix.entropy`), so each
-distinct state's entropy is computed at most once, and a caller that
-reads only the ledger computes none.  Both runners
-read the thermal state, x, tanh(b/2) and the two strengths off the
-`CycleParams`, which builds them once, as `CycleGrid` builds its columns,
-and take its TP and API records, which it builds once with the stretched
-`Hamiltonian` (the bare `_H1` at r = 1); a runner forms only QMI, QMII
-and APII.  One scalar cycle
-builds no numpy array and no `KrausSet`: its states are built from Python
-floats and keep them, and it hands the channel kernel the excitation and
-damping entries as Python floats, so every check and product on them is
-float arithmetic, as on the grid's float64 columns; the one numpy call is
-the `np.exp` of the Gibbs weight.  The numeric path's three states, the
-thermal one and the two channel outputs, go from their four floats
-straight to the state checks (`states._state`), with no nested list and
-no dataclass `__init__`; the analytic path's two are built from their
-populations by `DensityMatrix.from_populations`.  The frozen dataclasses
-skip `object.__setattr__`: `_record` and `_unchecked` write every field of a
-check-free `StrokeRecord`, `EnergyLedger` or `GridLedger` into a new
-instance's `__dict__`, and the checked constructors (`CycleParams`,
-`CycleGrid`) write what they derive there after their checks
-(`test_engine_built_records_are_whole_and_frozen`).
-
-Sign conventions (all energies in units of the bare level spacing):
-q_in is the energy imported by QMI, q_out = E_TP - E_APII is the energy
-exchanged with the reservoir on thermalization (negative when the engine
-dissipates), w_api = E_TP - E_API, w_apii = E_QMII - E_APII, delta is the
-isentropic energy drop across QMII, w_ext = q_in + q_out is the net
-extracted work, and eta = w_ext / q_in.
-
-Adiabatic strokes are population-preserving Hamiltonian relabelings
-(frequency 1 <-> r); the cycle never populates off-diagonal elements,
-so nothing more is needed.  Thermalization is a full reset to the Gibbs
-state.
-
-`CycleGrid` holds many parameter points as flat arrays, and
-`run_numeric_grid` / `run_analytic_grid` evaluate all of them at once:
-the numeric side evolves (4, N) state stacks (laid out as `states` sets
-out) through grid channels, the analytic side evaluates the closed form
-on arrays.  The two engines share `_strength`, `_gamma_range`, `_ledger`,
-`_closed_form`, `_measured` (the post-QMI populations), `_eta_law` (the one
-place both eta laws are written), the partner strength q (`channels`' one
-rule: NaN where no partner exists), `LEDGER_FIELDS` (the eight numbers
-`verify` checks and `cycle` prints) and the channel kernel
-(`channels._completeness_terms` and `_evolve`), which take Python floats
-or float64 columns alike, and each transcendental comes from the same
-function (`np.exp` for the Gibbs weights, `math.exp`/`math.tanh` once per
-distinct b, `math.log` once per distinct eigenvalue), so each column
-equals the scalar field bit for bit (`tests/test_sweep.py`).
-
-A grid builds every per-point column once, at construction, and owns
-every per-point state and entropy: `thermal`, the `evolved` states (with
-the deviation each channel application checked), the `closed_form` states
-and the entropies of both, each built once, on first read.  None depends
-on r, so `stretched` repeats them over r instead of building them again,
-except the `closed_form` states: no caller reads them on a derived grid,
-so it carries only their entropies, and builds the states again from its
-x and strength columns if they are read.
-A `GridLedger` is the ledger's numbers alone; a caller that reads a state
-or an entropy reads it off the grid.  Both `verify` and `sweep` evaluate
-a b x gamma grid (`CycleGrid.product`) stretched over their r axis this
-way; `verify` evolves its `realizable_part`, the grid itself when every
-point is realizable.
+`run_numeric` evolves the state through the channels and `run_analytic`
+evaluates the closed form.  `run_numeric_grid` and `run_analytic_grid` do the
+same on a `CycleGrid`, and give each point the scalar runner's bits
+(`test_grid_columns_equal_the_scalar_fields_bit_for_bit`).
 """
 
 from __future__ import annotations
@@ -138,23 +69,20 @@ class UnrealizableChannelError(InvalidCycleError):
 
 
 class CycleMode(str, Enum):
+    """The cycle's shape, by its CLI name: "three" (r = 1 only) or "five" strokes."""
+
     THREE_STROKE = "three"
     FIVE_STROKE = "five"
 
 
 @dataclass(frozen=True)
 class CycleParams:
-    """Cycle control knobs: b = beta*gap, strength fraction gamma, ratio r.
+    """One cycle's inputs: b = beta * gap > 0, gamma in [0, 1], r >= 1 (r = 1 if three-stroke).
 
-    After the checks, the point's `CycleGrid` columns are built once: x = e^-b,
-    th = tanh(b/2), the excitation strength P = gamma * (1 - x), the thermal
-    state (the Gibbs populations of float(b), built by `states._state`) and
-    q (from the same x, NaN where no partner exists); so are the TP and API
-    records, which hold the thermal state under the bare gap (`_H1`) and the
-    stretched one (`_H1` again at r = 1), with their energies; their entropy
-    is the thermal state's, computed on first read.
-    They, and `mode` as a `CycleMode`, are written into the instance's
-    `__dict__` in one update.  Equality, hash and repr ignore them.
+    A bad b, gamma or r raises `InvalidCycleError`, an unknown mode ValueError.
+    Derived at construction and left out of equality, hash and repr: x = e^-b,
+    th = tanh(b/2), the strength P = gamma * (1 - x), q (NaN where no partner
+    exists), the `thermal` state, and `thermal_strokes`, the TP and API records.
     """
 
     b: float
@@ -193,12 +121,7 @@ class CycleParams:
 
 @dataclass(frozen=True, eq=False)
 class StrokeRecord:
-    """One stroke's state, Hamiltonian and energy after it.
-
-    `entropy_after` is the entropy of `state_after`, which the state computes
-    on first read and keeps (`DensityMatrix.entropy`), so records that share
-    a state share one computation.
-    """
+    """A stroke's state, Hamiltonian and energy after it; `entropy_after` is the state's."""
 
     name: str  # TP, API, QMI, QMII, APII
     state_after: DensityMatrix
@@ -236,10 +159,7 @@ class EnergyLedger:
 
 
 def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float) -> StrokeRecord:
-    """`StrokeRecord(name, state, h, energy)`, its fields written into `__dict__`.
-
-    The record checks nothing; this skips the frozen `__init__`'s `object.__setattr__` per field.
-    """
+    """`StrokeRecord(name, state, h, energy)`, its fields written straight into `__dict__`."""
     rec = object.__new__(StrokeRecord)
     fields = rec.__dict__
     fields["name"] = name
@@ -297,11 +217,9 @@ def _ledger(tp, api, qmi, qmii, apii):
 
 
 def _closed_form(x, th, strength, r):
-    """The analytic `_ledger` fields.
+    """The analytic `_ledger` fields at x = e^-b and th = tanh(b/2).
 
-    x = e^-b, th = tanh(b/2).  ground = e^(b/2)/Z = 1/(1 + x), overflow-safe, is the
-    thermal ground population and pumped = P * ground the part QMI moves up.
-    At r = 1 the adiabatic works vanish and the rest are the three-stroke values.
+    The thermal ground population is taken as 1/(1 + x), which cannot overflow.
     """
     pumped = strength * (1.0 / (1.0 + x))
     w_api = 0.5 * (r - 1.0) * th
@@ -327,10 +245,7 @@ def _eta_law(mode: CycleMode, gamma, r):
 
 def _cycle_strokes(p: CycleParams, rho_m: DensityMatrix,
                    rho_n: DensityMatrix) -> tuple[StrokeRecord, ...]:
-    """Records of the full TP, API, QMI, QMII, APII sequence.
-
-    TP and API are the point's own records; QMI, QMII and APII are formed here.
-    """
+    """The records TP and API (the point's own), then QMI, QMII and APII of these states."""
     tp, api = p.thermal_strokes
     hr = api.hamiltonian_after
     return (
@@ -365,10 +280,10 @@ def _require_realizable(p: CycleParams) -> None:
 
 
 def run_numeric(p: CycleParams) -> EnergyLedger:
-    """Evolve the cycle numerically, stroke by stroke, and ledger the energies.
+    """The ledger of the cycle evolved through the channels, stroke by stroke.
 
-    Each channel is applied on its entries by `channels._excite` / `_damp`:
-    every application checks its strength's range, then completeness.
+    Refuses gamma outside `gamma_bounds` (`InvalidCycleError`) and gamma < 1/2,
+    which has no damping partner (`UnrealizableChannelError`).
     """
     _require_realizable(p)
     rho_m = _excite(p.strength, p.thermal)
@@ -389,14 +304,11 @@ def run_numeric(p: CycleParams) -> EnergyLedger:
 
 
 def run_analytic(p: CycleParams) -> EnergyLedger:
-    """Closed-form ledger; defined for all gamma in [0, 1].
+    """The closed-form ledger, at any gamma in [0, 1].
 
-    Outside the engine range the values are still the formula values
-    (useful for plotting the full efficiency curve) and the ledger is
-    flagged invalid.  eta is the one mode-specific formula (`_eta_law`):
-    the five-stroke law is exactly zero at the lower bound gamma = 1/(1+r),
-    and the two agree at r = 1 only up to roundoff, so each mode keeps its
-    own and the three-stroke CSV keeps its digits.
+    eta is the mode's `_eta_law` (0.0 at gamma = 0).  Each of these is flagged:
+    gamma = 0, no isentropic partner (q_used NaN), and gamma outside the engine
+    range, which also sets `valid` False.
     """
     w_api, q_in, delta, w_apii, q_out, w_ext = _closed_form(p.x, p.th, p.strength, p.r)
     flags: list[str] = []
@@ -428,11 +340,7 @@ def numeric_realizable(p: CycleParams) -> bool:
 
 
 def first_law_residual(ledger: EnergyLedger | GridLedger) -> float | np.ndarray:
-    """Signed energy-balance residual of either mode; zero for a closed cycle.
-
-    Three-stroke ledgers carry zero adiabatic work, so one identity covers
-    both.  On a `GridLedger` it is the same arithmetic per grid point.
-    """
+    """The signed energy balance of a scalar or grid ledger: zero for a closed cycle."""
     return ledger.q_out + ledger.q_in - ledger.w_api - ledger.delta - ledger.w_apii
 
 
@@ -450,20 +358,14 @@ def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CycleGrid:
-    """Many cycle points of one mode as flat (N,) arrays of b, gamma and r.
+    """N cycle points of one mode as flat read-only (N,) columns b, gamma and r.
 
-    Construction applies the `CycleParams` checks to every point, raising
-    the error `CycleParams` raises for the first bad one, and builds every
-    per-point column once, read-only: `x` = e^-b and `th` = tanh(b/2), from
-    math.exp and math.tanh once per distinct b; `strength`, the excitation
-    strength P = gamma * (1 - e^-b); `thermal`, the validated (4, N) state
-    stack of every point's Gibbs state, from one `_gibbs_populations`
-    call over the distinct b, as `gibbs_state` weighs each b; and `q`, the
-    `isentropic_strength_stack` of every point, NaN where no partner exists.
-    The grid owns every per-point state and entropy: `thermal`, and the `_KEPT`
-    stacks, each built once, on first read, and carried by `subset` and `stretched`;
-    `closed_form`, which only its entropies' first read needs, is not carried.
-    Every kept array has the point axis last, so one index rule, `[..., index]`, takes points.
+    Columns that are not flat or not of one shape raise ValueError, and a bad
+    point the error its `CycleParams` raises.  Built at construction: x, th,
+    strength and q, as `CycleParams` derives them, and `thermal`, the (4, N)
+    Gibbs stack.  Built on first read and kept: `evolved`, `entropies`,
+    `closed_form` and `closed_form_entropies`.  Every array has the point axis
+    last; `subset` and `stretched` carry the `_KEPT` ones.
     """
 
     b: np.ndarray
@@ -504,11 +406,10 @@ class CycleGrid:
 
     @classmethod
     def product(cls, b, gamma, r, mode: CycleMode | str) -> CycleGrid:
-        """The b x gamma points (b outer) of the b x gamma x r product in `mode`, at r = 1.
+        """The b x gamma points (b outer) as a three-stroke grid at r = 1.
 
-        Raises the `CycleParams` error of the product's first bad point in its flat
-        b > gamma > r order: a bad r meets the first (b, gamma), before a later bad b or
-        gamma.  The grid is three-stroke; `stretched(r, mode)` gives the product's points.
+        Refuses the first bad point of the b x gamma x r product, in its flat order.
+        `stretched(r, mode)` gives the product's points.
         """
         b, gamma, r = (np.array(axis, dtype=float) for axis in (b, gamma, r))
         mode = CycleMode(mode)
@@ -536,10 +437,9 @@ class CycleGrid:
         return self if realizable.all() else self.subset(realizable)
 
     def stretched(self, r, mode: CycleMode | str = CycleMode.FIVE_STROKE) -> CycleGrid:
-        """The `mode` grid of every point at each ratio of r: point i at r[k] is i*len(r) + k.
+        """Every point at each ratio of r, in `mode`: point i at r[k] is i*len(r) + k.
 
-        Only r is checked, as `CycleParams` checks it in `mode`; the states and their
-        entropies do not depend on r, so the rest is repeated, not rebuilt.
+        Only r is checked, as `CycleParams` checks it; the states and entropies are repeated.
         """
         mode = CycleMode(mode)
         r = np.array(r, dtype=float)
@@ -604,12 +504,7 @@ def _entropies(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GridLedger:
-    """`EnergyLedger`'s numbers as (N,) arrays, one entry per grid point, and nothing else.
-
-    The states after each stroke and their entropies are the grid's: the
-    numeric ledger's are `CycleGrid.thermal`, `evolved` and `entropies`, the
-    analytic ledger's `thermal`, `closed_form` and `closed_form_entropies`.
-    """
+    """`EnergyLedger`'s numbers and `valid` as (N,) arrays; states and entropies are the grid's."""
 
     q_in: np.ndarray
     q_out: np.ndarray
@@ -637,12 +532,9 @@ def run_numeric_grid(grid: CycleGrid) -> GridLedger:
 
 
 def run_analytic_grid(grid: CycleGrid) -> GridLedger:
-    """`run_analytic` at every point of the grid, the closed form on arrays.
+    """`run_analytic` at every point of the grid, on arrays.
 
-    It reads the grid's x, th and q columns.  A subnormal gamma overflows
-    1/gamma, so eta is -inf there, as Python's float division gives it in
-    `run_analytic`; numpy is told not to warn.  Its QMI and QMII states are
-    the grid's `closed_form`, built and validated when first read.
+    A subnormal gamma gives eta = -inf, as `run_analytic` does, without a warning.
     """
     gamma, r = grid.gamma, grid.r
     w_api, q_in, delta, w_apii, q_out, w_ext = _closed_form(grid.x, grid.th, grid.strength, r)

@@ -1,31 +1,11 @@
-"""Dense linear algebra for the qubit's real 2x2 operator matrices.
+"""Real 2x2 matrices and (4, N) state stacks: coercion, finiteness and eigenvalues.
 
-Every matrix is real: the engine's states and Kraus operators have real
-entries, so complex input, even with zero imaginary parts, is refused with
-`matrix entries must be real`, and so is an object or string array.
-`as_matrix_stack` is the one coercion rule, for a float64 (4, N) grid
-state stack (the layout is set out in `states`); `as_square_matrix`
-checks the (2, 2) shape and then applies it to the matrix's four entries
-as one column.  `_square_entries` gives the `DensityMatrix` and `KrausSet`
-constructors the checked entries as four Python floats: a 2x2 nested list
-of Python floats (what `DensityMatrix.from_populations` passes) is read
-without numpy; any other input goes through `as_square_matrix`.
-`_require_finite` is the one finiteness rule on four Python floats, which
-`_square_entries` applies to such a list and `states._state` to the four
-floats the numeric cycle's states are built from.  `_frozen_matrix` builds
-the read-only float64 array of four such entries, when a state's `mat` or
-a set's `ops` is first read.
-
-The scalar math runs on those floats without a numpy call (on a 2x2 matrix
-a numpy call costs more than its arithmetic): the constructors' symmetry
-defect is |a01 - a10|, and `_eig_pair` is the closed-form ascending
-eigenvalue pair of a symmetric matrix.  `_eigvals_stack` is `_eig_pair`
-over a stack, and `_distinct` the sort-based deduplication the grid code
-shares (a transcendental or a string once per distinct value).
-
-`matmul` (two checked matrices' product) and `eig_hermitian` (`_eig_pair`
-behind the symmetry check) serve no engine path: they remain because
-`bench/` times and traces them.
+Every entry is real and finite.  Complex input (even with zero imaginary
+parts), object and string arrays are refused with `matrix entries must be
+real`, never cast; a NaN or inf entry with `matrix entries must be finite`.
+One matrix travels as its four entries row by row (a00, a01, a10, a11), as
+Python floats; N of them as a float64 (4, N) stack, one row per entry.
+`matmul` and `eig_hermitian` have no caller in `src/`; `bench/` times them.
 """
 
 from __future__ import annotations
@@ -34,16 +14,14 @@ import math
 
 import numpy as np
 
-# Central tolerance for the whole verification stack.
 TOL_HERM = 1e-12  # max entrywise |A - A^dag| accepted as Hermitian
 
 
 def as_square_matrix(entries) -> np.ndarray:
-    """Coerce real input to a 2x2 float64 matrix, refusing complex and NaN/Inf entries.
+    """`entries` as a 2x2 float64 matrix.
 
-    The shape is checked first, then `as_matrix_stack`'s rule applies to the
-    four entries as one column, so a complex matrix is refused whatever its
-    imaginary parts.
+    Refuses a shape other than (2, 2) (`expected a square 2x2 qubit matrix, got
+    shape S`), then what `as_matrix_stack` refuses, the dtype first.
     """
     a = np.asarray(entries)
     if a.shape != (2, 2):
@@ -54,9 +32,7 @@ def as_square_matrix(entries) -> np.ndarray:
 def _square_entries(entries) -> list[float]:
     """The four entries of `as_square_matrix(entries)`, row by row, as Python floats.
 
-    A list of two lists of two Python floats is read without numpy, and
-    refused by `_require_finite` exactly when one entry is not finite;
-    anything else goes through `as_square_matrix`.
+    Same results and refusals (`test_each_input_is_accepted_or_refused_as_numpy_coerces_it`).
     """
     if type(entries) is list and len(entries) == 2:
         top, bottom = entries
@@ -86,11 +62,10 @@ def _frozen_matrix(flat) -> np.ndarray:
 
 
 def as_matrix_stack(entries) -> np.ndarray:
-    """Coerce real numeric input to a float64 (4, N) state stack, rejecting NaN/Inf entries.
+    """Real numeric input as a float64 (4, N) state stack.
 
-    The checks run in this order: the dtype (complex input, even with zero
-    imaginary parts, and object arrays are refused, not cast), the shape,
-    then finiteness.
+    Refused in this order: a non-real dtype, a shape that is not (4, N)
+    (`expected a (4, N) state stack, got shape S`), a non-finite entry.
     """
     a = np.asarray(entries)
     if a.dtype.kind not in "biuf":
@@ -108,19 +83,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return as_square_matrix(a) @ as_square_matrix(b)
 
 
-def eig_hermitian(a: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
-    """Real eigenvalues of a real Hermitian (symmetric) matrix, ascending, in closed form."""
+def eig_hermitian(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric 2x2 matrix, as a float64 array.
+
+    Refuses |a01 - a10| > TOL_HERM: `matrix is not Hermitian: defect D exceeds 1.0e-12`.
+    """
     entries = _square_entries(a)
     defect = abs(entries[1] - entries[2])
-    if defect > tol_herm:
+    if defect > TOL_HERM:
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol_herm:.1e}"
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {TOL_HERM:.1e}"
         )
     return np.array(_eig_pair(*entries))
 
 
 def _eig_pair(a00: float, a01: float, a10: float, a11: float) -> tuple[float, float]:
-    """Unchecked kernel of eig_hermitian: ascending eigenvalues of a known-symmetric matrix."""
+    """Ascending eigenvalues of [[a00, c], [c, a11]], c = (a01 + a10)/2; unchecked, finite input."""
     # Eigenvalues of [[a00, c], [c, a11]] are mean +- hypot((a00 - a11)/2, c).
     c = 0.5 * (a01 + a10)
     if c == 0.0:
@@ -134,13 +112,10 @@ def _eig_pair(a00: float, a01: float, a10: float, a11: float) -> tuple[float, fl
 
 
 def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_eig_pair` over a float64 (4, N) stack: the (N,) lower and upper eigenvalues.
+    """`_eig_pair` per state of a float64 (4, N) stack: the (N,) lower and upper eigenvalues.
 
-    Diagonal entries give the same bits as `_eig_pair`; the others can
-    differ from it in the last place (numpy's hypot is not math.hypot).
-    A stack without coherences, as every engine state is, skips the radius.
-    Where the coherences' sum overflows, c is formed from the halved terms,
-    as in `_eig_pair`, without a warning.
+    Bit for bit on diagonal states, within a few ulps on coherent ones
+    (`test_eigvals_stack_is_eig_pair_per_state`); an overflowing a01 + a10 does not warn.
     """
     p, a01, a10, q = a
     if not (a01.any() or a10.any()):
@@ -161,12 +136,9 @@ def _eigvals_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _distinct(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of a flat array and, per entry, its index among them.
 
-    On NaN-free input this is np.unique(flat, return_inverse=True) bit for
-    bit, up to which of two equal zeros stands for both.  One argsort of
-    numpy's default kind, which is faster than the stable one, since the
-    order within a run of equal values does not matter.  Each NaN is a
-    value of its own (NaN != NaN); they sort last, but they slow the sort,
-    so callers with many NaNs leave them out.
+    `np.unique(flat, return_inverse=True)` on NaN-free input, up to which of two
+    equal zeros stands for both (`test_distinct_edge_cases_are_np_unique_bit_for_bit`).
+    Each NaN is a value of its own.
     """
     order = flat.argsort()
     ordered = flat[order]

@@ -1,41 +1,14 @@
-"""Working-substance states: thermal preparation, energy, and entropy.
+"""Qubit states: thermal preparation, energy and entropy, for one state or a stack.
 
-Units are natural throughout: hbar = 1, the bare transition frequency is 1,
-so every energy is a pure number (multiples of the bare level spacing) and
-the only temperature parameter is the dimensionless product b = beta * gap.
-Entropy is reported in nats.
+Units: hbar = 1 and the bare gap is 1, so energies are pure numbers and
+temperature enters only as b = beta * gap.  Entropies are in nats.
 
-The working substance is a qubit with real states: `Hamiltonian` takes
-exactly two levels and `DensityMatrix` only real 2x2 matrices (via
-`linalg._square_entries`; complex input is refused).  Every state, however
-built, passes one check, `_admit`: the symmetry, trace and lowest-eigenvalue
-checks on the four entries as Python floats, which keeps the entries and
-the eigenvalue pair it computed; `mean_energy`, `von_neumann_entropy` and
-`DensityMatrix.eigenvalues` read those.  The constructor builds no numpy
-array from a nested list of Python floats, which is what `from_populations`
-and `gibbs_state` pass.  The numeric cycle's states (its thermal state and
-each channel output) already are four Python floats, so `_state` builds
-them without the list: the same finiteness rule (`linalg._require_finite`)
-and `_admit`, without the dataclass `__init__`.  `mat` (read-only float64)
-is built from the entries when first read, which a single cycle never
-does, and `entropy` is computed when first read, which a cycle whose
-caller reads only the ledger never does.  `_gibbs_populations` weighs the
-two levels with one `np.exp` on a float, or on a grid's array of b.
-
-Grid evaluation holds the states of N points as one state stack instead
-of one `DensityMatrix` per point.  A state stack is a float64 (4, N)
-array, read-only wherever a grid holds one, whose rows are the entries
-(r00, r01, r10, r11) in the order of `DensityMatrix.entries`: column i
-is the state of point i, and each row is the (N,) column of one entry
-over the points, which is what the channel kernel (`channels._evolve`)
-takes and returns.
-`validate_state_stack` applies the constructor's checks with the same
-tolerances to every state of a stack (`diagonal_stack` builds and checks
-one from two population columns), and `mean_energy_stack` /
-`entropy_stack` give, state by state, the same bits as `mean_energy` /
-`von_neumann_entropy` on coherence-free states.  On float64 entries
-every difference and modulus the stack checks take is exact, as the
-constructor's are, so they decide alike.
+Every state passes `_admit`: symmetric within TOL_HERM, of unit trace within
+TOL_TRACE, lower eigenvalue >= -TOL_PSD.  A state stack is a float64 (4, N)
+array with the entries (r00, r01, r10, r11) as rows, so column i is the state
+of point i; a grid holds it read-only.  On coherence-free states, as every
+engine state is, the stack functions give each column the scalar functions'
+bits (`test_grid_columns_equal_the_scalar_fields_bit_for_bit`).
 """
 
 from __future__ import annotations
@@ -64,7 +37,7 @@ ENTROPY_EIG_FLOOR = 1e-15  # eigenvalues below this contribute exactly 0 to S
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal qubit Hamiltonian, stored as its two real energy levels (ascending)."""
+    """Diagonal qubit Hamiltonian: two finite levels, ascending, stored as a float tuple."""
 
     levels: tuple[float, float]
 
@@ -81,7 +54,7 @@ class Hamiltonian:
 
     @classmethod
     def qubit(cls, frequency: float = 1.0) -> Hamiltonian:
-        """Two levels -f/2 (ground) and +f/2 (excited); f in units of the bare gap."""
+        """Levels -f/2 (ground) and +f/2 (excited), f in units of the bare gap, finite and > 0."""
         if not math.isfinite(frequency) or frequency <= 0:
             raise ValueError(f"qubit frequency must be positive, got {frequency}")
         return cls((-0.5 * frequency, +0.5 * frequency))
@@ -95,16 +68,11 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state.
+    """A checked qubit state, from a real 2x2 matrix as `linalg._square_entries` coerces it.
 
-    The input is a real 2x2 matrix (`linalg._square_entries`; complex input
-    is refused).  Construction validates all three invariants (`_admit`;
-    tolerances TOL_HERM, TOL_TRACE, TOL_PSD) and keeps what the checks read:
-    `entries`, the four entries of `mat` row by row as Python floats, and
-    `eig_pair`, its ascending eigenvalues.  Two fields are computed on
-    first read and kept, so every later read gives the same object:
-    `mat`, a read-only float64 array built from `entries`, and `entropy`,
-    the `von_neumann_entropy` of the state.
+    Refused by `_admit`.  Holds `entries` (Python floats, row by row) and
+    `eig_pair` (ascending); `mat` (read-only float64) and `entropy`
+    (`von_neumann_entropy`) are built on first read and kept.
     """
 
     mat: np.ndarray
@@ -130,7 +98,7 @@ class DensityMatrix:
 
     @classmethod
     def from_populations(cls, populations) -> DensityMatrix:
-        """Diagonal state from a probability vector of length 2."""
+        """The diagonal state of two populations; any other length is refused."""
         n = len(populations)
         if n != 2:
             raise ValueError(f"expected 2 populations for a 2x2 qubit state, got {n}")
@@ -158,11 +126,10 @@ class DensityMatrix:
 
 
 def _admit(fields: dict, a00: float, a01: float, a10: float, a11: float) -> None:
-    """The state checks on four finite real entries, row by row; on success they go in `fields`.
+    """Check four finite real entries, row by row, and write `entries` and `eig_pair` to `fields`.
 
-    Refuses a state that is not Hermitian within TOL_HERM, off unit trace by
-    more than TOL_TRACE, or has an eigenvalue below -TOL_PSD; otherwise writes
-    `entries` and `eig_pair` into `fields`, a new state's `__dict__`.
+    Refuses a state that is not symmetric within TOL_HERM, off unit trace by
+    more than TOL_TRACE, or has an eigenvalue below -TOL_PSD or NaN.
     """
     defect = abs(a01 - a10)
     if defect > TOL_HERM:
@@ -179,10 +146,9 @@ def _admit(fields: dict, a00: float, a01: float, a10: float, a11: float) -> None
 
 
 def _state(a00: float, a01: float, a10: float, a11: float) -> DensityMatrix:
-    """`DensityMatrix([[a00, a01], [a10, a11]])` of four Python floats, without the nested list.
+    """`DensityMatrix([[a00, a01], [a10, a11]])` of four Python floats, with the same refusals.
 
-    The same finiteness rule and checks, with the same messages, skipping the
-    dataclass `__init__` and `_square_entries`' list and type checks.
+    Pinned by `test_each_input_is_accepted_or_refused_as_numpy_coerces_it`.
     """
     _require_finite(a00, a01, a10, a11)
     rho = object.__new__(DensityMatrix)
@@ -191,12 +157,9 @@ def _state(a00: float, a01: float, a10: float, a11: float) -> DensityMatrix:
 
 
 def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
-    """Thermal state exp(-b H)/Z at dimensionless inverse temperature b > 0.
+    """The thermal state exp(-b H)/Z, checked, for a finite b > 0 (else ValueError).
 
-    Each call builds and validates a new state; a cycle gets its one
-    thermal state from `CycleParams`.  An invalid b raises ValueError.
-    A gap so wide that b times it leaves the float range gives the ground
-    state, the limit, without a warning.
+    A b * gap beyond the float range gives the ground state, without a warning.
     """
     if not math.isfinite(b) or b <= 0:
         raise ValueError(f"inverse temperature b must be finite and positive, got {b}")
@@ -204,13 +167,10 @@ def gibbs_state(h: Hamiltonian, b: float) -> DensityMatrix:
 
 
 def _gibbs_populations(h: Hamiltonian, b):
-    """The (ground, excited) populations of exp(-b H)/Z, for a float b or an (N,) array of b.
+    """(ground, excited) of exp(-b H)/Z: two floats for a float b, two (N,) arrays for an array.
 
-    A float b gives two floats, an array two (N,) arrays.  The weights are
-    taken relative to the ground level, which keeps exp() in range for any b:
-    the ground weight exp(-b*0) is 1 exactly, the excited one w = exp(-b*gap)
-    comes from one np.exp, and Z = 1 + w.  An overflowing gap, or b*gap, is
-    inf (Python floats do not warn; numpy is told not to) and w = exp(-inf) = 0.
+    The ground weight is 1 and the excited one exp(-b * gap), so an infinite
+    b * gap gives (1, 0), without a warning.
     """
     lo, hi = h.levels
     gap = hi - lo
@@ -224,17 +184,14 @@ def _gibbs_populations(h: Hamiltonian, b):
 
 
 def mean_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """Tr(H rho), a float: H is diagonal, so lo * rho_00 + hi * rho_11.
-
-    These are the operations `mean_energy_stack` makes, in the same order.
-    """
+    """Tr(H rho), a float: lo * rho_00 + hi * rho_11, since H is diagonal."""
     lo, hi = h.levels
     rho_00, _, _, rho_11 = rho.entries
     return lo * rho_00 + hi * rho_11
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum(lam * ln(lam)) over eigenvalues, in nats."""
+    """S(rho) = -sum(lam * ln(lam)) in nats; eigenvalues below ENTROPY_EIG_FLOOR add 0."""
     s = 0.0
     for lam in rho.eig_pair:
         lam = max(lam, 0.0)  # PSD slack in [-TOL_PSD, 0) must not produce NaN
@@ -250,18 +207,12 @@ _PSD_SLACK = 4.0 * sys.float_info.epsilon
 
 
 def validate_state_stack(rho) -> np.ndarray:
-    """The `DensityMatrix` checks on every state of a float64 (4, N) state stack.
+    """The `DensityMatrix` checks on every state of a (4, N) stack; returns it as float64.
 
-    Raises ValueError if the stack is not real, not of shape (4, N) or not
-    finite, as `as_matrix_stack` decides, and otherwise names the first
-    state that is not Hermitian within TOL_HERM, off unit trace by more
-    than TOL_TRACE, or has an eigenvalue below -TOL_PSD.  Returns the stack
-    as `as_matrix_stack` coerces it, float64.  Each check is one reduction
-    over the whole stack; the per-state values are formed only to name the
-    state.  On real entries |a01 - a10| and |tr - 1| are exact, so they
-    decide as `DensityMatrix` does; numpy's hypot can be an ulp off
-    math.hypot, so a lower eigenvalue within a few ulps of -TOL_PSD is
-    decided by `_eig_pair`, the constructor's rule.
+    Refuses what `as_matrix_stack` refuses, then names the first bad state:
+    `state I of the stack is not Hermitian (defect D)`, `... has trace T, not 1`
+    or `... has negative eigenvalue E`.  It decides as `_admit` does at each
+    tolerance (`test_coherent_psd_edge_is_the_density_matrix_rule`).
     """
     m = as_matrix_stack(rho)
     r00, r01, r10, r11 = m
@@ -297,21 +248,16 @@ def _require_float(rho: np.ndarray) -> None:
 
 
 def mean_energy_stack(rho: np.ndarray, frequency) -> np.ndarray:
-    """Tr(H rho) per state, H = `Hamiltonian.qubit(frequency)` (frequency scalar or per state).
+    """Tr(H rho) per state of a float64 (4, N) stack, H = `Hamiltonian.qubit(frequency)`.
 
-    rho is a validated float64 (4, N) stack; each state gives `mean_energy`'s
-    bits.  A complex stack raises ValueError, as in `as_matrix_stack`.
+    `frequency` is a scalar or (N,).  A complex stack is refused.
     """
     _require_float(rho)
     return (-0.5 * frequency) * rho[0] + (0.5 * frequency) * rho[3]
 
 
 def entropy_stack(rho: np.ndarray) -> np.ndarray:
-    """`von_neumann_entropy` per state of a validated (4, N) stack.
-
-    math.log, the scalar path's logarithm, runs once per distinct eigenvalue.
-    A complex stack raises ValueError, as in `as_matrix_stack`.
-    """
+    """`von_neumann_entropy` per state of a float64 (4, N) stack; a complex stack is refused."""
     _require_float(rho)
     lam = np.maximum(np.concatenate(_eigvals_stack(rho)), 0.0)  # PSD slack must not produce NaN
     kept = lam >= ENTROPY_EIG_FLOOR

@@ -1,30 +1,14 @@
-"""Parameter-grid sweeps written as deterministic CSV.
+"""`measengine sweep`: the CSV of every b x gamma x r point, b outer and r inner.
 
-One row per grid point, Cartesian order (b outer, gamma middle, r inner).
-Scalar columns come from the analytic ledger, which is defined at every
-grid point.  eta_numeric comes from the numeric run and is empty where the
-cycle is not numerically realizable (the entropy-preserving stroke needs
-gamma >= 1/2).  first_law_residual is never empty: it is the numeric
-ledger's residual where the cycle is realizable and the analytic ledger's
-residual elsewhere, a roundoff-level number that is often, but not always,
-0.  Floats are rendered with 12 significant digits, so repeated sweeps are
-byte-identical.  Each slice of CHUNK_ROWS rows sorts its non-NaN cells
-once and formats each distinct value once, all of them in one `%` call.
+The ledger columns are the analytic ledger's, defined at every point;
+S_after_QMI and S_after_QMII are its states' entropies.  eta_numeric is empty
+where the cycle is not numerically realizable (gamma < 1/2), and
+first_law_residual is the numeric ledger's where it is, else the analytic
+one's.  A cell is `%.12g` of value + 0.0, so -0.0 reads 0, and NaN is an
+empty cell; a grid gives the same bytes on every run (`test_csv_digest_is_pinned`).
 
-The states, their entropies and q depend on (b, gamma) alone, so the sweep
-works on the b x gamma grid (`CycleGrid.product`): it evolves the realizable
-points once and forms S_after_QMI and S_after_QMII, the entropies of the
-grid's `closed_form` states, once per point.  Batches of b x gamma points
-are then stretched over r (`CycleGrid.stretched`), which carries those
-states and entropies, and evaluated by `engine.run_analytic_grid` and
-`engine.run_numeric_grid`; a batch holds at most max(BATCH_ROWS, len(r))
-rows, however large the grid.
-`sweep_row` is the one-point case of the same path.
-
-A sweep either writes the whole CSV or leaves the destination untouched:
-every grid point is validated before any output is opened, and the rows
-go to a temporary file beside the destination that replaces it only once
-complete.
+Every point is checked before any output opens, and the rows go to a
+temporary file that replaces the destination only when complete.
 """
 
 from __future__ import annotations
@@ -57,7 +41,7 @@ _DIGITS = "%.12g"  # a cell's format, applied to value + 0.0, which folds -0.0 t
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of cycle parameters plus the CSV destination."""
+    """A sweep's mode, axes and CSV path; an empty axis or path is refused."""
 
     mode: CycleMode
     b_values: tuple[float, ...]
@@ -82,12 +66,7 @@ def _cell(x: float) -> str:
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
-    """Every entry as its CSV cell, an object array of values' shape.
-
-    A cell is `_cell` of the value, with NaN shown as "" (an empty cell).
-    Only the non-NaN values are sorted: each distinct one is formatted once,
-    and all of them in one `%` call.
-    """
+    """Every entry's CSV cell (`_cell`; NaN as ""), as an object array of `values`' shape."""
     flat = values.ravel()
     kept = ~np.isnan(flat)
     distinct, inverse = _distinct(flat[kept])
@@ -101,9 +80,7 @@ def _cells(values: np.ndarray) -> np.ndarray:
 def _rows(mode: CycleMode, b, gamma, r) -> Iterator[str]:
     """The CSV rows of the b x gamma x r product, CHUNK_ROWS to a string, each ending in a newline.
 
-    Every point is checked, the realizable (b, gamma) points are evolved and the
-    S_after_QMI and S_after_QMII columns formed here, once per (b, gamma); the
-    returned iterator only stretches them over r and formats, one batch at a time.
+    Every point is checked, and the (b, gamma) states evolved, before the iterator is returned.
     """
     grid = CycleGrid.product(b, gamma, r, mode)
     ready = np.flatnonzero(grid.realizable)

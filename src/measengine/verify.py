@@ -1,43 +1,17 @@
-"""Self-check suite: every closed-form result against the numeric evolution.
+"""`measengine verify`: every ledger of a b x gamma x r grid, checked against the closed form.
 
-This is the machinery behind `measengine verify`.  It builds the b x gamma
-grid as one three-stroke `CycleGrid`, evolves its realizable points once
-(the grid itself when every point is, as on the default grid, else a
-subset), and stretches them over r into the five-stroke grid, which
-carries those states and their entropies.  Each grid is evaluated twice:
-by `run_numeric_grid` (its evolved states) and `run_analytic_grid`.
-Each check family is one rule at every point it applies to: channel
-completeness, oracle equivalence per ledger field, entropy equality,
-population swap, coherence-free states per stroke, the efficiency law, the
-first law, adiabat isentropy, the special points gamma = 1/2 and gamma = 1
-(and the entropy ordering between them), and the r = 1 reduction of the
-five-stroke cycle to the three-stroke one.  Two families check nothing of
-their own: `adiabat-isentropic` compares `entropy_tp` with itself at tol 0
-and cannot fail, and `efficiency-law` checks `eta` against the `_eta_law`
-array that `oracle-equivalence-eta` checks it against at every realizable
-point, so it fails only where that one does.  The completeness families
-read the deviations that the evolution's two channel applications checked
-(`CycleGrid.evolved`); the excitation channels of the points it skips
-(gamma < 1/2) are formed for an `excite` family of their own.
+Each check family is one rule over the points it applies to.  A check
+passes when |observed - expected| - tol <= 0, and a one-sided one (value <=
+0) is max(value, 0) against 0 at tol 0.  NaN passes only against NaN.
+Failures are reported, never raised, ordered by b, gamma, then the channels,
+the three-stroke cycle and the five-stroke cycle at each r.
+`adiabat-isentropic` cannot fail, and `efficiency-law` fails only where
+`oracle-equivalence-eta` does.
 
-Every check is one rule: it passes when its margin |observed - expected|
-- tol is <= 0, and a one-sided check (value <= 0) is max(value, 0)
-against 0 at tol 0.  `_Checker` decides the whole run by one comparison
-of all margins with 0.  Failures are collected into a report, never
-raised: only then are the failing positions of each family worked back
-into their b, gamma and r, formatted, and sorted: b, then gamma, then the
-channels, the three-stroke cycle and the five-stroke cycle at each r.
-
-The optional `perturb` hook adds +0.1 to one ledger field of every numeric
-ledger before checking, to prove that the suite bites (the run must fail).
-
-The five-stroke numeric ledger comes from one call of
-`run_five_stroke_numeric(five_grid) -> GridLedger` (`run_numeric_grid`).
-Replacing that name injects a fault into the five-stroke ledger numbers
-alone: a ledger holds no states, and the state checks read the grid's
-(`CycleGrid.thermal`, `evolved` and `entropies`), so a fault in the states
-needs a seam of its own.  The three-stroke ledger, the r = 1 reduction's
-reference, is computed without it.
+`perturb` adds PERTURBATION to one field of every numeric ledger, so the run
+must fail.  Replacing `run_five_stroke_numeric` (CycleGrid -> GridLedger)
+injects a fault into the five-stroke numeric ledger alone; the three-stroke
+reference and the grid's states do not pass through it.
 """
 
 from __future__ import annotations
@@ -98,6 +72,8 @@ class CheckFailure:
 
 @dataclass
 class VerifyReport:
+    """What `run_verification` found: the check count, the failures in report order, the seconds."""
+
     checks_run: int
     failures: list[CheckFailure]
     elapsed_seconds: float
@@ -117,10 +93,7 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class _Points:
-    """Grid points checked together: positions `at` into the flat b x gamma (x r under five) grid.
-
-    Selecting points composes positions; the `_Checker` names a failing one from its axes.
-    """
+    """Grid points checked together: positions `at` into the flat b x gamma (x r under five) grid."""
 
     label: str  # excite, damp, three or five; five also names r
     at: np.ndarray
@@ -130,20 +103,10 @@ class _Points:
 
 
 class _Checker:
-    """Records check families over the axes b, gamma and r; settles them at the first read.
+    """Check families over the axes b, gamma and r, settled when first read (`count`, `failures`).
 
-    A family checks one rule at every point given; `observed` holds one
-    value per check, and its margin is |observed - expected| - tol (a
-    one-sided check, value <= 0, is max(value, 0) against 0 at tol 0).  A
-    margin is <= 0 exactly when its check passes (with gradual underflow
-    a - t <= 0 iff a <= t); NaN and inf fail it.  Settling, at the first
-    read of `count` or `failures` (record every family before it), forms
-    each margin with one difference per family (none where the expected
-    value is the scalar 0.0), one concatenation and one repeat of the
-    tolerances, and decides the run with one comparison.  Only on a failure
-    are the families replayed, under the NaN rule of `close`, each failing
-    family's positions unravelled into the axes at once; the recording
-    order of the checks at one point orders that point's failures.
+    Every family is recorded before that read; the recording order orders one
+    point's failures (`test_settling_gives_the_count_and_failures_of_each_check_on_its_own`).
     """
 
     def __init__(self, b: np.ndarray, gamma: np.ndarray, r: np.ndarray):
@@ -240,10 +203,7 @@ def _fields(ledger: GridLedger) -> np.ndarray:
 
 
 def _check_states(c: _Checker, points: _Points, grid: CycleGrid, strokes: tuple[str, ...]):
-    """Entropy equality, population swap, coherence-free states of the grid's evolved states.
-
-    Returns TP's and QMI's entropy.
-    """
+    """Entropy equality, population swap, coherence-free states; returns TP's and QMI's entropy."""
     entropy_tp, entropy_qmi, entropy_qmii = grid.entropies
     c.close("entropy-equality", points, entropy_qmi, entropy_qmii, TOL_EXACT)
     m, n, _, _ = grid.evolved
@@ -310,7 +270,10 @@ def run_verification(
     r_grid=DEFAULT_R_GRID,
     perturb: str | None = None,
 ) -> VerifyReport:
-    """Run the full cross-check suite over the given grids."""
+    """Run every check family over the product of the given axes.
+
+    Refuses an unknown `perturb` field, and a bad grid point with its `CycleParams` error.
+    """
     if perturb is not None:
         perturb = normalize_perturb_field(perturb)
     start = time.perf_counter()

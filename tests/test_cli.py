@@ -391,3 +391,21 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 9
+
+
+HELP_LINES = [
+    "Subcommands:",
+    "  cycle   run one engine cycle and print its stroke table and ledger",
+    "  sweep   evaluate a parameter grid and write it as CSV",
+    "  verify  run the analytic-vs-numeric cross-check suite",
+    "Exit codes: 0 success, 1 usage/config/io error, 2 invalid parameters, 3 failed checks.",
+]
+
+
+def test_help_prints_the_subcommands_and_exit_codes_as_written(capsys):
+    # argparse's default formatter reflows a description into one paragraph.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line in HELP_LINES] == HELP_LINES

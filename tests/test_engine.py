@@ -590,9 +590,13 @@ def test_an_incomplete_channel_is_refused_by_both_engines(monkeypatch):
 
 
 def _same(a, b) -> bool:
-    """Equal values, NaN matching NaN; tuples entry by entry, states and records by their fields."""
+    """Equal values, NaN matching NaN; tuples entry by entry, states and records by their fields,
+    arrays by dtype, shape and bytes."""
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
         return math.isnan(b)
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and (a.dtype, a.shape) == (b.dtype, b.shape)
+                and a.tobytes() == b.tobytes())
     if isinstance(a, tuple):
         return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, DensityMatrix):
@@ -673,4 +677,4 @@ def test_engine_built_records_are_whole_and_frozen(monkeypatch, mode, b, gamma, 
     damping = channels._damping(0.25, math.sqrt, 0.0)
     damp = KrausSet(tuple([[a, b], [c, d]] for a, b, c, d in damping))
     for k in (first_channel(p.strength), damp):
-        _assert_whole_and_frozen(k, lazy=("ops",))
+        _assert_whole_and_frozen(k)  # `ops` and `entries` are both built at construction

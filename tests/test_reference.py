@@ -9,9 +9,10 @@ measured over about 1.5 million points of this range (most of them at the
 small-b end, where 1 - e^-b cancels), rounded up to the next 10 (numeric)
 or the next integer (analytic); a change that makes a path less accurate
 breaks the pin.  The examples are points where that scan found a worst
-k, and the draws are derandomized, so the property checks the same points
-on every run.  The post-QMI populations and the three entropies are pinned
-alike, for the scalar runners and the grid runners of both paths.
+k, and each property draws from a pinned seed, so it checks the same
+points on every run and after an edit to its body.  The post-QMI
+populations and the three entropies are pinned alike, for the scalar
+runners and the grid runners of both paths.
 """
 
 import math
@@ -19,7 +20,7 @@ import sys
 from decimal import Decimal
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from reference import LEDGER, LN2, STATES, reference_ledger, reference_states
 from support import grid_states
@@ -41,6 +42,14 @@ K = {
                  "w_ext": 503, "eta": 3},
 }
 
+# The seeds that `derandomize=True` derived from each property's source before they were
+# pinned (in hypothesis 6.155.2, int_from_bytes(function_digest(inner_test))), so pinning
+# them drew no new point.  A seed is read before `derandomize`.
+LEDGER_SEED = int("240908877006836268739019818974154023774881319775281397122091"
+                  "3122735689221620564078252667064674975445855443247939759")
+STATES_SEED = int("139875260301656528521101672352262541384228412095246745652990"
+                  "23545943284764586904373915310488492974687152903609560058")
+
 b_values = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
 r_values = st.floats(0.0, math.log(100.0)).map(math.exp)
 
@@ -55,6 +64,7 @@ def errors_in_eps(ledger, i: int, ref: dict[str, Decimal]) -> dict[str, float]:
     }
 
 
+@seed(LEDGER_SEED)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     mode=st.sampled_from(list(CycleMode)),
@@ -124,6 +134,7 @@ def _grid_states(stacks: tuple[np.ndarray, ...], entropies: tuple[np.ndarray, ..
                                                                  strict=True)}}
 
 
+@seed(STATES_SEED)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     mode=st.sampled_from(list(CycleMode)),
