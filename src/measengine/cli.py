@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
 
-    cycle = sub.add_parser("cycle", help="run one engine cycle")
+    cycle = sub.add_parser("cycle")
     cycle.add_argument("--mode", choices=[m.value for m in CycleMode])
     cycle.add_argument("--b", type=float, help=f"inverse temperature (default {DEFAULT_B:g})")
     cycle.add_argument("--gamma", type=float, help="strength fraction in [0, 1]")
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--both", dest="source", action="store_const", const="both")
     cycle.set_defaults(func=cmd_cycle, source=None)
 
-    sweep = sub.add_parser("sweep", help="evaluate a parameter grid to CSV")
+    sweep = sub.add_parser("sweep")
     sweep.add_argument("--mode", choices=[m.value for m in CycleMode])
     sweep.add_argument("--b-values", dest="b_values")
     sweep.add_argument("--gamma-values", dest="gamma_values")
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="key=value config file; flags override it")
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="run the cross-check suite")
+    verify = sub.add_parser("verify")
     verify.add_argument("--grid-b", dest="grid_b")
     verify.add_argument("--grid-gamma", dest="grid_gamma")
     verify.add_argument("--grid-r", dest="grid_r")

@@ -323,9 +323,10 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
     valid = lo <= p.gamma <= hi
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
-    m_pops = _measured(p.x, p.strength)
-    strokes = _cycle_strokes(p, DensityMatrix.from_populations(m_pops),
-                             DensityMatrix.from_populations(m_pops[::-1]))  # QMII swaps them
+    ground, excited = _measured(p.x, p.strength)
+    ground, excited = float(ground), float(excited)  # a numpy-scalar gamma gives np.float64
+    strokes = _cycle_strokes(p, _state(ground, 0.0, 0.0, excited),
+                             _state(excited, 0.0, 0.0, ground))  # QMII swaps them
     return _unchecked(
         EnergyLedger, params=p, source="analytic", strokes=_view(p, strokes),
         q_in=q_in, q_out=q_out, w_api=w_api, w_apii=w_apii, delta=delta,

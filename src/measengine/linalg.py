@@ -30,18 +30,7 @@ def as_square_matrix(entries) -> np.ndarray:
 
 
 def _square_entries(entries) -> list[float]:
-    """The four entries of `as_square_matrix(entries)`, row by row, as Python floats.
-
-    Same results and refusals (`test_each_input_is_accepted_or_refused_as_numpy_coerces_it`).
-    """
-    if type(entries) is list and len(entries) == 2:
-        top, bottom = entries
-        if type(top) is list and type(bottom) is list and len(top) == 2 and len(bottom) == 2:
-            flat = top + bottom
-            a00, a01, a10, a11 = flat
-            if type(a00) is type(a01) is type(a10) is type(a11) is float:
-                _require_finite(a00, a01, a10, a11)
-                return flat
+    """The four entries of `as_square_matrix(entries)`, row by row, as Python floats."""
     return as_square_matrix(entries).ravel().tolist()
 
 

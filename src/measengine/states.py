@@ -68,11 +68,11 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A checked qubit state, from a real 2x2 matrix as `linalg._square_entries` coerces it.
+    """A checked qubit state, from a real 2x2 matrix that numpy coerces (`as_square_matrix`).
 
-    Refused by `_admit`.  Holds `entries` (Python floats, row by row) and
-    `eig_pair` (ascending); `mat` (read-only float64) and `entropy`
-    (`von_neumann_entropy`) are built on first read and kept.
+    The engine builds its states by `_state`.  Refused by `_admit`.  Holds `entries`
+    (Python floats, row by row) and `eig_pair` (ascending); `mat` (read-only
+    float64) and `entropy` (`von_neumann_entropy`) are built on first read and kept.
     """
 
     mat: np.ndarray
@@ -146,9 +146,9 @@ def _admit(fields: dict, a00: float, a01: float, a10: float, a11: float) -> None
 
 
 def _state(a00: float, a01: float, a10: float, a11: float) -> DensityMatrix:
-    """`DensityMatrix([[a00, a01], [a10, a11]])` of four Python floats, with the same refusals.
+    """`DensityMatrix([[a00, a01], [a10, a11]])` of four Python floats, without numpy.
 
-    Pinned by `test_each_input_is_accepted_or_refused_as_numpy_coerces_it`.
+    Same refusals (`test_each_input_is_accepted_or_refused_as_numpy_coerces_it`).
     """
     _require_finite(a00, a01, a10, a11)
     rho = object.__new__(DensityMatrix)

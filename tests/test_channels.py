@@ -74,7 +74,7 @@ class TestCompleteness:
     def test_non_finite_operator_is_rejected(self, bad):
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             op = with_entry(PROJ_Z.ops[1], i, j, bad)
-            for given in (op, op.tolist()):  # the engine's channels pass nested lists
+            for given in (op, op.tolist()):  # an array, and the nested list numpy coerces
                 with pytest.raises(ValueError, match=refusal(bad)):
                     KrausSet(PROJ_Z.ops[:1] + (given,))
 

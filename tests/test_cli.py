@@ -409,3 +409,6 @@ def test_help_prints_the_subcommands_and_exit_codes_as_written(capsys):
     assert exit_info.value.code == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line in HELP_LINES] == HELP_LINES
+    # Each subcommand's description prints once: the module docstring is its one owner.
+    for name, line in zip(("cycle", "sweep", "verify"), HELP_LINES[1:4], strict=True):
+        assert [ln for ln in lines if re.match(rf" +{name} +\w", ln)] == [line]

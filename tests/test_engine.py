@@ -25,7 +25,7 @@ from measengine.engine import (
     run_numeric,
     run_numeric_grid,
 )
-from measengine import channels, engine, states
+from measengine import channels, engine, linalg, states
 from measengine.channels import IncompleteKrausSetError, KrausSet, apply_unselective, first_channel
 from measengine.states import DensityMatrix, Hamiltonian, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
@@ -524,12 +524,22 @@ def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
     ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
     ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6),
     ("five", 1, 0.8, 2.0),  # an integer b: the thermal state's entries are floats too
+    # numpy scalars: the states' entries are Python floats all the same
+    pytest.param("five", np.float64(0.7), np.float64(0.8), np.float64(2.0), id="five-float64"),
 ])
 def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
     # The engine's states and channels are real, so every entry the cycle builds or hands
     # the channel kernel is a Python float, and the cycle's arithmetic on them is float
-    # arithmetic.  Every state, however built, is checked by `states._admit`.
+    # arithmetic.  Every state is built from four floats by `states._state`, checked by
+    # `states._admit`, and never coerced through numpy.
     built = {DensityMatrix: [], KrausSet: []}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar cycle coerced a matrix through numpy")
+
+    for module, name in ((linalg, "as_square_matrix"), (linalg, "_square_entries"),
+                         (states, "_square_entries"), (channels, "_square_entries")):
+        monkeypatch.setattr(module, name, refuse)
 
     def admitted(fields, *entries, check=states._admit):
         check(fields, *entries)
@@ -556,8 +566,11 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
     for ops, rho in evolved:
         assert len(ops) == 2 and all(len(op) == 4 for op in ops)
         assert all(type(v) is float for op in ops for v in op + rho)
+    # The ledger's numbers are arithmetic on the inputs, so a numpy-scalar input may give
+    # numpy-scalar numbers there; the states' entries above are Python floats all the same.
+    numbers = {float, type(gamma)}
     for ledger in ledgers:
-        assert all(type(getattr(ledger, name)) is float for name in LEDGER_FIELDS)
+        assert all(type(getattr(ledger, name)) in numbers for name in LEDGER_FIELDS)
         assert all(type(rec.energy_after) is float and type(rec.entropy_after) is float
                    for rec in ledger.strokes)
 

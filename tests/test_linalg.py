@@ -12,12 +12,13 @@ from measengine.channels import KrausSet
 from measengine.linalg import (
     _eig_pair,
     _eigvals_stack,
+    _require_finite,
     _square_entries,
     as_square_matrix,
     eig_hermitian,
     matmul,
 )
-from measengine.states import DensityMatrix
+from measengine.states import DensityMatrix, _state
 from support import (
     NON_FINITE,
     is_real,
@@ -84,9 +85,9 @@ def _float_list(*replaced):
     return m
 
 
-# The engine's own input: nested lists of Python floats, read without numpy.  One
-# non-finite entry at each position, and +inf with -inf, whose sum is NaN; a NON_FINITE
-# value with an imaginary part makes the list complex, which numpy coerces and refuses.
+# Nested lists of Python floats, which numpy coerces: one non-finite entry at each
+# position, and +inf with -inf, whose sum is NaN; a NON_FINITE value with an imaginary
+# part makes the list complex, which numpy refuses.
 NON_FINITE_FLOAT_LISTS = [
     pytest.param(_float_list((i, j, bad)), refusal(bad), id=f"{bad!r}@{i}{j}")
     for bad in (math.nan, math.inf, -math.inf) for i, j in POSITIONS
@@ -99,11 +100,21 @@ NON_FINITE_FLOAT_LISTS = [
                  id=f"inf@{a}-inf@{b}")
     for a, b in itertools.permutations(POSITIONS, 2)
 ]
+# `_state` takes the engine's four Python floats and checks them without numpy
+# (`linalg._require_finite`: the sum first, then entry by entry), so it gets the real lists.
+FINITENESS_CHECKS = {
+    "_square_entries": _square_entries,
+    "DensityMatrix": DensityMatrix,
+    "KrausSet": lambda m: KrausSet((m,)),
+    "_state": lambda m: _state(*m[0], *m[1]),
+}
 
 
-@pytest.mark.parametrize(("entries", "message"), NON_FINITE_FLOAT_LISTS)
-@pytest.mark.parametrize("check", [_square_entries, DensityMatrix, lambda m: KrausSet((m,))],
-                         ids=["_square_entries", "DensityMatrix", "KrausSet"])
+@pytest.mark.parametrize(("check", "entries", "message"), [
+    pytest.param(check, *case.values, id=f"{name}-{case.id}")
+    for name, check in FINITENESS_CHECKS.items() for case in NON_FINITE_FLOAT_LISTS
+    if name != "_state" or all(type(v) is float for row in case.values[0] for v in row)
+])
 def test_non_finite_float_lists_are_rejected(check, entries, message):
     with pytest.raises(ValueError, match=message):
         check(entries)
@@ -142,10 +153,10 @@ def test_finite_entries_whose_sum_overflows_are_accepted():
     # The sum of the four entries is inf, so the finiteness check decides entry by entry.
     entries = [[1e308, 1e308], [1e308, 1e308]]
     assert math.isinf(sum(entries[0] + entries[1]))
-    flat = _square_entries(entries)
-    assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
-    flat = _square_entries(np.array(entries))
-    assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
+    _require_finite(1e308, 1e308, 1e308, 1e308)
+    for given_entries in (entries, np.array(entries)):
+        flat = _square_entries(given_entries)
+        assert flat == [1e308] * 4 and all(type(v) is float for v in flat)
 
 
 def test_trace_is_cyclic(rng):

@@ -113,7 +113,7 @@ class TestDensityMatrixInvariants:
         mixed = np.eye(2) / 2.0
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             m = with_entry(mixed, i, j, bad)
-            for given in (m, m.tolist()):  # a nested list is what `from_populations` passes
+            for given in (m, m.tolist()):  # an array, and the nested list numpy coerces
                 with pytest.raises(ValueError, match=refusal(bad)):
                     DensityMatrix(given)
 
@@ -284,9 +284,9 @@ class TestConstructorInputKinds:
     """`DensityMatrix` and `KrausSet` accept or refuse every kind of input as numpy's coercion does.
 
     The reference is `as_square_matrix`: the shape check, then numpy's coercion
-    under `as_matrix_stack`'s rule (real entries only, all finite).  Nested lists of
-    Python floats are read without numpy, and their four floats also build a state
-    through `states._state`, so for them this compares three implementations.
+    under `as_matrix_stack`'s rule (real entries only, all finite).  The four floats
+    of a nested list of Python floats also build a state through `states._state`,
+    which checks them without numpy, so for them this compares two routes.
     """
 
     @settings(max_examples=400)
@@ -325,7 +325,7 @@ class TestConstructorInputKinds:
 
     @staticmethod
     def _assert_built_from(mat: np.ndarray, entries: tuple, expected: np.ndarray, value) -> None:
-        # Every kind gives Python float entries; a nested list of Python floats keeps its own.
+        # Every kind gives Python float entries; a nested list of Python floats keeps their bits.
         assert all(type(v) is float for v in entries)
         rows = value if type(value) is list and all(type(row) is list for row in value) else []
         flat = [v for row in rows for v in row]
