@@ -53,9 +53,6 @@ class KrausSet:
         entries = tuple(tuple(_square_entries(op)) for op in self.ops)
         self.__dict__.update(ops=tuple(map(_frozen_matrix, entries)), entries=entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _completeness_terms(ops):
     """sum_n A_n^T A_n - 1 as its (0, 0), (0, 1) and (1, 1) entries, in the entries' type."""

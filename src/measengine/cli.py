@@ -120,11 +120,11 @@ def _render_ledger(ledger: EnergyLedger) -> str:
 def cmd_cycle(args) -> int:
     config = load_config(args.config) if args.config else {}
     mode = _pick(args.mode, config, "mode", required=True)
-    b = float(_pick(args.b, config, "b", default=DEFAULT_B))
+    b = _pick(args.b, config, "b", default=DEFAULT_B)
     gamma = _pick(args.gamma, config, "gamma", required=True)
-    r = float(_pick(args.r, config, "r", default=1.0))
+    r = _pick(args.r, config, "r", default=1.0)
     source = args.source or "both"
-    params = CycleParams(b=b, gamma=float(gamma), mode=mode, r=r)
+    params = CycleParams(b=b, gamma=gamma, mode=mode, r=r)
 
     ledgers = []
     if source in ("numeric", "both"):

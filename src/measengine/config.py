@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .engine import CycleMode
+
 _FLOAT_KEYS = ("b", "gamma", "r")
 _LIST_KEYS = ("b_values", "gamma_values", "r_values")
-_MODES = ("three", "five")
+_MODES = tuple(mode.value for mode in CycleMode)
 
 
 class ConfigError(Exception):

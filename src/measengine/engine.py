@@ -79,10 +79,10 @@ class CycleMode(str, Enum):
 class CycleParams:
     """One cycle's inputs: b = beta * gap > 0, gamma in [0, 1], r >= 1 (r = 1 if three-stroke).
 
-    A bad b, gamma or r raises `InvalidCycleError`, an unknown mode ValueError.
-    Derived at construction and left out of equality, hash and repr: x = e^-b,
-    th = tanh(b/2), the strength P = gamma * (1 - x), q (NaN where no partner
-    exists), the `thermal` state, and `thermal_strokes`, the TP and API records.
+    A bad b, gamma or r raises `InvalidCycleError`, an unknown mode ValueError; each is
+    then kept as a Python float.  Derived at construction and left out of equality, hash
+    and repr: x = e^-b, th = tanh(b/2), the strength P = gamma * (1 - x), q (NaN where
+    no partner exists), the `thermal` state, and `thermal_strokes`, the TP and API records.
     """
 
     b: float
@@ -98,15 +98,16 @@ class CycleParams:
 
     def __post_init__(self):
         mode = CycleMode(self.mode)
-        b, r = self.b, self.r
+        b, gamma, r = self.b, self.gamma, self.r
         if not math.isfinite(b) or b <= 0:
             raise InvalidCycleError(f"b must be finite and positive, got {b}")
-        if not math.isfinite(self.gamma) or not 0.0 <= self.gamma <= 1.0:
-            raise InvalidCycleError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not math.isfinite(gamma) or not 0.0 <= gamma <= 1.0:
+            raise InvalidCycleError(f"gamma must lie in [0, 1], got {gamma}")
         _require_ratio(mode, r)
+        b, gamma, r = float(b), float(gamma), float(r)  # after the checks, which print the input
         x = math.exp(-b)
-        strength = _strength(self.gamma, x)
-        ground, excited = _gibbs_populations(_H1, float(b))  # float entries for an integer b too
+        strength = _strength(gamma, x)
+        ground, excited = _gibbs_populations(_H1, b)
         thermal = _state(ground, 0.0, 0.0, excited)
         hr = _H1 if r == 1.0 else Hamiltonian.qubit(r)
         strokes = (
@@ -114,9 +115,9 @@ class CycleParams:
             # API stretches the gap and leaves the populations untouched.
             _record("API", thermal, hr, mean_energy(thermal, hr)),
         )
-        self.__dict__.update(mode=mode, x=x, th=math.tanh(0.5 * b), strength=strength,
-                             thermal=thermal, q=_isentropic_strength(strength, x),
-                             thermal_strokes=strokes)
+        self.__dict__.update(b=b, gamma=gamma, r=r, mode=mode, x=x, th=math.tanh(0.5 * b),
+                             strength=strength, thermal=thermal,
+                             q=_isentropic_strength(strength, x), thermal_strokes=strokes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +151,6 @@ class EnergyLedger:
     q_used: float  # NaN when no isentropic partner strength exists
     valid: bool    # gamma within the mode's engine range
     flags: tuple[str, ...] = ()
-
-    def stroke(self, name: str) -> StrokeRecord:
-        for rec in self.strokes:
-            if rec.name == name:
-                return rec
-        raise KeyError(f"no stroke named {name!r} in this ledger")
 
 
 def _record(name: str, state: DensityMatrix, h: Hamiltonian, energy: float) -> StrokeRecord:
@@ -324,7 +319,6 @@ def run_analytic(p: CycleParams) -> EnergyLedger:
     if not valid:
         flags.append(FLAG_OUTSIDE_RANGE)
     ground, excited = _measured(p.x, p.strength)
-    ground, excited = float(ground), float(excited)  # a numpy-scalar gamma gives np.float64
     strokes = _cycle_strokes(p, _state(ground, 0.0, 0.0, excited),
                              _state(excited, 0.0, 0.0, ground))  # QMII swaps them
     return _unchecked(

@@ -37,7 +37,7 @@ ENTROPY_EIG_FLOOR = 1e-15  # eigenvalues below this contribute exactly 0 to S
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal qubit Hamiltonian: two finite levels, ascending, stored as a float tuple."""
+    """Diagonal qubit Hamiltonian: two finite levels, ascending, its only field (a float tuple)."""
 
     levels: tuple[float, float]
 
@@ -59,20 +59,14 @@ class Hamiltonian:
             raise ValueError(f"qubit frequency must be positive, got {frequency}")
         return cls((-0.5 * frequency, +0.5 * frequency))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The read-only float64 diagonal matrix of the two levels."""
-        lo, hi = self.levels
-        return _frozen_matrix((lo, 0.0, 0.0, hi))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A checked qubit state, from a real 2x2 matrix that numpy coerces (`as_square_matrix`).
 
-    The engine builds its states by `_state`.  Refused by `_admit`.  Holds `entries`
-    (Python floats, row by row) and `eig_pair` (ascending); `mat` (read-only
-    float64) and `entropy` (`von_neumann_entropy`) are built on first read and kept.
+    The engine builds its states by `_state`; `_admit` refuses.  Its only views: `entries`
+    (Python floats, row by row; populations at 0 and 3) and `eig_pair` (ascending), held;
+    `mat` (read-only float64) and `entropy` (`von_neumann_entropy`), built on first read.
     """
 
     mat: np.ndarray
@@ -104,25 +98,6 @@ class DensityMatrix:
             raise ValueError(f"expected 2 populations for a 2x2 qubit state, got {n}")
         p0, p1 = populations
         return cls([[p0, 0.0], [0.0, p1]])
-
-    @classmethod
-    def pure(cls, level: int) -> DensityMatrix:
-        """Projector |level><level| in the computational basis, level 0 or 1."""
-        if level not in (0, 1):
-            raise ValueError(f"qubit level must be 0 or 1, got {level!r}")
-        return cls.from_populations((1.0, 0.0) if level == 0 else (0.0, 1.0))
-
-    @classmethod
-    def maximally_mixed(cls) -> DensityMatrix:
-        return cls.from_populations((0.5, 0.5))
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Diagonal of the state, a new float64 array."""
-        return np.diag(self.mat).copy()
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.array(self.eig_pair)
 
 
 def _admit(fields: dict, a00: float, a01: float, a10: float, a11: float) -> None:
@@ -175,6 +150,8 @@ def _gibbs_populations(h: Hamiltonian, b):
     lo, hi = h.levels
     gap = hi - lo
     if isinstance(b, float):
+        # np.exp, not the math.exp that gives CycleParams.x: the two differ in the last bit
+        # for some b (~7 %), so either one replacing the other moves the pinned digests.
         w = float(np.exp(-b * gap))
     else:
         with np.errstate(over="ignore"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from measengine.channels import KrausSet
-from measengine.engine import CycleGrid, run_numeric_grid
+from measengine.engine import CycleGrid, EnergyLedger, StrokeRecord, run_numeric_grid
 from measengine.linalg import _eig_pair
 from measengine.states import DensityMatrix, entropy_stack
 
@@ -25,6 +25,11 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b, from `linalg._eig_pair` of the entry difference."""
     lo, hi = _eig_pair(*(x - y for x, y in zip(a.entries, b.entries, strict=True)))
     return 0.5 * (abs(lo) + abs(hi))
+
+
+def stroke(ledger: EnergyLedger, name: str) -> StrokeRecord:
+    """The ledger's record of the stroke called `name`."""
+    return next(rec for rec in ledger.strokes if rec.name == name)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_cycle_command_refuses_b_zero_with_exit_2(capsys):
 ], ids=["excitation", "damping"])
 def test_a_strength_just_above_one_is_refused_by_both_channels(apply, stack, name):
     message = rf"^{name} strength must lie in \[0, 1\], got 1\.0000000000000002$"
-    rho = DensityMatrix.maximally_mixed()
+    rho = DensityMatrix.from_populations((0.5, 0.5))
     with pytest.raises(ValueError, match=message):
         apply(ABOVE_ONE, rho)
     with pytest.raises(ValueError, match=message):

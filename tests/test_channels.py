@@ -36,6 +36,7 @@ from support import (
 )
 
 QUBIT = Hamiltonian.qubit(1.0)
+MIXED = DensityMatrix.from_populations((0.5, 0.5))
 PROJ_Z = KrausSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), label="projective-z")
 _max_deviation = channels._max_deviation
 
@@ -124,9 +125,8 @@ class TestChannelConstruction:
 
     @pytest.mark.parametrize("strength", [-0.1, 1.1, math.nan])
     def test_strength_out_of_range(self, strength):
-        rho = DensityMatrix.maximally_mixed()
-        for build in (first_channel, lambda s: channels._excite(s, rho),
-                      lambda s: channels._damp(s, rho)):
+        for build in (first_channel, lambda s: channels._excite(s, MIXED),
+                      lambda s: channels._damp(s, MIXED)):
             with pytest.raises(ValueError, match=r"strength must lie in \[0, 1\]"):
                 build(strength)
 
@@ -140,13 +140,13 @@ class TestApplyUnselective:
     def test_pumped_thermal_populations(self):
         # P = 3/8 on the b = ln 2 thermal state: ((1-P)*2/3, 1/3 + P*2/3) = (5/12, 7/12).
         rho = apply_unselective(first_channel(3.0 / 8.0), gibbs_state(QUBIT, math.log(2.0)))
-        assert rho.populations[0] == pytest.approx(5.0 / 12.0, abs=1e-15)
-        assert rho.populations[1] == pytest.approx(7.0 / 12.0, abs=1e-15)
+        assert rho.entries[0] == pytest.approx(5.0 / 12.0, abs=1e-15)
+        assert rho.entries[3] == pytest.approx(7.0 / 12.0, abs=1e-15)
 
     def test_incomplete_set_is_refused(self):
         bad = KrausSet((np.eye(2) / math.sqrt(2.0),))
         with pytest.raises(IncompleteKrausSetError):
-            apply_unselective(bad, DensityMatrix.maximally_mixed())
+            apply_unselective(bad, MIXED)
 
     def test_a_nan_deviation_is_refused(self):
         # A NaN q leaves the (0, 0) entry of sum A^dag A - 1 at 0 and the others NaN: the
@@ -155,7 +155,7 @@ class TestApplyUnselective:
         assert max(map(abs, channels._completeness_terms(ops))) == 0.0
         with pytest.raises(IncompleteKrausSetError,
                            match=r"^Kraus set damp violates completeness by nan$"):
-            channels._apply(ops, DensityMatrix.maximally_mixed(), "damp")
+            channels._apply(ops, MIXED, "damp")
 
     @pytest.mark.parametrize("unit", [1.0], ids=["real"])
     def test_completeness_edge(self, unit):
@@ -164,14 +164,13 @@ class TestApplyUnselective:
         def edge_set(e):
             return KrausSet((np.array([[1.0, e], [0.0, 0.0]]), np.diag([0.0, 1.0])), label="edge")
 
-        mixed = DensityMatrix.maximally_mixed()
-        out = apply_unselective(edge_set(unit * COMPLETENESS_TOL), mixed)
-        assert np.array_equal(out.mat, mixed.mat)
+        out = apply_unselective(edge_set(unit * COMPLETENESS_TOL), MIXED)
+        assert np.array_equal(out.mat, MIXED.mat)
         beyond = edge_set(unit * math.nextafter(COMPLETENESS_TOL, math.inf))
         with pytest.raises(
             IncompleteKrausSetError, match=r"^Kraus set edge violates completeness by 1\.000e-12$"
         ):
-            apply_unselective(beyond, mixed)
+            apply_unselective(beyond, MIXED)
 
     def test_agrees_with_the_matrix_products_on_random_sets(self, rng):
         for _ in range(300):
@@ -186,8 +185,8 @@ class TestApplyUnselective:
     def test_is_the_matrix_products_bit_for_bit_on_diagonal_states(self, rng, entries, apply):
         # The engine's case: real operators on coherence-free states.
         states = [gibbs_state(QUBIT, b) for b in (1e-8, 0.7, 5.0, 700.0)]
-        states += [DensityMatrix.pure(0), DensityMatrix.pure(1), DensityMatrix.maximally_mixed()]
-        states += [DensityMatrix.from_populations([p, 1.0 - p]) for p in rng.uniform(size=50)]
+        states += [DensityMatrix.from_populations([p, 1.0 - p])
+                   for p in (1.0, 0.0, 0.5, *rng.uniform(size=50))]
         strengths = [0.0, 3.0 / 8.0, 1.0, *rng.uniform(size=20)]
         for rho in states:
             for strength in strengths:
@@ -203,7 +202,7 @@ class TestApplyUnselective:
             rho = random_density_matrix(rng)
             out = apply_unselective(k, rho)
             assert abs(out.mat.trace() - 1.0) <= 1e-13
-            assert out.eigenvalues()[0] >= -1e-12
+            assert out.eig_pair[0] >= -1e-12
 
 
 class TestApplyUnselectiveStack:
@@ -420,7 +419,7 @@ class TestCycleStateProperties:
                 p, rho_m = self._pumped(b, gamma)
                 q = isentropic_strength(p, b)
                 rho_n = channels._damp(q, rho_m)
-                assert np.max(np.abs(rho_n.populations - rho_m.populations[::-1])) <= 1e-12
+                assert np.max(np.abs(np.diag(rho_n.mat) - np.diag(rho_m.mat)[::-1])) <= 1e-12
 
     def test_entropy_equality_across_valid_grid(self):
         for b in self.B_GRID:

@@ -17,7 +17,7 @@ SRC = ROOT / "src" / "measengine"
 TESTS = ROOT / "tests"
 
 # The ratchet: lower it when docstrings shrink; it never rises.
-DOCSTRING_LINES = 341
+DOCSTRING_LINES = 338
 
 CITED = re.compile(r"\btest_\w+\b(?!\.py)")
 

@@ -29,7 +29,7 @@ from measengine import channels, engine, linalg, states
 from measengine.channels import IncompleteKrausSetError, KrausSet, apply_unselective, first_channel
 from measengine.states import DensityMatrix, Hamiltonian, von_neumann_entropy
 from measengine.verify import TOL_EXACT, TOL_ORACLE
-from support import trace_distance
+from support import stroke, trace_distance
 
 B_GRID = (0.1, math.log(2.0), 1.0, 5.0)
 GAMMA_GRID = (0.5, 0.6, 0.75, 0.9, 1.0)
@@ -100,8 +100,9 @@ class TestThreeStrokeNumeric:
     def test_half_strength_fully_mixes(self):
         for b in B_GRID:
             led = run_numeric(three(b, 0.5))
-            qmi = led.stroke("QMI")
-            assert trace_distance(qmi.state_after, DensityMatrix.maximally_mixed()) <= 1e-12
+            qmi = stroke(led, "QMI")
+            mixed = DensityMatrix.from_populations((0.5, 0.5))
+            assert trace_distance(qmi.state_after, mixed) <= 1e-12
             assert abs(qmi.energy_after) <= 1e-12
             assert abs(led.w_ext) <= 1e-12
             assert abs(led.eta) <= 1e-10
@@ -123,7 +124,7 @@ class TestThreeStrokeNumeric:
         for field in LEDGER_FIELDS:
             assert getattr(led3, field) == getattr(led5, field)
         for rec in led3.strokes:
-            assert rec.energy_after == led5.stroke(rec.name).energy_after
+            assert rec.energy_after == stroke(led5, rec.name).energy_after
 
     def test_energy_bookkeeping_matches_records(self):
         led = run_numeric(three(1.0, 0.75))
@@ -161,7 +162,7 @@ class TestThreeStrokeAnalytic:
     def test_stroke_list_starts_with_the_numeric_tp_record(self):
         led = run_analytic(three(1.0, 0.75))
         assert [rec.name for rec in led.strokes] == ["TP", "QMI", "QMII"]
-        tp, numeric_tp = led.stroke("TP"), run_numeric(three(1.0, 0.75)).stroke("TP")
+        tp, numeric_tp = stroke(led, "TP"), stroke(run_numeric(three(1.0, 0.75)), "TP")
         assert np.array_equal(tp.state_after.mat, numeric_tp.state_after.mat)
         assert tp.hamiltonian_after == numeric_tp.hamiltonian_after
         assert tp.energy_after == numeric_tp.energy_after
@@ -199,8 +200,8 @@ class TestFiveStrokeNumeric:
     def test_adiabats_preserve_entropy_exactly(self):
         for b in B_GRID:
             for led in (run_numeric(five(b, 0.75, 5.0)), run_analytic(five(b, 0.75, 5.0))):
-                assert led.stroke("API").entropy_after == led.stroke("TP").entropy_after
-                assert led.stroke("APII").entropy_after == led.stroke("QMII").entropy_after
+                assert stroke(led, "API").entropy_after == stroke(led, "TP").entropy_after
+                assert stroke(led, "APII").entropy_after == stroke(led, "QMII").entropy_after
                 for rec in led.strokes:
                     assert rec.entropy_after == von_neumann_entropy(rec.state_after)
 
@@ -208,7 +209,7 @@ class TestFiveStrokeNumeric:
         entropies = []
         for r in R_GRID:
             led = run_numeric(five(1.0, 0.75, r))
-            entropies.append((led.stroke("QMI").entropy_after, led.stroke("QMII").entropy_after))
+            entropies.append((stroke(led, "QMI").entropy_after, stroke(led, "QMII").entropy_after))
         assert all(e == entropies[0] for e in entropies)
 
     def test_work_window_without_channel_is_refused(self):
@@ -311,7 +312,7 @@ class TestSignStructureAndMonotonicity:
         for b in B_GRID:
             for gamma in GAMMA_GRID:
                 led = run_numeric(three(b, gamma))
-                assert abs(led.stroke("QMI").entropy_after - led.stroke("QMII").entropy_after) <= 1e-12
+                assert abs(stroke(led, "QMI").entropy_after - stroke(led, "QMII").entropy_after) <= 1e-12
 
 
 class TestFirstLawResidual:
@@ -446,7 +447,7 @@ def test_the_stretched_hamiltonian_is_built_once_per_point(monkeypatch):
         built.clear()
         numeric, analytic = run_numeric(p), run_analytic(p)
         assert built == []
-        assert numeric.stroke("TP") is analytic.stroke("TP") is p.thermal_strokes[0]
+        assert stroke(numeric, "TP") is stroke(analytic, "TP") is p.thermal_strokes[0]
         if r == 1.0:
             assert all(rec.hamiltonian_after is engine._H1
                        for ledger in (numeric, analytic) for rec in ledger.strokes)
@@ -487,9 +488,9 @@ def test_stroke_entropies_are_computed_on_first_read_once_per_state(monkeypatch,
     tp, api = p.thermal_strokes
     assert api.entropy_after == tp.entropy_after
     for ledger in ledgers:
-        assert ledger.stroke("TP").entropy_after == tp.entropy_after
+        assert stroke(ledger, "TP").entropy_after == tp.entropy_after
         if mode == "five":
-            assert ledger.stroke("APII").entropy_after == ledger.stroke("QMII").entropy_after
+            assert stroke(ledger, "APII").entropy_after == stroke(ledger, "QMII").entropy_after
         for rec in ledger.strokes:
             expected = von_neumann_entropy(rec.state_after)
             assert rec.entropy_after.hex() == expected.hex() == rec.state_after.entropy.hex()
@@ -523,8 +524,8 @@ def test_a_scalar_cycle_makes_no_numpy_array(monkeypatch, mode, b, gamma, r):
 @pytest.mark.parametrize("mode, b, gamma, r", [
     ("five", 0.7, 0.8, 2.0), ("three", 0.7, 0.8, 1.0), ("five", 1e-8, 0.5, 100.0),
     ("three", 700.0, 1.0, 1.0), ("five", 800.0, 0.75, 1e6),
-    ("five", 1, 0.8, 2.0),  # an integer b: the thermal state's entries are floats too
-    # numpy scalars: the states' entries are Python floats all the same
+    ("five", 1, 0.8, 2.0),  # an integer b: kept as a float, as every other number is
+    # numpy scalars: kept as Python floats, so the ledgers hold no numpy scalar
     pytest.param("five", np.float64(0.7), np.float64(0.8), np.float64(2.0), id="five-float64"),
 ])
 def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
@@ -566,13 +567,21 @@ def test_a_scalar_cycle_holds_only_floats(monkeypatch, mode, b, gamma, r):
     for ops, rho in evolved:
         assert len(ops) == 2 and all(len(op) == 4 for op in ops)
         assert all(type(v) is float for op in ops for v in op + rho)
-    # The ledger's numbers are arithmetic on the inputs, so a numpy-scalar input may give
-    # numpy-scalar numbers there; the states' entries above are Python floats all the same.
-    numbers = {float, type(gamma)}
+    # `CycleParams` keeps b, gamma and r as Python floats, so both ledgers' numbers are too.
+    assert all(type(v) is float for v in (p.b, p.gamma, p.r))
     for ledger in ledgers:
-        assert all(type(getattr(ledger, name)) in numbers for name in LEDGER_FIELDS)
+        assert all(type(getattr(ledger, name)) is float for name in LEDGER_FIELDS)
         assert all(type(rec.energy_after) is float and type(rec.entropy_after) is float
                    for rec in ledger.strokes)
+
+
+def test_a_refused_input_prints_as_given():
+    # The checks run before the float coercion: an int prints as an int, and a str is
+    # refused by the finiteness check, not parsed.
+    with pytest.raises(InvalidCycleError, match=r"^b must be finite and positive, got 0$"):
+        CycleParams(b=0, gamma=0.8, mode="five", r=2.0)
+    with pytest.raises(TypeError):
+        CycleParams(b="0.7", gamma=0.8, mode="five", r=2.0)
 
 
 @pytest.mark.parametrize("name, channel", [("strength", "excitation"), ("q", "damping")])

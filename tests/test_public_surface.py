@@ -1,11 +1,12 @@
 """The package's public surface: `__all__` is exactly the kept names, and deleted names stay out.
 
 The single-set API that no engine, CLI, sweep or verify path ran was deleted
-(ROADMAP item 16a); a change that exports one of its names again fails here.
+(ROADMAP item 16a), and so were the class members that repeated a field their
+class holds; a change that brings one of these names back fails here.
 """
 
 import measengine
-from measengine import channels, linalg, states
+from measengine import channels, engine, linalg, states
 
 PUBLIC = [
     "CycleGrid",
@@ -52,6 +53,12 @@ DELETED = {
     ),
     linalg: ("adjoint", "hermiticity_defect", "max_offdiag", "trace"),
     states: ("trace_distance",),
+    # Class members, each a second view of a kept field (`entries`, `eig_pair`,
+    # `levels`, `strokes`, `len(entries)`).
+    states.DensityMatrix: ("pure", "maximally_mixed", "populations", "eigenvalues"),
+    states.Hamiltonian: ("matrix",),
+    engine.EnergyLedger: ("stroke",),
+    channels.KrausSet: ("__len__",),
 }
 
 
@@ -61,6 +68,6 @@ def test_all_is_exactly_the_kept_names():
 
 
 def test_deleted_names_are_gone_from_the_package_and_their_modules():
-    present = [f"{module.__name__}.{name}" for module, names in DELETED.items() for name in names
-               if hasattr(module, name) or hasattr(measengine, name)]
+    present = [f"{owner.__name__}.{name}" for owner, names in DELETED.items() for name in names
+               if hasattr(owner, name) or hasattr(measengine, name)]
     assert present == []

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from reference import LEDGER, LN2, STATES, reference_ledger, reference_states
-from support import grid_states
+from support import grid_states, stroke
 
 from measengine.engine import (
     CycleGrid,
@@ -118,11 +118,11 @@ def state_errors_in_eps(values: dict[str, float], ref: dict[str, Decimal]) -> di
 
 
 def _scalar_states(ledger) -> dict[str, float]:
-    qmi = ledger.stroke("QMI")
+    qmi = stroke(ledger, "QMI")
     rho = qmi.state_after.entries
     return {"ground_qmi": rho[0], "excited_qmi": rho[3],
-            "entropy_tp": ledger.stroke("TP").entropy_after, "entropy_qmi": qmi.entropy_after,
-            "entropy_qmii": ledger.stroke("QMII").entropy_after}
+            "entropy_tp": stroke(ledger, "TP").entropy_after, "entropy_qmi": qmi.entropy_after,
+            "entropy_qmii": stroke(ledger, "QMII").entropy_after}
 
 
 def _grid_states(stacks: tuple[np.ndarray, ...], entropies: tuple[np.ndarray, ...],

@@ -23,6 +23,9 @@ from measengine.states import (
 )
 
 QUBIT = Hamiltonian.qubit(1.0)
+GROUND = DensityMatrix.from_populations((1.0, 0.0))
+EXCITED = DensityMatrix.from_populations((0.0, 1.0))
+MIXED = DensityMatrix.from_populations((0.5, 0.5))
 
 # -(7/12)ln(7/12) - (5/12)ln(5/12), frozen from a 50-digit evaluation.
 ENTROPY_7_5_TWELFTHS = 0.6791932659915257
@@ -55,13 +58,6 @@ class TestHamiltonian:
 
 
 class TestDensityMatrixInvariants:
-    def test_pure_takes_only_the_two_qubit_levels(self):
-        assert np.array_equal(DensityMatrix.pure(0).mat, np.diag([1.0, 0.0]))
-        assert np.array_equal(DensityMatrix.pure(1).mat, np.diag([0.0, 1.0]))
-        for level in (-1, 2):
-            with pytest.raises(ValueError, match=rf"^qubit level must be 0 or 1, got {level}$"):
-                DensityMatrix.pure(level)
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
@@ -90,23 +86,19 @@ class TestDensityMatrixInvariants:
                 build(entries)
 
     def test_maximally_mixed_holds_floats(self):
-        rho = DensityMatrix.maximally_mixed()
-        assert all(type(v) is float for v in rho.entries + rho.eig_pair)
-        assert rho.entries == DensityMatrix.from_populations((0.5, 0.5)).entries
+        assert all(type(v) is float for v in MIXED.entries + MIXED.eig_pair)
+        assert MIXED.entries == (0.5, 0.0, 0.0, 0.5)
 
     def test_matrix_is_frozen(self):
-        rho = DensityMatrix.maximally_mixed()
         with pytest.raises(ValueError):
-            rho.mat[0, 0] = 0.7
+            MIXED.mat[0, 0] = 0.7
 
     def test_matrices_are_read_only_float64(self, rng):
         rho = DensityMatrix(random_density_matrix(rng).mat.tolist())
         k = KrausSet(([[1.0, 0.0], [0.0, 0.6]], np.array([[0.0, 0.8], [0.0, 0.0]])))
-        for mat in (rho.mat, *k.ops, QUBIT.matrix, Hamiltonian.qubit(2.0).matrix):
+        for mat in (rho.mat, *k.ops):
             assert mat.dtype == np.float64 and mat.shape == (2, 2)
             assert not mat.flags.writeable
-        assert QUBIT.matrix.tolist() == [[-0.5, 0.0], [0.0, 0.5]]
-        assert rho.populations.dtype == np.float64 and rho.populations.flags.writeable
 
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     def test_rejects_non_finite_entries(self, bad):
@@ -119,12 +111,11 @@ class TestDensityMatrixInvariants:
 
     def test_stored_entries_and_eigenvalues_are_those_of_mat(self, rng):
         states = [random_density_matrix(rng) for _ in range(200)]
-        states += [gibbs_state(QUBIT, 0.7), DensityMatrix.pure(1), DensityMatrix.maximally_mixed()]
+        states += [gibbs_state(QUBIT, 0.7), EXCITED, MIXED]
         for rho in states:
             entries = rho.mat.ravel().tolist()
             assert rho.entries == tuple(entries)
             assert rho.eig_pair == _eig_pair(*entries)
-            assert np.array_equal(rho.eigenvalues(), np.array(rho.eig_pair))
 
 
 def _up(x: float) -> float:
@@ -176,17 +167,17 @@ class TestDensityMatrixToleranceEdges:
 
 class TestGibbsState:
     def test_infinite_temperature_limit(self):
-        pops = gibbs_state(QUBIT, 1e-9).populations
+        pops = np.diag(gibbs_state(QUBIT, 1e-9).mat)
         assert np.allclose(pops, [0.5, 0.5], atol=1e-9)
 
     def test_b_log2_gives_thirds(self):
         # e^(-+ln2/2) = 2^(-+1/2), Z = 3/sqrt(2): populations (2/3, 1/3).
-        pops = gibbs_state(QUBIT, math.log(2.0)).populations
+        pops = np.diag(gibbs_state(QUBIT, math.log(2.0)).mat)
         assert pops[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert pops[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_zero_temperature_limit(self):
-        assert gibbs_state(QUBIT, 50.0).populations[0] == pytest.approx(1.0, abs=1e-10)
+        assert gibbs_state(QUBIT, 50.0).entries[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_nonpositive_b(self):
         with pytest.raises(ValueError):
@@ -211,7 +202,7 @@ class TestGibbsState:
 
     @given(st.floats(min_value=1e-3, max_value=50.0))
     def test_populations_positive_and_normalized(self, b):
-        pops = gibbs_state(QUBIT, b).populations
+        pops = np.diag(gibbs_state(QUBIT, b).mat)
         assert np.all(pops > 0.0)
         assert abs(pops.sum() - 1.0) <= 1e-14
 
@@ -307,7 +298,7 @@ class TestConstructorInputKinds:
                 assert type(raised.value) is type(refusal) and str(raised.value) == str(refusal)
             return
         k = KrausSet((value, value))
-        assert len(k) == 2 and k.ops is k.ops
+        assert k.ops is k.ops
         for op, op_entries in zip(k.ops, k.entries, strict=True):
             self._assert_built_from(op, op_entries, expected, value)
         try:
@@ -338,7 +329,7 @@ class TestConstructorInputKinds:
 
 class TestMeanEnergy:
     def test_maximally_mixed_is_zero(self):
-        assert mean_energy(DensityMatrix.maximally_mixed(), QUBIT) == pytest.approx(0.0, abs=1e-15)
+        assert mean_energy(MIXED, QUBIT) == pytest.approx(0.0, abs=1e-15)
 
     def test_thermal_at_b_log2(self):
         # Tr(H rho_th) = -(1/2) tanh(ln2 / 2) = -1/6.
@@ -346,7 +337,7 @@ class TestMeanEnergy:
         assert val == pytest.approx(-1.0 / 6.0, abs=1e-15)
 
     def test_ground_state(self):
-        assert mean_energy(DensityMatrix.pure(0), QUBIT) == -0.5
+        assert mean_energy(GROUND, QUBIT) == -0.5
 
     def test_closed_form_over_grid(self):
         # Bare qubit: Tr(H rho_th) = -(1/2) tanh(b/2).
@@ -368,7 +359,7 @@ class TestMeanEnergy:
         for _ in range(200):
             rho = random_density_matrix(rng)
             assert abs(rho.mat[0, 1]) > 0.0
-            assert mean_energy(rho, h) == float(np.trace(h.matrix @ rho.mat))
+            assert mean_energy(rho, h) == float(np.trace(np.diag(h.levels) @ rho.mat))
 
     @pytest.mark.parametrize(("mode", "r"), [("three", 1.0), ("five", 3.0)])
     @pytest.mark.parametrize("b", [1e-7, math.log(2.0), 5.0, 700.0])
@@ -377,7 +368,7 @@ class TestMeanEnergy:
         for ledger in (run_numeric(p), run_analytic(p)):
             for rec in ledger.strokes:
                 h, rho = rec.hamiltonian_after, rec.state_after
-                assert rec.energy_after == float(np.trace(h.matrix @ rho.mat))
+                assert rec.energy_after == float(np.trace(np.diag(h.levels) @ rho.mat))
 
     def test_dimension_mismatch(self):
         # Only qubits pass the boundary: neither a 3x3 state nor a three-level
@@ -390,11 +381,11 @@ class TestMeanEnergy:
 
 class TestVonNeumannEntropy:
     def test_pure_state_is_exactly_zero(self):
-        assert von_neumann_entropy(DensityMatrix.pure(0)) == 0.0
-        assert von_neumann_entropy(DensityMatrix.pure(1)) == 0.0
+        assert von_neumann_entropy(GROUND) == 0.0
+        assert von_neumann_entropy(EXCITED) == 0.0
 
     def test_maximally_mixed_is_log2(self):
-        s = von_neumann_entropy(DensityMatrix.maximally_mixed())
+        s = von_neumann_entropy(MIXED)
         assert s == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_frozen_oracle_value(self):
@@ -416,16 +407,15 @@ class TestTraceDistance:
     """The tests' trace distance (`support.trace_distance`): `_eig_pair` of an entry difference."""
 
     def test_identical_states(self):
-        rho = DensityMatrix.maximally_mixed()
-        assert trace_distance(rho, rho) == 0.0
+        assert trace_distance(MIXED, MIXED) == 0.0
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(DensityMatrix.pure(0), DensityMatrix.pure(1)) == 1.0
+        assert trace_distance(GROUND, EXCITED) == 1.0
 
     def test_mixed_vs_thirds(self):
         # Difference has eigenvalues +-1/6.
         d = trace_distance(
-            DensityMatrix.maximally_mixed(),
+            MIXED,
             DensityMatrix.from_populations([2.0 / 3.0, 1.0 / 3.0]),
         )
         assert d == pytest.approx(1.0 / 6.0, abs=1e-15)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import WIDE_B, WIDE_GAMMA, WIDE_R, grid_states
+from support import WIDE_B, WIDE_GAMMA, WIDE_R, grid_states, stroke
 
 from measengine import engine, states, sweep
 from measengine.channels import IncompleteKrausSetError, first_channel_stack
@@ -51,8 +51,8 @@ def same_entries(column: np.ndarray, state) -> bool:
 
 def assert_states_match(stacks: tuple[np.ndarray, ...], i: int, scalar) -> None:
     """Column i of each grid state stack, TP, QMI and QMII, is the scalar record's state."""
-    for stroke, stack in zip(("TP", "QMI", "QMII"), stacks, strict=True):
-        assert same_entries(stack[:, i], scalar.stroke(stroke).state_after), stroke
+    for name, stack in zip(("TP", "QMI", "QMII"), stacks, strict=True):
+        assert same_entries(stack[:, i], stroke(scalar, name).state_after), name
 
 
 def assert_columns_match(ledger, held, i: int, scalar) -> None:
@@ -61,8 +61,8 @@ def assert_columns_match(ledger, held, i: int, scalar) -> None:
         assert same(getattr(ledger, field)[i], getattr(scalar, field)), field
     assert same(first_law_residual(ledger)[i], first_law_residual(scalar))
     stacks, entropies = held
-    for stroke, entropy in zip(("TP", "QMI", "QMII"), entropies, strict=True):
-        assert same(entropy[i], scalar.stroke(stroke).entropy_after), stroke
+    for name, entropy in zip(("TP", "QMI", "QMII"), entropies, strict=True):
+        assert same(entropy[i], stroke(scalar, name).entropy_after), name
     assert_states_match(stacks, i, scalar)
 
 
